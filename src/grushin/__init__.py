@@ -3,9 +3,9 @@ two-layer operator -Laplacian_{x'} - |x'|^2 Laplacian_{x''}.
 
 The package provides the scaled Hermite spectral layer, the control
 geometry, linear and joint multiplier calculus with kernels, the
-bilinear means with a separated fast path, smoothness-threshold tables,
-and a suite of regression-style probes for the weighted kernel and
-decay estimates.
+bilinear means with a direct path and a Fourier-series separated path
+that checks it, smoothness-threshold tables, and a suite of
+regression-style probes for the weighted kernel and decay estimates.
 """
 
 __version__ = "0.1.0"

@@ -87,11 +87,6 @@ def build_atoms(grid: Grid, eta_max: float) -> SpectralAtoms:
                          eigen=np.array(eig), lam_index=np.array(idx, dtype=int))
 
 
-def level_max_for(symbol_hi: float, lam_min: float, d1: int) -> int:
-    """Exact level truncation for symbols supported in [0, symbol_hi]."""
-    return int(np.ceil((symbol_hi / lam_min - d1) / 2.0))
-
-
 def atom_projection_values(atoms: SpectralAtoms, x1_point: np.ndarray,
                            y1_points: np.ndarray) -> np.ndarray:
     """R[q, i] = projection kernel at level k_q, frequency lambda_q,
@@ -155,8 +150,7 @@ def linear_kernel_on_grid(F: Symbol1D, x, grid: Grid) -> np.ndarray:
              * np.exp(1j * (atoms.lam @ x2))
              * (2.0 * np.pi) ** (-grid.dims.d2))
     proj = atom_projection_values(atoms, x1, grid.x1_points)   # (Q, n1)
-    phase = np.exp(-1j * (atoms.lam @ grid.x2_points.T))       # (Q, n2)
-    return (proj * coeff[:, None]).T @ phase
+    return grid.x2_inverse((proj * coeff[:, None]).T, -atoms.lam)
 
 
 def bilinear_kernel(G: Symbol2D, x, y, z, grid: Grid) -> complex:
@@ -197,8 +191,7 @@ def apply_linear_multiplier_gridded(F: Symbol1D, h: GriddedField) -> GriddedFiel
     """
     grid = h.grid
     atoms = build_atoms(grid, F.support[1])
-    phases = np.exp(-1j * grid.lambda_points @ grid.x2_points.T)
-    sections = (phases * grid.x2_weights) @ h.values.T   # (n_lambda, n_x1)
+    sections = grid.x2_forward(h.values, grid.lambda_points)  # (n_lambda, n_x1)
     w1 = grid.x1_weights
     out_sections = np.zeros_like(sections)
     d1 = grid.dims.d1
@@ -213,9 +206,8 @@ def apply_linear_multiplier_gridded(F: Symbol1D, h: GriddedField) -> GriddedFiel
         sym = np.asarray(F((2 * degs + d1) * grid.lambda_abs[i]))
         coeff = (basis * w1) @ sections[i]
         out_sections[i] = (sym * coeff) @ basis
-    inv_phases = np.exp(1j * grid.x2_points @ grid.lambda_points.T)
     box = grid.x2_box_length ** grid.dims.d2
-    values = (out_sections.T / box) @ inv_phases.T
+    values = grid.x2_inverse(out_sections.T / box, grid.lambda_points)
     return GriddedField(grid=grid, values=values)
 
 
@@ -229,8 +221,7 @@ def channel_values(grid: Grid, coeff: np.ndarray, atoms: SpectralAtoms,
     ``u`` runs over the periodic x''-node set (representing x'' - y'').
     """
     proj = atom_projection_values(atoms, x1_point, grid.x1_points)  # (Q, n1)
-    phase = np.exp(1j * (atoms.lam @ grid.x2_points.T))             # (Q, n2)
-    return (proj * coeff[:, None]).T @ phase
+    return grid.x2_inverse((proj * coeff[:, None]).T, atoms.lam)
 
 
 def weighted_channel_l2(grid: Grid, channel: np.ndarray, u_weight) -> float:
@@ -306,6 +297,27 @@ def u_weight_table(grid: Grid, exponent: float, k_max: int) -> np.ndarray:
     return 2.0 * half ** (p + 1.0) * mom
 
 
+def _weighted_gram(atoms: SpectralAtoms, x1_point: np.ndarray,
+                   exponent: float) -> np.ndarray:
+    """M[q, r] = V(k_q - k_r) sum_{y1} w1 Proj_q(x1, y1) Proj_r(x1, y1).
+
+    The Gram matrix of the atom channels frozen at base point x1, with
+    the u-integral of |u|^{2 exponent} contracted per frequency-step
+    difference k_q - k_r against the exact moments of ``u_weight_table``.
+    Those moments are one-dimensional, so this raises NotImplementedError
+    unless d2 = 1, before any projection work.
+    """
+    grid = atoms.grid
+    if grid.dims.d2 != 1:
+        raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
+    proj = atom_projection_values(atoms, x1_point, grid.x1_points)  # (Q, n1)
+    S = (proj * grid.x1_weights) @ proj.T
+    steps = np.round(atoms.lam[:, 0] / grid.lambda_step).astype(int)
+    diffs = np.abs(steps[:, None] - steps[None, :])
+    vtab = u_weight_table(grid, exponent, int(diffs.max()))
+    return vtab[diffs] * S
+
+
 def second_layer_channel_l2(profile: Symbol1D, grid: Grid, x1_point,
                             u_exponent: float, cutoff=None) -> float:
     """One channel of the second-layer weighted bounds:
@@ -314,7 +326,7 @@ def second_layer_channel_l2(profile: Symbol1D, grid: Grid, x1_point,
     the kernel of profile (optionally times a frequency-size cutoff)
     applied through the calculus, frozen at base point x1.  The u
     integral is contracted per frequency difference against the exact
-    weight moments.
+    weight moments.  d2 = 1 only (NotImplementedError otherwise).
     """
     atoms = build_atoms(grid, profile.support[1])
     coeff = np.asarray(profile(atoms.eigen), dtype=complex) * atoms.weight
@@ -329,16 +341,7 @@ def second_layer_channel_l2(profile: Symbol1D, grid: Grid, x1_point,
                         eigen=atoms.eigen[keep], lam_index=atoms.lam_index[keep])
     scale = (2.0 * np.pi) ** (-grid.dims.d2)
     c = scale * coeff[keep]
-    proj = atom_projection_values(sub, np.atleast_1d(x1_point),
-                                  grid.x1_points)          # (Q, n1)
-    S = (proj * grid.x1_weights) @ proj.T
-    steps = np.round(sub.lam / grid.lambda_step).astype(int)
-    diffs = np.abs(steps[:, None, 0] - steps[None, :, 0]) \
-        if grid.dims.d2 == 1 else None
-    if diffs is None:
-        raise NotImplementedError("second-layer channels are d2 = 1 only")
-    vtab = u_weight_table(grid, u_exponent, int(diffs.max()))
-    M = vtab[diffs] * S
+    M = _weighted_gram(sub, np.atleast_1d(x1_point), u_exponent)
     return float(np.real(np.conj(c) @ M @ c))
 
 
@@ -348,7 +351,7 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
 
     integral over (y, z) of |x''-y''|^{2 exp1} |x''-z''|^{2 exp2}
     |bilinear kernel(x, y, z)|^2, with optional frequency-size cutoffs on
-    each channel.
+    each channel.  d2 = 1 only (NotImplementedError otherwise).
     """
     x1 = np.atleast_1d(x[0])
     (a1, b1), (a2, b2) = G.support
@@ -362,19 +365,8 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
     if cutoff2 is not None:
         g = g * np.asarray(cutoff2(atoms2.lam_abs))[None, :]
 
-    if grid.dims.d2 != 1:
-        raise NotImplementedError("weighted bilinear norms are d2 = 1 only")
-
-    def gram(atoms, exponent):
-        proj = atom_projection_values(atoms, x1, grid.x1_points)
-        S = (proj * grid.x1_weights) @ proj.T
-        steps = np.round(atoms.lam[:, 0] / grid.lambda_step).astype(int)
-        diffs = np.abs(steps[:, None] - steps[None, :])
-        vtab = u_weight_table(grid, exponent, int(diffs.max()))
-        return vtab[diffs] * S
-
-    M1 = gram(atoms1, exp1)
-    M2 = gram(atoms2, exp2)
+    M1 = _weighted_gram(atoms1, x1, exp1)
+    M2 = _weighted_gram(atoms2, x1, exp2)
     scale = (2.0 * np.pi) ** (-4 * grid.dims.d2)
     X = M1.T @ g                     # contracts first index against conj pair
     total = np.sum((X @ M2) * np.conj(g))

@@ -35,8 +35,6 @@ from .verifier import (DecayProbeSpec, coefficient_decay_probe,
                        probe_grid, restriction_probe,
                        weighted_plancherel_probe)
 
-WORKERS_ENV = "GRUSHIN_WORKERS"
-
 
 def _resolve_config(args) -> dict:
     cfg = {}
@@ -81,12 +79,6 @@ def _write_manifest(path: str, command: str, cfg: dict, outputs: list[str],
 def _report_csv(report: ProbeReport, path: str, cfg_hash: str):
     with open(path, "w") as fh:
         fh.write(report.to_csv([f"config_hash={cfg_hash}"]))
-
-
-def _workers(cfg: dict) -> int:
-    if "workers" in cfg:
-        return max(1, int(cfg["workers"]))
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +199,7 @@ SUITES = ("core", "kernel", "plancherel", "decay", "all")
 
 
 def _run_suite(suite: str, cfg: dict) -> dict[str, ProbeReport]:
-    workers = _workers(cfg)
+    workers = int(cfg["workers"]) if "workers" in cfg else None
     seed = int(cfg.get("seed", 0))
     reports: dict[str, ProbeReport] = {}
 
@@ -332,7 +324,7 @@ def cmd_probe(args) -> int:
     cfg = _resolve_config(args)
     name = cfg.get("probe", getattr(args, "probe", None) or "decay")
     cfg["probe"] = name
-    workers = _workers(cfg)
+    workers = int(cfg["workers"]) if "workers" in cfg else None
     seed = int(cfg.get("seed", 0))
     if name == "kernel":
         rep = pointwise_kernel_probe(

@@ -126,9 +126,8 @@ def synthesize(f: SpectralField, grid: Grid) -> GriddedField:
     _check_degree(f, grid)
     w = grid.lambda_weights[idx]
     profiles = profile_tensor(f, grid)                      # (n_supp, n_x1)
-    phases = np.exp(1j * grid.x2_points @ f.lambda_support.T)  # (n_x2, n_supp)
     scale = (2.0 * np.pi) ** (-grid.dims.d2)
-    values = (profiles.T * (scale * w)) @ phases.T          # (n_x1, n_x2)
+    values = grid.x2_inverse(profiles.T * (scale * w), f.lambda_support)
     return GriddedField(grid=grid, values=values)
 
 
@@ -147,7 +146,7 @@ def analyze(h: GriddedField, max_degree: int,
     lambda_support = np.atleast_2d(np.asarray(lambda_support, dtype=float))
     probe = SpectralField(grid.dims, lambda_support, 0,
                           np.zeros((lambda_support.shape[0], 1)))
-    _support_indices(probe, grid)
+    idx = _support_indices(probe, grid)
     cap = min(grid.resolvable_degree(float(probe.lambda_abs.min())),
               grid.resolvable_degree(float(probe.lambda_abs.max())))
     if max_degree > cap:
@@ -158,11 +157,9 @@ def analyze(h: GriddedField, max_degree: int,
     # h^lambda(x') = sum_{x''} w2 h e^{-i lambda x''}; the synthesize
     # prefactor (2 pi)^{-d2} w(lambda) cancels against the box length, so
     # coefficients come out unscaled.
-    phases = np.exp(-1j * lambda_support @ grid.x2_points.T)  # (n_supp, n_x2)
-    idx = np.array([grid.lambda_index(lam) for lam in lambda_support])
     box = grid.x2_box_length ** grid.dims.d2
     norm = (2.0 * np.pi) ** grid.dims.d2 / (grid.lambda_weights[idx] * box)
-    sections = (phases * grid.x2_weights) @ h.values.T       # (n_supp, n_x1)
+    sections = grid.x2_forward(h.values, lambda_support)    # (n_supp, n_x1)
     sections *= norm[:, None]
 
     n_mu = len(multi_indices_upto(grid.dims.d1, max_degree))

@@ -202,6 +202,64 @@ class Grid:
         w = np.abs((u + L / 2.0) % L - L / 2.0)
         return np.sqrt(np.sum(w * w, axis=1))
 
+    # -- the x''-transform pair ----------------------------------------------
+    # With step = 2 pi / L and x''-nodes (m - n//2) L/n, lambda x'' is
+    # 2 pi k (m - n//2) / n for lambda = k step, so the dense exponential
+    # sums are exactly DFTs along the x''-axes, read at (or scattered
+    # into) bin k mod n.  Frequencies past Nyquist alias exactly as the
+    # dense sums do, because x'' is an integer multiple of L/n.
+
+    def _x2_bins(self, lam) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Flat DFT bin of each frequency row of ``lam`` (shape (n, d2)),
+        and the x''-axis counts.
+
+        Raises GridError unless every x''-axis is the periodic lattice
+        dual to ``lambda_step`` and every frequency lies on that lattice.
+        """
+        counts = tuple(ax.size for ax in self.x2_axes)
+        L = 2.0 * math.pi / self.lambda_step
+        for ax, n in zip(self.x2_axes, counts):
+            if not np.allclose(ax, (np.arange(n) - n // 2) * (L / n),
+                               rtol=0.0, atol=1e-9 * L / n):
+                raise GridError("x''-axis is not the periodic lattice of the "
+                                "frequency step; the x''-transform is undefined")
+        lam = np.asarray(lam, dtype=float)
+        k = np.round(lam / self.lambda_step)
+        if np.any(np.abs(k * self.lambda_step - lam) > 1e-9 * self.lambda_step):
+            raise GridError("frequencies off the lattice of the frequency step")
+        bins = np.ravel_multi_index(tuple(np.mod(k.astype(int), counts).T),
+                                    counts)
+        return bins, counts
+
+    def x2_forward(self, values: np.ndarray, lam) -> np.ndarray:
+        """S[i, x'] = sum_{x''} w2(x'') values[x', x''] e^{-i lam_i x''}.
+
+        ``values`` has shape (n_x1, n_x2), ``lam`` shape (n, d2); returns
+        shape (n, n_x1).  One FFT over the x''-axes, read at the bins.
+        """
+        bins, counts = self._x2_bins(lam)
+        axes = tuple(range(1, 1 + len(counts)))
+        cube = (values * self.x2_weights).reshape((-1,) + counts)
+        spec = np.fft.fftn(np.fft.ifftshift(cube, axes=axes), axes=axes)
+        return spec.reshape(values.shape[0], -1)[:, bins].T
+
+    def x2_inverse(self, coeffs: np.ndarray, lam) -> np.ndarray:
+        """V[x', x''] = sum_i coeffs[x', i] e^{i lam_i x''}.
+
+        ``coeffs`` has shape (n_x1, n), ``lam`` shape (n, d2); returns
+        shape (n_x1, n_x2).  Columns that share a bin (equal frequencies,
+        or frequencies equal up to aliasing) are summed, then one inverse
+        FFT over the x''-axes.
+        """
+        bins, counts = self._x2_bins(lam)
+        axes = tuple(range(1, 1 + len(counts)))
+        n = self.n_x2
+        spec = np.array([np.bincount(bins, row.real, n)
+                         + 1j * np.bincount(bins, row.imag, n)
+                         for row in coeffs]).reshape((-1,) + counts)
+        out = np.fft.fftshift(np.fft.ifftn(spec, axes=axes), axes=axes)
+        return n * out.reshape(coeffs.shape[0], -1)
+
 
 def _tensor_points(axes) -> np.ndarray:
     grids = np.meshgrid(*axes, indexing="ij")

@@ -78,13 +78,6 @@ def hermite_eval(l: int, t):
     return vals if vals.shape else float(vals)
 
 
-def hermite_derivative(l: int, t):
-    """h_l'(t) from the ladder identity sqrt(l/2) h_{l-1} - sqrt((l+1)/2) h_{l+1}."""
-    tab = hermite_all(l + 1, np.asarray(t, dtype=float))
-    lower = tab[l - 1] if l >= 1 else 0.0
-    return np.sqrt(l / 2.0) * lower - np.sqrt((l + 1) / 2.0) * tab[l + 1]
-
-
 def hermite_second_derivative(l: int, t):
     """h_l''(t) via two ladder steps (exact, no finite differences)."""
     tab = hermite_all(l + 2, np.asarray(t, dtype=float))

@@ -43,13 +43,6 @@ def pairwise_sum(values, axis: int = 0):
     return a[0]
 
 
-def pairwise_dot(weights, values):
-    """Weighted sum Σ w_i v_i with the pairwise tree (weights broadcast on axis 0)."""
-    w = np.asarray(weights)
-    v = np.asarray(values)
-    return pairwise_sum(v * w.reshape((-1,) + (1,) * (v.ndim - 1)), axis=0)
-
-
 def parallel_map(fn, items, workers: int | None = None) -> list:
     """Map a pure function over items, preserving order.
 

@@ -1,12 +1,14 @@
 """The bilinear means: direct evaluation, dyadic pieces, and the
-separated fast path.
+separated (Fourier-series) path.
 
 The direct path evaluates the double frequency/level sum with the symbol
 bucketed by joint eigenvalue pairs.  The separated path expands the
 dyadic piece in a Fourier series along the second eigenvalue variable,
 turning the bilinear operator into a truncated sum over series index l
 of products of two linear multiplier applications; the truncation is
-chosen from the measured coefficient tail.
+chosen from the measured coefficient tail.  The separated path is the
+slower of the two: it checks the series decomposition against the exact
+direct path, it is not a shortcut.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
                        grid: Grid) -> GriddedField:
     """Contract symbol values mt[i, a, j, b] over atom pairs.
 
-    Output frequencies are bucketed on the sum lattice so each complex
-    exponential is formed once.
+    Each pair (i, j) lands on the output frequency lambda_i + mu_j; pairs
+    with the same sum share one bin of the inverse x''-transform.
     """
     for h in (f, g):
         if h.dims != grid.dims:
@@ -60,20 +62,11 @@ def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
     pg = _weighted_profiles(g, grid)
     # D[x, i, j] = sum_{a,b} mt[i,a,j,b] Pf[i,a,x] Pg[j,b,x]
     D = np.einsum("iajb,iax,jbx->xij", mt, pf, pg, optimize=True)
-
     nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
-    nu_flat = nu.reshape(-1, grid.dims.d2)
-    uniq, inv = np.unique(np.round(nu_flat / grid.lambda_step).astype(int),
-                          axis=0, return_inverse=True)
-    n_x1 = D.shape[0]
-    Dsum = np.zeros((n_x1, uniq.shape[0]), dtype=complex)
-    flatD = D.reshape(n_x1, -1)
-    for col in range(flatD.shape[1]):
-        Dsum[:, inv[col]] += flatD[:, col]
-    phases = np.exp(1j * (uniq.astype(float) * grid.lambda_step)
-                    @ grid.x2_points.T)
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
-    return GriddedField(grid=grid, values=scale * (Dsum @ phases))
+    values = grid.x2_inverse(D.reshape(D.shape[0], -1),
+                             nu.reshape(-1, grid.dims.d2))
+    return GriddedField(grid=grid, values=scale * values)
 
 
 def _weighted_profiles(h: SpectralField, grid: Grid) -> np.ndarray:
@@ -248,10 +241,11 @@ def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
     The l-sum is contracted symbol-side (one series evaluation per joint
     eigenvalue pair), which is identical to summing the synthesized
     products term by term but costs O(L) per eigenvalue pair instead of
-    O(L) full grid passes.  Second-input atoms beyond the plateau support
-    are annihilated exactly, matching the direct path; on (1, 2] the
-    periodized series converges to zero, so any residual there is part of
-    the reported truncation tail.
+    O(L) full grid passes.  That is still slower than the direct path,
+    which costs O(1) per pair.  Second-input atoms beyond the plateau
+    support are annihilated exactly, matching the direct path; on (1, 2]
+    the periodized series converges to zero, so any residual there is
+    part of the reported truncation tail.
     """
     uniq_f, inv_f = np.unique(f.eigenvalues.reshape(-1), return_inverse=True)
     uniq_g, inv_g = np.unique(g.eigenvalues.reshape(-1), return_inverse=True)

@@ -88,7 +88,6 @@ class Symbol1D:
 
     evaluator: callable
     support: tuple[float, float]
-    smoothness: str = "smooth"
     name: str = ""
 
     def __call__(self, eta):
@@ -107,7 +106,6 @@ class Symbol2D:
 
     evaluator: callable
     support: tuple[tuple[float, float], tuple[float, float]]
-    smoothness: str = "smooth"
     name: str = ""
 
     def __call__(self, eta1, eta2):
@@ -225,7 +223,7 @@ def dyadic_piece_symbol(piece: DyadicPiece) -> Symbol2D:
 
 def indicator_symbol_1d(lo: float = 0.0, hi: float = 1.0) -> Symbol1D:
     return Symbol1D(lambda e: np.ones_like(e), (lo, hi),
-                    smoothness="indicator", name=f"indicator({lo},{hi})")
+                    name=f"indicator({lo},{hi})")
 
 
 def gaussian_symbol_1d(center: float = 0.5, width: float = 0.15,

@@ -165,13 +165,16 @@ def _kernel_samples(grid: Grid, alpha: float, j: int, seed: int,
     """|kernel_j| at the sample triples; cached (weights vary per probe,
     kernel values do not)."""
     key = (id(grid), alpha, j, seed)
-    if key not in _KERNEL_SAMPLE_CACHE:
+    entry = _KERNEL_SAMPLE_CACHE.get(key)
+    # The entry holds its grid, so that id stays taken while the entry
+    # lives; the identity check rejects an entry made for another grid.
+    if entry is None or entry[0] is not grid:
         sym = dyadic_piece_symbol(DyadicPiece(j, alpha))
         kv = bilinear_kernel_batch(sym, [t[0] for t in triples],
                                    [t[1] for t in triples],
                                    [t[2] for t in triples], grid)
-        _KERNEL_SAMPLE_CACHE[key] = np.abs(kv)
-    return _KERNEL_SAMPLE_CACHE[key]
+        entry = _KERNEL_SAMPLE_CACHE[key] = (grid, np.abs(kv))
+    return entry[1]
 
 
 def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
@@ -247,11 +250,28 @@ def _first_layer_rhs(F: Symbol1D, gamma: float, y1_norm: float,
     return piece(lo, split, True) + piece(split, hi, False)
 
 
+def _refinement_report(ratios, refine: int, abscissa,
+                       **details) -> ProbeReport:
+    """Report of ``ratios(grid)`` on the ``weighted`` grid at ``refine``.
+
+    The verdict is the refinement check: the ratios on the grid refined
+    once more may grow by less than RATIO_GROWTH_TOL.
+    """
+    base = ratios(probe_grid("weighted", refine))
+    report = ProbeReport.from_samples(
+        abscissa, log2_safe(base), max_ratio=float(np.max(base)),
+        **details, ratios=base.tolist())
+    fine = ratios(probe_grid("weighted", 2 * refine))
+    growth = float(np.max(fine / np.maximum(base, 1e-300))) - 1.0
+    report.details["refinement_growth"] = growth
+    report.verdict = "PASS" if growth < RATIO_GROWTH_TOL else "FAIL"
+    return report
+
+
 def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                               gamma2: float = 0.0, n1: float = 1.0,
                               n2: float = 0.0, m_range=range(2, 6),
                               seed: int = 0, refine: int = 1,
-                              check_refinement: bool = True,
                               workers: int | None = None) -> ProbeReport:
     """Ratio/slope probes for the four weighted-kernel estimates.
 
@@ -292,19 +312,8 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                     out.append(lhs / rhs)
             return np.array(out)
 
-        base = ratios(grid)
-        report = ProbeReport.from_samples(
-            np.log2(np.array(ys + ys)), log2_safe(base),
-            max_ratio=float(np.max(base)), gamma=gamma1, kind=kind,
-            ratios=base.tolist())
-        if check_refinement:
-            fine = ratios(probe_grid("weighted", 2 * refine))
-            growth = float(np.max(fine / np.maximum(base, 1e-300))) - 1.0
-            report.details["refinement_growth"] = growth
-            report.verdict = ("PASS" if growth < RATIO_GROWTH_TOL else "FAIL")
-        else:
-            report.verdict = "PASS"
-        return report
+        return _refinement_report(ratios, refine, np.log2(np.array(ys + ys)),
+                                  gamma=gamma1, kind=kind)
 
     if kind == "bilinear":
         G = tensor_symbol(prof, prof)
@@ -318,18 +327,8 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                 out.append(lhs / rhs)
             return np.array(out)
 
-        base = ratios(grid)
-        report = ProbeReport.from_samples(
-            np.log2(np.array(_BASE_POINTS)), log2_safe(base),
-            max_ratio=float(np.max(base)), kind=kind, ratios=base.tolist())
-        if check_refinement:
-            fine = ratios(probe_grid("weighted", 2 * refine))
-            growth = float(np.max(fine / np.maximum(base, 1e-300))) - 1.0
-            report.details["refinement_growth"] = growth
-            report.verdict = ("PASS" if growth < RATIO_GROWTH_TOL else "FAIL")
-        else:
-            report.verdict = "PASS"
-        return report
+        return _refinement_report(ratios, refine,
+                                  np.log2(np.array(_BASE_POINTS)), kind=kind)
 
     if kind == "second_layer":
         rhs = (sobolev_norm_1d(prof, gamma1) * sobolev_norm_1d(prof, gamma2)) ** 2
@@ -342,19 +341,9 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                 out.append(c1 * c2 / rhs)
             return np.array(out)
 
-        base = ratios(grid)
-        report = ProbeReport.from_samples(
-            np.log2(np.array(_BASE_POINTS)), log2_safe(base),
-            max_ratio=float(np.max(base)), kind=kind,
-            gamma1=gamma1, gamma2=gamma2, ratios=base.tolist())
-        if check_refinement:
-            fine = ratios(probe_grid("weighted", 2 * refine))
-            growth = float(np.max(fine / np.maximum(base, 1e-300))) - 1.0
-            report.details["refinement_growth"] = growth
-            report.verdict = ("PASS" if growth < RATIO_GROWTH_TOL else "FAIL")
-        else:
-            report.verdict = "PASS"
-        return report
+        return _refinement_report(ratios, refine,
+                                  np.log2(np.array(_BASE_POINTS)), kind=kind,
+                                  gamma1=gamma1, gamma2=gamma2)
 
     # truncated: channel slope in the first cutoff index; the bilinear
     # left side factors over channels for a tensor symbol, so the slope
@@ -460,6 +449,50 @@ def _decay_fields(spec_family: str, seed: int, grid: Grid):
     return f, g
 
 
+def _decay_probe(alpha: float, j_range, family: str, seed: int, grid: Grid,
+                 workers: int | None, norms, alpha_threshold,
+                 **details) -> ProbeReport:
+    """Shared body of the decay probes.
+
+    ``norms`` is (f_norm, g_norm, out_norm): the slope is fitted to
+    log2 out_norm(piece_j(f, g)) / (f_norm(f) g_norm(g)) against j, each
+    piece evaluated on the separated path.  ``alpha_threshold`` is a
+    (details key, value) pair: at or below the value the report is
+    NO-GUARANTEE; above it (or when the value is None) a slope at or
+    below -DECAY_SLOPE_TOL passes.
+    """
+    f_norm, g_norm, out_norm = norms
+    f, g = _decay_fields(family, seed, grid)
+    denom = f_norm(synthesize(f, grid)) * g_norm(synthesize(g, grid))
+    j_values = list(j_range)
+    if denom == 0.0:
+        report = ProbeReport.from_samples(j_values, [0.0] * len(j_values),
+                                          max_ratio=0.0, alpha=alpha)
+        report.verdict = "DEGENERATE-PASS"
+        return report
+
+    def one_j(j):
+        exp = build_expansion(DyadicPiece(j, alpha),
+                              eta1_samples=live_eigenvalues(f), l_cap=2048)
+        return out_norm(bilinear_apply_separated(exp, f, g, grid))
+
+    n = parallel_map(one_j, j_values, workers)
+    report = ProbeReport.from_samples(
+        j_values, log2_safe(np.array(n) / denom),
+        max_ratio=float(max(n) / denom), alpha=alpha, **details,
+        values=list(n), denominator=denom)
+    key, value = alpha_threshold
+    report.details[key] = value
+    if max(n) == 0.0:
+        report.verdict = "DEGENERATE-PASS"
+    elif value is not None and alpha <= value:
+        report.verdict = "NO-GUARANTEE"
+    else:
+        report.verdict = ("PASS" if report.slope <= -DECAY_SLOPE_TOL
+                          else "FAIL")
+    return report
+
+
 def dyadic_decay_probe(spec: DecayProbeSpec, grid: Grid | None = None,
                        workers: int | None = None) -> ProbeReport:
     """Fitted slope of log2 ||piece_j(f, g)||_p / (||f||_p1 ||g||_p2) vs j.
@@ -469,41 +502,14 @@ def dyadic_decay_probe(spec: DecayProbeSpec, grid: Grid | None = None,
     no-guarantee regime (nothing is claimed there) and still succeeds.
     """
     grid = grid or probe_grid("decay")
-    f, g = _decay_fields(spec.family, spec.seed, grid)
-    denom = (lp_norm(synthesize(f, grid), spec.p1)
-             * lp_norm(synthesize(g, grid), spec.p2))
-    if denom == 0.0:
-        report = ProbeReport.from_samples(list(spec.j_range),
-                                          [0.0] * len(list(spec.j_range)),
-                                          max_ratio=0.0, alpha=spec.alpha)
-        report.verdict = "DEGENERATE-PASS"
-        return report
-
-    def one_j(j):
-        exp = build_expansion(DyadicPiece(j, spec.alpha),
-                              eta1_samples=live_eigenvalues(f), l_cap=2048)
-        out = bilinear_apply_separated(exp, f, g, grid)
-        if spec.norm_kind == "lp":
-            return lp_norm(out, spec.p)
-        return mixed_norm(out, spec.p, spec.mixed_q)
-
-    j_values = list(spec.j_range)
-    n = parallel_map(one_j, j_values, workers)
-    report = ProbeReport.from_samples(
-        j_values, log2_safe(np.array(n) / denom),
-        max_ratio=float(max(n) / denom), alpha=spec.alpha,
-        exponents=(spec.p1, spec.p2, spec.p), values=list(n),
-        denominator=denom)
+    out_norm = ((lambda h: lp_norm(h, spec.p)) if spec.norm_kind == "lp"
+                else (lambda h: mixed_norm(h, spec.p, spec.mixed_q)))
+    norms = (lambda h: lp_norm(h, spec.p1), lambda h: lp_norm(h, spec.p2),
+             out_norm)
     corner = threshold(spec.p1, spec.p2, grid.dims, "general").threshold
-    report.details["corner_threshold"] = corner
-    if max(n) == 0.0:
-        report.verdict = "DEGENERATE-PASS"
-    elif corner is not None and spec.alpha <= corner:
-        report.verdict = "NO-GUARANTEE"
-    else:
-        report.verdict = ("PASS" if report.slope <= -DECAY_SLOPE_TOL
-                          else "FAIL")
-    return report
+    return _decay_probe(spec.alpha, spec.j_range, spec.family, spec.seed,
+                        grid, workers, norms, ("corner_threshold", corner),
+                        exponents=(spec.p1, spec.p2, spec.p))
 
 
 def mixed_norm_decay_probe(alpha: float, j_range=range(1, 7),
@@ -513,37 +519,10 @@ def mixed_norm_decay_probe(alpha: float, j_range=range(1, 7),
     """Decay probe in the mixed norms: output in the inner-2/3 outer-1
     norm against inputs in L1 x (inner-2, outer-sup)."""
     grid = grid or probe_grid("decay")
-    f, g = _decay_fields(family, seed, grid)
-    denom = (lp_norm(synthesize(f, grid), 1.0)
-             * mixed_norm(synthesize(g, grid), 2.0, np.inf))
-    if denom == 0.0:
-        report = ProbeReport.from_samples(list(j_range),
-                                          [0.0] * len(list(j_range)),
-                                          max_ratio=0.0, alpha=alpha)
-        report.verdict = "DEGENERATE-PASS"
-        return report
-
-    def one_j(j):
-        exp = build_expansion(DyadicPiece(j, alpha),
-                              eta1_samples=live_eigenvalues(f), l_cap=2048)
-        out = bilinear_apply_separated(exp, f, g, grid)
-        return mixed_norm(out, 2.0 / 3.0, 1.0)
-
-    j_values = list(j_range)
-    n = parallel_map(one_j, j_values, workers)
-    report = ProbeReport.from_samples(
-        j_values, log2_safe(np.array(n) / denom),
-        max_ratio=float(max(n) / denom), alpha=alpha, values=list(n))
-    d = grid.dims.total_dim
-    report.details["threshold"] = (d + 1) / 2.0
-    if max(n) == 0.0:
-        report.verdict = "DEGENERATE-PASS"
-    elif alpha <= (d + 1) / 2.0:
-        report.verdict = "NO-GUARANTEE"
-    else:
-        report.verdict = ("PASS" if report.slope <= -DECAY_SLOPE_TOL
-                          else "FAIL")
-    return report
+    norms = (lambda h: lp_norm(h, 1.0), lambda h: mixed_norm(h, 2.0, np.inf),
+             lambda h: mixed_norm(h, 2.0 / 3.0, 1.0))
+    return _decay_probe(alpha, j_range, family, seed, grid, workers, norms,
+                        ("threshold", (grid.dims.total_dim + 1) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -569,21 +548,16 @@ def restriction_probe(gamma: float = 0.0, seed: int = 0,
                 * np.exp(-0.5 * (uu / (4 * s)) ** 2)[None, :])
         return GriddedField(grid=gr, values=vals.astype(complex))
 
+    bumps = ((0.0, 0.7), (4.0, 1.0), (12.0, 1.5))
+
     def ratios(gr):
         out = []
-        for x0, s in ((0.0, 0.7), (4.0, 1.0), (12.0, 1.5)):
+        for x0, s in bumps:
             h = make_bump(gr, x0, s)
             l1 = lp_norm(h, 1.0)
             lhs = restriction_apply_l2(F, h, gamma)
             out.append(lhs / (f2 * l1))
         return np.array(out)
 
-    base = ratios(grid)
-    report = ProbeReport.from_samples(np.arange(base.size), log2_safe(base),
-                                      max_ratio=float(np.max(base)),
-                                      gamma=gamma, ratios=base.tolist())
-    fine = ratios(probe_grid("weighted", 2 * refine))
-    growth = float(np.max(fine / np.maximum(base, 1e-300))) - 1.0
-    report.details["refinement_growth"] = growth
-    report.verdict = "PASS" if growth < RATIO_GROWTH_TOL else "FAIL"
-    return report
+    return _refinement_report(ratios, refine, np.arange(len(bumps)),
+                              gamma=gamma)

@@ -206,3 +206,24 @@ def test_second_layer_channel_matches_position_space(riesz_grid):
     # the node-sum rule carries the kinked-weight aliasing error, so the
     # two routes agree only at the percent level on this coarse grid
     assert got == pytest.approx(brute, rel=0.05)
+
+
+def test_weighted_gram_paths_reject_d2_2_before_projecting(monkeypatch):
+    from grushin import calculus
+    from grushin.dims import Dims
+    from grushin.grid import GridSpec, make_grid
+
+    def no_projection(*args, **kwargs):
+        raise AssertionError("projection work before the d2 check")
+
+    monkeypatch.setattr(calculus, "atom_projection_values", no_projection)
+    g = make_grid(Dims(1, 2), GridSpec(x1_extent=8.0, x1_count=16,
+                                       x2_count=8, lambda_min=0.125,
+                                       lambda_max=0.5, lambda_count=4))
+    prof = bump_symbol_1d(0.05, 0.45)
+    with pytest.raises(NotImplementedError):
+        second_layer_channel_l2(prof, g, np.array([1.0]), 0.25)
+    with pytest.raises(NotImplementedError):
+        calculus.bilinear_weighted_l2(
+            tensor_symbol(prof, prof), (np.array([1.0]), np.zeros(2)), g,
+            0.0, 0.0)

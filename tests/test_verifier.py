@@ -163,3 +163,21 @@ def test_mixed_probe_slope_monotone_in_alpha():
     fast = mixed_norm_decay_probe(1.6, j_range=range(1, 5), grid=g)
     faster = mixed_norm_decay_probe(3.0, j_range=range(1, 5), grid=g)
     assert faster.slope <= fast.slope
+
+
+def test_kernel_sample_cache_tells_grids_apart(monkeypatch, default_grid,
+                                               riesz_grid):
+    # A freed grid's id can be reused by a new grid; model that by making
+    # every id collide.  Each grid must still get its own kernel values.
+    from grushin import verifier as V
+    from grushin.calculus import bilinear_kernel_batch
+    from grushin.symbols import DyadicPiece, dyadic_piece_symbol
+
+    monkeypatch.setattr(V, "_KERNEL_SAMPLE_CACHE", {})
+    monkeypatch.setattr(V, "id", lambda obj: 0, raising=False)
+    triples = V._stratified_triples(0, per_band=1, scales=(1.0,))
+    sym = dyadic_piece_symbol(DyadicPiece(2, 1.0))
+    for grid in (default_grid, riesz_grid):
+        got = V._kernel_samples(grid, 1.0, 2, 0, triples)
+        want = np.abs(bilinear_kernel_batch(sym, *zip(*triples), grid))
+        assert np.array_equal(got, want)
