@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import GriddedField, SpectralField
 from .grid import Grid, GridError
-from .hermite import multi_indices_upto, scaled_profile_matrix
+from .hermite import hermite_ragged, multi_indices_upto, scaled_profile_matrix
 from .reductions import pairwise_sum
 from .symbols import Symbol1D, Symbol2D
 
@@ -87,32 +87,63 @@ def build_atoms(grid: Grid, eta_max: float) -> SpectralAtoms:
                          eigen=np.array(eig), lam_index=np.array(idx, dtype=int))
 
 
-def atom_projection_values(atoms: SpectralAtoms, x1_point: np.ndarray,
+def _profile_bank(atoms: SpectralAtoms, points: np.ndarray):
+    """Scaled Hermite profiles of every atom at ``points`` (n, d1).
+
+    Row r of the bank is |lambda_q|^{d1/4} prod_j h_{mu_j}(|lambda_q|^{1/2}
+    p_j) for the r-th (atom q, multi-index mu with |mu| = k_q) pair;
+    pairs run atom by atom, mu in colex order within an atom, so for
+    d1 = 1 row q is atom q.  Every axis comes from one ragged Hermite
+    recurrence over all frequency nodes and points.  Returns (bank,
+    first): atom q owns the rows from first[q] on.
+    """
+    d1 = atoms.grid.dims.d1
+    _, node_first, node = np.unique(atoms.lam_index, return_index=True,
+                                    return_inverse=True)
+    lam = atoms.lam[node_first]
+    norm = np.sqrt(np.sum(lam * lam, axis=1))
+    top = np.zeros(node_first.size, dtype=int)
+    np.maximum.at(top, node, atoms.level)
+    # Python-float powers, as scaled_profile_matrix takes them: numpy's
+    # array power can differ from them in the last bit.
+    scale = np.array([v ** (d1 / 4.0) for v in norm.tolist()])
+
+    mus = np.array(multi_indices_upto(d1, int(top.max())))
+    degree = mus.sum(axis=1)
+    per_level = np.bincount(degree)
+    level_first = np.concatenate(([0], np.cumsum(per_level)[:-1]))
+    n_pairs = per_level[atoms.level]
+    first = np.concatenate(([0], np.cumsum(n_pairs)[:-1]))
+    pair_atom = np.repeat(np.arange(atoms.count), n_pairs)
+    pair_mu = mus[level_first[atoms.level][pair_atom]
+                  + np.arange(pair_atom.size) - first[pair_atom]]
+
+    pts = np.sqrt(norm)[:, None, None] * np.asarray(points, dtype=float)[None]
+    pair_node = node[pair_atom]
+    for j in range(d1):
+        table, start, rank = hermite_ragged(top, pts[:, :, j])
+        rows = table[start[pair_mu[:, j]] + rank[pair_node]]
+        if j == 0:
+            bank = rows
+        else:
+            bank *= rows
+    bank *= scale[pair_node][:, None]
+    return bank, first
+
+
+def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
                            y1_points: np.ndarray) -> np.ndarray:
     """R[q, i] = projection kernel at level k_q, frequency lambda_q,
-    evaluated at (x1_point, y1_points[i])."""
-    grid = atoms.grid
-    d1 = grid.dims.d1
+    evaluated at (x1, y1_points[i]).
+
+    ``x1_points`` is one base point (d1,) or (1, d1), broadcast along
+    the rows of ``y1_points`` (n, d1), or n points aligned with them.
+    """
+    x1 = np.atleast_2d(x1_points)
     y1 = np.atleast_2d(y1_points)
-    out = np.empty((atoms.count, y1.shape[0]))
-    q = 0
-    while q < atoms.count:
-        node = atoms.lam_index[q]
-        q_end = q
-        while q_end < atoms.count and atoms.lam_index[q_end] == node:
-            q_end += 1
-        kmax = int(atoms.level[q_end - 1])
-        lam = atoms.lam[q]
-        basis_y = scaled_profile_matrix(kmax, lam, y1)
-        basis_x = scaled_profile_matrix(kmax, lam, np.atleast_2d(x1_point))
-        mus = multi_indices_upto(d1, kmax)
-        for qq in range(q, q_end):
-            k = int(atoms.level[qq])
-            rows = [k] if d1 == 1 else \
-                [i for i, mu in enumerate(mus) if sum(mu) == k]
-            out[qq] = basis_x[rows, 0] @ basis_y[rows, :]
-        q = q_end
-    return out
+    bank, first = _profile_bank(atoms, np.concatenate([x1, y1]))
+    terms = bank[:, :x1.shape[0]] * bank[:, x1.shape[0]:]
+    return np.add.reduceat(terms, first, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +163,18 @@ def linear_kernel_batch(F: Symbol1D, xs, ys, grid: Grid) -> np.ndarray:
     atoms = build_atoms(grid, F.support[1])
     sym = np.asarray(F(atoms.eigen))
     scale = (2.0 * np.pi) ** (-grid.dims.d2)
+    proj = atom_projection_values(atoms, _stack(xs, 0), _stack(ys, 0))
     out = np.empty(len(xs), dtype=complex)
     for i, (x, y) in enumerate(zip(xs, ys)):
-        x1, x2 = np.atleast_1d(x[0]), np.atleast_1d(x[1])
-        y1, y2 = np.atleast_1d(y[0]), np.atleast_1d(y[1])
-        proj = atom_projection_values(atoms, x1, y1[None, :])[:, 0]
+        x2, y2 = np.atleast_1d(x[1]), np.atleast_1d(y[1])
         phase = np.exp(1j * (atoms.lam @ (x2 - y2)))
-        out[i] = scale * pairwise_sum(atoms.weight * sym * phase * proj)
+        out[i] = scale * pairwise_sum(atoms.weight * sym * phase * proj[:, i])
     return out
+
+
+def _stack(points, layer: int) -> np.ndarray:
+    """(n, d) array of one layer of a list of (x1, x2) points."""
+    return np.array([np.atleast_1d(p[layer]) for p in points], dtype=float)
 
 
 def linear_kernel_on_grid(F: Symbol1D, x, grid: Grid) -> np.ndarray:
@@ -164,17 +199,18 @@ def bilinear_kernel_batch(G: Symbol2D, xs, ys, zs, grid: Grid) -> np.ndarray:
     atoms2 = build_atoms(grid, b2)
     gmat = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]))
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
+    x1 = _stack(xs, 0)
+    proj1 = atom_projection_values(atoms1, x1, _stack(ys, 0))
+    proj2 = atom_projection_values(atoms2, x1, _stack(zs, 0))
     out = np.empty(len(xs), dtype=complex)
     for i, (x, y, z) in enumerate(zip(xs, ys, zs)):
-        x1, x2 = np.atleast_1d(x[0]), np.atleast_1d(x[1])
+        x2 = np.atleast_1d(x[1])
         a = (atoms1.weight
              * np.exp(1j * (atoms1.lam @ (x2 - np.atleast_1d(y[1]))))
-             * atom_projection_values(atoms1, x1,
-                                      np.atleast_1d(y[0])[None, :])[:, 0])
+             * proj1[:, i])
         b = (atoms2.weight
              * np.exp(1j * (atoms2.lam @ (x2 - np.atleast_1d(z[1]))))
-             * atom_projection_values(atoms2, x1,
-                                      np.atleast_1d(z[0])[None, :])[:, 0])
+             * proj2[:, i])
         out[i] = scale * (a @ gmat @ b)
     return out
 

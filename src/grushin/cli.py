@@ -141,6 +141,7 @@ def cmd_riesz(args) -> int:
         verdicts["separation_rel_l2"] = repr(dev / den)
         verdicts["separation_truncation"] = str(exp.truncation)
         verdicts["separation_tail"] = repr(exp.tail_bound)
+        verdicts["separation_converged"] = str(exp.converged)
         result = direct
     else:
         result = bilinear_apply_direct(

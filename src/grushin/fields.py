@@ -94,15 +94,15 @@ def _support_indices(f: SpectralField, grid: Grid) -> np.ndarray:
         raise GridError(f"field support not contained in grid nodes: {e}") from e
 
 
-def _check_degree(f: SpectralField, grid: Grid):
-    caps = [grid.resolvable_degree(v) for v in
-            (float(f.lambda_abs.min()), float(f.lambda_abs.max()))]
-    cap = min(caps)
-    if f.max_degree > cap:
+def _check_degree(max_degree: int, lambda_abs: np.ndarray, grid: Grid):
+    """Raise DegreeError unless the grid resolves ``max_degree`` at every
+    |lambda| of the support (the tighter of its two ends)."""
+    lo, hi = float(lambda_abs.min()), float(lambda_abs.max())
+    cap = min(grid.resolvable_degree(lo), grid.resolvable_degree(hi))
+    if max_degree > cap:
         raise DegreeError(
-            f"degree {f.max_degree} unresolvable on support |lambda| in "
-            f"[{f.lambda_abs.min():.4g}, {f.lambda_abs.max():.4g}] "
-            f"(grid supports degree <= {cap})")
+            f"degree {max_degree} unresolvable on support |lambda| in "
+            f"[{lo:.4g}, {hi:.4g}] (grid supports degree <= {cap})")
 
 
 def profile_tensor(f: SpectralField, grid: Grid) -> np.ndarray:
@@ -123,7 +123,7 @@ def synthesize(f: SpectralField, grid: Grid) -> GriddedField:
     so the only discretization is the declared node set itself.
     """
     idx = _support_indices(f, grid)
-    _check_degree(f, grid)
+    _check_degree(f.max_degree, f.lambda_abs, grid)
     w = grid.lambda_weights[idx]
     profiles = profile_tensor(f, grid)                      # (n_supp, n_x1)
     scale = (2.0 * np.pi) ** (-grid.dims.d2)
@@ -147,12 +147,7 @@ def analyze(h: GriddedField, max_degree: int,
     probe = SpectralField(grid.dims, lambda_support, 0,
                           np.zeros((lambda_support.shape[0], 1)))
     idx = _support_indices(probe, grid)
-    cap = min(grid.resolvable_degree(float(probe.lambda_abs.min())),
-              grid.resolvable_degree(float(probe.lambda_abs.max())))
-    if max_degree > cap:
-        raise DegreeError(
-            f"degree {max_degree} unresolvable on this support "
-            f"(grid supports degree <= {cap})")
+    _check_degree(max_degree, probe.lambda_abs, grid)
 
     # h^lambda(x') = sum_{x''} w2 h e^{-i lambda x''}; the synthesize
     # prefactor (2 pi)^{-d2} w(lambda) cancels against the box length, so

@@ -33,35 +33,74 @@ def hermite_all(max_l: int, t) -> np.ndarray:
     if max_l < 0:
         raise ValueError("max_l must be >= 0")
     t = np.asarray(t, dtype=float)
-    shape = t.shape
-    tf = t.reshape(-1)
-    n = tf.size
+    out = _recurrence(t.reshape(1, -1), [1] * (max_l + 1))
+    return out.reshape((max_l + 1,) + t.shape)
 
-    out = np.zeros((max_l + 1, n))
-    # Carry h_l = v_l * 2**expo with v in a safe magnitude window.
-    expo = np.zeros(n, dtype=np.int64)
+
+def hermite_ragged(top, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ragged table of h_l(t[i]) for l = 0..top[i], every row i at once.
+
+    ``t`` has shape (rows, points) and ``top`` one level per row.  Rows
+    are sorted by top level, so at level l only a leading slice of them
+    keeps advancing: the work is sum_i (top[i]+1) * points.  Returns
+    (table, start, rank) with h_l(t[i]) = table[start[l] + rank[i]],
+    bit for bit equal to ``hermite_all(top[i], t[i])[l]``.
+    """
+    top = np.asarray(top, dtype=int)
+    t = np.asarray(t, dtype=float)
+    if top.size == 0 or top.min() < 0:
+        raise ValueError("need at least one row, every top level >= 0")
+    order = np.argsort(-top, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # counts[l] = rows still running at level l: the block length of l.
+    counts = np.cumsum(np.bincount(top)[::-1])[::-1]
+    start = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return _recurrence(t[order], counts.tolist()), start, rank
+
+
+def _recurrence(t: np.ndarray, counts: list[int]) -> np.ndarray:
+    """Level-major table of the three-term recurrence over t (rows, points).
+
+    Block l of the result holds h_l at the leading ``counts[l]`` rows of
+    t; counts must not increase, so every state array shrinks to a
+    prefix slice as rows reach their top level.
+    """
+    out = np.empty((sum(counts), t.shape[1]))
+    tf = t[:counts[0]]
     half_t2 = 0.5 * tf * tf
-    # Seed in base-2 exponent form to survive exp(-t^2/2) underflow.
+    # Carry h_l = v_l * 2**expo with v in a safe magnitude window, seeded
+    # in base-2 exponent form to survive exp(-t^2/2) underflow.
     e0 = -half_t2 / np.log(2.0)
-    e_int = np.floor(e0).astype(np.int64)
-    v_prev = _PI_M14 * np.exp2(e0 - e_int)
-    expo += e_int
-    out[0] = _emit(v_prev, expo)
-    if max_l == 0:
-        return out.reshape((1,) + shape)
+    expo = np.floor(e0).astype(np.int64)
+    v_prev = _PI_M14 * np.exp2(e0 - expo)
+    out[:counts[0]] = _emit(v_prev, expo)
+    if len(counts) == 1:
+        return out
 
+    pos, n = counts[0], counts[1]
+    if n < counts[0]:
+        tf, v_prev, expo = tf[:n], v_prev[:n], expo[:n]
     v_cur = tf * np.sqrt(2.0) * v_prev
-    out[1] = _emit(v_cur, expo)
-    for l in range(1, max_l):
-        v_next = tf * np.sqrt(2.0 / (l + 1)) * v_cur - np.sqrt(l / (l + 1.0)) * v_prev
-        v_prev, v_cur = v_cur, v_next
+    out[pos:pos + n] = _emit(v_cur, expo)
+    for l in range(1, len(counts) - 1):
+        pos += n
+        n = counts[l + 1]
+        if n < v_cur.shape[0]:
+            tf, v_prev, v_cur, expo = tf[:n], v_prev[:n], v_cur[:n], expo[:n]
+        v_prev, v_cur = v_cur, _step(l, tf, v_cur, v_prev)
         big = np.abs(v_cur) > _RESCALE_LIMIT
         if big.any():
             v_cur[big] = np.ldexp(v_cur[big], -_RESCALE_EXP)
             v_prev[big] = np.ldexp(v_prev[big], -_RESCALE_EXP)
             expo[big] += _RESCALE_EXP
-        out[l + 1] = _emit(v_cur, expo)
-    return out.reshape((max_l + 1,) + shape)
+        out[pos:pos + n] = _emit(v_cur, expo)
+    return out
+
+
+def _step(l: int, t, h_cur, h_prev):
+    """The three-term recurrence: h_{l+1}(t) from h_l(t) and h_{l-1}(t)."""
+    return t * np.sqrt(2.0 / (l + 1)) * h_cur - np.sqrt(l / (l + 1.0)) * h_prev
 
 
 def _emit(v, expo):
@@ -105,8 +144,7 @@ class HermiteTable:
         worst = 0.0
         for l in range(1, self.max_l):
             lhs = self.values[l + 1]
-            rhs = (t * np.sqrt(2.0 / (l + 1)) * self.values[l]
-                   - np.sqrt(l / (l + 1.0)) * self.values[l - 1])
+            rhs = _step(l, t, self.values[l], self.values[l - 1])
             scale = np.max(np.abs(lhs)) or 1.0
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
         return worst

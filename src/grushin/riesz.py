@@ -93,13 +93,15 @@ class FourierSeriesExpansion:
     the companion second-channel symbol is exp(i pi l eta2) times the
     pinned plateau (1 on [-1, 1], 0 outside [-2, 2]).  ``truncation`` is
     the default |l| cutoff; ``tail_bound`` the measured sup-norm tail sum
-    beyond it.
+    beyond it.  ``converged`` is False when ``build_expansion`` stopped
+    at its cap before the tail met the tolerance.
     """
 
     piece: DyadicPiece
     truncation: int
     tail_bound: float = 0.0
     quad_nodes: int = 0
+    converged: bool = True
     details: dict = field(default_factory=dict)
 
     def coefficient(self, l: int, eta1):
@@ -196,7 +198,8 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
     Doubles the cutoff until the measured sup-norm tail sum over the next
     octave drops below ``tol`` times the accumulated series mass; the
     smooth bump decays root-exponentially in l, so the next octave is a
-    faithful tail proxy.
+    faithful tail proxy.  Stopping at ``l_cap`` first is reported as
+    ``converged=False``, not silently.
     """
     if eta1_samples is None:
         eta1_samples = np.linspace(0.0, 1.0, 33)
@@ -207,10 +210,12 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
         ls = np.arange(L + 1, 2 * L + 1)
         coeffs = fourier_coeff_batch(piece, ls, eta1_samples)
         octave = 2.0 * float(np.sum(np.max(np.abs(coeffs), axis=1)))
-        if octave < tol * mass or L >= l_cap:
+        converged = octave < tol * mass
+        if converged or L >= l_cap:
             return FourierSeriesExpansion(
                 piece=piece, truncation=L, tail_bound=octave,
                 quad_nodes=_quad_nodes_for(piece, 2 * L),
+                converged=converged,
                 details={"tol": tol, "series_mass": mass})
         mass += octave
         L *= 2

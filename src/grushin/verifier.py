@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +53,40 @@ _GRID_SPECS = {
                          lambda_count=64),
 }
 
-_GRID_CACHE: dict = {}
+
+class _LRUDict(OrderedDict):
+    """Dict that keeps only its ``size`` most recently used entries.
+
+    ``get`` and item assignment count as use; both hold a lock, since the
+    probes fill their caches from ``parallel_map`` threads.
+    """
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+        self._lock = threading.Lock()
+
+    def get(self, key, default=None):
+        with self._lock:
+            if key not in self:
+                return default
+            self.move_to_end(key)
+            return self[key]
+
+    def __setitem__(self, key, value):
+        with self._lock:
+            super().__setitem__(key, value)
+            self.move_to_end(key)
+            if len(self) > self.size:
+                self.popitem(last=False)
+
+
+# Large enough that one `grushin verify --suite all` run evicts nothing:
+# it builds 4 probe grids and 6 kernel sample sets.
+GRID_CACHE_SIZE = 16
+KERNEL_SAMPLE_CACHE_SIZE = 64
+
+_GRID_CACHE = _LRUDict(GRID_CACHE_SIZE)
 
 
 def probe_grid(name: str, refine: int = 1) -> Grid:
@@ -59,14 +94,15 @@ def probe_grid(name: str, refine: int = 1) -> Grid:
     if name not in _GRID_SPECS:
         raise KeyError(f"unknown grid {name!r}; available {sorted(_GRID_SPECS)}")
     key = (name, refine)
-    if key not in _GRID_CACHE:
+    grid = _GRID_CACHE.get(key)
+    if grid is None:
         spec = _GRID_SPECS[name]
         if refine != 1:
             from dataclasses import replace
             spec = replace(spec, x1_count=spec.x1_count * refine,
                            x2_count=spec.x2_count * refine)
-        _GRID_CACHE[key] = make_grid(Dims(spec.d1, spec.d2), spec)
-    return _GRID_CACHE[key]
+        grid = _GRID_CACHE[key] = make_grid(Dims(spec.d1, spec.d2), spec)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +193,7 @@ def _volume_factor(variant: str, x, y, z) -> float:
     raise KeyError(f"unknown variant {variant!r}; available {KERNEL_VARIANTS}")
 
 
-_KERNEL_SAMPLE_CACHE: dict = {}
+_KERNEL_SAMPLE_CACHE = _LRUDict(KERNEL_SAMPLE_CACHE_SIZE)
 
 
 def _kernel_samples(grid: Grid, alpha: float, j: int, seed: int,
@@ -456,7 +492,8 @@ def _decay_probe(alpha: float, j_range, family: str, seed: int, grid: Grid,
 
     ``norms`` is (f_norm, g_norm, out_norm): the slope is fitted to
     log2 out_norm(piece_j(f, g)) / (f_norm(f) g_norm(g)) against j, each
-    piece evaluated on the separated path.  ``alpha_threshold`` is a
+    piece evaluated on the separated path; ``expansion_cap_hits`` counts
+    the pieces whose series stopped at its cap.  ``alpha_threshold`` is a
     (details key, value) pair: at or below the value the report is
     NO-GUARANTEE; above it (or when the value is None) a slope at or
     below -DECAY_SLOPE_TOL passes.
@@ -474,13 +511,14 @@ def _decay_probe(alpha: float, j_range, family: str, seed: int, grid: Grid,
     def one_j(j):
         exp = build_expansion(DyadicPiece(j, alpha),
                               eta1_samples=live_eigenvalues(f), l_cap=2048)
-        return out_norm(bilinear_apply_separated(exp, f, g, grid))
+        return (out_norm(bilinear_apply_separated(exp, f, g, grid)),
+                not exp.converged)
 
-    n = parallel_map(one_j, j_values, workers)
+    n, capped = zip(*parallel_map(one_j, j_values, workers))
     report = ProbeReport.from_samples(
         j_values, log2_safe(np.array(n) / denom),
         max_ratio=float(max(n) / denom), alpha=alpha, **details,
-        values=list(n), denominator=denom)
+        values=list(n), denominator=denom, expansion_cap_hits=sum(capped))
     key, value = alpha_threshold
     report.details[key] = value
     if max(n) == 0.0:

@@ -1,0 +1,188 @@
+"""The atom layer: ragged Hermite recurrence, batched atom projections,
+kernel batches, the expansion cap flag and the bounded verifier caches."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import grushin.calculus as C
+import grushin.verifier as V
+from grushin.calculus import (atom_projection_values, bilinear_kernel,
+                              bilinear_kernel_batch, build_atoms,
+                              linear_kernel, linear_kernel_batch)
+from grushin.dims import Dims
+from grushin.grid import GridSpec, make_grid
+from grushin.hermite import hermite_all, hermite_ragged, projection_kernel
+from grushin.riesz import build_expansion
+from grushin.symbols import (DyadicPiece, bump_symbol_1d, dyadic_piece_symbol,
+                             riesz_symbol_1d)
+
+
+@pytest.fixture(scope="module")
+def grid21():
+    return make_grid(Dims(2, 1), GridSpec(d1=2, d2=1, x1_extent=8,
+                                          x1_count=24, x2_count=32,
+                                          lambda_min=0.25, lambda_max=2.0,
+                                          lambda_count=8))
+
+
+def _triples(n, d1, seed):
+    rng = np.random.default_rng(seed)
+    return [tuple((rng.uniform(-3, 3, d1), rng.uniform(-4, 4, 1))
+                  for _ in range(3)) for _ in range(n)]
+
+
+def test_ragged_rows_equal_hermite_all_bitwise():
+    rng = np.random.default_rng(5)
+    top = np.array([0, 7, 512, 3, 40, 7, 1, 512])
+    t = rng.uniform(-12.0, 12.0, (top.size, 9))
+    t[2] = np.linspace(38.0, 50.0, 9)       # the rescale range at degree 512
+    t[7, :4] = [-50.0, -41.5, 44.0, 0.0]
+    table, start, rank = hermite_ragged(top, t)
+    assert table.shape == (int(np.sum(top + 1)), 9)
+    for i, k in enumerate(top):
+        ref = hermite_all(int(k), t[i])
+        for l in range(k + 1):
+            np.testing.assert_array_equal(table[start[l] + rank[i]], ref[l])
+
+
+def test_ragged_rejects_negative_levels():
+    with pytest.raises(ValueError):
+        hermite_ragged([2, -1], np.zeros((2, 3)))
+
+
+def _projection_oracle(atoms, x1, y1):
+    return np.array([[projection_kernel(int(k), lam, x, y)
+                      for x, y in zip(x1, y1)]
+                     for k, lam in zip(atoms.level, atoms.lam)])
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+def test_atom_projection_values_match_projection_kernel(d1, riesz_grid,
+                                                        grid21):
+    grid = riesz_grid if d1 == 1 else grid21
+    atoms = build_atoms(grid, 6.0 if d1 == 2 else 0.45)
+    rng = np.random.default_rng(d1)
+    ys = grid.x1_points[::3]
+    base = rng.uniform(-2, 2, d1)
+    one = atom_projection_values(atoms, base, ys)
+    _assert_close(one, _projection_oracle(atoms, [base] * len(ys), ys))
+    xs = rng.uniform(-3, 3, (7, d1))
+    pairs = atom_projection_values(atoms, xs, ys[:7])
+    _assert_close(pairs, _projection_oracle(atoms, xs, ys[:7]))
+
+
+def test_atom_projection_values_on_an_atom_subset(riesz_grid):
+    atoms = build_atoms(riesz_grid, 0.45)
+    keep = (atoms.level % 3 != 1) & (atoms.lam_index % 2 == 0)
+    sub = C.SpectralAtoms(
+        grid=riesz_grid, eta_max=atoms.eta_max, lam=atoms.lam[keep],
+        lam_abs=atoms.lam_abs[keep], weight=atoms.weight[keep],
+        level=atoms.level[keep], eigen=atoms.eigen[keep],
+        lam_index=atoms.lam_index[keep])
+    full = atom_projection_values(atoms, np.array([1.5]), riesz_grid.x1_points)
+    part = atom_projection_values(sub, np.array([1.5]), riesz_grid.x1_points)
+    np.testing.assert_array_equal(part, full[keep])
+
+
+def test_kernel_batches_equal_per_triple_calls(riesz_grid):
+    triples = _triples(10, 1, seed=3)
+    xs, ys, zs = zip(*triples)
+    G = dyadic_piece_symbol(DyadicPiece(2, 1.0))
+    batch = bilinear_kernel_batch(G, xs, ys, zs, riesz_grid)
+    single = [bilinear_kernel(G, x, y, z, riesz_grid) for x, y, z in triples]
+    np.testing.assert_array_equal(batch, np.array(single))
+    F = riesz_symbol_1d(1.0, 0.45)
+    batch = linear_kernel_batch(F, xs, ys, riesz_grid)
+    single = [linear_kernel(F, x, y, riesz_grid) for x, y in zip(xs, ys)]
+    np.testing.assert_array_equal(batch, np.array(single))
+
+
+def test_atom_layer_needs_no_profile_matrix(monkeypatch, riesz_grid):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scaled_profile_matrix called")
+
+    monkeypatch.setattr(C, "scaled_profile_matrix", refuse)
+    atoms = build_atoms(riesz_grid, 0.45)
+    vals = atom_projection_values(atoms, np.array([0.5]),
+                                  riesz_grid.x1_points)
+    assert vals.shape == (atoms.count, riesz_grid.n_x1)
+    xs, ys, zs = zip(*_triples(3, 1, seed=4))
+    out = bilinear_kernel_batch(dyadic_piece_symbol(DyadicPiece(1, 1.0)),
+                                xs, ys, zs, riesz_grid)
+    assert np.all(np.isfinite(out))
+    out = linear_kernel_batch(bump_symbol_1d(0.05, 0.45), xs, ys, riesz_grid)
+    assert np.all(np.isfinite(out))
+
+
+def test_expansion_reports_cap_hit():
+    grid = V.probe_grid("decay")
+    f, _ = V._decay_fields("hermite-bump", 0, grid)
+    capped = build_expansion(DyadicPiece(1, 0.5),
+                             eta1_samples=V.live_eigenvalues(f), l_cap=2048)
+    assert capped.truncation == 2048
+    assert capped.converged is False
+    assert capped.tail_bound >= capped.details["tol"] \
+        * capped.details["series_mass"]
+    loose = build_expansion(DyadicPiece(1, 1.0), eta1_samples=[0.1, 0.2],
+                            tol=0.1, l_cap=2048)
+    assert loose.truncation < 2048 and loose.converged is True
+
+
+def test_verifier_caches_stop_growing_at_their_bound(monkeypatch):
+    grids = V._LRUDict(V.GRID_CACHE_SIZE)
+    monkeypatch.setattr(V, "_GRID_CACHE", grids)
+    for i in range(V.GRID_CACHE_SIZE):
+        grids[("stale", i)] = None
+    grid = V.probe_grid("riesz")
+    assert len(grids) == V.GRID_CACHE_SIZE
+    assert ("stale", 0) not in grids and grids[("riesz", 1)] is grid
+    assert V.probe_grid("riesz") is grid
+
+    samples = V._LRUDict(V.KERNEL_SAMPLE_CACHE_SIZE)
+    monkeypatch.setattr(V, "_KERNEL_SAMPLE_CACHE", samples)
+    triples = _triples(2, 1, seed=6)
+    first = V._kernel_samples(grid, 1.0, 1, 0, triples)
+    for j in range(V.KERNEL_SAMPLE_CACHE_SIZE + 3):
+        samples[("stale", j)] = (None, None)
+        # a hit refreshes the entry, so it outlives the older stale ones
+        assert V._kernel_samples(grid, 1.0, 1, 0, triples) is first
+    assert len(samples) == V.KERNEL_SAMPLE_CACHE_SIZE
+    assert ("stale", 3) not in samples and ("stale", 4) in samples
+
+
+def test_lru_dict_under_concurrent_use():
+    cache = V._LRUDict(8)
+    errors = []
+
+    def hammer(seed):
+        try:
+            for i in range(2000):
+                key = (seed * 7 + i) % 23
+                if cache.get(key) is None:
+                    cache[key] = key
+                assert len(cache) <= 8
+        except Exception as exc:      # reported below, not swallowed
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(s,))
+                   for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(cache) == 8 and all(cache.get(k) == k for k in list(cache))
