@@ -10,6 +10,7 @@ the declared frequency lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -282,15 +283,11 @@ def linear_first_layer_weighted_l2(F: Symbol1D, y, grid: Grid,
     wx = grid.x1_weights * np.linalg.norm(grid.x1_points, axis=1) ** (2 * gamma)
     box = grid.x2_box_length ** grid.dims.d2
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2) * box
-    total = 0.0
-    for i in range(grid.n_lambda):
-        sel = atoms.lam_index == i
-        if not sel.any():
-            continue
-        v = (sym[sel] * atoms.weight[sel])[:, None] * proj[sel]
-        s = np.abs(np.sum(v, axis=0)) ** 2
-        total += float(np.sum(wx * s))
-    return scale * total
+    v = (sym * atoms.weight)[:, None] * proj
+    # build_atoms runs node by node, so each node's atoms are one block.
+    first = np.flatnonzero(np.diff(atoms.lam_index, prepend=-1))
+    s = np.abs(np.add.reduceat(v, first, axis=0)) ** 2
+    return scale * sum(np.sum(wx * s, axis=1).tolist())
 
 
 def restriction_apply_l2(F: Symbol1D, h: GriddedField, gamma: float) -> float:
@@ -301,12 +298,14 @@ def restriction_apply_l2(F: Symbol1D, h: GriddedField, gamma: float) -> float:
     return float(np.sqrt(pairwise_sum((w * np.abs(out.values) ** 2).reshape(-1))))
 
 
+@lru_cache(maxsize=32)
 def _power_cos_moments(p: float, k_max: int) -> np.ndarray:
     """W(p, k) = integral over [0, 1] of s^p cos(k pi s) ds, k = 0..k_max.
 
     Composite Gauss panels sized to the oscillation; the s^p kink at 0
     contributes one short panel whose absolute error is negligible for
-    p >= 0.
+    p >= 0.  Cached by value and returned read-only: every Gram of a
+    probe asks for one of a few (p, k_max) tables.
     """
     panels = max(2 * k_max, 64)
     nodes, wts = np.polynomial.legendre.leggauss(8)
@@ -317,7 +316,9 @@ def _power_cos_moments(p: float, k_max: int) -> np.ndarray:
     w = (rad[:, None] * wts[None, :]).reshape(-1)
     base = w * s ** p
     ks = np.arange(k_max + 1)
-    return np.cos(np.pi * np.outer(ks, s)) @ base
+    mom = np.cos(np.pi * np.outer(ks, s)) @ base
+    mom.flags.writeable = False
+    return mom
 
 
 def u_weight_table(grid: Grid, exponent: float, k_max: int) -> np.ndarray:
@@ -392,7 +393,7 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
     x1 = np.atleast_1d(x[0])
     (a1, b1), (a2, b2) = G.support
     atoms1 = build_atoms(grid, b1)
-    atoms2 = build_atoms(grid, b2)
+    atoms2 = atoms1 if b2 == b1 else build_atoms(grid, b2)
     g = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]),
                    dtype=complex)
     g = g * atoms1.weight[:, None] * atoms2.weight[None, :]
@@ -402,11 +403,14 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
         g = g * np.asarray(cutoff2(atoms2.lam_abs))[None, :]
 
     M1 = _weighted_gram(atoms1, x1, exp1)
-    M2 = _weighted_gram(atoms2, x1, exp2)
+    M2 = M1 if (b2, exp2) == (b1, exp1) else _weighted_gram(atoms2, x1, exp2)
     scale = (2.0 * np.pi) ** (-4 * grid.dims.d2)
-    X = M1.T @ g                     # contracts first index against conj pair
-    total = np.sum((X @ M2) * np.conj(g))
-    return scale * float(np.real(total))
+    # The Grams are real, so Re sum conj(g) (M1^T g M2) is exactly the sum
+    # of the same real form over Re g and Im g: the cross terms are
+    # imaginary.  A real g skips the second GEMM pair.
+    parts = (g.real, g.imag) if g.imag.any() else (g.real,)
+    total = sum(float(np.sum((M1.T @ part @ M2) * part)) for part in parts)
+    return scale * total
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,12 @@ def cmd_riesz(args) -> int:
     return 0
 
 
+def _csv_row(*values) -> str:
+    """One CSV line of plain round-trip floats (numpy scalars would print
+    as ``np.float64(...)``)."""
+    return ",".join(repr(float(v)) for v in values) + "\n"
+
+
 def cmd_kernel(args) -> int:
     cfg = _resolve_config(args)
     grid = _grid_from_config(cfg)
@@ -180,8 +186,8 @@ def cmd_kernel(args) -> int:
                                          [p[2] for p in pts], grid)
             fh.write("x1,x2,y1,y2,z1,z2,re,im\n")
             for (x, y, z), v in zip(pts, vals):
-                fh.write(f"{x[0][0]!r},{x[1][0]!r},{y[0][0]!r},{y[1][0]!r},"
-                         f"{z[0][0]!r},{z[1][0]!r},{v.real!r},{v.imag!r}\n")
+                fh.write(_csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
+                                  z[0][0], z[1][0], v.real, v.imag))
         except KeyError:
             sym1 = builtin_symbol_1d(name, **{k: float(v)
                                               for k, v in params.items()})
@@ -189,8 +195,8 @@ def cmd_kernel(args) -> int:
                                        [p[1] for p in pts], grid)
             fh.write("x1,x2,y1,y2,re,im\n")
             for (x, y, _), v in zip(pts, vals):
-                fh.write(f"{x[0][0]!r},{x[1][0]!r},{y[0][0]!r},{y[1][0]!r},"
-                         f"{v.real!r},{v.imag!r}\n")
+                fh.write(_csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
+                                  v.real, v.imag))
     _write_manifest(out + ".manifest", "kernel", cfg, [out], {}, args._t0)
     print(f"kernel samples written to {out}")
     return 0

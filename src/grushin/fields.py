@@ -249,6 +249,18 @@ def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
     from dataclasses import replace as _replace
     new_x1 = tuple(ax[m[:, 0]] for ax, m in zip(grid.x1_axes, maps1))
     new_x2 = tuple(ax[m[:, 0]] for ax, m in zip(grid.x2_axes, maps2))
+    # The spec the sub-grid resolves to: its own axes (count times node
+    # spacing) and the t^2-scaled frequency window.
+    res = grid.resolved
+    new_res = _replace(
+        res,
+        x1_extent=_axis_extent(new_x1[0], res.x1_extent / res.x1_count),
+        x1_count=new_x1[0].size,
+        x2_extent=_axis_extent(new_x2[0], res.x2_extent / res.x2_count),
+        x2_count=new_x2[0].size,
+        lambda_min=(t * t) * res.lambda_min,
+        lambda_max=(t * t) * res.lambda_max,
+    )
     new_grid = _replace(
         grid,
         x1_axes=new_x1,
@@ -259,6 +271,7 @@ def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
         lambda_axes=tuple((t * t) * ax for ax in grid.lambda_axes),
         lambda_axis_weights=tuple((t * t) * w for w in grid.lambda_axis_weights),
         lambda_step=(t * t) * grid.lambda_step,
+        resolved=new_res,
     )
     shape = ([m.shape[0] for m in maps1] + [m.shape[0] for m in maps2])
     vals = h.values.reshape([ax.size for ax in grid.x1_axes]
@@ -269,6 +282,14 @@ def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
     # Grid caches (cached_property) belong to the old instance; the
     # replace() above created a fresh one.
     return GriddedField(grid=new_grid, values=vals)
+
+
+def _axis_extent(nodes: np.ndarray, spacing: float) -> float:
+    """Extent of a zero-anchored lattice axis: node count times spacing
+    (``spacing`` is used for a one-node axis)."""
+    if nodes.size > 1:
+        spacing = float(nodes[1] - nodes[0])
+    return nodes.size * spacing
 
 
 def _requad(nodes: np.ndarray) -> np.ndarray:

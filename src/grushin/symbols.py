@@ -257,6 +257,12 @@ class SeparableSymbol2D(Symbol2D):
     factor1: Symbol1D = None
     factor2: Symbol1D = None
 
+    def __call__(self, eta1, eta2):
+        """factor1(eta1) * factor2(eta2): each factor is evaluated once per
+        axis, not at every broadcast pair; the support box is the product
+        of the factors' supports, as ``tensor_symbol`` declares it."""
+        return self.factor1(eta1) * self.factor2(eta2)
+
     def is_separable(self):
         return True
 

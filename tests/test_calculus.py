@@ -3,8 +3,10 @@ import pytest
 
 from grushin.calculus import (PaddingError, apply_joint_multiplier,
                               apply_linear_multiplier,
-                              apply_linear_multiplier_gridded, bilinear_kernel,
-                              build_atoms, linear_first_layer_weighted_l2,
+                              apply_linear_multiplier_gridded,
+                              atom_projection_values, bilinear_kernel,
+                              bilinear_weighted_l2, build_atoms,
+                              linear_first_layer_weighted_l2,
                               linear_kernel, linear_kernel_on_grid,
                               second_layer_channel_l2, sobolev_norm_1d,
                               sobolev_product_norm)
@@ -189,6 +191,16 @@ def test_first_layer_weighted_l2_refinement(default_grid):
         np.multiply.outer(g.x1_weights * wgt, g.x2_weights)
         * np.abs(K) ** 2))
     assert lhs == pytest.approx(brute, rel=1e-9)
+    # the grouped sum against the literal per-node loop
+    atoms = build_atoms(g, F.support[1])
+    proj = atom_projection_values(atoms, y[0], g.x1_points)
+    wx = g.x1_weights * np.abs(g.x1_points[:, 0]) ** 0.5
+    c = np.asarray(F(atoms.eigen)) * atoms.weight
+    loop = sum(float(np.sum(wx * np.abs(c[sel] @ proj[sel]) ** 2))
+               for sel in (atoms.lam_index == i for i in range(g.n_lambda))
+               if sel.any())
+    assert lhs == pytest.approx(loop * g.x2_box_length / (2 * np.pi) ** 2,
+                                rel=1e-12)
 
 
 def test_second_layer_channel_matches_position_space(riesz_grid):
@@ -227,3 +239,63 @@ def test_weighted_gram_paths_reject_d2_2_before_projecting(monkeypatch):
         calculus.bilinear_weighted_l2(
             tensor_symbol(prof, prof), (np.array([1.0]), np.zeros(2)), g,
             0.0, 0.0)
+
+
+def test_bilinear_weighted_l2_matches_complex_contraction(riesz_grid):
+    # Complex, non-separable G with unequal supports, exponents and
+    # cutoffs, so both real parts and both Grams run; oracle is the
+    # literal complex form.
+    from grushin.calculus import _weighted_gram
+    g = riesz_grid
+    G = Symbol2D(lambda a, b: (1 + a + 2j * b) * np.exp(5j * a * b),
+                 ((0.0, 0.45), (0.0, 0.4)))
+    cut1, cut2 = DyadicCutoff(2), DyadicCutoff(3)
+    x1 = np.array([0.7])
+    got = bilinear_weighted_l2(G, (x1, np.array([0.0])), g, 0.25, 0.4,
+                               cutoff1=cut1, cutoff2=cut2)
+    atoms1, atoms2 = build_atoms(g, 0.45), build_atoms(g, 0.4)
+    gm = (G(atoms1.eigen[:, None], atoms2.eigen[None, :])
+          * np.outer(atoms1.weight * cut1(atoms1.lam_abs),
+                     atoms2.weight * cut2(atoms2.lam_abs)))
+    assert np.abs(gm.imag).max() > 0.1 * np.abs(gm.real).max()
+    M1 = _weighted_gram(atoms1, x1, 0.25)
+    M2 = _weighted_gram(atoms2, x1, 0.4)
+    ref = (2 * np.pi) ** -4 * np.real(np.sum((M1.T @ gm @ M2) * np.conj(gm)))
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_bilinear_weighted_l2_factors_for_tensor_symbols(riesz_grid):
+    # F x F at exponents (e, e) shares one Gram; (e, e') needs two.
+    prof = bump_symbol_1d(0.05, 0.45)
+    x1 = np.array([0.4])
+    one = {e: second_layer_channel_l2(prof, riesz_grid, x1, e)
+           for e in (0.25, 0.4)}
+    for e1, e2 in ((0.25, 0.25), (0.25, 0.4)):
+        both = bilinear_weighted_l2(tensor_symbol(prof, prof),
+                                    (x1, np.array([0.0])), riesz_grid, e1, e2)
+        assert both == pytest.approx(one[e1] * one[e2], rel=1e-10)
+
+
+def test_separable_symbol_matches_generic_path(riesz_grid):
+    atoms = build_atoms(riesz_grid, 0.45)
+    # atom eigenvalues plus points outside every support
+    eta = np.concatenate([atoms.eigen, [-0.1, 0.0, 0.45, 0.5, 3.0]])
+    bump = bump_symbol_1d(0.05, 0.45)
+    for f1 in (bump, indicator_symbol_1d(0.0, 0.3)):
+        G = tensor_symbol(f1, bump)
+        fast = G(eta[:, None], eta[None, :])
+        generic = Symbol2D.__call__(G, eta[:, None], eta[None, :])
+        assert fast.dtype == generic.dtype == complex
+        assert np.array_equal(fast, generic)
+
+
+def test_power_cos_moments_cache_is_bounded_and_read_only(riesz_grid):
+    from grushin.calculus import _power_cos_moments, u_weight_table
+    assert _power_cos_moments.cache_info().maxsize is not None
+    mom = _power_cos_moments(0.5, 40)
+    assert _power_cos_moments(0.5, 40) is mom
+    with pytest.raises(ValueError):
+        mom[0] = 0.0
+    table = u_weight_table(riesz_grid, 0.25, 40)
+    table[0] = 0.0                       # a fresh scaled copy
+    assert mom[0] != 0.0

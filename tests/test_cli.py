@@ -56,6 +56,19 @@ def test_kernel_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "x1,x2,y1,y2,z1,z2,re,im"
     assert len(lines) == 6
+    for line in lines[2:]:
+        assert len([float(v) for v in line.split(",")]) == 8
+
+    # linear path: a 1-D symbol name
+    rc = main(["kernel"] + RIESZ_GRID
+              + ["--set", "symbol=bump", "--set", "n_points=3",
+                 "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "x1,x2,y1,y2,re,im"
+    assert len(lines) == 5
+    for line in lines[2:]:
+        assert len([float(v) for v in line.split(",")]) == 6
 
 
 def test_thresholds_command_corners(tmp_path):

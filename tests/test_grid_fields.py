@@ -191,6 +191,27 @@ def test_dilate_commuting_square(dilation_grid):
     assert dev <= 1e-8 * np.max(np.abs(rhs.values))
 
 
+def test_dilated_subgrid_analysis_matches_dilate_spectral(dilation_grid):
+    # The sub-grid resolves its own box, so analyzing the dilated samples
+    # there recovers the spectral dilation.  Coefficients are densities
+    # against the frequency weights, which the sub-grid's t^2-coarser
+    # lattice scales by t^2: the routes agree as w(lambda) C(lambda).
+    g = dilation_grid
+    f = random_field(g, (0.25, 0.75), 2, seed=6)
+    fs = dilate_spectral(f, 2.0, g)
+    h = dilate_gridded(synthesize(f, g), 2.0)
+    sub = h.grid
+    assert sub.x2_box_length == pytest.approx(g.x2_box_length / 4.0)
+    assert sub.resolved.x2_count == sub.n_x2
+    assert sub.resolved.x1_extent == pytest.approx(g.resolved.x1_extent / 2.0)
+    got = analyze(h, 2, lambda_support=fs.lambda_support)
+    w_sub = sub.lambda_weights[[sub.lambda_index(l) for l in fs.lambda_support]]
+    w_g = g.lambda_weights[[g.lambda_index(l) for l in fs.lambda_support]]
+    mass = w_g[:, None] * fs.coeffs
+    dev = np.max(np.abs(w_sub[:, None] * got.coeffs - mass))
+    assert dev <= 1e-4 * np.max(np.abs(mass))
+
+
 def test_dilate_rejects_inadmissible(dilation_grid):
     g = dilation_grid
     f = random_field(g, (0.25, 0.3), 1, seed=8)
