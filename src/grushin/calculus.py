@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import GriddedField, SpectralField
 from .grid import Grid, GridError
-from .hermite import hermite_ragged, multi_indices_upto, scaled_profile_matrix
+from .hermite import _profile_rows, multi_index_degrees, multi_indices_upto
 from .reductions import pairwise_sum
 from .symbols import Symbol1D, Symbol2D
 
@@ -91,45 +91,25 @@ def build_atoms(grid: Grid, eta_max: float) -> SpectralAtoms:
 def _profile_bank(atoms: SpectralAtoms, points: np.ndarray):
     """Scaled Hermite profiles of every atom at ``points`` (n, d1).
 
-    Row r of the bank is |lambda_q|^{d1/4} prod_j h_{mu_j}(|lambda_q|^{1/2}
-    p_j) for the r-th (atom q, multi-index mu with |mu| = k_q) pair;
-    pairs run atom by atom, mu in colex order within an atom, so for
-    d1 = 1 row q is atom q.  Every axis comes from one ragged Hermite
-    recurrence over all frequency nodes and points.  Returns (bank,
-    first): atom q owns the rows from first[q] on.
+    Row r of the bank is the profile of the r-th (atom q, multi-index mu
+    with |mu| = k_q) pair; pairs run atom by atom, mu in colex order
+    within an atom, so for d1 = 1 row q is atom q.  Returns (bank,
+    row_atom), row_atom[r] = q.
     """
-    d1 = atoms.grid.dims.d1
     _, node_first, node = np.unique(atoms.lam_index, return_index=True,
                                     return_inverse=True)
-    lam = atoms.lam[node_first]
-    norm = np.sqrt(np.sum(lam * lam, axis=1))
-    top = np.zeros(node_first.size, dtype=int)
-    np.maximum.at(top, node, atoms.level)
-    # Python-float powers, as scaled_profile_matrix takes them: numpy's
-    # array power can differ from them in the last bit.
-    scale = np.array([v ** (d1 / 4.0) for v in norm.tolist()])
-
-    mus = np.array(multi_indices_upto(d1, int(top.max())))
-    degree = mus.sum(axis=1)
-    per_level = np.bincount(degree)
-    level_first = np.concatenate(([0], np.cumsum(per_level)[:-1]))
-    n_pairs = per_level[atoms.level]
-    first = np.concatenate(([0], np.cumsum(n_pairs)[:-1]))
-    pair_atom = np.repeat(np.arange(atoms.count), n_pairs)
-    pair_mu = mus[level_first[atoms.level][pair_atom]
-                  + np.arange(pair_atom.size) - first[pair_atom]]
-
-    pts = np.sqrt(norm)[:, None, None] * np.asarray(points, dtype=float)[None]
-    pair_node = node[pair_atom]
-    for j in range(d1):
-        table, start, rank = hermite_ragged(top, pts[:, :, j])
-        rows = table[start[pair_mu[:, j]] + rank[pair_node]]
-        if j == 0:
-            bank = rows
-        else:
-            bank *= rows
-    bank *= scale[pair_node][:, None]
-    return bank, first
+    top = int(atoms.level.max())
+    per_level = np.bincount(multi_index_degrees(atoms.grid.dims.d1, top))
+    n_rows = per_level[atoms.level]
+    row_atom = np.repeat(np.arange(atoms.count), n_rows)
+    # Atom q's rows are the multi-indices of its level, in enumeration order.
+    shift = (np.cumsum(n_rows) - n_rows
+             - (np.cumsum(per_level) - per_level)[atoms.level])
+    row_mu = np.arange(row_atom.size) - np.repeat(shift, n_rows)
+    mus = np.array(multi_indices_upto(atoms.grid.dims.d1, top))
+    bank = _profile_rows(atoms.lam[node_first], node[row_atom], mus[row_mu],
+                         np.asarray(points, dtype=float))
+    return bank, row_atom
 
 
 def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
@@ -142,8 +122,9 @@ def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
     """
     x1 = np.atleast_2d(x1_points)
     y1 = np.atleast_2d(y1_points)
-    bank, first = _profile_bank(atoms, np.concatenate([x1, y1]))
+    bank, row_atom = _profile_bank(atoms, np.concatenate([x1, y1]))
     terms = bank[:, :x1.shape[0]] * bank[:, x1.shape[0]:]
+    first = np.searchsorted(row_atom, np.arange(atoms.count))
     return np.add.reduceat(terms, first, axis=0)
 
 
@@ -228,23 +209,14 @@ def apply_linear_multiplier_gridded(F: Symbol1D, h: GriddedField) -> GriddedFiel
     """
     grid = h.grid
     atoms = build_atoms(grid, F.support[1])
-    sections = grid.x2_forward(h.values, grid.lambda_points)  # (n_lambda, n_x1)
-    w1 = grid.x1_weights
-    out_sections = np.zeros_like(sections)
-    d1 = grid.dims.d1
-    for i in range(grid.n_lambda):
-        sel = atoms.lam_index == i
-        if not sel.any():
-            continue
-        kmax = int(atoms.level[sel].max())
-        lam = grid.lambda_points[i]
-        basis = scaled_profile_matrix(kmax, lam, grid.x1_points)
-        degs = np.array([sum(mu) for mu in multi_indices_upto(d1, kmax)])
-        sym = np.asarray(F((2 * degs + d1) * grid.lambda_abs[i]))
-        coeff = (basis * w1) @ sections[i]
-        out_sections[i] = (sym * coeff) @ basis
+    # build_atoms gives every node its levels 0..kmax, so the atoms' bank
+    # holds each node's basis up to kmax; x2_inverse sums a node's rows.
+    bank, row_atom = _profile_bank(atoms, grid.x1_points)
+    sections = grid.x2_forward(h.values, atoms.lam)[row_atom]
+    coeff = np.sum(bank * grid.x1_weights * sections, axis=1)
     box = grid.x2_box_length ** grid.dims.d2
-    values = grid.x2_inverse(out_sections.T / box, grid.lambda_points)
+    c = np.asarray(F(atoms.eigen))[row_atom] * coeff / box
+    values = grid.x2_inverse((c[:, None] * bank).T, atoms.lam[row_atom])
     return GriddedField(grid=grid, values=values)
 
 

@@ -23,7 +23,7 @@ from .dims import Dims
 from .fields import lp_norm, synthesize, write_field_binary, write_field_csv
 from .grid import GRID_KEYS, GridSpec, format_flat_config, make_grid, \
     parse_flat_config
-from .report import ProbeReport
+from .report import ProbeReport, csv_row
 from .riesz import (bilinear_apply_direct, bilinear_apply_separated,
                     build_expansion, dilation_covariance_check)
 from .symbols import (DyadicPiece, RieszParams, builtin_symbol_1d,
@@ -156,12 +156,6 @@ def cmd_riesz(args) -> int:
     return 0
 
 
-def _csv_row(*values) -> str:
-    """One CSV line of plain round-trip floats (numpy scalars would print
-    as ``np.float64(...)``)."""
-    return ",".join(repr(float(v)) for v in values) + "\n"
-
-
 def cmd_kernel(args) -> int:
     cfg = _resolve_config(args)
     grid = _grid_from_config(cfg)
@@ -186,8 +180,8 @@ def cmd_kernel(args) -> int:
                                          [p[2] for p in pts], grid)
             fh.write("x1,x2,y1,y2,z1,z2,re,im\n")
             for (x, y, z), v in zip(pts, vals):
-                fh.write(_csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
-                                  z[0][0], z[1][0], v.real, v.imag))
+                fh.write(csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
+                                 z[0][0], z[1][0], v.real, v.imag))
         except KeyError:
             sym1 = builtin_symbol_1d(name, **{k: float(v)
                                               for k, v in params.items()})
@@ -195,8 +189,8 @@ def cmd_kernel(args) -> int:
                                        [p[1] for p in pts], grid)
             fh.write("x1,x2,y1,y2,re,im\n")
             for (x, y, _), v in zip(pts, vals):
-                fh.write(_csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
-                                  v.real, v.imag))
+                fh.write(csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
+                                 v.real, v.imag))
     _write_manifest(out + ".manifest", "kernel", cfg, [out], {}, args._t0)
     print(f"kernel samples written to {out}")
     return 0

@@ -18,8 +18,9 @@ import numpy as np
 
 from .dims import Dims
 from .grid import Grid, GridError
-from .hermite import multi_indices_upto, scaled_profile_matrix
+from .hermite import multi_index_degrees, scaled_profile_bank
 from .reductions import pairwise_sum
+from .report import csv_row
 
 FIELD_MAGIC = b"GRSH1"
 
@@ -28,7 +29,7 @@ class DegreeError(ValueError):
     """Requested Hermite degree exceeds what the grid resolves."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralField:
     """Coefficients C(lambda, mu) over a compact frequency support.
 
@@ -43,10 +44,12 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.lambda_support = np.atleast_2d(np.asarray(self.lambda_support,
-                                                       dtype=float))
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        n_mu = len(multi_indices_upto(self.dims.d1, self.max_degree))
+        # Frozen, so the cached eigenvalues and lambda_abs cannot go stale.
+        object.__setattr__(self, "lambda_support", np.atleast_2d(
+            np.asarray(self.lambda_support, dtype=float)))
+        object.__setattr__(self, "coeffs",
+                           np.asarray(self.coeffs, dtype=complex))
+        n_mu = multi_index_degrees(self.dims.d1, self.max_degree).size
         if self.coeffs.shape != (self.lambda_support.shape[0], n_mu):
             raise ValueError(
                 f"coeffs shape {self.coeffs.shape} != "
@@ -61,8 +64,7 @@ class SpectralField:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Joint eigenvalues (2|mu| + d1)|lambda|, shape (n_supp, n_mu)."""
-        degs = np.array([sum(mu) for mu in
-                         multi_indices_upto(self.dims.d1, self.max_degree)])
+        degs = multi_index_degrees(self.dims.d1, self.max_degree)
         return np.outer(self.lambda_abs, 2 * degs + self.dims.d1)
 
     def copy_with(self, coeffs: np.ndarray) -> "SpectralField":
@@ -107,12 +109,8 @@ def _check_degree(max_degree: int, lambda_abs: np.ndarray, grid: Grid):
 
 def profile_tensor(f: SpectralField, grid: Grid) -> np.ndarray:
     """Per-node x'-profiles P[i, x'] = sum_mu C(lambda_i, mu) Phi_mu^lambda(x')."""
-    pts = grid.x1_points
-    out = np.empty((f.lambda_support.shape[0], pts.shape[0]), dtype=complex)
-    for i, lam in enumerate(f.lambda_support):
-        basis = scaled_profile_matrix(f.max_degree, lam, pts)
-        out[i] = f.coeffs[i] @ basis
-    return out
+    bank = scaled_profile_bank(f.max_degree, f.lambda_support, grid.x1_points)
+    return np.matmul(f.coeffs[:, None, :], bank)[:, 0]
 
 
 def synthesize(f: SpectralField, grid: Grid) -> GriddedField:
@@ -157,12 +155,8 @@ def analyze(h: GriddedField, max_degree: int,
     sections = grid.x2_forward(h.values, lambda_support)    # (n_supp, n_x1)
     sections *= norm[:, None]
 
-    n_mu = len(multi_indices_upto(grid.dims.d1, max_degree))
-    coeffs = np.empty((lambda_support.shape[0], n_mu), dtype=complex)
-    w1 = grid.x1_weights
-    for i, lam in enumerate(lambda_support):
-        basis = scaled_profile_matrix(max_degree, lam, grid.x1_points)
-        coeffs[i] = (basis * w1) @ sections[i]
+    bank = scaled_profile_bank(max_degree, lambda_support, grid.x1_points)
+    coeffs = np.matmul(bank * grid.x1_weights, sections[:, :, None])[..., 0]
     return SpectralField(grid.dims, lambda_support, max_degree, coeffs)
 
 
@@ -352,9 +346,7 @@ def write_field_csv(h: GriddedField, path: str, comments: list[str] | None = Non
         d1, d2 = grid.dims.d1, grid.dims.d2
         cols = [f"x1_{j}" for j in range(d1)] + [f"x2_{j}" for j in range(d2)]
         fh.write(",".join(cols + ["re", "im"]) + "\n")
-        for i in range(grid.n_x1):
-            for j in range(grid.n_x2):
-                coords = list(grid.x1_points[i]) + list(grid.x2_points[j])
-                v = h.values[i, j]
-                fh.write(",".join(repr(c) for c in coords)
-                         + f",{v.real!r},{v.imag!r}\n")
+        x2 = grid.x2_points.tolist()
+        for x1, row in zip(grid.x1_points.tolist(), h.values):
+            for x2_j, v in zip(x2, row.tolist()):
+                fh.write(csv_row(*x1, *x2_j, v.real, v.imag))

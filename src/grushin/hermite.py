@@ -192,6 +192,14 @@ def multi_indices_upto(d1: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def multi_index_degrees(d1: int, max_degree: int) -> np.ndarray:
+    """|mu| for every mu of ``multi_indices_upto(d1, max_degree)``; read-only."""
+    deg = np.array([sum(mu) for mu in multi_indices_upto(d1, max_degree)])
+    deg.flags.writeable = False
+    return deg
+
+
 def _lambda_norm(lam) -> float:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     norm = float(np.sqrt(np.sum(lam * lam)))
@@ -222,23 +230,53 @@ def scaled_profile_matrix(max_degree: int, lam, x1_nodes: np.ndarray) -> np.ndar
     """Matrix Phi[mu, x] of scaled Hermite functions over a 1-axis grid batch.
 
     ``x1_nodes`` has shape (n, d1); rows of the result follow
-    ``multi_indices_upto(d1, max_degree)``.
+    ``multi_indices_upto(d1, max_degree)``.  The one-node case of
+    ``scaled_profile_bank``.
     """
-    norm = _lambda_norm(lam)
-    pts = np.asarray(x1_nodes, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    d1 = pts.shape[1]
-    root = np.sqrt(norm)
-    tables = [hermite_all(max_degree, root * pts[:, j]) for j in range(d1)]
-    mus = multi_indices_upto(d1, max_degree)
-    out = np.empty((len(mus), pts.shape[0]))
-    for i, mu in enumerate(mus):
-        acc = tables[0][mu[0]].copy()
-        for j in range(1, d1):
-            acc *= tables[j][mu[j]]
-        out[i] = acc
-    return norm ** (d1 / 4.0) * out
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return scaled_profile_bank(max_degree, lam[None], x1_nodes)[0]
+
+
+def scaled_profile_bank(max_degree: int, lam, x1_nodes) -> np.ndarray:
+    """Phi[i, mu, x]: ``scaled_profile_matrix`` at every frequency node
+    lam[i] of ``lam`` (n_nodes, d2) at once."""
+    pts = np.asarray(x1_nodes, dtype=float).reshape(len(x1_nodes), -1)
+    lam = np.asarray(lam, dtype=float)
+    mus = np.array(multi_indices_upto(pts.shape[1], max_degree))
+    n = lam.shape[0]
+    rows = _profile_rows(lam, np.repeat(np.arange(n), len(mus)),
+                         np.tile(mus, (n, 1)), pts)
+    return rows.reshape(n, len(mus), pts.shape[0])
+
+
+def _profile_rows(lam: np.ndarray, node: np.ndarray, mu: np.ndarray,
+                  points: np.ndarray) -> np.ndarray:
+    """Rows |lam_n|^{d1/4} prod_j h_{mu_j}(|lam_n|^{1/2} p_j) over ``points``.
+
+    ``lam`` (n_nodes, d2) holds the frequency nodes; row r is multi-index
+    mu[r] at node node[r], and ``points`` has shape (n, d1).  Each x'-axis
+    is one ragged Hermite recurrence over every node and point, each node
+    to the highest index its rows ask for.  Bit for bit equal to the rows
+    of ``scaled_profile_matrix`` at each node.
+    """
+    d1 = points.shape[1]
+    norm = np.sqrt(np.sum(lam * lam, axis=1))
+    if np.any(norm == 0.0):
+        raise ValueError("lambda must be nonzero")
+    top = np.zeros(norm.size, dtype=int)
+    np.maximum.at(top, node, mu.max(axis=1))
+    # Python-float powers: numpy's array power can differ in the last bit.
+    scale = np.array([v ** (d1 / 4.0) for v in norm.tolist()])
+    t = np.sqrt(norm)[:, None, None] * points[None]
+    for j in range(d1):
+        table, start, rank = hermite_ragged(top, t[:, :, j])
+        rows = table[start[mu[:, j]] + rank[node]]
+        if j == 0:
+            bank = rows
+        else:
+            bank *= rows
+    bank *= scale[node][:, None]
+    return bank
 
 
 def projection_kernel(k: int, lam, x1, y1):
@@ -273,9 +311,9 @@ def apply_projection(k: int, lam, profile, x1_nodes, x1_weights) -> np.ndarray:
     """Project an x'-profile (sampled on the grid) onto the |mu| = k eigenspace."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    basis = scaled_profile_matrix(k, lam, x1_nodes)
-    mus = multi_indices_upto(x1_nodes.shape[1] if np.ndim(x1_nodes) > 1 else 1, k)
-    rows = [i for i, mu in enumerate(mus) if sum(mu) == k]
-    basis_k = basis[rows]
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    basis = scaled_profile_bank(k, lam[None], x1_nodes)[0]
+    d1 = x1_nodes.shape[1] if np.ndim(x1_nodes) > 1 else 1
+    basis_k = basis[multi_index_degrees(d1, k) == k]
     coeffs = (basis_k * x1_weights) @ np.asarray(profile)
     return coeffs @ basis_k

@@ -77,10 +77,15 @@ class ProbeReport:
         buf.write("abscissa,ordinate,fitted,residual\n")
         fit = self.fitted()
         res = self.residual()
-        for i in range(self.abscissa.size):
-            buf.write(f"{self.abscissa[i]!r},{self.ordinate[i]!r},"
-                      f"{fit[i]!r},{res[i]!r}\n")
+        for row in zip(self.abscissa, self.ordinate, fit, res):
+            buf.write(csv_row(*row))
         return buf.getvalue()
+
+
+def csv_row(*values) -> str:
+    """One CSV line of plain round-trip floats (numpy scalars would print
+    as ``np.float64(...)``)."""
+    return ",".join(repr(float(v)) for v in values) + "\n"
 
 
 def log2_safe(values, floor: float = 1e-300) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .fields import GriddedField, SpectralField
 from .grid import Grid, GridError
+from .hermite import scaled_profile_bank
 from .report import ProbeReport
 from .symbols import (DyadicPiece, RieszParams, Symbol2D, dyadic_piece_profile,
                       plateau, riesz_symbol)
@@ -71,15 +72,10 @@ def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
 
 def _weighted_profiles(h: SpectralField, grid: Grid) -> np.ndarray:
     """P[i, mu, x] = w(lambda_i) C(lambda_i, mu) Phi_mu^lambda(x')."""
-    from .hermite import scaled_profile_matrix
     idx = [grid.lambda_index(lam) for lam in h.lambda_support]
     w = grid.lambda_weights[np.asarray(idx)]
-    out = np.empty((h.lambda_support.shape[0], h.coeffs.shape[1],
-                    grid.n_x1), dtype=complex)
-    for i, lam in enumerate(h.lambda_support):
-        basis = scaled_profile_matrix(h.max_degree, lam, grid.x1_points)
-        out[i] = (w[i] * h.coeffs[i])[:, None] * basis
-    return out
+    bank = scaled_profile_bank(h.max_degree, h.lambda_support, grid.x1_points)
+    return (w[:, None] * h.coeffs)[:, :, None] * bank
 
 
 # ---------------------------------------------------------------------------

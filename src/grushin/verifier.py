@@ -22,7 +22,7 @@ from .dims import Dims
 from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
 from .geometry import Point, ball_volume, control_distance
 from .grid import Grid, GridSpec, make_grid
-from .hermite import multi_indices_upto
+from .hermite import multi_index_degrees
 from .report import ProbeReport, log2_safe
 from .reductions import parallel_map
 from .riesz import (bilinear_apply_separated, build_expansion,
@@ -140,12 +140,9 @@ def family_fields(name: str, grid: Grid, seed: int,
     if idx.size == 0:
         raise ValueError(f"family band {band} misses every grid node")
     support = grid.lambda_points[idx]
-    n_mu = len(multi_indices_upto(grid.dims.d1, max_degree))
-    degs = np.array([sum(mu) for mu in
-                     multi_indices_upto(grid.dims.d1, max_degree)])
-    amp = 0.5 ** degs
-    coeffs = (rng.normal(size=(idx.size, n_mu))
-              + 1j * rng.normal(size=(idx.size, n_mu))) * amp
+    degs = multi_index_degrees(grid.dims.d1, max_degree)
+    coeffs = (rng.normal(size=(idx.size, degs.size))
+              + 1j * rng.normal(size=(idx.size, degs.size))) * 0.5 ** degs
     return SpectralField(grid.dims, support, max_degree, coeffs)
 
 

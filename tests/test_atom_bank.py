@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 import grushin.calculus as C
+import grushin.hermite as H
 import grushin.verifier as V
-from grushin.calculus import (atom_projection_values, bilinear_kernel,
+from conftest import random_field
+from grushin.calculus import (apply_linear_multiplier_gridded,
+                              atom_projection_values, bilinear_kernel,
                               bilinear_kernel_batch, build_atoms,
                               linear_kernel, linear_kernel_batch)
 from grushin.dims import Dims
+from grushin.fields import analyze, synthesize
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import hermite_all, hermite_ragged, projection_kernel
-from grushin.riesz import build_expansion
+from grushin.riesz import bilinear_apply_direct, build_expansion
 from grushin.symbols import (DyadicPiece, bump_symbol_1d, dyadic_piece_symbol,
                              riesz_symbol_1d)
 
@@ -109,7 +113,12 @@ def test_atom_layer_needs_no_profile_matrix(monkeypatch, riesz_grid):
     def refuse(*args, **kwargs):
         raise AssertionError("scaled_profile_matrix called")
 
-    monkeypatch.setattr(C, "scaled_profile_matrix", refuse)
+    original = H.scaled_profile_matrix
+    for name, module in list(sys.modules.items()):
+        if name == "grushin" or name.startswith("grushin."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
     atoms = build_atoms(riesz_grid, 0.45)
     vals = atom_projection_values(atoms, np.array([0.5]),
                                   riesz_grid.x1_points)
@@ -118,8 +127,19 @@ def test_atom_layer_needs_no_profile_matrix(monkeypatch, riesz_grid):
     out = bilinear_kernel_batch(dyadic_piece_symbol(DyadicPiece(1, 1.0)),
                                 xs, ys, zs, riesz_grid)
     assert np.all(np.isfinite(out))
-    out = linear_kernel_batch(bump_symbol_1d(0.05, 0.45), xs, ys, riesz_grid)
+    F = bump_symbol_1d(0.05, 0.45)
+    out = linear_kernel_batch(F, xs, ys, riesz_grid)
     assert np.all(np.isfinite(out))
+
+    f = random_field(riesz_grid, (0.2, 0.4), 2, seed=7)
+    h = synthesize(f, riesz_grid)
+    back = analyze(h, 2, lambda_support=f.lambda_support)
+    assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-6 * np.max(
+        np.abs(f.coeffs))
+    G = dyadic_piece_symbol(DyadicPiece(2, 1.0))
+    assert np.all(np.isfinite(bilinear_apply_direct(G, f, f,
+                                                    riesz_grid).values))
+    assert np.all(np.isfinite(apply_linear_multiplier_gridded(F, h).values))
 
 
 def test_expansion_reports_cap_hit():

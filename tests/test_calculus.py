@@ -10,8 +10,9 @@ from grushin.calculus import (PaddingError, apply_joint_multiplier,
                               linear_kernel, linear_kernel_on_grid,
                               second_layer_channel_l2, sobolev_norm_1d,
                               sobolev_product_norm)
+from grushin.dims import Dims
 from grushin.fields import synthesize
-from grushin.grid import GridError
+from grushin.grid import GridError, GridSpec, make_grid
 from grushin.symbols import (DyadicCutoff, DyadicPiece, Symbol1D, Symbol2D,
                              bump_symbol_1d, dyadic_piece_symbol,
                              indicator_symbol_1d, riesz_symbol_1d,
@@ -103,13 +104,19 @@ def test_linear_kernel_self_adjoint_symmetry(default_grid):
 
 
 def test_gridded_multiplier_matches_spectral(default_grid):
-    g = default_grid
-    f = random_field(g, (0.5, 2.0), 4, seed=5)
+    # d1 = 2 runs the ragged path: several multi-indices per atom.
+    grids = [(default_grid, 4)] + [
+        (make_grid(Dims(2, d2), GridSpec(
+            d1=2, d2=d2, x1_extent=16, x1_count=48, x2_count=32 // d2,
+            lambda_min=0.25, lambda_max=2.0, lambda_count=8 // d2)), 3)
+        for d2 in (1, 2)]
     F = riesz_symbol_1d(1.0, 2.0)
-    ref = synthesize(apply_linear_multiplier(F, f), g)
-    out = apply_linear_multiplier_gridded(F, synthesize(f, g))
-    assert np.max(np.abs(out.values - ref.values)) <= \
-        1e-10 * np.max(np.abs(ref.values))
+    for g, degree in grids:
+        f = random_field(g, (0.5, 2.0), degree, seed=5)
+        ref = synthesize(apply_linear_multiplier(F, f), g)
+        out = apply_linear_multiplier_gridded(F, synthesize(f, g))
+        assert np.max(np.abs(out.values - ref.values)) <= \
+            1e-10 * np.max(np.abs(ref.values))
 
 
 def test_bilinear_kernel_separable_zero_symmetric(default_grid):
@@ -222,8 +229,6 @@ def test_second_layer_channel_matches_position_space(riesz_grid):
 
 def test_weighted_gram_paths_reject_d2_2_before_projecting(monkeypatch):
     from grushin import calculus
-    from grushin.dims import Dims
-    from grushin.grid import GridSpec, make_grid
 
     def no_projection(*args, **kwargs):
         raise AssertionError("projection work before the d2 check")

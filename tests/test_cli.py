@@ -11,6 +11,15 @@ RIESZ_GRID = ["--set", "d1=1", "--set", "d2=1",
               "--set", "lambda_count=32"]
 
 
+def _assert_plain_float_rows(path, columns):
+    """Every data cell parses with float(): no ``np.float64(...)`` text."""
+    lines = [line for line in path.read_text().splitlines()
+             if not line.startswith("#")]
+    assert len(lines) > 1
+    for line in lines[1:]:
+        assert len([float(v) for v in line.split(",")]) == columns
+
+
 def test_grid_command_and_missing_key(tmp_path):
     out = tmp_path / "g.cfg"
     rc = main(["grid"] + RIESZ_GRID + ["--out", str(out)])
@@ -33,6 +42,7 @@ def test_field_and_riesz_commands(tmp_path):
     assert rc == 0
     assert (tmp_path / "f.grsh").exists()
     assert (tmp_path / "f.csv").read_text().startswith("# config_hash=")
+    _assert_plain_float_rows(tmp_path / "f.csv", 4)
 
     rc = main(["riesz"] + RIESZ_GRID
               + ["--set", "alpha=1.0", "--set", "j=3",
@@ -44,6 +54,7 @@ def test_field_and_riesz_commands(tmp_path):
     dev = float([line.split("=", 1)[1] for line in manifest.splitlines()
                  if line.startswith("verdict_separation_rel_l2=")][0])
     assert dev <= 1e-6
+    _assert_plain_float_rows(tmp_path / "r.csv", 4)
 
 
 def test_kernel_command(tmp_path):
@@ -121,6 +132,8 @@ def test_verify_core_suite(tmp_path):
     verdicts = (outdir / "verdicts.csv").read_text()
     assert "aggregate,PASS" in verdicts
     assert (outdir / "manifest.txt").exists()
+    for name in ("core_partition.csv", "core_roundtrip.csv"):
+        _assert_plain_float_rows(outdir / name, 4)
 
 
 def test_workers_env_override(tmp_path, monkeypatch):

@@ -77,6 +77,8 @@ def test_scaled_hermite_rejects_zero_frequency():
         scaled_hermite_eval((0,), 0.0, [0.3])
     with pytest.raises(ValueError):
         projection_kernel(0, 0.0, [0.1], [0.2])
+    with pytest.raises(ValueError):
+        scaled_profile_matrix(2, 0.0, np.linspace(-1.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
