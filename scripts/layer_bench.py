@@ -1,0 +1,134 @@
+"""Per-layer timings of the separated path's coefficient, symbol and
+binning layers and of the Sobolev norm, on fixed configurations.
+
+    python scripts/layer_bench.py --label change --out BENCH.json
+    python scripts/layer_bench.py --label parent --src ../parent/src \
+        --out BENCH.json
+
+``--src`` is the ``src`` directory of the checkout to measure (default:
+this checkout's).  Each layer is called once to warm up, then timed
+``REPEATS`` times with one BLAS thread; the median, the minimum, every
+sample and a checksum of the output (the sum of its absolute values) are
+merged into the JSON file under ``--label``, next to the sha256 of the
+measured ``grushin`` sources and the numpy version.  Labels already in
+the file are kept, so before and after land in one file.
+
+The configurations are those of ``grushin verify --suite decay`` on the
+``decay`` probe grid (library seed 0):
+
+* ``fourier_coeff_batch``: the piece (j, alpha = 1) at l = 0..2048 and at
+  the live eigenvalues of the first decay field, j = 1, 3, 6;
+* ``truncated_series_symbol``: truncation 2048 at the distinct
+  eigenvalues of both decay fields, j = 1, 3, 6;
+* ``x2_inverse``: a random x'-fastest (64 x 45,796) array binned to the
+  pair frequencies of the two fields, the shape of the bilinear
+  contraction's output;
+* ``sobolev_product_norm``: the piece j = 4 at s = (0.4, 0), 2048
+  samples, pad 2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 5
+
+
+def _layers():
+    """(name, zero-argument callable) for every timed configuration."""
+    import numpy as np
+    from grushin.calculus import sobolev_product_norm
+    from grushin.riesz import (FourierSeriesExpansion, fourier_coeff_batch,
+                               truncated_series_symbol)
+    from grushin.symbols import DyadicPiece, dyadic_piece_symbol
+    from grushin.verifier import family_fields, live_eigenvalues, probe_grid
+
+    grid = probe_grid("decay")
+    band = (1.0 / 8.0, 0.96)
+    f = family_fields("hermite-bump", grid, 0, band=band)
+    g = family_fields("hermite-bump", grid, 1, band=band)
+    live = live_eigenvalues(f)
+    uniq_f = np.unique(f.eigenvalues)
+    uniq_g = np.unique(g.eigenvalues)
+    ls = np.arange(0, 2049)
+
+    out = []
+    for j in (1, 3, 6):
+        piece = DyadicPiece(j, 1.0)
+        exp = FourierSeriesExpansion(piece, truncation=2048)
+        out.append((f"fourier_coeff_batch[j={j}]",
+                    lambda p=piece: fourier_coeff_batch(p, ls, live)))
+        out.append((f"truncated_series_symbol[j={j}]",
+                    lambda e=exp: truncated_series_symbol(e, uniq_f, uniq_g)))
+
+    nu = (f.lambda_support[:, None, :]
+          + g.lambda_support[None, :, :]).reshape(-1, grid.dims.d2)
+    rng = np.random.default_rng(0)
+    coeffs = (rng.standard_normal((nu.shape[0], grid.n_x1))
+              + 1j * rng.standard_normal((nu.shape[0], grid.n_x1))).T
+    out.append((f"x2_inverse[{grid.n_x1}x{nu.shape[0]},F]",
+                lambda: grid.x2_inverse(coeffs, nu)))
+
+    piece4 = dyadic_piece_symbol(DyadicPiece(4, 1.0))
+    out.append(("sobolev_product_norm[j=4,2048,pad2]",
+                lambda: sobolev_product_norm(piece4, 0.4, 0.0,
+                                             samples=2048, pad=2)))
+    return out
+
+
+def _source_digest(src: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((src / "grushin").glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    args = parser.parse_args(argv)
+
+    # one BLAS thread, fixed before numpy loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import numpy as np
+
+    layers = {}
+    for name, call in _layers():
+        value = call()
+        samples = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            value = call()
+            samples.append(time.perf_counter() - t0)
+        layers[name] = {"median_s": statistics.median(samples),
+                        "min_s": min(samples), "samples_s": samples,
+                        "checksum": float(np.sum(np.abs(value)))}
+        print(f"{name}: median {layers[name]['median_s']:.4f} s, "
+              f"min {layers[name]['min_s']:.4f} s", flush=True)
+
+    path = Path(args.out)
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record.setdefault("runs", {})[args.label] = {
+        "source_sha256": _source_digest(src), "numpy": np.__version__,
+        "python": sys.version.split()[0], "nproc": os.cpu_count(),
+        "repeats": REPEATS, "layers": layers}
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

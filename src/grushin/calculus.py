@@ -393,6 +393,13 @@ def sobolev_product_norm(G: Symbol2D, s1: float, s2: float,
                          diagnostics: dict | None = None) -> float:
     """|| G ||_{L^2_{s1,s2}} by FFT on the zero-padded sample box.
 
+    The real and imaginary parts of G are transformed separately with
+    ``rfft2`` (a half spectrum each; the transform shape supplies the
+    zero padding) and their weighted masses are added.  The weights are
+    even, so the cross terms cancel between each frequency and its
+    mirror: ||G||^2 = ||Re G||^2 + ||Im G||^2, and the same holds for
+    the Nyquist-band mass.  A part that is identically zero is skipped.
+
     Raises PaddingError when the symbol carries mass on the outer frame
     of the padded box (i.e. the padding cannot isolate one period).
     """
@@ -403,18 +410,19 @@ def sobolev_product_norm(G: Symbol2D, s1: float, s2: float,
     big = pad * n
     h1 = (b1 - a1) / n
     h2 = (b2 - a2) / n
-    e1 = a1 + (np.arange(big) + 0.5) * h1
-    e2 = a2 + (np.arange(big) + 0.5) * h2
-    vals = np.zeros((big, big), dtype=complex)
-    vals[:n, :n] = G(e1[:n, None], e2[None, :n])
+    e1 = a1 + (np.arange(n) + 0.5) * h1
+    e2 = a2 + (np.arange(n) + 0.5) * h2
+    vals = np.broadcast_to(G(e1[:, None], e2[None, :]), (n, n))
 
     # The padded frame must stay empty: mass on the outer rows/columns of
     # the padded array would mean the declared support leaks into the
-    # periodic images of the transform.
+    # periodic images of the transform.  Only the first n rows and
+    # columns of the padded array are nonzero.
     frame = max(2, big // 64)
-    total_mass = float(np.sum(np.abs(vals) ** 2))
-    edge = float(np.sum(np.abs(vals[big - frame:, :]) ** 2)
-                 + np.sum(np.abs(vals[:big - frame, big - frame:]) ** 2))
+    sq = np.abs(vals) ** 2
+    total_mass = float(np.sum(sq))
+    edge = float(np.sum(sq[big - frame:, :])
+                 + np.sum(sq[:big - frame, big - frame:]))
     edge_frac = edge / total_mass if total_mass else 0.0
     if diagnostics is not None:
         diagnostics["edge_mass_fraction"] = edge_frac
@@ -423,19 +431,26 @@ def sobolev_product_norm(G: Symbol2D, s1: float, s2: float,
             f"boundary mass fraction {edge_frac:.2e} exceeds 1e-10; "
             "increase pad")
 
-    spec = np.fft.fft2(vals) * (h1 * h2)
+    nyq = big // 2
+    cols = np.arange(nyq + 1)                  # rfft columns 0 .. Nyquist
     xi1 = 2.0 * np.pi * np.fft.fftfreq(big, d=h1)
-    xi2 = 2.0 * np.pi * np.fft.fftfreq(big, d=h2)
+    xi2 = 2.0 * np.pi * np.fft.rfftfreq(big, d=h2)
     w1 = (1.0 + xi1 ** 2) ** s1
-    w2 = (1.0 + xi2 ** 2) ** s2
-    weighted = (np.abs(spec) ** 2) * w1[:, None] * w2[None, :]
-    total = float(np.sum(weighted)) * (xi1[1] - xi1[0]) * abs(xi2[1] - xi2[0]) \
+    # a column strictly between 0 and Nyquist also stands for its mirror
+    w2 = (1.0 + xi2 ** 2) ** s2 * np.where((cols == 0) | (2 * cols == big),
+                                            1.0, 2.0)
+    weighted = np.zeros((big, nyq + 1))
+    for part in (np.real(vals), np.imag(vals)):
+        if np.any(part):
+            spec = np.fft.rfft2(part, s=(big, big)) * (h1 * h2)
+            weighted += np.abs(spec) ** 2 * w1[:, None] * w2[None, :]
+    total = float(np.sum(weighted)) * (xi1[1] - xi1[0]) * (xi2[1] - xi2[0]) \
         / (2.0 * np.pi) ** 2
 
-    nyq = big // 2
     band = int(0.1 * nyq)
     sl = np.abs(np.arange(big) - nyq) < band
-    boundary = float(np.sum(weighted[sl, :]) + np.sum(weighted[:, sl][~sl, :]))
+    sl2 = np.abs(cols - nyq) < band
+    boundary = float(np.sum(weighted[sl, :]) + np.sum(weighted[:, sl2][~sl, :]))
     frac = boundary / total if total else 0.0
     if diagnostics is not None:
         diagnostics["nyquist_mass_fraction"] = frac

@@ -249,14 +249,22 @@ class Grid:
         ``coeffs`` has shape (n_x1, n), ``lam`` shape (n, d2); returns
         shape (n_x1, n_x2).  Columns that share a bin (equal frequencies,
         or frequencies equal up to aliasing) are summed, then one inverse
-        FFT over the x''-axes.
+        FFT over the x''-axes.  The binning is one flat ``bincount`` over
+        all entries, read frequency-major (a view for the x'-fastest
+        arrays every caller passes, one copy otherwise), so each bin sums
+        its columns in column order: the result is the same, bit for bit,
+        as one bincount per row.
         """
         bins, counts = self._x2_bins(lam)
         axes = tuple(range(1, 1 + len(counts)))
         n = self.n_x2
-        spec = np.array([np.bincount(bins, row.real, n)
-                         + 1j * np.bincount(bins, row.imag, n)
-                         for row in coeffs]).reshape((-1,) + counts)
+        rows = coeffs.shape[0]
+        flat = (rows * bins[:, None] + np.arange(rows)).ravel()
+        vals = coeffs.T.ravel()
+        spec = (np.bincount(flat, vals.real, rows * n)
+                + 1j * np.bincount(flat, vals.imag, rows * n))
+        spec = spec.reshape(n, rows).T
+        spec = np.ascontiguousarray(spec).reshape((-1,) + counts)
         out = np.fft.fftshift(np.fft.ifftn(spec, axes=axes), axes=axes)
         return n * out.reshape(coeffs.shape[0], -1)
 

@@ -157,8 +157,12 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1,
 
     The piece is smooth on the period-2 circle in eta2 (its window stays
     interior to [0, 1)), so a uniform-grid FFT is spectrally accurate and
-    yields every l at once.  Falls back to Gauss-Legendre for small
-    batches.
+    yields every l at once.  The sample table is band-only
+    (``_shell_table``): each eta1 column is sampled only where
+    1 - eta1 - eta2 can lie in the shell, only columns with support are
+    transformed, and the others are zero.  The table is real, so one real
+    FFT gives every l >= 0 and c_{-l} = conj(c_l); n >= 4 max|l| keeps
+    every |l| below n/2.  Falls back to Gauss-Legendre for small batches.
     """
     ls = np.asarray(ls, dtype=int)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
@@ -168,14 +172,43 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1,
     n = 1
     while n < max(4 * l_top, 64 * 2 ** min(piece.j, 16), 512):
         n *= 2
+    live, table = _shell_table(piece, eta1, n)
+    spec = np.fft.rfft(table, axis=1)                   # entry l: l >= 0
+    # e^{i pi l} / n; n is a power of two, so the scale is exact
+    scale = np.where(ls % 2 == 0, 1.0, -1.0) / n
+    out = np.zeros((eta1.size, ls.size), dtype=complex)
+    out[live] = spec[:, np.abs(ls)] * scale
+    out.imag[:, ls < 0] *= -1.0                         # c_{-l} = conj(c_l)
+    return out.T
+
+
+def _shell_table(piece: DyadicPiece, eta1: np.ndarray, n: int):
+    """The piece sampled at s = 1 - eta1 - eta2 on the eta2 nodes
+    eta2_k = -1 + 2k/n, zero for eta2 < 0, for the eta1 columns that
+    meet its shell.
+
+    Returns (live, table): the indices of those columns, and their
+    samples as rows of a (len(live), n) table.  Each column is evaluated
+    only on the contiguous band of nodes where s can lie in the shell,
+    widened by two nodes on each side so that rounding at the band's
+    edges cannot drop a node where the piece is nonzero; every entry is
+    the same float as in a full (n, len(eta1)) evaluation.
+    """
+    half = n // 2
+    lo_s, hi_s = piece.shell
+    rest = 1.0 - eta1
+    first = np.clip(np.floor((rest - hi_s + 1.0) * half) - 2, half, n)
+    stop = np.clip(np.ceil((rest - lo_s + 1.0) * half) + 3, half, n)
+    live = np.flatnonzero(stop > first)
+    first = first[live].astype(int)
+    width = stop[live].astype(int) - first
+    cols = np.repeat(np.arange(live.size), width)
+    rows = first[cols] + np.arange(cols.size) - (np.cumsum(width) - width)[cols]
     eta2 = -1.0 + 2.0 * np.arange(n) / n
-    profile = dyadic_piece_profile(piece)
-    vals = profile(1.0 - eta1[None, :] - eta2[:, None]) \
-        * ((eta2 >= 0)[:, None])                        # (n, n_eta)
-    spec = np.fft.fft(vals, axis=0) / n                 # l-th row: l in fft order
-    idx = np.mod(ls, n)
-    sign = np.where(ls % 2 == 0, 1.0, -1.0)             # e^{i pi l} factor
-    return sign[:, None] * spec[idx, :]
+    table = np.zeros((live.size, n))
+    table[cols, rows] = dyadic_piece_profile(piece)(rest[live][cols]
+                                                    - eta2[rows])
+    return live, table
 
 
 def fourier_coeff(exp: FourierSeriesExpansion, l: int, eta1):
@@ -220,16 +253,30 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
 def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
                             truncation: int | None = None) -> np.ndarray:
     """m_L(eta1, eta2) = sum_{|l| <= L} coeff_l(eta1) e^{i pi l eta2}
-    times the plateau in eta2; the truncated separated symbol."""
+    times the plateau in eta2; the truncated separated symbol.
+
+    The piece is real, so coeff_{-l} = conj(coeff_l) and the sum is
+    Re c_0 + 2 sum_{l >= 1} (Re c_l cos(pi l eta2) - Im c_l sin(pi l eta2)):
+    one pair of real matrix products, taken only over the eta1 whose
+    coefficients are not all zero (those meeting the shell) and the eta2
+    inside the plateau's support.  Every other entry is exactly zero.
+    Returns float64, shape (len(eta1), len(eta2)).
+    """
     L = exp.truncation if truncation is None else int(truncation)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
     eta2 = np.atleast_1d(np.asarray(eta2, dtype=float))
     ls = np.arange(0, L + 1)
     pos = fourier_coeff_batch(exp.piece, ls, eta1)       # (L+1, n1)
-    phases = np.exp(1j * np.pi * np.multiply.outer(ls, eta2))  # (L+1, n2)
-    total = pos.T @ phases                                # l >= 0 part
-    total += (np.conj(pos[1:]).T @ np.conj(phases[1:]))   # l < 0 by symmetry
-    return total * plateau(eta2)[None, :]
+    plat = plateau(eta2)
+    rows = np.flatnonzero(np.any(pos, axis=0))
+    cols = np.flatnonzero(plat)
+    c = pos[:, rows]
+    c[1:] *= 2.0
+    angle = np.pi * np.multiply.outer(ls, eta2[cols])     # (L+1, n2 live)
+    out = np.zeros((eta1.size, eta2.size))
+    out[np.ix_(rows, cols)] = (c.real.T @ np.cos(angle)
+                               - c.imag.T @ np.sin(angle)) * plat[cols]
+    return out
 
 
 def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
