@@ -13,17 +13,17 @@ __version__ = "0.1.0"
 from .calculus import (apply_joint_multiplier, apply_linear_multiplier,
                        bilinear_kernel, linear_kernel, sobolev_product_norm)
 from .dims import Dims
-from .fields import (GriddedField, SpectralField, analyze, dilate, lp_norm,
+from .fields import (GriddedField, SpectralField, analyze, lp_norm,
                      mixed_norm, read_field_binary, synthesize,
                      write_field_binary, write_field_csv)
 from .geometry import Point, ball_volume, control_distance
-from .grid import Grid, GridSpec, make_default_grid, make_grid
-from .hermite import (HermiteTable, apply_projection, build_hermite_table,
-                      hermite_eval, projection_kernel, scaled_hermite_eval)
+from .grid import Grid, GridSpec, make_grid
+from .hermite import (HermiteTable, build_hermite_table, hermite_eval,
+                      projection_kernel, scaled_hermite_eval)
 from .report import ProbeReport
 from .riesz import (FourierSeriesExpansion, bilinear_apply_direct,
                     bilinear_apply_separated, build_expansion,
-                    dilation_covariance_check, fourier_coeff)
+                    dilation_covariance_check)
 from .symbols import (DyadicCutoff, DyadicPiece, RieszParams, Symbol1D,
                       Symbol2D, dyadic_piece_symbol, riesz_symbol)
 from .thresholds import RegionVerdict, threshold, threshold_table

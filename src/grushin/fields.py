@@ -11,7 +11,7 @@ x'-quadrature error.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,9 +71,6 @@ class SpectralField:
         return SpectralField(self.dims, self.lambda_support.copy(),
                              self.max_degree, coeffs)
 
-    def coefficient_l2sq(self) -> float:
-        return float(pairwise_sum(np.abs(self.coeffs.reshape(-1)) ** 2))
-
 
 @dataclass
 class GriddedField:
@@ -91,7 +88,7 @@ class GriddedField:
 
 def _support_indices(f: SpectralField, grid: Grid) -> np.ndarray:
     try:
-        return np.array([grid.lambda_index(lam) for lam in f.lambda_support])
+        return grid.lambda_index(f.lambda_support)
     except GridError as e:
         raise GridError(f"field support not contained in grid nodes: {e}") from e
 
@@ -208,10 +205,10 @@ def dilate_spectral(f: SpectralField, t: float,
         raise ValueError("dilation ratio must be positive")
     new_support = (t * t) * f.lambda_support
     if grid is not None:
-        for lam in new_support:
-            if not grid.has_lambda(lam):
-                raise GridError(
-                    f"dilation by {t} maps support off the grid (at {lam})")
+        try:
+            grid.lambda_index(new_support)
+        except GridError as e:
+            raise GridError(f"dilation by {t} maps support off the grid: {e}") from e
     scale = t ** (-f.dims.d1 / 2.0)
     return SpectralField(f.dims, new_support, f.max_degree, scale * f.coeffs)
 
@@ -295,15 +292,6 @@ def _requad(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def dilate(f, t: float, grid: Grid | None = None):
-    """Dispatch on field kind; see dilate_spectral / dilate_gridded."""
-    if isinstance(f, SpectralField):
-        return dilate_spectral(f, t, grid)
-    if isinstance(f, GriddedField):
-        return dilate_gridded(f, t)
-    raise TypeError(f"cannot dilate {type(f).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -319,22 +307,26 @@ def write_field_binary(h: GriddedField, path: str):
 
 
 def read_field_binary(path: str, grid: Grid) -> GriddedField:
+    """Read a ``write_field_binary`` file; ValueError unless it fits ``grid``."""
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != FIELD_MAGIC:
-            raise ValueError(f"bad magic {magic!r}; expected {FIELD_MAGIC!r}")
-        d1, d2 = struct.unpack("<2i", fh.read(8))
-        if (d1, d2) != (grid.dims.d1, grid.dims.d2):
-            raise ValueError(f"dims mismatch: file ({d1},{d2}) vs grid "
-                             f"({grid.dims.d1},{grid.dims.d2})")
-        counts = struct.unpack(f"<{d1 + d2}i", fh.read(4 * (d1 + d2)))
-        want = tuple(ax.size for ax in grid.x1_axes + grid.x2_axes)
-        if counts != want:
-            raise ValueError(f"axis counts mismatch: file {counts} vs grid {want}")
-        raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    n1 = int(np.prod(counts[:d1]))
-    n2 = int(np.prod(counts[d1:]))
-    return GriddedField(grid=grid, values=raw.reshape(n1, n2).astype(complex))
+        raw = fh.read()
+    if raw[:5] != FIELD_MAGIC:
+        raise ValueError(f"bad magic {raw[:5]!r}; expected {FIELD_MAGIC!r}")
+    want = ((grid.dims.d1, grid.dims.d2)
+            + tuple(ax.size for ax in grid.x1_axes + grid.x2_axes))
+    head = 5 + 4 * len(want)
+    got = struct.unpack_from(f"<{(min(len(raw), head) - 5) // 4}i", raw, 5)
+    if len(got) >= 2 and got[:2] != want[:2]:
+        raise ValueError(f"dims mismatch: file {got[:2]} vs grid {want[:2]}")
+    if len(got) == len(want) and got != want:
+        raise ValueError(f"axis counts mismatch: file {got[2:]} vs grid {want[2:]}")
+    size = head + 8 * grid.n_x1 * grid.n_x2
+    if len(raw) != size:
+        raise ValueError(f"{path}: expected {size} bytes for this grid, "
+                         f"found {len(raw)}")
+    values = np.frombuffer(raw, np.complex64, offset=head)
+    return GriddedField(grid=grid,
+                        values=values.reshape(grid.n_x1, -1).astype(complex))
 
 
 def write_field_csv(h: GriddedField, path: str, comments: list[str] | None = None):

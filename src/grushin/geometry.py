@@ -37,17 +37,10 @@ def control_distance(x: Point, y: Point) -> float:
 
     |x'-y'| plus |x''-y''| / (|x'|+|y'|) when |x''-y''|^{1/2} <= |x'|+|y'|,
     else |x''-y''|^{1/2}.  Symmetric, zero iff x == y; satisfies only a
-    quasi-triangle inequality.
+    quasi-triangle inequality.  The one-row case of
+    ``control_distance_batch``.
     """
-    d1 = float(np.linalg.norm(x.x1 - y.x1))
-    gap = float(np.linalg.norm(x.x2 - y.x2))
-    if gap == 0.0:
-        return d1
-    radial = float(np.linalg.norm(x.x1) + np.linalg.norm(y.x1))
-    root = np.sqrt(gap)
-    if root <= radial:
-        return d1 + gap / radial
-    return d1 + root
+    return float(control_distance_batch(x.x1, x.x2, y.x1, y.x2)[0])
 
 
 def control_distance_batch(x1a, x2a, x1b, x2b) -> np.ndarray:
@@ -72,23 +65,9 @@ def ball_volume(x: Point, r: float) -> float:
     return r ** dims.total_dim * max(r, radial) ** dims.d2
 
 
-def in_ball(x: Point, y: Point, r: float) -> bool:
-    return control_distance(x, y) < r
-
-
 def second_layer_reach(x1_norm: float, r: float) -> float:
     """Upper bound on |x''-y''| over the radius-r ball around (x', .)."""
     return max(r * r, r * (2.0 * x1_norm + r))
-
-
-def ball_in_product_box(x: Point, r: float, box_c: float) -> bool:
-    """Predicate for the product-box inclusion of small-center balls.
-
-    True when every y with distance(x, y) < r satisfies |y'-x'| < r and
-    |y''-x''| < box_c * r^2; the bound is checked analytically via
-    ``second_layer_reach``.
-    """
-    return second_layer_reach(float(np.linalg.norm(x.x1)), r) <= box_c * r * r
 
 
 def _ball_quadrature(a: Point, r: float, integrand, n_per_axis: int) -> float:

@@ -46,9 +46,6 @@ class GridSpec:
     lambda_max: float = 4.0
     lambda_count: int = 32
 
-    def to_text(self) -> str:
-        return "".join(f"{k}={getattr(self, k)!r}\n" for k in GRID_KEYS)
-
     @classmethod
     def from_mapping(cls, mapping) -> "GridSpec":
         kwargs = {}
@@ -59,10 +56,6 @@ class GridSpec:
                                                    "x2_count", "lambda_count")
                                else float(raw))
         return cls(**kwargs)
-
-    @classmethod
-    def from_text(cls, text: str) -> "GridSpec":
-        return cls.from_mapping(parse_flat_config(text))
 
 
 def parse_flat_config(text: str) -> dict:
@@ -99,9 +92,12 @@ def _periodic_axis(extent: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.full(count, h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Discretization: x'-axes, x''-axes, and the punctured frequency nodes."""
+    """Discretization: x'-axes, x''-axes, and the punctured frequency nodes.
+
+    Compared and hashed by identity, so a grid can key a cache.
+    """
 
     dims: Dims
     x1_axes: tuple[np.ndarray, ...]
@@ -164,21 +160,21 @@ class Grid:
         return float(min(np.abs(ax).min() for ax in self.lambda_axes))
 
     # -- lookups ------------------------------------------------------------
-    def lambda_index(self, lam, tol: float = 1e-9) -> int:
-        """Index of a frequency vector among the grid nodes (error if absent)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        diff = np.max(np.abs(self.lambda_points - lam[None, :]), axis=1)
-        i = int(np.argmin(diff))
-        if diff[i] > tol * max(1.0, self.lambda_step):
-            raise GridError(f"frequency {lam} is not a grid node")
-        return i
-
-    def has_lambda(self, lam, tol: float = 1e-9) -> bool:
-        try:
-            self.lambda_index(lam, tol)
-            return True
-        except GridError:
-            return False
+    def lambda_index(self, lam, tol: float = 1e-9):
+        """Index of a frequency vector among the grid nodes, or the index
+        array of an (n, d2) batch; GridError if any is absent.  The nodes
+        are a tensor product, so each coordinate is matched on its axis."""
+        lam = np.asarray(lam, dtype=float)
+        rows = np.atleast_2d(lam)
+        per_axis = [np.abs(rows[:, k, None] - ax)
+                    for k, ax in enumerate(self.lambda_axes)]
+        nearest = tuple(np.argmin(diff, axis=1) for diff in per_axis)
+        miss = np.max([diff.min(axis=1) for diff in per_axis], axis=0)
+        off = np.flatnonzero(miss > tol * max(1.0, self.lambda_step))
+        if off.size:
+            raise GridError(f"frequency {rows[off[0]]} is not a grid node")
+        idx = np.ravel_multi_index(nearest, [ax.size for ax in self.lambda_axes])
+        return int(idx[0]) if lam.ndim < 2 else idx
 
     def resolvable_degree(self, lam_abs: float) -> int:
         """Largest Hermite degree the x'-grid resolves at frequency size lam_abs.
@@ -349,11 +345,3 @@ def make_grid(dims: Dims, spec: GridSpec) -> Grid:
         spec=spec,
         resolved=resolved,
     )
-
-
-def default_grid_spec() -> GridSpec:
-    return GridSpec()
-
-
-def make_default_grid() -> Grid:
-    return make_grid(Dims(1, 1), default_grid_spec())

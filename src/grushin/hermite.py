@@ -305,15 +305,3 @@ def projection_kernel(k: int, lam, x1, y1):
         acc += term
     acc *= norm ** (d1 / 2.0)
     return float(acc[0]) if (squeeze and acc.size == 1) else acc
-
-
-def apply_projection(k: int, lam, profile, x1_nodes, x1_weights) -> np.ndarray:
-    """Project an x'-profile (sampled on the grid) onto the |mu| = k eigenspace."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    basis = scaled_profile_bank(k, lam[None], x1_nodes)[0]
-    d1 = x1_nodes.shape[1] if np.ndim(x1_nodes) > 1 else 1
-    basis_k = basis[multi_index_degrees(d1, k) == k]
-    coeffs = (basis_k * x1_weights) @ np.asarray(profile)
-    return coeffs @ basis_k

@@ -26,13 +26,9 @@ from .symbols import (DyadicPiece, RieszParams, Symbol2D, dyadic_piece_profile,
 
 __all__ = [
     "FourierSeriesExpansion", "bilinear_apply_direct",
-    "bilinear_apply_separated", "fourier_coeff", "fourier_coeff_batch",
+    "bilinear_apply_separated", "fourier_coeff_batch",
     "build_expansion", "dilation_covariance_check", "riesz_symbol",
 ]
-
-
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
 
 
 def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
@@ -72,8 +68,7 @@ def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
 
 def _weighted_profiles(h: SpectralField, grid: Grid) -> np.ndarray:
     """P[i, mu, x] = w(lambda_i) C(lambda_i, mu) Phi_mu^lambda(x')."""
-    idx = [grid.lambda_index(lam) for lam in h.lambda_support]
-    w = grid.lambda_weights[np.asarray(idx)]
+    w = grid.lambda_weights[grid.lambda_index(h.lambda_support)]
     bank = scaled_profile_bank(h.max_degree, h.lambda_support, grid.x1_points)
     return (w[:, None] * h.coeffs)[:, :, None] * bank
 
@@ -85,27 +80,19 @@ def _weighted_profiles(h: SpectralField, grid: Grid) -> np.ndarray:
 class FourierSeriesExpansion:
     """Series data for one dyadic piece.
 
-    ``coefficient(l, eta1)`` evaluates the series coefficient profile;
-    the companion second-channel symbol is exp(i pi l eta2) times the
-    pinned plateau (1 on [-1, 1], 0 outside [-2, 2]).  ``truncation`` is
-    the default |l| cutoff; ``tail_bound`` the measured sup-norm tail sum
-    beyond it.  ``converged`` is False when ``build_expansion`` stopped
-    at its cap before the tail met the tolerance.
+    The coefficients come from ``fourier_coeff_batch``; the companion
+    second-channel symbol is exp(i pi l eta2) times the pinned plateau
+    (1 on [-1, 1], 0 outside [-2, 2]).  ``truncation`` is the default |l|
+    cutoff; ``tail_bound`` the measured sup-norm tail sum beyond it.
+    ``converged`` is False when ``build_expansion`` stopped at its cap
+    before the tail met the tolerance.
     """
 
     piece: DyadicPiece
     truncation: int
     tail_bound: float = 0.0
-    quad_nodes: int = 0
     converged: bool = True
     details: dict = field(default_factory=dict)
-
-    def coefficient(self, l: int, eta1):
-        return fourier_coeff(self, l, eta1)
-
-    def companion(self, l: int, eta2):
-        e = np.asarray(eta2, dtype=float)
-        return np.exp(1j * np.pi * l * e) * plateau(e)
 
 
 def _eta2_window(piece: DyadicPiece, eta1: np.ndarray):
@@ -115,15 +102,7 @@ def _eta2_window(piece: DyadicPiece, eta1: np.ndarray):
     return lo, np.maximum(hi, lo)
 
 
-def _quad_nodes_for(piece: DyadicPiece, l_max: int) -> int:
-    # Resolve the phase pi*l over the shell window plus the bump structure.
-    width = 1.5 * 2.0 ** (-piece.j)
-    phase = np.pi * max(l_max, 1) * width
-    return int(max(48, np.ceil(0.75 * phase) + 24))
-
-
-def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1,
-                             n_quad: int | None = None) -> np.ndarray:
+def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     """Series coefficients by Gauss-Legendre over the eta2 shell window.
 
     The direct quadrature of the defining integral; used as the oracle
@@ -131,9 +110,11 @@ def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1,
     """
     ls = np.asarray(ls, dtype=int)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
-    if n_quad is None:
-        n_quad = _quad_nodes_for(piece, int(np.max(np.abs(ls), initial=1)))
-    nodes, weights = _gauss_rule(n_quad)
+    # Resolve the phase pi*l over the shell window plus the bump structure.
+    width = 1.5 * 2.0 ** (-piece.j)
+    phase = np.pi * int(np.max(np.abs(ls), initial=1)) * width
+    n_quad = int(max(48, np.ceil(0.75 * phase) + 24))
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     lo, hi = _eta2_window(piece, eta1)
     mid = 0.5 * (hi + lo)
     rad = 0.5 * (hi - lo)
@@ -151,8 +132,7 @@ def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1,
     return out
 
 
-def fourier_coeff_batch(piece: DyadicPiece, ls, eta1,
-                        n_quad: int | None = None) -> np.ndarray:
+def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     """Series coefficients for all requested l at all eta1; shape (L, n).
 
     The piece is smooth on the period-2 circle in eta2 (its window stays
@@ -168,7 +148,7 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1,
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
     l_top = int(np.max(np.abs(ls), initial=0))
     if ls.size * max(l_top, 1) < 4096:
-        return fourier_coeff_quadrature(piece, ls, eta1, n_quad)
+        return fourier_coeff_quadrature(piece, ls, eta1)
     n = 1
     while n < max(4 * l_top, 64 * 2 ** min(piece.j, 16), 512):
         n *= 2
@@ -211,16 +191,7 @@ def _shell_table(piece: DyadicPiece, eta1: np.ndarray, n: int):
     return live, table
 
 
-def fourier_coeff(exp: FourierSeriesExpansion, l: int, eta1):
-    """Coefficient (1/2) integral of the piece against exp(-i pi l eta2)
-    over eta2 in [-1, 1] (the piece vanishes on [-1, 0])."""
-    out = fourier_coeff_batch(exp.piece, [l], np.atleast_1d(eta1),
-                              n_quad=exp.quad_nodes or None)
-    return out[0] if np.ndim(eta1) else complex(out[0, 0])
-
-
 def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
-                    l_start: int | None = None,
                     l_cap: int = 8192) -> FourierSeriesExpansion:
     """Choose the series truncation from the measured coefficient decay.
 
@@ -232,7 +203,7 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
     """
     if eta1_samples is None:
         eta1_samples = np.linspace(0.0, 1.0, 33)
-    L = l_start or max(8, 2 ** (piece.j + 2))
+    L = max(8, 2 ** (piece.j + 2))
     head = fourier_coeff_batch(piece, np.arange(0, L + 1), eta1_samples)
     mass = float(np.sum(np.max(np.abs(head), axis=1)))
     while True:
@@ -243,7 +214,6 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
         if converged or L >= l_cap:
             return FourierSeriesExpansion(
                 piece=piece, truncation=L, tail_bound=octave,
-                quad_nodes=_quad_nodes_for(piece, 2 * L),
                 converged=converged,
                 details={"tol": tol, "series_mass": mass})
         mass += octave

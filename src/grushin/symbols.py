@@ -120,9 +120,6 @@ class Symbol2D:
             out[inside] = self.evaluator(e1, e2)
         return out
 
-    def is_separable(self):
-        return False
-
 
 @dataclass
 class DyadicCutoff:
@@ -262,9 +259,6 @@ class SeparableSymbol2D(Symbol2D):
         axis, not at every broadcast pair; the support box is the product
         of the factors' supports, as ``tensor_symbol`` declares it."""
         return self.factor1(eta1) * self.factor2(eta2)
-
-    def is_separable(self):
-        return True
 
 
 def tensor_symbol(f1: Symbol1D, f2: Symbol1D) -> SeparableSymbol2D:

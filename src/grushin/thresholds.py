@@ -26,10 +26,6 @@ def _le(a, b):
     return a <= b + _EPS
 
 
-def _lt(a, b):
-    return a < b - _EPS
-
-
 @dataclass(frozen=True)
 class RegionVerdict:
     region: str

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
                        second_layer_channel_l2, sobolev_norm_1d)
 from .dims import Dims
 from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
-from .geometry import Point, ball_volume, control_distance
+from .geometry import Point, ball_volume, control_distance_batch
 from .grid import Grid, GridSpec, make_grid
 from .hermite import multi_index_degrees
 from .report import ProbeReport, log2_safe
@@ -54,55 +53,22 @@ _GRID_SPECS = {
 }
 
 
-class _LRUDict(OrderedDict):
-    """Dict that keeps only its ``size`` most recently used entries.
-
-    ``get`` and item assignment count as use; both hold a lock, since the
-    probes fill their caches from ``parallel_map`` threads.
-    """
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-        self._lock = threading.Lock()
-
-    def get(self, key, default=None):
-        with self._lock:
-            if key not in self:
-                return default
-            self.move_to_end(key)
-            return self[key]
-
-    def __setitem__(self, key, value):
-        with self._lock:
-            super().__setitem__(key, value)
-            self.move_to_end(key)
-            if len(self) > self.size:
-                self.popitem(last=False)
+def probe_grid(name: str, refine: int = 1) -> Grid:
+    """Named probe grid; ``refine`` doubles the spatial resolution."""
+    return _probe_grid(name, int(refine))
 
 
 # Large enough that one `grushin verify --suite all` run evicts nothing:
 # it builds 4 probe grids and 6 kernel sample sets.
-GRID_CACHE_SIZE = 16
-KERNEL_SAMPLE_CACHE_SIZE = 64
-
-_GRID_CACHE = _LRUDict(GRID_CACHE_SIZE)
-
-
-def probe_grid(name: str, refine: int = 1) -> Grid:
-    """Named probe grid; ``refine`` doubles the spatial resolution."""
+@lru_cache(maxsize=16)
+def _probe_grid(name: str, refine: int) -> Grid:
     if name not in _GRID_SPECS:
         raise KeyError(f"unknown grid {name!r}; available {sorted(_GRID_SPECS)}")
-    key = (name, refine)
-    grid = _GRID_CACHE.get(key)
-    if grid is None:
-        spec = _GRID_SPECS[name]
-        if refine != 1:
-            from dataclasses import replace
-            spec = replace(spec, x1_count=spec.x1_count * refine,
-                           x2_count=spec.x2_count * refine)
-        grid = _GRID_CACHE[key] = make_grid(Dims(spec.d1, spec.d2), spec)
-    return grid
+    spec = _GRID_SPECS[name]
+    if refine != 1:
+        spec = replace(spec, x1_count=spec.x1_count * refine,
+                       x2_count=spec.x2_count * refine)
+    return make_grid(Dims(spec.d1, spec.d2), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +156,15 @@ def _volume_factor(variant: str, x, y, z) -> float:
     raise KeyError(f"unknown variant {variant!r}; available {KERNEL_VARIANTS}")
 
 
-_KERNEL_SAMPLE_CACHE = _LRUDict(KERNEL_SAMPLE_CACHE_SIZE)
-
-
-def _kernel_samples(grid: Grid, alpha: float, j: int, seed: int,
-                    triples) -> np.ndarray:
-    """|kernel_j| at the sample triples; cached (weights vary per probe,
-    kernel values do not)."""
-    key = (id(grid), alpha, j, seed)
-    entry = _KERNEL_SAMPLE_CACHE.get(key)
-    # The entry holds its grid, so that id stays taken while the entry
-    # lives; the identity check rejects an entry made for another grid.
-    if entry is None or entry[0] is not grid:
-        sym = dyadic_piece_symbol(DyadicPiece(j, alpha))
-        kv = bilinear_kernel_batch(sym, [t[0] for t in triples],
-                                   [t[1] for t in triples],
-                                   [t[2] for t in triples], grid)
-        entry = _KERNEL_SAMPLE_CACHE[key] = (grid, np.abs(kv))
-    return entry[1]
+@lru_cache(maxsize=64)
+def _kernel_samples(grid: Grid, alpha: float, j: int, seed: int) -> np.ndarray:
+    """|kernel_j| at the seed's stratified triples, read-only.  Cached on
+    the grid object itself; the cache keeps it alive, so no id is reused."""
+    triples = _stratified_triples(seed)
+    sym = dyadic_piece_symbol(DyadicPiece(j, alpha))
+    kv = np.abs(bilinear_kernel_batch(sym, *zip(*triples), grid))
+    kv.flags.writeable = False
+    return kv
 
 
 def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
@@ -227,14 +184,16 @@ def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
     triples = _stratified_triples(seed)
     if not triples:
         raise ValueError("empty sample set")
-    wts = np.array([
-        (1.0 + control_distance(Point(*x), Point(*y))) ** beta1
-        * (1.0 + control_distance(Point(*x), Point(*z))) ** beta2
-        * _volume_factor(variant, x, y, z)
-        for x, y, z in triples])
+    (x1, x2), (y1, y2), (z1, z2) = ([np.array(c) for c in zip(*p)]
+                                    for p in zip(*triples))
+    dy = control_distance_batch(x1, x2, y1, y2).tolist()
+    dz = control_distance_batch(x1, x2, z1, z2).tolist()
+    wts = np.array([(1.0 + a) ** beta1 * (1.0 + b) ** beta2
+                    * _volume_factor(variant, *t)
+                    for a, b, t in zip(dy, dz, triples)])
 
     def one_j(j):
-        return float(np.max(_kernel_samples(grid, alpha, j, seed, triples)
+        return float(np.max(_kernel_samples(grid, alpha, j, seed)
                             * wts))
 
     j_values = list(j_range)

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grushin.dims import Dims
-from grushin.geometry import (Point, ball_in_product_box, ball_volume,
-                              control_distance, in_ball,
-                              quasi_triangle_constant, second_layer_reach,
-                              weight_integral_check)
+from grushin.geometry import (Point, ball_volume, control_distance,
+                              control_distance_batch, quasi_triangle_constant,
+                              second_layer_reach, weight_integral_check)
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -31,6 +30,19 @@ def test_distance_symmetry_and_positivity(x1, x2, y1, y2):
     # underflow inside the Euclidean norm)
     if max(abs(x1 - y1), abs(x2 - y2)) > 1e-150:
         assert d > 0.0
+
+
+def test_distance_is_the_one_row_batch():
+    rng = np.random.default_rng(8)
+    for d1, d2 in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        a1, b1 = rng.uniform(-3, 3, (2, 5, d1))
+        a2, b2 = rng.uniform(-9, 9, (2, 5, d2))
+        a1[0] = b1[0] = 0.0          # the radial-zero branch
+        a2[1] = b2[1]                # the zero-gap branch
+        batch = control_distance_batch(a1, a2, b1, b2)
+        rows = [control_distance(Point(*x), Point(*y))
+                for x, y in zip(zip(a1, a2), zip(b1, b2))]
+        assert rows == batch.tolist()
 
 
 def test_quasi_triangle_measured_constant():
@@ -59,10 +71,10 @@ def test_doubling_algebraic():
 
 def test_ball_membership_and_box_inclusion():
     x = Point([0.5], [0.0])
-    assert in_ball(x, Point([0.5], [0.1]), 1.0)
-    assert not in_ball(x, Point([4.0], [0.0]), 1.0)
+    assert control_distance(x, Point([0.5], [0.1])) < 1.0
+    assert control_distance(x, Point([4.0], [0.0])) >= 1.0
     # small-center balls fit a product box with second layer ~ r^2
-    assert ball_in_product_box(Point([0.2], [0.0]), 1.0, box_c=4.0)
+    assert second_layer_reach(0.2, 1.0) <= 4.0 * 1.0 ** 2
     assert second_layer_reach(0.0, 2.0) == pytest.approx(4.0)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from grushin.dims import Dims
 from grushin.fields import (DegreeError, GriddedField, SpectralField, analyze,
-                            dilate, dilate_gridded, dilate_spectral, lp_norm,
+                            dilate_gridded, dilate_spectral, lp_norm,
                             mixed_norm, read_field_binary, synthesize,
                             write_field_binary, write_field_csv)
 from grushin.grid import GridError, GridSpec, make_grid
@@ -54,6 +54,22 @@ def test_make_grid_deterministic():
     assert all((x == y).all() for x, y in zip(a.lambda_axes, b.lambda_axes))
     assert all((x == y).all() for x, y in zip(a.x1_axes, b.x1_axes))
     assert all((x == y).all() for x, y in zip(a.x2_axes, b.x2_axes))
+
+
+@pytest.mark.parametrize("d2", [1, 2])
+def test_lambda_index_batches(d2):
+    g = make_grid(Dims(1, d2), GridSpec(lambda_count=6))
+    every = np.arange(g.n_lambda)
+    assert np.array_equal(g.lambda_index(g.lambda_points), every)
+    picks = [3, 0, g.n_lambda - 1, 3]
+    assert g.lambda_index(g.lambda_points[picks]).tolist() == picks
+    assert [g.lambda_index(lam) for lam in g.lambda_points[picks]] == picks
+    assert isinstance(g.lambda_index(g.lambda_points[3]), int)
+    # one row half a step off the lattice sinks the whole batch
+    off = g.lambda_points[picks].copy()
+    off[2, -1] += 0.5 * g.lambda_step
+    with pytest.raises(GridError, match="not a grid node"):
+        g.lambda_index(off)
 
 
 def test_synthesize_zero_and_linearity(default_grid):
@@ -167,7 +183,7 @@ def test_mixed_norm_pq_consistency_and_separability(default_grid):
 def test_dilate_identity_roundtrip_group(dilation_grid):
     g = dilation_grid
     f = random_field(g, (0.25, 0.75), 2, seed=5)
-    d1 = dilate(f, 1.0, g)
+    d1 = dilate_spectral(f, 1.0, g)
     assert np.max(np.abs(d1.coeffs - f.coeffs)) == 0.0
     back = dilate_spectral(dilate_spectral(f, 2.0, g), 0.5)
     assert np.max(np.abs(back.coeffs - f.coeffs)) <= 1e-15
@@ -250,3 +266,19 @@ def test_field_serialization_rejects_mismatch(tmp_path, default_grid,
     write_field_binary(h, str(path))
     with pytest.raises(ValueError):
         read_field_binary(str(path), riesz_grid)
+
+
+@pytest.mark.parametrize("cut", ["header", "payload", "trailing"])
+def test_read_field_binary_rejects_malformed_files(tmp_path, default_grid, cut):
+    g = default_grid
+    path = tmp_path / "f.grsh"
+    write_field_binary(synthesize(random_field(g, (1.0, 2.0), 1, seed=2), g),
+                       str(path))
+    raw = path.read_bytes()
+    size = len(raw)
+    raw = {"header": raw[:9], "payload": raw[:-8],
+           "trailing": raw + b"\0" * 3}[cut]
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"expected {size} bytes .* found "
+                                         f"{len(raw)}"):
+        read_field_binary(str(path), g)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from grushin.hermite import (apply_projection, build_hermite_table,
-                             hermite_all, hermite_eval,
+from grushin.hermite import (build_hermite_table, hermite_all, hermite_eval,
                              hermite_second_derivative, multi_indices,
                              multi_indices_upto, projection_kernel,
                              scaled_hermite_eval, scaled_profile_matrix)
@@ -138,30 +137,6 @@ def test_projection_kernel_idempotent_under_quadrature():
     quad = float(np.sum(w * left * right))
     assert quad == pytest.approx(projection_kernel(k, lam, [x], [y]),
                                  abs=1e-6)
-
-
-def test_apply_projection_eigenvector_and_orthogonality():
-    lam = 0.7
-    u = np.linspace(-14, 14, 1401)[:, None]
-    w = np.full(u.size, float(u[1, 0] - u[0, 0]))
-    w[0] = w[-1] = w[0] / 2
-    phi0 = scaled_profile_matrix(0, lam, u)[0]
-    p0 = apply_projection(0, lam, phi0, u, w)
-    assert np.max(np.abs(p0 - phi0)) <= 1e-8
-    p1 = apply_projection(1, lam, phi0, u, w)
-    assert np.max(np.abs(p1)) <= 1e-8
-
-
-def test_apply_projection_completeness():
-    lam, kmax = 1.3, 5
-    u = np.linspace(-14, 14, 1401)[:, None]
-    w = np.full(u.size, float(u[1, 0] - u[0, 0]))
-    w[0] = w[-1] = w[0] / 2
-    rng = np.random.default_rng(0)
-    basis = scaled_profile_matrix(kmax, lam, u)
-    f = rng.normal(size=kmax + 1) @ basis
-    total = sum(apply_projection(k, lam, f, u, w) for k in range(kmax + 1))
-    assert np.max(np.abs(total - f)) <= 1e-8
 
 
 def test_multi_index_enumeration_colex():

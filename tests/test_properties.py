@@ -1,0 +1,106 @@
+"""Algebraic identities the library relies on, checked on random fields
+over small grids in every (d1, d2) in {1, 2}^2: bilinearity and symmetry
+of the direct path, the synthesize/analyze round trip, and results that
+do not depend on the worker count."""
+
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grushin.dims import Dims
+from grushin.fields import SpectralField, analyze, synthesize
+from grushin.grid import GridSpec, make_grid
+from grushin.hermite import multi_index_degrees
+from grushin.reductions import parallel_map
+from grushin.riesz import bilinear_apply_direct
+from grushin.symbols import RieszParams, riesz_symbol
+
+SPEC = GridSpec(x1_extent=16.0, x1_count=32, x2_count=8, lambda_min=0.5,
+                lambda_max=1.0, lambda_count=2)
+DIMS = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+SCALARS = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                             allow_infinity=False)
+# Eigenvalues reach (2*2 + d1) * sqrt(2), so R = 4 cuts through them.
+RIESZ = riesz_symbol(RieszParams(0.5, 4.0))
+
+
+@lru_cache(maxsize=None)
+def _grid(d1, d2):
+    return make_grid(Dims(d1, d2), SPEC)
+
+
+def _fields(grid, seed, n=1, max_degree=None):
+    """``n`` random fields on one random support and degree <= 2."""
+    rng = np.random.default_rng(seed)
+    if max_degree is None:
+        max_degree = int(rng.integers(0, 3))
+    keep = rng.random(grid.n_lambda) < 0.6
+    keep[rng.integers(grid.n_lambda)] = True
+    support = grid.lambda_points[keep]
+    n_mu = multi_index_degrees(grid.dims.d1, max_degree).size
+    return [SpectralField(grid.dims, support, max_degree,
+                          rng.normal(size=(support.shape[0], n_mu))
+                          + 1j * rng.normal(size=(support.shape[0], n_mu)))
+            for _ in range(n)]
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=DIMS, seed=SEEDS, a=SCALARS, b=SCALARS)
+def test_direct_path_is_bilinear(dims, seed, a, b):
+    grid = _grid(*dims)
+    f1, f2 = _fields(grid, seed, 2)
+    (g,) = _fields(grid, seed + 1)
+    mix = f1.copy_with(a * f1.coeffs + b * f2.coeffs)
+
+    def apply(f, h):
+        return bilinear_apply_direct(RIESZ, f, h, grid).values
+
+    scale = np.max(np.abs(apply(f1, g))) + np.max(np.abs(apply(f2, g)))
+    left = apply(mix, g) - (a * apply(f1, g) + b * apply(f2, g))
+    right = apply(g, mix) - (a * apply(g, f1) + b * apply(g, f2))
+    assert np.max(np.abs(left)) <= 1e-12 * scale
+    assert np.max(np.abs(right)) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=DIMS, seed=SEEDS)
+def test_direct_path_is_symmetric_for_the_riesz_symbol(dims, seed):
+    grid = _grid(*dims)
+    (f,) = _fields(grid, seed)
+    (g,) = _fields(grid, seed + 1)
+    fg = bilinear_apply_direct(RIESZ, f, g, grid).values
+    gf = bilinear_apply_direct(RIESZ, g, f, grid).values
+    assert np.max(np.abs(fg)) > 0.0
+    assert _rel(gf, fg) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=DIMS, seed=SEEDS)
+def test_analyze_inverts_synthesize(dims, seed):
+    grid = _grid(*dims)
+    (f,) = _fields(grid, seed)
+    back = analyze(synthesize(f, grid), f.max_degree,
+                   lambda_support=f.lambda_support)
+    assert np.array_equal(back.lambda_support, f.lambda_support)
+    assert _rel(back.coeffs, f.coeffs) <= 1e-6
+
+
+@settings(max_examples=10, deadline=None)
+@given(dims=DIMS, seed=SEEDS, workers=st.sampled_from([2, 3, 8]))
+def test_results_do_not_depend_on_the_worker_count(dims, seed, workers):
+    grid = _grid(*dims)
+    fs = _fields(grid, seed, 4, max_degree=2)
+
+    def one(i):
+        return bilinear_apply_direct(RIESZ, fs[i], fs[i - 1], grid).values
+
+    serial = parallel_map(one, range(len(fs)), 1)
+    threaded = parallel_map(one, range(len(fs)), workers)
+    assert all(np.array_equal(s, t) for s, t in zip(serial, threaded))

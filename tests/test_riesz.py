@@ -6,8 +6,7 @@ from grushin.fields import SpectralField, synthesize
 from grushin.hermite import multi_indices_upto
 from grushin.riesz import (bilinear_apply_direct, bilinear_apply_separated,
                            build_expansion, dilation_covariance_check,
-                           fourier_coeff, fourier_coeff_batch,
-                           fourier_coeff_quadrature, FourierSeriesExpansion,
+                           fourier_coeff_batch, fourier_coeff_quadrature,
                            truncated_series_symbol)
 from grushin.symbols import (DyadicPiece, RieszParams, Symbol2D,
                              bump_symbol_1d, dyadic_piece_symbol,
@@ -86,7 +85,6 @@ def test_support_annihilation(riesz_grid):
 
 def test_fourier_coeff_definition_and_symmetry():
     piece = DyadicPiece(3, 1.0)
-    exp = FourierSeriesExpansion(piece, truncation=64)
     eta = np.array([0.3, 0.55])
     # l = 0 against a plain rectangle quadrature of the defining integral
     e2 = np.linspace(0, 1, 20001)
@@ -95,7 +93,8 @@ def test_fourier_coeff_definition_and_symmetry():
         direct = 0.5 * np.trapezoid(
             np.real(prof(np.full_like(e2, e1), e2)), e2)
         # the trapezoid reference itself carries ~1e-8 error
-        assert fourier_coeff(exp, 0, e1) == pytest.approx(direct, abs=1e-6)
+        assert fourier_coeff_batch(piece, [0], [e1])[0, 0] == \
+            pytest.approx(direct, abs=1e-6)
     # conjugate symmetry of a real symbol
     plus = fourier_coeff_batch(piece, [7], eta)
     minus = fourier_coeff_batch(piece, [-7], eta)

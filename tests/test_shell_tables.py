@@ -95,8 +95,8 @@ def test_small_batches_take_the_quadrature_path():
     piece = DyadicPiece(2, 1.0)
     eta = np.linspace(0.0, 1.0, 9)
     ls = np.array([-3, 0, 5])
-    got = fourier_coeff_batch(piece, ls, eta, n_quad=64)
-    assert np.array_equal(got, fourier_coeff_quadrature(piece, ls, eta, 64))
+    got = fourier_coeff_batch(piece, ls, eta)
+    assert np.array_equal(got, fourier_coeff_quadrature(piece, ls, eta))
 
 
 def _complex_series_symbol(exp, eta1, eta2):

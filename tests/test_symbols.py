@@ -5,7 +5,7 @@ from grushin.symbols import (DyadicCutoff, DyadicPiece, RieszParams,
                              builtin_symbol_1d, builtin_symbol_2d,
                              bump_symbol_1d, dyadic_bump, dyadic_piece_symbol,
                              partition_defect, plateau, riesz_symbol,
-                             tensor_symbol, truncated_power)
+                             SeparableSymbol2D, tensor_symbol, truncated_power)
 
 
 def test_dyadic_partition_of_unity():
@@ -92,7 +92,7 @@ def test_tensor_symbol_and_builtins():
     f1 = builtin_symbol_1d("riesz", alpha=1.0, R=1.0)
     f2 = builtin_symbol_1d("gaussian", center=0.5, width=0.1)
     g = tensor_symbol(f1, f2)
-    assert g.is_separable()
+    assert isinstance(g, SeparableSymbol2D)
     v = g(np.array([0.5]), np.array([0.5]))
     assert v[0] == pytest.approx(0.5 * 1.0)
     assert builtin_symbol_1d("indicator")(np.array([0.5]))[0] == 1.0

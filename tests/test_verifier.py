@@ -165,19 +165,27 @@ def test_mixed_probe_slope_monotone_in_alpha():
     assert faster.slope <= fast.slope
 
 
-def test_kernel_sample_cache_tells_grids_apart(monkeypatch, default_grid,
-                                               riesz_grid):
-    # A freed grid's id can be reused by a new grid; model that by making
-    # every id collide.  Each grid must still get its own kernel values.
+def test_kernel_sample_cache_tells_grids_apart():
+    # Two grids from one spec are two cache keys; a third, other grid
+    # gets its own values.  Every entry is read-only and correct.
     from grushin import verifier as V
     from grushin.calculus import bilinear_kernel_batch
+    from grushin.dims import Dims
+    from grushin.grid import GridSpec, make_grid
     from grushin.symbols import DyadicPiece, dyadic_piece_symbol
 
-    monkeypatch.setattr(V, "_KERNEL_SAMPLE_CACHE", {})
-    monkeypatch.setattr(V, "id", lambda obj: 0, raising=False)
-    triples = V._stratified_triples(0, per_band=1, scales=(1.0,))
+    spec = GridSpec(x1_extent=8.0, x1_count=32, x2_count=32, lambda_min=0.25,
+                    lambda_max=2.0, lambda_count=8)
+    grids = [make_grid(Dims(1, 1), spec) for _ in range(2)]
+    grids.append(make_grid(Dims(1, 1), GridSpec(lambda_count=8)))
     sym = dyadic_piece_symbol(DyadicPiece(2, 1.0))
-    for grid in (default_grid, riesz_grid):
-        got = V._kernel_samples(grid, 1.0, 2, 0, triples)
+    triples = V._stratified_triples(0)
+    misses = V._kernel_samples.cache_info().misses
+    got = [V._kernel_samples(g, 1.0, 2, 0) for g in grids]
+    assert V._kernel_samples.cache_info().misses == misses + 3
+    assert not np.array_equal(got[0], got[2])
+    for grid, vals in zip(grids, got):
+        assert V._kernel_samples(grid, 1.0, 2, 0) is vals
+        assert not vals.flags.writeable
         want = np.abs(bilinear_kernel_batch(sym, *zip(*triples), grid))
-        assert np.array_equal(got, want)
+        assert np.array_equal(vals, want)
