@@ -1,5 +1,6 @@
 """Per-layer timings of the separated path's coefficient, symbol and
-binning layers and of the Sobolev norm, on fixed configurations.
+binning layers, of the Sobolev norm and of the weighted kernel norms, on
+fixed configurations.
 
     python scripts/layer_bench.py --label change --out BENCH.json
     python scripts/layer_bench.py --label parent --src ../parent/src \
@@ -25,6 +26,14 @@ The configurations are those of ``grushin verify --suite decay`` on the
   contraction's output;
 * ``sobolev_product_norm``: the piece j = 4 at s = (0.4, 0), 2048
   samples, pad 2.
+
+and those of ``grushin verify --suite plancherel`` on the refined
+``weighted`` grid (``probe_grid("weighted", 2)``), base point x' = 5,
+with the probes' bump profile on (0.05, 0.45):
+
+* ``second_layer_channel_l2`` at u-exponent 0.25, and at 1.0 with the
+  frequency cutoff ``DyadicCutoff(3)``;
+* ``bilinear_weighted_l2`` of the tensor symbol at exponents (0, 0).
 """
 
 from __future__ import annotations
@@ -45,10 +54,13 @@ REPEATS = 5
 def _layers():
     """(name, zero-argument callable) for every timed configuration."""
     import numpy as np
-    from grushin.calculus import sobolev_product_norm
+    from grushin.calculus import (bilinear_weighted_l2,
+                                  second_layer_channel_l2,
+                                  sobolev_product_norm)
     from grushin.riesz import (FourierSeriesExpansion, fourier_coeff_batch,
                                truncated_series_symbol)
-    from grushin.symbols import DyadicPiece, dyadic_piece_symbol
+    from grushin.symbols import (DyadicCutoff, DyadicPiece, bump_symbol_1d,
+                                 dyadic_piece_symbol, tensor_symbol)
     from grushin.verifier import family_fields, live_eigenvalues, probe_grid
 
     grid = probe_grid("decay")
@@ -81,6 +93,19 @@ def _layers():
     out.append(("sobolev_product_norm[j=4,2048,pad2]",
                 lambda: sobolev_product_norm(piece4, 0.4, 0.0,
                                              samples=2048, pad=2)))
+
+    wgrid = probe_grid("weighted", 2)
+    prof = bump_symbol_1d(0.05, 0.45)
+    x1 = np.array([5.0])
+    out.append(("second_layer_channel_l2[0.25]",
+                lambda: second_layer_channel_l2(prof, wgrid, x1, 0.25)))
+    out.append(("second_layer_channel_l2[1.0,cutoff3]",
+                lambda: second_layer_channel_l2(prof, wgrid, x1, 1.0,
+                                                cutoff=DyadicCutoff(3))))
+    out.append(("bilinear_weighted_l2[tensor,0,0]",
+                lambda: bilinear_weighted_l2(tensor_symbol(prof, prof),
+                                             (x1, np.zeros(1)), wgrid,
+                                             0.0, 0.0)))
     return out
 
 

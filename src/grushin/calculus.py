@@ -9,7 +9,7 @@ the declared frequency lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +18,7 @@ from .fields import GriddedField, SpectralField
 from .grid import Grid, GridError
 from .hermite import _profile_rows, multi_index_degrees, multi_indices_upto
 from .reductions import pairwise_sum
-from .symbols import Symbol1D, Symbol2D
+from .symbols import SeparableSymbol2D, Symbol1D, Symbol2D
 
 
 class PaddingError(ValueError):
@@ -71,21 +71,16 @@ def build_atoms(grid: Grid, eta_max: float) -> SpectralAtoms:
         raise GridError(
             f"lambda_min {lam_min:.4g} too large: no spectrum below "
             f"eta_max {eta_max:.4g} even at level 0")
-    lam, lam_abs, w, lev, eig, idx = [], [], [], [], [], []
-    for i in range(grid.n_lambda):
-        a = grid.lambda_abs[i]
-        kmax = int(np.floor((eta_max / a - d1) / 2.0 + 1e-12))
-        for k in range(kmax + 1):
-            lam.append(grid.lambda_points[i])
-            lam_abs.append(a)
-            w.append(grid.lambda_weights[i])
-            lev.append(k)
-            eig.append((2 * k + d1) * a)
-            idx.append(i)
+    # node i carries the levels 0..kmax_i, node by node
+    kmax = np.floor((eta_max / grid.lambda_abs - d1) / 2.0 + 1e-12).astype(int)
+    counts = np.maximum(kmax + 1, 0)
+    idx = np.repeat(np.arange(grid.n_lambda), counts)
+    lev = np.arange(idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    lam_abs = grid.lambda_abs[idx]
     return SpectralAtoms(grid=grid, eta_max=eta_max,
-                         lam=np.array(lam), lam_abs=np.array(lam_abs),
-                         weight=np.array(w), level=np.array(lev, dtype=int),
-                         eigen=np.array(eig), lam_index=np.array(idx, dtype=int))
+                         lam=grid.lambda_points[idx], lam_abs=lam_abs,
+                         weight=grid.lambda_weights[idx], level=lev,
+                         eigen=(2 * lev + d1) * lam_abs, lam_index=idx)
 
 
 def _profile_bank(atoms: SpectralAtoms, points: np.ndarray):
@@ -137,8 +132,7 @@ def linear_kernel(F: Symbol1D, x, y, grid: Grid) -> complex:
     x, y are (x1, x2) tuples of arrays.  Exact truncation: F vanishes
     beyond the grid's top atom level.
     """
-    vals = linear_kernel_batch(F, [x], [y], grid)
-    return complex(vals[0])
+    return complex(linear_kernel_batch(F, [x], [y], grid)[0])
 
 
 def linear_kernel_batch(F: Symbol1D, xs, ys, grid: Grid) -> np.ndarray:
@@ -223,22 +217,20 @@ def apply_linear_multiplier_gridded(F: Symbol1D, h: GriddedField) -> GriddedFiel
 # ---------------------------------------------------------------------------
 # weighted kernel norms (the probe left-hand sides)
 
-def channel_values(grid: Grid, coeff: np.ndarray, atoms: SpectralAtoms,
-                   x1_point: np.ndarray) -> np.ndarray:
-    """K[y1, u] = sum_q coeff_q e^{i lambda_q u} Proj_q(x1, y1) over the grid.
-
-    ``u`` runs over the periodic x''-node set (representing x'' - y'').
-    """
-    proj = atom_projection_values(atoms, x1_point, grid.x1_points)  # (Q, n1)
-    return grid.x2_inverse((proj * coeff[:, None]).T, atoms.lam)
+def _channel_coeff(f: Symbol1D, atoms: SpectralAtoms, cutoff=None):
+    """f(eigen) times the node weight and the optional frequency cutoff."""
+    c = np.asarray(f(atoms.eigen), dtype=complex) * atoms.weight
+    return c if cutoff is None else c * np.asarray(cutoff(atoms.lam_abs))
 
 
-def weighted_channel_l2(grid: Grid, channel: np.ndarray, u_weight) -> float:
-    """sum_{y1,u} w1 w2 u_weight(|u|) |K|^2 with wrapped |u|."""
-    wu = np.asarray(u_weight(grid.wrapped_x2_abs()))
-    inner = pairwise_sum((np.abs(channel) ** 2) * (wu * grid.x2_weights)[None, :],
-                         axis=1)
-    return float(pairwise_sum(grid.x1_weights * inner))
+def _node_channels(atoms: SpectralAtoms, coeff, x1_point: np.ndarray):
+    """Z[n, i] = sum over the atoms q of node n of coeff_q Proj_q(x1, y1_i)
+    and first[n], the node's first atom (build_atoms goes node by node)."""
+    if not coeff.imag.any():
+        coeff = coeff.real
+    proj = atom_projection_values(atoms, x1_point, atoms.grid.x1_points)
+    first = np.flatnonzero(np.diff(atoms.lam_index, prepend=-1))
+    return np.add.reduceat(coeff[:, None] * proj, first, axis=0), first
 
 
 def linear_first_layer_weighted_l2(F: Symbol1D, y, grid: Grid,
@@ -248,18 +240,11 @@ def linear_first_layer_weighted_l2(F: Symbol1D, y, grid: Grid,
     The x''-sum is exact on the lattice (block-diagonal across frequency
     nodes); the x'-integral is grid quadrature.
     """
-    y1 = np.atleast_1d(y[0])
     atoms = build_atoms(grid, F.support[1])
-    sym = np.asarray(F(atoms.eigen))
-    proj = atom_projection_values(atoms, y1, grid.x1_points)  # (Q, n_x1)
+    z, _ = _node_channels(atoms, _channel_coeff(F, atoms), np.atleast_1d(y[0]))
     wx = grid.x1_weights * np.linalg.norm(grid.x1_points, axis=1) ** (2 * gamma)
-    box = grid.x2_box_length ** grid.dims.d2
-    scale = (2.0 * np.pi) ** (-2 * grid.dims.d2) * box
-    v = (sym * atoms.weight)[:, None] * proj
-    # build_atoms runs node by node, so each node's atoms are one block.
-    first = np.flatnonzero(np.diff(atoms.lam_index, prepend=-1))
-    s = np.abs(np.add.reduceat(v, first, axis=0)) ** 2
-    return scale * sum(np.sum(wx * s, axis=1).tolist())
+    scale = (2.0 * np.pi) ** (-2 * grid.dims.d2) * grid.x2_box_length ** grid.dims.d2
+    return scale * sum(np.sum(wx * np.abs(z) ** 2, axis=1).tolist())
 
 
 def restriction_apply_l2(F: Symbol1D, h: GriddedField, gamma: float) -> float:
@@ -286,9 +271,7 @@ def _power_cos_moments(p: float, k_max: int) -> np.ndarray:
     rad = 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + rad[:, None] * nodes[None, :]).reshape(-1)
     w = (rad[:, None] * wts[None, :]).reshape(-1)
-    base = w * s ** p
-    ks = np.arange(k_max + 1)
-    mom = np.cos(np.pi * np.outer(ks, s)) @ base
+    mom = np.cos(np.pi * np.outer(np.arange(k_max + 1), s)) @ (w * s ** p)
     mom.flags.writeable = False
     return mom
 
@@ -300,10 +283,16 @@ def u_weight_table(grid: Grid, exponent: float, k_max: int) -> np.ndarray:
     the closed moment integral avoids the aliasing a kinked weight
     suffers under the node-sum rule.
     """
-    half = grid.x2_box_length / 2.0
     p = 2.0 * exponent
-    mom = _power_cos_moments(p, k_max)
-    return 2.0 * half ** (p + 1.0) * mom
+    return 2.0 * (grid.x2_box_length / 2.0) ** (p + 1.0) \
+        * _power_cos_moments(p, k_max)
+
+
+def _u_weight_matrix(grid: Grid, lam: np.ndarray, exponent: float):
+    """V(k_q - k_r) at lam = k step, from a table up to max |k_q - k_r|."""
+    steps = np.round(lam[:, 0] / grid.lambda_step).astype(int)
+    diffs = np.abs(steps[:, None] - steps[None, :])
+    return u_weight_table(grid, exponent, int(diffs.max()))[diffs]
 
 
 def _weighted_gram(atoms: SpectralAtoms, x1_point: np.ndarray,
@@ -321,10 +310,27 @@ def _weighted_gram(atoms: SpectralAtoms, x1_point: np.ndarray,
         raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
     proj = atom_projection_values(atoms, x1_point, grid.x1_points)  # (Q, n1)
     S = (proj * grid.x1_weights) @ proj.T
-    steps = np.round(atoms.lam[:, 0] / grid.lambda_step).astype(int)
-    diffs = np.abs(steps[:, None] - steps[None, :])
-    vtab = u_weight_table(grid, exponent, int(diffs.max()))
-    return vtab[diffs] * S
+    return _u_weight_matrix(grid, atoms.lam, exponent) * S
+
+
+def _channel_form(atoms: SpectralAtoms, coeff: np.ndarray,
+                  x1_point: np.ndarray, exponent: float) -> float:
+    """conj(c) @ _weighted_gram(atoms, x1, exponent) @ c without the Gram.
+
+    The atoms of one frequency node share its step, so with the node sums
+    Z of ``_node_channels`` the form is sum_{y1} w1 Z^H T Z: T[n, m] =
+    V(k_n - k_m) is the Toeplitz u-weight over the nodes, a few hundred
+    where the atoms are a few thousand.  T is real symmetric, so Re Z and
+    Im Z add.  d2 = 1 only, as for the Gram.
+    """
+    grid = atoms.grid
+    if grid.dims.d2 != 1:
+        raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
+    z, first = _node_channels(atoms, coeff, x1_point)
+    T = _u_weight_matrix(grid, atoms.lam[first], exponent)
+    parts = (z.real, z.imag) if np.iscomplexobj(z) else (z,)
+    return sum(float(grid.x1_weights @ np.sum(part * (T @ part), axis=0))
+               for part in parts)
 
 
 def second_layer_channel_l2(profile: Symbol1D, grid: Grid, x1_point,
@@ -333,50 +339,52 @@ def second_layer_channel_l2(profile: Symbol1D, grid: Grid, x1_point,
 
     integral over (y', u) of |u|^{2 u_exponent} |K(y', u)|^2 where K is
     the kernel of profile (optionally times a frequency-size cutoff)
-    applied through the calculus, frozen at base point x1.  The u
-    integral is contracted per frequency difference against the exact
-    weight moments.  d2 = 1 only (NotImplementedError otherwise).
+    applied through the calculus, frozen at base point x1, contracted
+    by ``_channel_form``.  d2 = 1 only (NotImplementedError otherwise).
     """
     atoms = build_atoms(grid, profile.support[1])
-    coeff = np.asarray(profile(atoms.eigen), dtype=complex) * atoms.weight
-    if cutoff is not None:
-        coeff = coeff * np.asarray(cutoff(atoms.lam_abs))
-    keep = np.abs(coeff) > 0
+    coeff = _channel_coeff(profile, atoms, cutoff)
+    keep = np.abs(coeff) > 0   # the u-weight table spans the kept atoms
     if not keep.any():
         return 0.0
-    sub = SpectralAtoms(grid=grid, eta_max=atoms.eta_max,
-                        lam=atoms.lam[keep], lam_abs=atoms.lam_abs[keep],
-                        weight=atoms.weight[keep], level=atoms.level[keep],
-                        eigen=atoms.eigen[keep], lam_index=atoms.lam_index[keep])
-    scale = (2.0 * np.pi) ** (-grid.dims.d2)
-    c = scale * coeff[keep]
-    M = _weighted_gram(sub, np.atleast_1d(x1_point), u_exponent)
-    return float(np.real(np.conj(c) @ M @ c))
+    sub = replace(atoms, **{k: getattr(atoms, k)[keep] for k in
+                            ("lam", "lam_abs", "weight", "level", "eigen",
+                             "lam_index")})
+    form = _channel_form(sub, coeff[keep], np.atleast_1d(x1_point), u_exponent)
+    return (2.0 * np.pi) ** (-2 * grid.dims.d2) * form
 
 
 def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
                          cutoff1=None, cutoff2=None) -> float:
-    """General-G second-layer weighted norm via Gram contraction:
+    """General-G second-layer weighted norm:
 
     integral over (y, z) of |x''-y''|^{2 exp1} |x''-z''|^{2 exp2}
     |bilinear kernel(x, y, z)|^2, with optional frequency-size cutoffs on
-    each channel.  d2 = 1 only (NotImplementedError otherwise).
+    each channel.  A tensor symbol g = a b^T factors into two channel
+    forms, (a^H M1 a)(b^H M2 b); any other G is contracted against both
+    weighted Grams.  d2 = 1 only (NotImplementedError otherwise).
     """
     x1 = np.atleast_1d(x[0])
     (a1, b1), (a2, b2) = G.support
     atoms1 = build_atoms(grid, b1)
     atoms2 = atoms1 if b2 == b1 else build_atoms(grid, b2)
+    scale = (2.0 * np.pi) ** (-4 * grid.dims.d2)
+    if isinstance(G, SeparableSymbol2D):
+        a = _channel_coeff(G.factor1, atoms1, cutoff1)
+        b = _channel_coeff(G.factor2, atoms2, cutoff2)
+        one = _channel_form(atoms1, a, x1, exp1)
+        if atoms2 is atoms1 and exp2 == exp1 and np.array_equal(a, b):
+            return scale * one * one
+        return scale * one * _channel_form(atoms2, b, x1, exp2)
+
+    cut1 = 1.0 if cutoff1 is None else np.asarray(cutoff1(atoms1.lam_abs))
+    cut2 = 1.0 if cutoff2 is None else np.asarray(cutoff2(atoms2.lam_abs))
     g = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]),
-                   dtype=complex)
-    g = g * atoms1.weight[:, None] * atoms2.weight[None, :]
-    if cutoff1 is not None:
-        g = g * np.asarray(cutoff1(atoms1.lam_abs))[:, None]
-    if cutoff2 is not None:
-        g = g * np.asarray(cutoff2(atoms2.lam_abs))[None, :]
+                   dtype=complex) * np.outer(atoms1.weight * cut1,
+                                             atoms2.weight * cut2)
 
     M1 = _weighted_gram(atoms1, x1, exp1)
     M2 = M1 if (b2, exp2) == (b1, exp1) else _weighted_gram(atoms2, x1, exp2)
-    scale = (2.0 * np.pi) ** (-4 * grid.dims.d2)
     # The Grams are real, so Re sum conj(g) (M1^T g M2) is exactly the sum
     # of the same real form over Re g and Im g: the cross terms are
     # imaginary.  A real g skips the second GEMM pair.

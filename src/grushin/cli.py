@@ -385,8 +385,7 @@ def cmd_replay(args) -> int:
     with open(args.manifest) as fh:
         record = parse_flat_config(fh.read())
     command = record.get("command")
-    if command not in ("grid", "field", "riesz", "kernel", "verify",
-                       "thresholds", "probe"):
+    if command not in _DISPATCH:
         raise SystemExit(f"manifest has no replayable command: {command!r}")
     drop = {"command", "config_hash", "library_version", "wall_clock_s",
             "outputs"}

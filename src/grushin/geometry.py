@@ -75,12 +75,8 @@ def _ball_quadrature(a: Point, r: float, integrand, n_per_axis: int) -> float:
     dims = a.dims
     reach2 = second_layer_reach(float(np.linalg.norm(a.x1)), r)
     axes = []
-    for j in range(dims.d1):
-        lo, hi = a.x1[j] - r, a.x1[j] + r
-        axes.append(np.linspace(lo, hi, n_per_axis, endpoint=False)
-                    + (hi - lo) / (2 * n_per_axis))
-    for j in range(dims.d2):
-        lo, hi = a.x2[j] - reach2, a.x2[j] + reach2
+    for c, h in zip([*a.x1, *a.x2], [r] * dims.d1 + [reach2] * dims.d2):
+        lo, hi = c - h, c + h
         axes.append(np.linspace(lo, hi, n_per_axis, endpoint=False)
                     + (hi - lo) / (2 * n_per_axis))
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -191,13 +191,6 @@ class Grid:
         cap_spacing = (2.0 * math.pi / (3.0 * h * root)) ** 2 - self.dims.d1
         return max(-1, int(math.floor(min(cap_extent, cap_spacing) / 2.0)))
 
-    def wrapped_x2_abs(self) -> np.ndarray:
-        """|u| on the periodic x''-box, wrapped into [0, L/2]; shape (n_x2,)."""
-        L = self.x2_box_length
-        u = self.x2_points
-        w = np.abs((u + L / 2.0) % L - L / 2.0)
-        return np.sqrt(np.sum(w * w, axis=1))
-
     # -- the x''-transform pair ----------------------------------------------
     # With step = 2 pi / L and x''-nodes (m - n//2) L/n, lambda x'' is
     # 2 pi k (m - n//2) / n for lambda = k step, so the dense exponential

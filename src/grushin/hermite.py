@@ -291,8 +291,7 @@ def projection_kernel(k: int, lam, x1, y1):
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     squeeze = x1.ndim == 1
-    xs = x1.reshape(-1, x1.shape[-1]) if x1.ndim > 1 else x1.reshape(-1, x1.size)
-    ys = y1.reshape(-1, y1.shape[-1]) if y1.ndim > 1 else y1.reshape(-1, y1.size)
+    xs, ys = x1.reshape(-1, x1.shape[-1]), y1.reshape(-1, y1.shape[-1])
     d1 = xs.shape[1]
     root = np.sqrt(norm)
     tx = [hermite_all(k, root * xs[:, j]) for j in range(d1)]

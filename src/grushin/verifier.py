@@ -123,24 +123,31 @@ def live_eigenvalues(f: SpectralField, cap: float = 1.0) -> np.ndarray:
 KERNEL_VARIANTS = ("xx", "xz", "xy", "yz")
 
 
-def _stratified_triples(seed: int, per_band: int = 8,
-                        scales=(0.5, 1.0, 2.0, 4.0, 8.0)) -> list:
-    """Reproducible (x, y, z) triples stratified by distance scale."""
+TRIPLES_PER_BAND = 8
+TRIPLE_SCALES = (0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+@lru_cache(maxsize=16)
+def _stratified_triples(seed: int) -> tuple:
+    """Reproducible (x, y, z) triples stratified by distance scale; cached
+    (a kernel probe and its sample sets share them), so read-only."""
     rng = np.random.default_rng(np.random.SeedSequence([0x7A, seed]))
     triples = []
-    for s_y in scales:
-        for _ in range(per_band):
+    for s_y in TRIPLE_SCALES:
+        for _ in range(TRIPLES_PER_BAND):
             x1 = rng.uniform(-3, 3, 1)
             x2 = rng.uniform(-8, 8, 1)
-            s_z = float(rng.choice(scales))
+            s_z = float(rng.choice(TRIPLE_SCALES))
             y1 = x1 + rng.uniform(-s_y, s_y, 1)
             y2 = x2 + rng.uniform(-1, 1, 1) * max(
                 s_y * s_y, s_y * (abs(x1[0]) + abs(y1[0])))
             z1 = x1 + rng.uniform(-s_z, s_z, 1)
             z2 = x2 + rng.uniform(-1, 1, 1) * max(
                 s_z * s_z, s_z * (abs(x1[0]) + abs(z1[0])))
+            for arr in (x1, x2, y1, y2, z1, z2):
+                arr.flags.writeable = False
             triples.append(((x1, x2), (y1, y2), (z1, z2)))
-    return triples
+    return tuple(triples)
 
 
 def _volume_factor(variant: str, x, y, z) -> float:
@@ -182,8 +189,6 @@ def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
         raise ValueError("beta exponents must be >= 0")
     grid = grid or probe_grid("decay")
     triples = _stratified_triples(seed)
-    if not triples:
-        raise ValueError("empty sample set")
     (x1, x2), (y1, y2), (z1, z2) = ([np.array(c) for c in zip(*p)]
                                     for p in zip(*triples))
     dy = control_distance_batch(x1, x2, y1, y2).tolist()

@@ -148,6 +148,39 @@ def test_atom_truncation_exact(default_grid):
     assert atoms.count == expect
 
 
+def _literal_atoms(grid, eta_max):
+    """The node-by-node, level-by-level loop build_atoms replaced."""
+    d1 = grid.dims.d1
+    lam, lam_abs, w, lev, eig, idx = [], [], [], [], [], []
+    for i in range(grid.n_lambda):
+        a = grid.lambda_abs[i]
+        kmax = int(np.floor((eta_max / a - d1) / 2.0 + 1e-12))
+        for k in range(kmax + 1):
+            lam.append(grid.lambda_points[i])
+            lam_abs.append(a)
+            w.append(grid.lambda_weights[i])
+            lev.append(k)
+            eig.append((2 * k + d1) * a)
+            idx.append(i)
+    return dict(lam=np.array(lam), lam_abs=np.array(lam_abs),
+                weight=np.array(w), level=np.array(lev, dtype=int),
+                eigen=np.array(eig), lam_index=np.array(idx, dtype=int))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (2, 2)],
+                         ids=["1-1", "2-1", "1-2", "2-2"])
+def test_build_atoms_matches_the_literal_loop(dims):
+    grid = make_grid(Dims(*dims), GridSpec(
+        x1_extent=8.0, x1_count=16, x2_count=8, lambda_min=0.125,
+        lambda_max=1.0, lambda_count=8))
+    for eta_max in (0.45, 1.0, 2.5, 6.0):
+        atoms = build_atoms(grid, eta_max)
+        for name, want in _literal_atoms(grid, eta_max).items():
+            got = getattr(atoms, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+
+
 def test_sobolev_product_norm_parseval_and_separable():
     prof = bump_symbol_1d(0.2, 0.8)
     g2 = tensor_symbol(prof, prof)
@@ -211,17 +244,18 @@ def test_first_layer_weighted_l2_refinement(default_grid):
 
 
 def test_second_layer_channel_matches_position_space(riesz_grid):
-    # Gram contraction against the literal weighted node sum for an
-    # integer exponent and a small grid (dual-route check).
-    from grushin.calculus import channel_values, weighted_channel_l2
+    # Channel form against the literal weighted node sum of the kernel
+    # on the grid, for an integer exponent and a small grid (dual-route
+    # check).  The x''-nodes are symmetric mod L, so K(x, (y', u)) and
+    # K(x, (y', -u)) enter the even weight alike.
     g = riesz_grid
     prof = bump_symbol_1d(0.05, 0.45)
     got = second_layer_channel_l2(prof, g, np.array([0.4]), 1.0)
-    atoms = build_atoms(g, prof.support[1])
-    coeff = np.asarray(prof(atoms.eigen), dtype=complex) * atoms.weight \
-        * (2 * np.pi) ** -1
-    K = channel_values(g, coeff, atoms, np.array([0.4]))
-    brute = weighted_channel_l2(g, K, lambda u: u ** 2)
+    K = linear_kernel_on_grid(prof, (np.array([0.4]), np.zeros(1)), g)
+    L = g.x2_box_length
+    u = np.abs((g.x2_points[:, 0] + L / 2.0) % L - L / 2.0)   # wrapped |u|
+    brute = float(np.sum(np.multiply.outer(g.x1_weights, g.x2_weights * u ** 2)
+                         * np.abs(K) ** 2))
     # the node-sum rule carries the kinked-weight aliasing error, so the
     # two routes agree only at the percent level on this coarse grid
     assert got == pytest.approx(brute, rel=0.05)
@@ -279,6 +313,83 @@ def test_bilinear_weighted_l2_factors_for_tensor_symbols(riesz_grid):
         both = bilinear_weighted_l2(tensor_symbol(prof, prof),
                                     (x1, np.array([0.0])), riesz_grid, e1, e2)
         assert both == pytest.approx(one[e1] * one[e2], rel=1e-10)
+
+
+EXPONENTS = (0.0, 0.25, 0.4, 1.0)
+
+
+def _kept_form(grid, c, atoms, x1, exponent):
+    """conj(c) @ M @ c over the atoms with c != 0, Gram built literally."""
+    from grushin.calculus import SpectralAtoms, _weighted_gram
+    keep = np.abs(c) > 0
+    sub = SpectralAtoms(grid, atoms.eta_max, atoms.lam[keep],
+                        atoms.lam_abs[keep], atoms.weight[keep],
+                        atoms.level[keep], atoms.eigen[keep],
+                        atoms.lam_index[keep])
+    M = _weighted_gram(sub, x1, exponent)
+    return float(np.real(np.conj(c[keep]) @ M @ c[keep]))
+
+
+@pytest.mark.parametrize("grid_name", ["riesz", "weighted"])
+def test_channel_forms_match_the_literal_gram(grid_name):
+    # The node-sum forms against conj(c) M c with the Q x Q Gram built,
+    # and the tensor bilinear norm against the GEMM contraction.
+    from grushin.calculus import _weighted_gram
+    from grushin.verifier import probe_grid
+    g = probe_grid(grid_name)
+    prof = bump_symbol_1d(0.05, 0.45)
+    x1 = np.array([5.0])
+    atoms = build_atoms(g, 0.45)
+    # a real profile and a complex one (both parts of the node sums)
+    twisted = Symbol1D(lambda e: prof(e) * np.exp(9j * e), prof.support)
+    for F in (prof, twisted):
+        for cut in (None, DyadicCutoff(3)):
+            c = F(atoms.eigen) * atoms.weight
+            c = c if cut is None else c * cut(atoms.lam_abs)
+            for e in EXPONENTS:
+                got = second_layer_channel_l2(F, g, x1, e, cutoff=cut)
+                want = _kept_form(g, c / (2 * np.pi), atoms, x1, e)
+                assert got == pytest.approx(want, rel=1e-12)
+    base = prof(atoms.eigen) * atoms.weight
+
+    G = tensor_symbol(prof, prof)
+    grams = {e: _weighted_gram(atoms, x1, e) for e in EXPONENTS}
+    cut1, cut2 = DyadicCutoff(2), DyadicCutoff(3)
+    cases = [(e1, e2, cuts) for e1, e2 in ((0.0, 0.0), (0.25, 0.4), (1.0, 0.25))
+             for cuts in ((None, None), (cut1, cut2))]
+    for e1, e2, (k1, k2) in cases:
+        got = bilinear_weighted_l2(G, (x1, np.zeros(1)), g, e1, e2,
+                                   cutoff1=k1, cutoff2=k2)
+        a = base if k1 is None else base * k1(atoms.lam_abs)
+        b = base if k2 is None else base * k2(atoms.lam_abs)
+        forms = [float(np.real(np.conj(v) @ grams[e] @ v))
+                 for v, e in ((a, e1), (b, e2))]
+        scale = (2 * np.pi) ** -4
+        assert got == pytest.approx(scale * forms[0] * forms[1], rel=1e-12)
+        if grid_name == "riesz" or (e1, e2, k1) == (0.25, 0.4, cut1):
+            gm = np.outer(a, b)
+            gemm = np.real(np.sum((grams[e1].T @ gm @ grams[e2])
+                                  * np.conj(gm)))
+            assert got == pytest.approx(scale * gemm, rel=1e-12)
+
+
+def test_channel_forms_build_no_gram(riesz_grid, monkeypatch):
+    from grushin import calculus
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a channel form built the Q x Q Gram")
+
+    monkeypatch.setattr(calculus, "_weighted_gram", no_gram)
+    prof = bump_symbol_1d(0.05, 0.45)
+    x1 = np.array([0.7])
+    for e in EXPONENTS:
+        assert second_layer_channel_l2(prof, riesz_grid, x1, e) > 0.0
+        assert second_layer_channel_l2(prof, riesz_grid, x1, e,
+                                       cutoff=DyadicCutoff(3)) > 0.0
+    assert bilinear_weighted_l2(
+        tensor_symbol(prof, indicator_symbol_1d(0.0, 0.3)),
+        (x1, np.zeros(1)), riesz_grid, 0.25, 1.0,
+        cutoff1=DyadicCutoff(2)) > 0.0
 
 
 def test_separable_symbol_matches_generic_path(riesz_grid):

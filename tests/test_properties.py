@@ -1,7 +1,8 @@
 """Algebraic identities the library relies on, checked on random fields
 over small grids in every (d1, d2) in {1, 2}^2: bilinearity and symmetry
-of the direct path, the synthesize/analyze round trip, and results that
-do not depend on the worker count."""
+of the direct path, the synthesize/analyze round trip, results that do
+not depend on the worker count, and the Plancherel identity between the
+two weighted kernel norms at weight exponent 0 (d2 = 1)."""
 
 from functools import lru_cache
 
@@ -9,13 +10,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grushin.calculus import (linear_first_layer_weighted_l2,
+                              second_layer_channel_l2)
 from grushin.dims import Dims
 from grushin.fields import SpectralField, analyze, synthesize
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import multi_index_degrees
 from grushin.reductions import parallel_map
 from grushin.riesz import bilinear_apply_direct
-from grushin.symbols import RieszParams, riesz_symbol
+from grushin.symbols import (RieszParams, bump_symbol_1d, indicator_symbol_1d,
+                             riesz_symbol)
 
 SPEC = GridSpec(x1_extent=16.0, x1_count=32, x2_count=8, lambda_min=0.5,
                 lambda_max=1.0, lambda_count=2)
@@ -104,3 +108,33 @@ def test_results_do_not_depend_on_the_worker_count(dims, seed, workers):
     serial = parallel_map(one, range(len(fs)), 1)
     threaded = parallel_map(one, range(len(fs)), workers)
     assert all(np.array_equal(s, t) for s, t in zip(serial, threaded))
+
+
+# d2 = 1 only (the second-layer norm's u-weight moments are 1-D), with
+# more frequency nodes than SPEC so that many levels meet each profile.
+PLANCHEREL_SPEC = GridSpec(x1_extent=16.0, x1_count=32, x2_count=8,
+                           lambda_min=0.125, lambda_max=1.0, lambda_count=8)
+
+
+@lru_cache(maxsize=None)
+def _plancherel_grid(d1):
+    return make_grid(Dims(d1, 1), PLANCHEREL_SPEC)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d1=st.sampled_from([1, 2]), bump=st.booleans(),
+       lo=st.floats(0.0, 1.0), width=st.floats(0.5, 3.0),
+       x1=st.floats(-6.0, 6.0))
+def test_second_layer_at_exponent_zero_is_the_first_layer_norm(
+        d1, bump, lo, width, x1):
+    # At exponent 0 the u-weight is the lattice delta, so the second-layer
+    # channel is the plain L^2 norm of the (real-symbol, hence Hermitian)
+    # kernel in its free variable: the first-layer norm at gamma = 0.
+    # Every (lo, lo + width) holds an eigenvalue, a multiple of 1/8.
+    grid = _plancherel_grid(d1)
+    F = (bump_symbol_1d if bump else indicator_symbol_1d)(lo, lo + width)
+    base = np.full(d1, x1)
+    second = second_layer_channel_l2(F, grid, base, 0.0)
+    first = linear_first_layer_weighted_l2(F, (base, np.zeros(1)), grid, 0.0)
+    assert first > 0.0
+    assert abs(second - first) <= 1e-12 * first
