@@ -1,6 +1,6 @@
-"""Per-layer timings of the separated path's coefficient, symbol and
-binning layers, of the Sobolev norm and of the weighted kernel norms, on
-fixed configurations.
+"""Per-layer timings of the separated path's coefficient, symbol,
+contraction and binning layers, of the Sobolev norm and of the weighted
+kernel norms, on fixed configurations.
 
     python scripts/layer_bench.py --label change --out BENCH.json
     python scripts/layer_bench.py --label parent --src ../parent/src \
@@ -21,6 +21,9 @@ The configurations are those of ``grushin verify --suite decay`` on the
   the live eigenvalues of the first decay field, j = 1, 3, 6;
 * ``truncated_series_symbol``: truncation 2048 at the distinct
   eigenvalues of both decay fields, j = 1, 3, 6;
+* ``_bilinear_contract``: that symbol gathered onto the atom pairs of
+  the two decay fields (as ``bilinear_apply_separated`` does) and
+  contracted against them, j = 1, 3, 6;
 * ``x2_inverse``: a random x'-fastest (64 x 45,796) array binned to the
   pair frequencies of the two fields, the shape of the bilinear
   contraction's output;
@@ -57,8 +60,8 @@ def _layers():
     from grushin.calculus import (bilinear_weighted_l2,
                                   second_layer_channel_l2,
                                   sobolev_product_norm)
-    from grushin.riesz import (FourierSeriesExpansion, fourier_coeff_batch,
-                               truncated_series_symbol)
+    from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
+                               fourier_coeff_batch, truncated_series_symbol)
     from grushin.symbols import (DyadicCutoff, DyadicPiece, bump_symbol_1d,
                                  dyadic_piece_symbol, tensor_symbol)
     from grushin.verifier import family_fields, live_eigenvalues, probe_grid
@@ -68,8 +71,8 @@ def _layers():
     f = family_fields("hermite-bump", grid, 0, band=band)
     g = family_fields("hermite-bump", grid, 1, band=band)
     live = live_eigenvalues(f)
-    uniq_f = np.unique(f.eigenvalues)
-    uniq_g = np.unique(g.eigenvalues)
+    uniq_f, inv_f = np.unique(f.eigenvalues.reshape(-1), return_inverse=True)
+    uniq_g, inv_g = np.unique(g.eigenvalues.reshape(-1), return_inverse=True)
     ls = np.arange(0, 2049)
 
     out = []
@@ -80,6 +83,11 @@ def _layers():
                     lambda p=piece: fourier_coeff_batch(p, ls, live)))
         out.append((f"truncated_series_symbol[j={j}]",
                     lambda e=exp: truncated_series_symbol(e, uniq_f, uniq_g)))
+        mt = truncated_series_symbol(exp, uniq_f, uniq_g)[
+            np.ix_(inv_f, inv_g)].reshape(f.eigenvalues.shape
+                                          + g.eigenvalues.shape)
+        out.append((f"_bilinear_contract[j={j}]",
+                    lambda m=mt: _bilinear_contract(m, f, g, grid).values))
 
     nu = (f.lambda_support[:, None, :]
           + g.lambda_support[None, :, :]).reshape(-1, grid.dims.d2)

@@ -119,6 +119,8 @@ def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
     y1 = np.atleast_2d(y1_points)
     bank, row_atom = _profile_bank(atoms, np.concatenate([x1, y1]))
     terms = bank[:, :x1.shape[0]] * bank[:, x1.shape[0]:]
+    if row_atom.size == atoms.count:     # one row per atom (always at d1 = 1)
+        return terms
     first = np.searchsorted(row_atom, np.arange(atoms.count))
     return np.add.reduceat(terms, first, axis=0)
 

@@ -1,8 +1,10 @@
 """Algebraic identities the library relies on, checked on random fields
 over small grids in every (d1, d2) in {1, 2}^2: bilinearity and symmetry
-of the direct path, the synthesize/analyze round trip, results that do
-not depend on the worker count, and the Plancherel identity between the
-two weighted kernel norms at weight exponent 0 (d2 = 1)."""
+of the direct path, the atom-pair contraction against the dense einsum,
+dilation covariance of the Riesz means, the synthesize/analyze round
+trip, results that do not depend on the worker count, and the Plancherel
+identity between the two weighted kernel norms at weight exponent 0
+(d2 = 1)."""
 
 from functools import lru_cache
 
@@ -17,7 +19,8 @@ from grushin.fields import SpectralField, analyze, synthesize
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import multi_index_degrees
 from grushin.reductions import parallel_map
-from grushin.riesz import bilinear_apply_direct
+from grushin.riesz import (_bilinear_contract, _weighted_profiles,
+                           bilinear_apply_direct, dilation_covariance_check)
 from grushin.symbols import (RieszParams, bump_symbol_1d, indicator_symbol_1d,
                              riesz_symbol)
 
@@ -83,6 +86,94 @@ def test_direct_path_is_symmetric_for_the_riesz_symbol(dims, seed):
     gf = bilinear_apply_direct(RIESZ, g, f, grid).values
     assert np.max(np.abs(fg)) > 0.0
     assert _rel(gf, fg) <= 1e-12
+
+
+def _dense_contract(mt, f, g, grid):
+    """The contraction as one dense einsum over every atom pair."""
+    D = np.einsum("iajb,iax,jbx->xij", mt, _weighted_profiles(f, grid),
+                  _weighted_profiles(g, grid))
+    nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
+    scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
+    return scale * grid.x2_inverse(D.reshape(D.shape[0], -1),
+                                   nu.reshape(-1, grid.dims.d2))
+
+
+def _live_atoms(rng, n_nodes, n_levels):
+    """Random live (node, level) atoms; on level 0 the first and last
+    nodes live and a middle one dead, so its live nodes are no range."""
+    live = rng.random((n_nodes, n_levels)) < 0.5
+    live[[0, -1], 0] = True
+    if n_nodes >= 3:
+        live[n_nodes // 2, 0] = False
+    return live
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=DIMS, seed=SEEDS, complex_mt=st.booleans(),
+       pattern=st.sampled_from(["dense", "holes", "zero", "one"]))
+def test_contraction_matches_the_dense_einsum(dims, seed, complex_mt,
+                                              pattern):
+    grid = _grid(*dims)
+    (f,) = _fields(grid, seed)
+    (g,) = _fields(grid, seed + 1)
+    rng = np.random.default_rng(seed)
+    shape = f.eigenvalues.shape + g.eigenvalues.shape   # (nf, amu, ng, bmu)
+    mt = rng.normal(size=shape)
+    if complex_mt:
+        mt = mt + 1j * rng.normal(size=shape)
+    if pattern == "holes":
+        mt *= _live_atoms(rng, *shape[:2])[:, :, None, None]
+        mt *= _live_atoms(rng, *shape[2:])[None, None]
+    elif pattern == "zero":
+        mt *= 0.0
+    elif pattern == "one":
+        only = np.zeros(shape, dtype=bool)
+        only[tuple(int(rng.integers(n)) for n in shape)] = True
+        mt *= only
+    got = _bilinear_contract(mt, f, g, grid).values
+    want = _dense_contract(mt, f, g, grid)
+    if pattern == "zero":
+        assert not np.any(got)
+    else:
+        assert np.max(np.abs(want)) > 0.0
+        assert _rel(got, want) <= 1e-13
+
+
+# Nodes k/16 up to 1: a support on |lambda_i| = 1/4 stays on the node set
+# under both t = 2 (lambda -> 4 lambda) and t = 1/2 (lambda -> lambda/4).
+DILATION_SPEC = GridSpec(x1_extent=8.0, x1_count=16, x2_count=64,
+                         lambda_min=1.0 / 16.0, lambda_max=1.0,
+                         lambda_count=16)
+
+
+@lru_cache(maxsize=None)
+def _dilation_grid(d1, d2):
+    return make_grid(Dims(d1, d2), DILATION_SPEC)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=DIMS, seed=SEEDS, t=st.sampled_from([2.0, 0.5]),
+       alpha=st.floats(0.5, 2.0), r=st.floats(1.5, 4.0))
+def test_riesz_means_are_dilation_covariant(dims, seed, t, alpha, r):
+    # The mean at radius r on (f, g) is the 1/t-dilate of the mean at
+    # r t^2 on the t-dilated fields.  The lowest eigenvalue sum is d1/2,
+    # below r, so the mean never vanishes.
+    grid = _dilation_grid(*dims)
+    rng = np.random.default_rng(seed)
+    quarter = np.all(np.abs(grid.lambda_points) == 0.25, axis=1)
+    keep = quarter & (rng.random(grid.n_lambda) < 0.6)
+    keep[np.flatnonzero(quarter)[0]] = True
+    support = grid.lambda_points[keep]
+    n_mu = multi_index_degrees(grid.dims.d1, 2).size
+    f, g = (SpectralField(grid.dims, support, 2,
+                          rng.normal(size=(support.shape[0], n_mu))
+                          + 1j * rng.normal(size=(support.shape[0], n_mu)))
+            for _ in range(2))
+    rep = dilation_covariance_check(RieszParams(alpha, r * t * t, grid.dims),
+                                    f, g, t, grid)
+    assert rep.verdict == "PASS"
+    assert rep.details["reference"] > 0.0
+    assert rep.max_ratio <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
