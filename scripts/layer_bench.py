@@ -1,6 +1,7 @@
 """Per-layer timings of the separated path's coefficient, symbol,
-contraction and binning layers, of the Sobolev norm and of the weighted
-kernel norms, on fixed configurations.
+contraction and binning layers, of the Sobolev norm, of the weighted
+kernel norms and of the pointwise kernel batches, on fixed
+configurations.
 
     python scripts/layer_bench.py --label change --out BENCH.json
     python scripts/layer_bench.py --label parent --src ../parent/src \
@@ -36,7 +37,15 @@ with the probes' bump profile on (0.05, 0.45):
 
 * ``second_layer_channel_l2`` at u-exponent 0.25, and at 1.0 with the
   frequency cutoff ``DyadicCutoff(3)``;
-* ``bilinear_weighted_l2`` of the tensor symbol at exponents (0, 0).
+* ``bilinear_weighted_l2`` of the tensor symbol at exponents (0, 0);
+
+and those of ``grushin verify --suite kernel`` on the ``decay`` grid,
+alpha = 1:
+
+* ``bilinear_kernel_batch``: the piece j at the 40 stratified triples of
+  library seed 0, j = 1..6;
+* ``dyadic_piece_symbol``: the piece j at every pair of atom eigenvalues
+  up to 1 (730 x 730 pairs), j = 1, 3, 6.
 """
 
 from __future__ import annotations
@@ -57,14 +66,15 @@ REPEATS = 5
 def _layers():
     """(name, zero-argument callable) for every timed configuration."""
     import numpy as np
-    from grushin.calculus import (bilinear_weighted_l2,
-                                  second_layer_channel_l2,
+    from grushin.calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
+                                  build_atoms, second_layer_channel_l2,
                                   sobolev_product_norm)
     from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
                                fourier_coeff_batch, truncated_series_symbol)
     from grushin.symbols import (DyadicCutoff, DyadicPiece, bump_symbol_1d,
                                  dyadic_piece_symbol, tensor_symbol)
-    from grushin.verifier import family_fields, live_eigenvalues, probe_grid
+    from grushin.verifier import (_stratified_triples, family_fields,
+                                  live_eigenvalues, probe_grid)
 
     grid = probe_grid("decay")
     band = (1.0 / 8.0, 0.96)
@@ -114,6 +124,17 @@ def _layers():
                 lambda: bilinear_weighted_l2(tensor_symbol(prof, prof),
                                              (x1, np.zeros(1)), wgrid,
                                              0.0, 0.0)))
+
+    triples = tuple(zip(*_stratified_triples(0)))
+    for j in range(1, 7):
+        sym = dyadic_piece_symbol(DyadicPiece(j, 1.0))
+        out.append((f"bilinear_kernel_batch[j={j}]",
+                    lambda s=sym: bilinear_kernel_batch(s, *triples, grid)))
+    eigen = build_atoms(grid, 1.0).eigen
+    for j in (1, 3, 6):
+        sym = dyadic_piece_symbol(DyadicPiece(j, 1.0))
+        out.append((f"dyadic_piece_symbol[j={j}]",
+                    lambda s=sym: s(eigen[:, None], eigen[None, :])))
     return out
 
 

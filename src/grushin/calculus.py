@@ -139,15 +139,24 @@ def linear_kernel(F: Symbol1D, x, y, grid: Grid) -> complex:
 
 def linear_kernel_batch(F: Symbol1D, xs, ys, grid: Grid) -> np.ndarray:
     atoms = build_atoms(grid, F.support[1])
-    sym = np.asarray(F(atoms.eigen))
-    scale = (2.0 * np.pi) ** (-grid.dims.d2)
+    coeff = atoms.weight * np.asarray(F(atoms.eigen))
+    rows = _phase_rows(atoms, coeff, xs, ys)
+    return (2.0 * np.pi) ** (-grid.dims.d2) * pairwise_sum(rows, axis=1)
+
+
+def _phase_rows(atoms: SpectralAtoms, coeff: np.ndarray, xs, ys) -> np.ndarray:
+    """rows[t, q] = coeff_q exp(i lambda_q . (x''_t - y''_t)) Proj_q(x', y')
+    at the t-th point pair (x_t, y_t) of the batch.
+
+    The phase argument is summed axis by axis in elementwise products,
+    so each row is the same whichever other points share the batch.
+    """
+    d = _stack(xs, 1) - _stack(ys, 1)
+    arg = d[:, :1] * atoms.lam[:, 0]
+    for k in range(1, d.shape[1]):
+        arg = arg + d[:, k:k + 1] * atoms.lam[:, k]
     proj = atom_projection_values(atoms, _stack(xs, 0), _stack(ys, 0))
-    out = np.empty(len(xs), dtype=complex)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        x2, y2 = np.atleast_1d(x[1]), np.atleast_1d(y[1])
-        phase = np.exp(1j * (atoms.lam @ (x2 - y2)))
-        out[i] = scale * pairwise_sum(atoms.weight * sym * phase * proj[:, i])
-    return out
+    return coeff * np.exp(1j * arg) * proj.T
 
 
 def _stack(points, layer: int) -> np.ndarray:
@@ -171,26 +180,41 @@ def bilinear_kernel(G: Symbol2D, x, y, z, grid: Grid) -> complex:
 
 
 def bilinear_kernel_batch(G: Symbol2D, xs, ys, zs, grid: Grid) -> np.ndarray:
-    """Kernel of the bilinear operator at sample triples (vectorized)."""
+    """Kernel of the bilinear operator at sample triples.
+
+    Only the live block of the symbol is visited: the atom rows and
+    columns where G(eta1, eta2) is nonzero somewhere.  The triples are
+    contracted in real arithmetic by one stacked matmul, one product per
+    triple, so each value does not depend on the rest of the batch.
+    """
     (a1, b1), (a2, b2) = G.support
     atoms1 = build_atoms(grid, b1)
     atoms2 = build_atoms(grid, b2)
     gmat = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]))
+    live = gmat != 0
+    rows = np.flatnonzero(live.any(axis=1))
+    cols = np.flatnonzero(live.any(axis=0))
+    if rows.size == 0:
+        return np.zeros(len(xs), dtype=complex)
+    sub1, sub2 = _atom_subset(atoms1, rows), _atom_subset(atoms2, cols)
+    a = _phase_rows(sub1, sub1.weight, xs, ys)
+    b = _phase_rows(sub2, sub2.weight, xs, zs)
+    block = np.ix_(rows, cols)
+    ab = np.stack((a.real, a.imag), axis=1)     # (T, 2, R)
+    u = ab @ gmat.real[block]                   # (Re a Gr, Im a Gr)
+    if gmat.imag.any():                         # plus i a Gi
+        v = ab @ gmat.imag[block]
+        u = u + np.stack((-v[:, 1], v[:, 0]), axis=1)
+    q = u @ np.stack((b.real, b.imag), axis=2)  # (T, 2, 2)
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
-    x1 = _stack(xs, 0)
-    proj1 = atom_projection_values(atoms1, x1, _stack(ys, 0))
-    proj2 = atom_projection_values(atoms2, x1, _stack(zs, 0))
-    out = np.empty(len(xs), dtype=complex)
-    for i, (x, y, z) in enumerate(zip(xs, ys, zs)):
-        x2 = np.atleast_1d(x[1])
-        a = (atoms1.weight
-             * np.exp(1j * (atoms1.lam @ (x2 - np.atleast_1d(y[1]))))
-             * proj1[:, i])
-        b = (atoms2.weight
-             * np.exp(1j * (atoms2.lam @ (x2 - np.atleast_1d(z[1]))))
-             * proj2[:, i])
-        out[i] = scale * (a @ gmat @ b)
-    return out
+    return scale * ((q[:, 0, 0] - q[:, 1, 1]) + 1j * (q[:, 0, 1] + q[:, 1, 0]))
+
+
+def _atom_subset(atoms: SpectralAtoms, keep) -> SpectralAtoms:
+    """The atoms selected by ``keep`` (a mask or an index array), in order."""
+    return replace(atoms, **{k: getattr(atoms, k)[keep] for k in
+                             ("lam", "lam_abs", "weight", "level", "eigen",
+                              "lam_index")})
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +373,8 @@ def second_layer_channel_l2(profile: Symbol1D, grid: Grid, x1_point,
     keep = np.abs(coeff) > 0   # the u-weight table spans the kept atoms
     if not keep.any():
         return 0.0
-    sub = replace(atoms, **{k: getattr(atoms, k)[keep] for k in
-                            ("lam", "lam_abs", "weight", "level", "eigen",
-                             "lam_index")})
-    form = _channel_form(sub, coeff[keep], np.atleast_1d(x1_point), u_exponent)
+    form = _channel_form(_atom_subset(atoms, keep), coeff[keep],
+                         np.atleast_1d(x1_point), u_exponent)
     return (2.0 * np.pi) ** (-2 * grid.dims.d2) * form
 
 

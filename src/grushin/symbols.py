@@ -208,11 +208,21 @@ def dyadic_piece_profile(piece: DyadicPiece):
 
 
 def dyadic_piece_symbol(piece: DyadicPiece) -> Symbol2D:
-    """The dyadic piece as a 2-variable symbol restricted to [0, 1]^2."""
+    """The dyadic piece as a 2-variable symbol restricted to [0, 1]^2.
+
+    The profile is evaluated only where s = 1 - eta1 - eta2 lies in the
+    open shell of the piece; the bump vanishes exactly outside it, so the
+    exact zeros written there are the profile's own values.
+    """
     profile = dyadic_piece_profile(piece)
+    lo, hi = piece.shell
 
     def ev(e1, e2):
-        return profile(1.0 - e1 - e2)
+        s = 1.0 - e1 - e2
+        inside = (s > lo) & (s < hi)
+        out = np.zeros(s.shape)
+        out[inside] = profile(s[inside])
+        return out
 
     return Symbol2D(ev, ((0.0, 1.0), (0.0, 1.0)),
                     name=f"dyadic(j={piece.j},alpha={piece.alpha})")

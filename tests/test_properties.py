@@ -2,9 +2,10 @@
 over small grids in every (d1, d2) in {1, 2}^2: bilinearity and symmetry
 of the direct path, the atom-pair contraction against the dense einsum,
 dilation covariance of the Riesz means, the synthesize/analyze round
-trip, results that do not depend on the worker count, and the Plancherel
+trip, results that do not depend on the worker count, the Plancherel
 identity between the two weighted kernel norms at weight exponent 0
-(d2 = 1)."""
+(d2 = 1), and kernel batches that do not depend on how the triples are
+batched and match the per-triple contraction."""
 
 from functools import lru_cache
 
@@ -12,7 +13,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushin.calculus import (linear_first_layer_weighted_l2,
+from grushin.calculus import (_stack, atom_projection_values,
+                              bilinear_kernel_batch, build_atoms,
+                              linear_first_layer_weighted_l2,
                               second_layer_channel_l2)
 from grushin.dims import Dims
 from grushin.fields import SpectralField, analyze, synthesize
@@ -21,8 +24,10 @@ from grushin.hermite import multi_index_degrees
 from grushin.reductions import parallel_map
 from grushin.riesz import (_bilinear_contract, _weighted_profiles,
                            bilinear_apply_direct, dilation_covariance_check)
-from grushin.symbols import (RieszParams, bump_symbol_1d, indicator_symbol_1d,
-                             riesz_symbol)
+from grushin.symbols import (DyadicPiece, RieszParams, Symbol2D,
+                             bump_symbol_1d, dyadic_piece_symbol,
+                             indicator_symbol_1d, riesz_symbol, tensor_symbol,
+                             truncated_power)
 
 SPEC = GridSpec(x1_extent=16.0, x1_count=32, x2_count=8, lambda_min=0.5,
                 lambda_max=1.0, lambda_count=2)
@@ -229,3 +234,65 @@ def test_second_layer_at_exponent_zero_is_the_first_layer_norm(
     first = linear_first_layer_weighted_l2(F, (base, np.zeros(1)), grid, 0.0)
     assert first > 0.0
     assert abs(second - first) <= 1e-12 * first
+
+
+# Frequencies 1/16 .. 1/2: the dyadic pieces j = 1..3 meet the atom pairs.
+KERNEL_SPEC = GridSpec(x1_extent=8.0, x1_count=16, x2_count=16,
+                       lambda_min=1.0 / 16.0, lambda_max=0.5, lambda_count=8)
+UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+KERNEL_SYMBOLS = {
+    "dyadic": dyadic_piece_symbol(DyadicPiece(2, 1.0)),
+    "riesz": riesz_symbol(RieszParams(0.5, 1.0)),
+    "tensor-bump": tensor_symbol(bump_symbol_1d(0.1, 0.6),
+                                 bump_symbol_1d(0.2, 0.9)),
+    "complex": Symbol2D(lambda e1, e2: np.exp(1j * (3.0 * e1 - 5.0 * e2))
+                        * truncated_power(1.0 - e1 - e2, 1.0), UNIT_BOX),
+    "zero": Symbol2D(lambda e1, e2: np.zeros_like(e1), UNIT_BOX),
+}
+
+
+@lru_cache(maxsize=None)
+def _kernel_grid(d1, d2):
+    return make_grid(Dims(d1, d2), KERNEL_SPEC)
+
+
+def _kernel_oracle(G, xs, ys, zs, grid):
+    """The kernel as one complex a @ gmat @ b per triple over every atom."""
+    (_, b1), (_, b2) = G.support
+    atoms1, atoms2 = build_atoms(grid, b1), build_atoms(grid, b2)
+    gmat = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]))
+    x1 = _stack(xs, 0)
+    proj1 = atom_projection_values(atoms1, x1, _stack(ys, 0))
+    proj2 = atom_projection_values(atoms2, x1, _stack(zs, 0))
+    out = np.empty(len(xs), dtype=complex)
+    for i, (x, y, z) in enumerate(zip(xs, ys, zs)):
+        a = (atoms1.weight * np.exp(1j * (atoms1.lam @ (x[1] - y[1])))
+             * proj1[:, i])
+        b = (atoms2.weight * np.exp(1j * (atoms2.lam @ (x[1] - z[1])))
+             * proj2[:, i])
+        out[i] = (2.0 * np.pi) ** (-2 * grid.dims.d2) * (a @ gmat @ b)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=DIMS, seed=SEEDS, name=st.sampled_from(sorted(KERNEL_SYMBOLS)),
+       cuts=st.lists(st.integers(1, 8), max_size=4))
+def test_kernel_batches_split_anywhere_and_match_the_oracle(dims, seed, name,
+                                                             cuts):
+    grid = _kernel_grid(*dims)
+    d1, d2 = dims
+    rng = np.random.default_rng(seed)
+    xs, ys, zs = ([(rng.uniform(-3, 3, d1), rng.uniform(-4, 4, d2))
+                   for _ in range(9)] for _ in range(3))
+    G = KERNEL_SYMBOLS[name]
+    whole = bilinear_kernel_batch(G, xs, ys, zs, grid)
+    edges = [0, *sorted(set(cuts)), len(xs)]
+    pieces = [bilinear_kernel_batch(G, xs[i:j], ys[i:j], zs[i:j], grid)
+              for i, j in zip(edges, edges[1:]) if i < j]
+    np.testing.assert_array_equal(np.concatenate(pieces), whole)
+    want = _kernel_oracle(G, xs, ys, zs, grid)
+    if name == "zero":
+        assert not np.any(whole)
+    else:
+        assert np.max(np.abs(want)) > 0.0
+        assert np.max(np.abs(whole - want)) <= 1e-13 * np.max(np.abs(want))

@@ -3,9 +3,18 @@ import pytest
 
 from grushin.symbols import (DyadicCutoff, DyadicPiece, RieszParams,
                              builtin_symbol_1d, builtin_symbol_2d,
-                             bump_symbol_1d, dyadic_bump, dyadic_piece_symbol,
+                             Symbol2D, bump_symbol_1d, dyadic_bump,
+                             dyadic_piece_profile, dyadic_piece_symbol,
                              partition_defect, plateau, riesz_symbol,
                              SeparableSymbol2D, tensor_symbol, truncated_power)
+
+
+@pytest.fixture(scope="module")
+def decay_eigen():
+    """Atom eigenvalues of the ``decay`` probe grid up to 1."""
+    from grushin.calculus import build_atoms
+    from grushin.verifier import probe_grid
+    return build_atoms(probe_grid("decay"), 1.0).eigen
 
 
 def test_dyadic_partition_of_unity():
@@ -59,6 +68,38 @@ def test_dyadic_piece_support_and_values():
     assert sym(e1, 1.0 - e1 - 2.0 ** -1)[0] == 0.0
     lo, hi = piece.shell
     assert (lo, hi) == (2.0 ** -4, 2.0 ** -2)
+
+
+def _shell_points(j):
+    """(eta1, eta2) pairs: s = 1 - eta1 - eta2 exactly at both shell edges
+    and one ulp around them, at 0, below 0, and above 1 (negative eta)."""
+    e1, e2 = [], []
+    for edge in (2.0 ** (-j - 1), 2.0 ** (-j + 1)):
+        for t in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 3.0)):
+            for share in (0.0, 0.5, 1.0):
+                e1.append(share * (1.0 - t))
+                e2.append((1.0 - share) * (1.0 - t))
+    e1 += [0.5, 0.6, 1.0, 0.0, -0.25, -1.5, -0.5]
+    e2 += [0.5, 0.7, 1.0, 1.0, -0.25, 0.0, -0.5]
+    return np.array(e1), np.array(e2)
+
+
+@pytest.mark.parametrize("j", range(9))
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_dyadic_piece_symbol_is_its_profile_bit_for_bit(decay_eigen, j, alpha):
+    # The symbol evaluates the profile on the open shell only; everywhere
+    # the result must be the full-grid evaluation, to the last bit.
+    piece = DyadicPiece(j, alpha)
+    profile = dyadic_piece_profile(piece)
+    sym = dyadic_piece_symbol(piece)
+    full = Symbol2D(lambda e1, e2: profile(1.0 - e1 - e2), sym.support)
+    e1, e2 = _shell_points(j)
+    for got, want in ((sym(e1, e2), full(e1, e2)),
+                      (sym.evaluator(e1, e2), profile(1.0 - e1 - e2)),
+                      (sym(decay_eigen[:, None], decay_eigen[None, :]),
+                       full(decay_eigen[:, None], decay_eigen[None, :]))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
