@@ -386,7 +386,9 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
     |bilinear kernel(x, y, z)|^2, with optional frequency-size cutoffs on
     each channel.  A tensor symbol g = a b^T factors into two channel
     forms, (a^H M1 a)(b^H M2 b); any other G is contracted against both
-    weighted Grams.  d2 = 1 only (NotImplementedError otherwise).
+    weighted Grams; no probe reaches that branch, but it stays as the only
+    code for the general-G estimate, and its `_weighted_gram` is the
+    tests' oracle.  d2 = 1 only (NotImplementedError otherwise).
     """
     x1 = np.atleast_1d(x[0])
     (a1, b1), (a2, b2) = G.support

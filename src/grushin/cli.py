@@ -19,15 +19,19 @@ import time
 import numpy as np
 
 from . import __version__
+from .calculus import bilinear_kernel_batch, linear_kernel_batch
 from .dims import Dims
-from .fields import lp_norm, synthesize, write_field_binary, write_field_csv
+from .fields import (analyze, lp_norm, synthesize, write_field_binary,
+                     write_field_csv)
+from .geometry import Point, weight_integral_check
 from .grid import GRID_KEYS, GridSpec, format_flat_config, make_grid, \
     parse_flat_config
 from .report import ProbeReport, csv_row
 from .riesz import (bilinear_apply_direct, bilinear_apply_separated,
                     build_expansion, dilation_covariance_check)
 from .symbols import (DyadicPiece, RieszParams, builtin_symbol_1d,
-                      builtin_symbol_2d, dyadic_piece_symbol, riesz_symbol)
+                      builtin_symbol_2d, dyadic_piece_symbol, riesz_symbol,
+                      truncated_power)
 from .thresholds import threshold_table
 from .verifier import (DecayProbeSpec, coefficient_decay_probe,
                        dyadic_decay_probe, family_fields, live_eigenvalues,
@@ -82,43 +86,38 @@ def _report_csv(report: ProbeReport, path: str, cfg_hash: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the resolved config and --out, and returns
+# (manifest path, outputs, verdicts, message, exit status)
 
-def cmd_grid(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_grid(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
-    out = args.out or "grid.cfg"
+    out = out or "grid.cfg"
     resolved = {k: getattr(grid.resolved, k) for k in GRID_KEYS}
     with open(out, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
         fh.write(format_flat_config({k: str(v) for k, v in resolved.items()}))
-    _write_manifest(out + ".manifest", "grid", cfg, [out], {}, args._t0)
-    print(f"grid written to {out} "
-          f"({grid.n_x1} x {grid.resolved.x2_count} spatial nodes, "
-          f"{grid.n_lambda} frequency nodes)")
-    return 0
+    return (out + ".manifest", [out], {},
+            f"grid written to {out} "
+            f"({grid.n_x1} x {grid.resolved.x2_count} spatial nodes, "
+            f"{grid.n_lambda} frequency nodes)", 0)
 
 
-def cmd_field(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_field(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     family = cfg.get("family", "hermite-bump")
     seed = int(cfg.get("seed", 0))
     f = family_fields(family, grid, seed,
                       max_degree=int(cfg.get("max_degree", 4)))
     h = synthesize(f, grid)
-    out = args.out or "field"
-    chash = config_hash(cfg)
+    out = out or "field"
     write_field_binary(h, out + ".grsh")
-    write_field_csv(h, out + ".csv", [f"config_hash={chash}"])
-    _write_manifest(out + ".manifest", "field", cfg,
-                    [out + ".grsh", out + ".csv"], {}, args._t0)
-    print(f"field ({family}, seed {seed}) written to {out}.grsh / {out}.csv")
-    return 0
+    write_field_csv(h, out + ".csv", [f"config_hash={config_hash(cfg)}"])
+    return (out + ".manifest", [out + ".grsh", out + ".csv"], {},
+            f"field ({family}, seed {seed}) written to {out}.grsh / {out}.csv",
+            0)
 
 
-def cmd_riesz(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_riesz(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     alpha = float(cfg.get("alpha", 1.0))
     big_r = float(cfg.get("R", 1.0))
@@ -128,8 +127,7 @@ def cmd_riesz(args) -> int:
             float(cfg.get("band_hi", 0.45)))
     f = family_fields(family, grid, seed, band=band)
     g = family_fields(family, grid, seed + 1, band=band)
-    chash = config_hash(cfg)
-    out = args.out or "riesz_out"
+    out = out or "riesz_out"
     verdicts = {}
     if "j" in cfg:
         piece = DyadicPiece(int(cfg["j"]), alpha)
@@ -147,32 +145,27 @@ def cmd_riesz(args) -> int:
         result = bilinear_apply_direct(
             riesz_symbol(RieszParams(alpha, big_r, grid.dims)), f, g, grid)
     write_field_binary(result, out + ".grsh")
-    write_field_csv(result, out + ".csv", [f"config_hash={chash}"])
-    _write_manifest(out + ".manifest", "riesz", cfg,
-                    [out + ".grsh", out + ".csv"], verdicts, args._t0)
-    print(f"bilinear mean written to {out}.grsh; "
-          + (f"separated-path deviation {verdicts['separation_rel_l2']}"
-             if verdicts else f"norm {lp_norm(result, 2.0):.6e}"))
-    return 0
+    write_field_csv(result, out + ".csv", [f"config_hash={config_hash(cfg)}"])
+    return (out + ".manifest", [out + ".grsh", out + ".csv"], verdicts,
+            f"bilinear mean written to {out}.grsh; "
+            + (f"separated-path deviation {verdicts['separation_rel_l2']}"
+               if verdicts else f"norm {lp_norm(result, 2.0):.6e}"), 0)
 
 
-def cmd_kernel(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_kernel(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     name = cfg.get("symbol", "riesz")
     params = {k.split(".", 1)[1]: v for k, v in cfg.items()
               if k.startswith("symbol.")}
-    chash = config_hash(cfg)
-    out = args.out or "kernel.csv"
+    out = out or "kernel.csv"
     n = int(cfg.get("n_points", 16))
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     pts = [((rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)),
             (rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)),
             (rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)))
            for _ in range(n)]
-    from .calculus import bilinear_kernel_batch, linear_kernel_batch
     with open(out, "w") as fh:
-        fh.write(f"# config_hash={chash}\n")
+        fh.write(f"# config_hash={config_hash(cfg)}\n")
         try:
             sym2 = builtin_symbol_2d(name, **params)
             vals = bilinear_kernel_batch(sym2, [p[0] for p in pts],
@@ -191,52 +184,29 @@ def cmd_kernel(args) -> int:
             for (x, y, _), v in zip(pts, vals):
                 fh.write(csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
                                  v.real, v.imag))
-    _write_manifest(out + ".manifest", "kernel", cfg, [out], {}, args._t0)
-    print(f"kernel samples written to {out}")
-    return 0
+    return out + ".manifest", [out], {}, f"kernel samples written to {out}", 0
 
 
-SUITES = ("core", "kernel", "plancherel", "decay", "all")
+def cmd_thresholds(cfg: dict, out: str | None):
+    d1 = int(cfg.get("d1", 1))
+    d2 = int(cfg.get("d2", 1))
+    variant = cfg.get("variant", "general")
+    resolution = int(cfg.get("resolution", 20))
+    table = threshold_table(Dims(d1, d2), variant, resolution)
+    out = out or "thresholds.csv"
+    with open(out, "w") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)}\n")
+        fh.write(table)
+    return (out + ".manifest", [out], {},
+            f"threshold table ({variant}, resolution {resolution}) "
+            f"written to {out}", 0)
 
 
-def _run_suite(suite: str, cfg: dict) -> dict[str, ProbeReport]:
-    workers = int(cfg["workers"]) if "workers" in cfg else None
-    seed = int(cfg.get("seed", 0))
-    reports: dict[str, ProbeReport] = {}
+# ---------------------------------------------------------------------------
+# probes
 
-    if suite in ("core", "all"):
-        reports["core/partition"] = _partition_report()
-        reports["core/roundtrip"] = _roundtrip_report()
-    if suite in ("kernel", "all"):
-        for (b1, b2) in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)):
-            for variant in ("xx", "yz"):
-                key = f"kernel/b{b1:g}-{b2:g}-{variant}"
-                reports[key] = pointwise_kernel_probe(
-                    1.0, b1, b2, variant=variant, seed=seed, workers=workers)
-    if suite in ("plancherel", "all"):
-        reports["plancherel/first-layer"] = weighted_plancherel_probe(
-            "linear_first_layer", gamma1=0.25, workers=workers)
-        reports["plancherel/bilinear"] = weighted_plancherel_probe(
-            "bilinear", workers=workers)
-        reports["plancherel/second-layer"] = weighted_plancherel_probe(
-            "second_layer", gamma1=0.25, gamma2=0.4, workers=workers)
-        reports["plancherel/truncated"] = weighted_plancherel_probe(
-            "truncated", n1=1.0, n2=0.0, workers=workers)
-        reports["plancherel/restriction"] = restriction_probe(0.0)
-    if suite in ("decay", "all"):
-        alpha = float(cfg.get("alpha", 0.5))
-        reports["decay/coefficient"] = coefficient_decay_probe(
-            1.0, 0.05, workers=workers)
-        reports["decay/2-2-1"] = dyadic_decay_probe(
-            DecayProbeSpec(alpha=alpha, p1=2, p2=2, p=1, seed=seed),
-            workers=workers)
-        reports["decay/mixed"] = mixed_norm_decay_probe(
-            float(cfg.get("alpha_mixed", 1.6)), seed=seed, workers=workers)
-    return reports
-
-
-def _partition_report() -> ProbeReport:
-    from .symbols import dyadic_piece_symbol as piece_sym, truncated_power
+def partition_probe() -> ProbeReport:
+    """The dyadic pieces sum to the truncated power away from its edge."""
     e1 = np.linspace(0, 1, 201)
     e2 = np.linspace(0, 1, 199)
     E1, E2 = np.meshgrid(e1, e2, indexing="ij")
@@ -244,40 +214,112 @@ def _partition_report() -> ProbeReport:
     for alpha in (0.5, 1.0, 2.0):
         total = np.zeros_like(E1, dtype=complex)
         for j in range(13):
-            total += piece_sym(DyadicPiece(j, alpha))(E1, E2)
+            total += dyadic_piece_symbol(DyadicPiece(j, alpha))(E1, E2)
         target = truncated_power(1.0 - E1 - E2, alpha)
         s = 1.0 - E1 - E2
         mask = (s >= 2.0 ** -12) | (s <= 0)
         worst = max(worst, float(np.max(np.abs(total - target)[mask])))
-    report = ProbeReport.from_samples([0.0], [np.log2(max(worst, 1e-300))],
-                                      max_ratio=worst)
-    report.verdict = "PASS" if worst <= 1e-10 else "FAIL"
-    return report
+    return ProbeReport.deviation(worst, 1e-10)
 
 
-def _roundtrip_report() -> ProbeReport:
-    from .fields import analyze
+def roundtrip_probe() -> ProbeReport:
+    """analyze(synthesize(f)) recovers f's coefficients."""
     grid = probe_grid("default")
     f = family_fields("hermite-bump", grid, 0, band=(1.25, 2.0), max_degree=16)
     back = analyze(synthesize(f, grid), 16, lambda_support=f.lambda_support)
     err = float(np.max(np.abs(back.coeffs - f.coeffs))
                 / np.max(np.abs(f.coeffs)))
-    report = ProbeReport.from_samples([0.0], [np.log2(max(err, 1e-300))],
-                                      max_ratio=err)
-    report.verdict = "PASS" if err <= 1e-6 else "FAIL"
-    return report
+    return ProbeReport.deviation(err, 1e-6)
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
-    suite = cfg.get("suite", getattr(args, "suite", None) or "core")
+def _decay_probe_run(cfg: dict, seed: int, workers):
+    p1 = float(cfg.get("p1", 2)); p2 = float(cfg.get("p2", 2))
+    inv = (0 if math.isinf(p1) else 1 / p1) + (0 if math.isinf(p2) else 1 / p2)
+    spec = DecayProbeSpec(alpha=float(cfg.get("alpha", 0.5)), p1=p1, p2=p2,
+                          p=math.inf if inv == 0 else 1.0 / inv, seed=seed)
+    return dyadic_decay_probe(spec, workers=workers)
+
+
+def _dilation_probe_run(cfg: dict, seed: int, workers):
+    grid = probe_grid("dilation")
+    f, g = (family_fields("hermite-bump", grid, s, band=(0.25, 0.75),
+                          max_degree=2) for s in (seed, seed + 1))
+    t = float(cfg.get("t", 2.0))
+    return dilation_covariance_check(
+        RieszParams(float(cfg.get("alpha", 1.0)), t * t, grid.dims),
+        f, g, t, grid)
+
+
+# name -> run(cfg, seed, workers), with the defaults of `grushin probe`.
+# Each run looks its probe up by module-global name when it is called, so
+# a wrapper installed on this module's attribute sees every call.
+PROBES = {
+    "partition": lambda cfg, seed, workers: partition_probe(),
+    "roundtrip": lambda cfg, seed, workers: roundtrip_probe(),
+    "kernel": lambda cfg, seed, workers: pointwise_kernel_probe(
+        float(cfg.get("alpha", 1.0)), float(cfg.get("beta1", 0.0)),
+        float(cfg.get("beta2", 0.0)), variant=cfg.get("variant", "xx"),
+        seed=seed, workers=workers),
+    "plancherel": lambda cfg, seed, workers: weighted_plancherel_probe(
+        cfg.get("kind", "second_layer"),
+        gamma1=float(cfg.get("gamma1", 0.25)),
+        gamma2=float(cfg.get("gamma2", 0.25)),
+        n1=float(cfg.get("N1", 1.0)), n2=float(cfg.get("N2", 0.0)),
+        workers=workers),
+    "restriction": lambda cfg, seed, workers: restriction_probe(0.0),
+    "coefficient": lambda cfg, seed, workers: coefficient_decay_probe(
+        float(cfg.get("alpha", 1.0)), float(cfg.get("beta", 0.05)),
+        workers=workers),
+    "decay": _decay_probe_run,
+    "mixed": lambda cfg, seed, workers: mixed_norm_decay_probe(
+        float(cfg.get("alpha", 1.6)), seed=seed, workers=workers),
+    "dilation": _dilation_probe_run,
+    "weight-integral": lambda cfg, seed, workers: weight_integral_check(
+        Point([float(cfg.get("a1", 0.0))], [float(cfg.get("a2", 0.0))]),
+        [0.25, 0.5, 1.0, 2.0, 4.0], float(cfg.get("gamma", 0.5)),
+        cfg.get("layer", "first")),
+}
+
+# (report name, probe, fixed keys): the entries of `grushin verify`.
+SUITE = [
+    ("core/partition", "partition", {}),
+    ("core/roundtrip", "roundtrip", {}),
+    *((f"kernel/b{b1:g}-{b2:g}-{variant}", "kernel",
+       {"beta1": b1, "beta2": b2, "variant": variant})
+      for b1, b2 in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
+      for variant in ("xx", "yz")),
+    ("plancherel/first-layer", "plancherel", {"kind": "linear_first_layer"}),
+    ("plancherel/bilinear", "plancherel", {"kind": "bilinear"}),
+    ("plancherel/second-layer", "plancherel",
+     {"kind": "second_layer", "gamma2": 0.4}),
+    ("plancherel/truncated", "plancherel", {"kind": "truncated"}),
+    ("plancherel/restriction", "restriction", {}),
+    ("decay/coefficient", "coefficient", {}),
+    ("decay/2-2-1", "decay", {}),
+    ("decay/mixed", "mixed", {}),
+]
+SUITES = ("core", "kernel", "plancherel", "decay", "all")
+# The config key verify passes to one suite entry as its probe's alpha.
+_SUITE_ALPHA = {"decay/2-2-1": "alpha", "decay/mixed": "alpha_mixed"}
+
+
+def _workers(cfg: dict):
+    return int(cfg["workers"]) if "workers" in cfg else None
+
+
+def cmd_verify(cfg: dict, out: str | None):
+    suite = cfg.setdefault("suite", "core")
     if suite not in SUITES:
         raise SystemExit(f"unknown suite {suite!r}; available: {SUITES}")
-    cfg["suite"] = suite
+    seed, workers = int(cfg.get("seed", 0)), _workers(cfg)
+    reports = {}
+    for name, probe, keys in SUITE:
+        if suite == "all" or name.startswith(suite + "/"):
+            if _SUITE_ALPHA.get(name) in cfg:
+                keys = {**keys, "alpha": cfg[_SUITE_ALPHA[name]]}
+            reports[name] = PROBES[probe](keys, seed, workers)
     chash = config_hash(cfg)
-    out = args.out or f"verify_{suite}"
-    started = args._t0
-    reports = _run_suite(suite, cfg)
+    out = out or f"verify_{suite}"
     os.makedirs(out, exist_ok=True)
     verdicts = {}
     lines = []
@@ -286,116 +328,28 @@ def cmd_verify(args) -> int:
         _report_csv(rep, os.path.join(out, safe + ".csv"), chash)
         verdicts[safe] = rep.verdict
         lines.append(f"{name},{rep.verdict},{rep.slope!r},{rep.max_ratio!r}")
-    agg = all(rep.passed for rep in reports.values())
+    agg = "PASS" if all(rep.passed for rep in reports.values()) else "FAIL"
     with open(os.path.join(out, "verdicts.csv"), "w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("probe,verdict,slope,max_ratio\n")
         fh.write("\n".join(lines) + "\n")
-        fh.write(f"aggregate,{'PASS' if agg else 'FAIL'},,\n")
-    _write_manifest(os.path.join(out, "manifest.txt"), "verify", cfg,
-                    [out], verdicts, started)
-    for name, rep in sorted(reports.items()):
-        print(f"{name}: {rep.verdict}")
-    print(f"aggregate: {'PASS' if agg else 'FAIL'}")
-    return 0 if agg else 1
+        fh.write(f"aggregate,{agg},,\n")
+    message = "".join(f"{name}: {rep.verdict}\n"
+                      for name, rep in sorted(reports.items()))
+    return (os.path.join(out, "manifest.txt"), [out], verdicts,
+            message + f"aggregate: {agg}", 0 if agg == "PASS" else 1)
 
 
-def cmd_thresholds(args) -> int:
-    cfg = _resolve_config(args)
-    d1 = int(cfg.get("d1", 1))
-    d2 = int(cfg.get("d2", 1))
-    variant = cfg.get("variant", "general")
-    resolution = int(cfg.get("resolution", 20))
-    table = threshold_table(Dims(d1, d2), variant, resolution)
-    out = args.out or "thresholds.csv"
-    with open(out, "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        fh.write(table)
-    _write_manifest(out + ".manifest", "thresholds", cfg, [out], {}, args._t0)
-    print(f"threshold table ({variant}, resolution {resolution}) "
-          f"written to {out}")
-    return 0
-
-
-PROBES = ("kernel", "plancherel", "coefficient", "decay", "mixed",
-          "dilation", "weight-integral")
-
-
-def cmd_probe(args) -> int:
-    cfg = _resolve_config(args)
-    name = cfg.get("probe", getattr(args, "probe", None) or "decay")
-    cfg["probe"] = name
-    workers = int(cfg["workers"]) if "workers" in cfg else None
-    seed = int(cfg.get("seed", 0))
-    if name == "kernel":
-        rep = pointwise_kernel_probe(
-            float(cfg.get("alpha", 1.0)), float(cfg.get("beta1", 0.0)),
-            float(cfg.get("beta2", 0.0)), variant=cfg.get("variant", "xx"),
-            seed=seed, workers=workers)
-    elif name == "plancherel":
-        rep = weighted_plancherel_probe(
-            cfg.get("kind", "second_layer"),
-            gamma1=float(cfg.get("gamma1", 0.25)),
-            gamma2=float(cfg.get("gamma2", 0.25)),
-            n1=float(cfg.get("N1", 1.0)), n2=float(cfg.get("N2", 0.0)),
-            workers=workers)
-    elif name == "coefficient":
-        rep = coefficient_decay_probe(float(cfg.get("alpha", 1.0)),
-                                      float(cfg.get("beta", 0.05)),
-                                      workers=workers)
-    elif name == "decay":
-        p1 = float(cfg.get("p1", 2)); p2 = float(cfg.get("p2", 2))
-        inv = (0 if math.isinf(p1) else 1 / p1) + \
-            (0 if math.isinf(p2) else 1 / p2)
-        p = math.inf if inv == 0 else 1.0 / inv
-        rep = dyadic_decay_probe(DecayProbeSpec(
-            alpha=float(cfg.get("alpha", 0.5)), p1=p1, p2=p2, p=p, seed=seed),
-            workers=workers)
-    elif name == "mixed":
-        rep = mixed_norm_decay_probe(float(cfg.get("alpha", 1.6)), seed=seed,
-                                     workers=workers)
-    elif name == "dilation":
-        grid = probe_grid("dilation")
-        band = (0.25, 0.75)
-        f = family_fields("hermite-bump", grid, seed, band=band, max_degree=2)
-        g = family_fields("hermite-bump", grid, seed + 1, band=band,
-                          max_degree=2)
-        t = float(cfg.get("t", 2.0))
-        rep = dilation_covariance_check(
-            RieszParams(float(cfg.get("alpha", 1.0)), t * t, grid.dims),
-            f, g, t, grid)
-    elif name == "weight-integral":
-        from .geometry import Point, weight_integral_check
-        rep = weight_integral_check(
-            Point([float(cfg.get("a1", 0.0))], [float(cfg.get("a2", 0.0))]),
-            [0.25, 0.5, 1.0, 2.0, 4.0], float(cfg.get("gamma", 0.5)),
-            cfg.get("layer", "first"))
-    else:
-        raise SystemExit(f"unknown probe {name!r}; available: {PROBES}")
-    out = args.out or f"probe_{name}.csv"
+def cmd_probe(cfg: dict, out: str | None):
+    name = cfg.setdefault("probe", "decay")
+    if name not in PROBES:
+        raise SystemExit(f"unknown probe {name!r}; available: {tuple(PROBES)}")
+    rep = PROBES[name](cfg, int(cfg.get("seed", 0)), _workers(cfg))
+    out = out or f"probe_{name}.csv"
     _report_csv(rep, out, config_hash(cfg))
-    _write_manifest(out + ".manifest", "probe", cfg, [out],
-                    {name: rep.verdict}, args._t0)
-    print(f"{name}: {rep.verdict} (slope {rep.slope!r}, "
-          f"max_ratio {rep.max_ratio!r})")
-    return 0 if rep.passed else 1
-
-
-def cmd_replay(args) -> int:
-    with open(args.manifest) as fh:
-        record = parse_flat_config(fh.read())
-    command = record.get("command")
-    if command not in _DISPATCH:
-        raise SystemExit(f"manifest has no replayable command: {command!r}")
-    drop = {"command", "config_hash", "library_version", "wall_clock_s",
-            "outputs"}
-    cfg = {k: v for k, v in record.items()
-           if k not in drop and not k.startswith("verdict_")}
-    ns = argparse.Namespace(config=None, set=[f"{k}={v}"
-                                              for k, v in cfg.items()],
-                            out=args.out, suite=None, probe=None,
-                            _t0=time.time())
-    return _DISPATCH[command](ns)
+    return (out + ".manifest", [out], {name: rep.verdict},
+            f"{name}: {rep.verdict} (slope {rep.slope!r}, "
+            f"max_ratio {rep.max_ratio!r})", 0 if rep.passed else 1)
 
 
 _DISPATCH = {
@@ -407,6 +361,27 @@ _DISPATCH = {
     "thresholds": cmd_thresholds,
     "probe": cmd_probe,
 }
+
+
+def _run(command: str, cfg: dict, out: str | None, started: float) -> int:
+    manifest, outputs, verdicts, message, status = _DISPATCH[command](cfg, out)
+    _write_manifest(manifest, command, cfg, outputs, verdicts, started)
+    print(message)
+    return status
+
+
+def cmd_replay(args) -> int:
+    started = time.time()
+    with open(args.manifest) as fh:
+        record = parse_flat_config(fh.read())
+    command = record.get("command")
+    if command not in _DISPATCH:
+        raise SystemExit(f"manifest has no replayable command: {command!r}")
+    drop = {"command", "config_hash", "library_version", "wall_clock_s",
+            "outputs"}
+    cfg = {k: v for k, v in record.items()
+           if k not in drop and not k.startswith("verdict_")}
+    return _run(command, cfg, args.out, started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,10 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args._t0 = time.time()
+    started = time.time()
     if args.command == "replay":
         return cmd_replay(args)
-    return _DISPATCH[args.command](args)
+    cfg = _resolve_config(args)
+    for key in ("suite", "probe"):
+        if getattr(args, key, None):
+            cfg.setdefault(key, getattr(args, key))
+    return _run(args.command, cfg, args.out, started)
 
 
 if __name__ == "__main__":

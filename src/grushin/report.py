@@ -56,6 +56,14 @@ class ProbeReport:
             details=dict(details),
         )
 
+    @classmethod
+    def deviation(cls, dev: float, tol: float, **details):
+        """Report of one measured deviation: PASS when ``dev <= tol``."""
+        report = cls.from_samples([0.0], [np.log2(max(dev, 1e-300))],
+                                  max_ratio=dev, **details)
+        report.verdict = "PASS" if dev <= tol else "FAIL"
+        return report
+
     @property
     def passed(self) -> bool:
         return self.verdict in PASSING_VERDICTS

@@ -327,10 +327,8 @@ def dilation_covariance_check(params: RieszParams, f: SpectralField,
     lhs_sub = lhs.values[np.ix_(i1, i2)]
     ref = float(np.max(np.abs(rhs.values)))
     dev = float(np.max(np.abs(lhs_sub - rhs.values)) / ref) if ref > 0 else 0.0
-    report = ProbeReport.from_samples([0.0], [np.log2(max(dev, 1e-300))],
-                                      max_ratio=dev, t=t, R=params.R,
-                                      alpha=params.alpha, reference=ref)
-    report.verdict = "PASS" if dev <= 1e-4 else "FAIL"
+    report = ProbeReport.deviation(dev, 1e-4, t=t, R=params.R,
+                                   alpha=params.alpha, reference=ref)
     if ref == 0.0:
         report.verdict = "DEGENERATE-PASS"
     return report

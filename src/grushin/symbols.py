@@ -14,7 +14,7 @@ exp(-1/u) smooth step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,19 +121,14 @@ class Symbol2D:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DyadicCutoff:
     """The scale-M cutoff Theta_M(tau) = Theta(2^M tau)."""
 
     M: int
-    base: callable = field(default=None)
-
-    def __post_init__(self):
-        if self.base is None:
-            self.base = dyadic_bump
 
     def __call__(self, tau):
-        return self.base(np.ldexp(np.asarray(tau, dtype=float), self.M))
+        return dyadic_bump(np.ldexp(np.asarray(tau, dtype=float), self.M))
 
 
 def partition_defect(taus) -> float:

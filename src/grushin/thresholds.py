@@ -1,8 +1,9 @@
 """Smoothness-threshold tables over the (1/p1, 1/p2) square.
 
 Each sufficiency item of the boundedness results is encoded as a
-region predicate plus a threshold formula in the inverse exponents; a
-query returns the minimum threshold over all applicable items.  The
+region plus a threshold formula in the inverse exponents (each region's
+predicate is written once, and both item sets share it); a query
+returns the minimum threshold over all applicable items.  The
 (infinity, infinity) corner is not literally covered by any item and its
 value is sourced from the endpoint analysis instead; that sourcing is
 recorded on the verdict.
@@ -42,54 +43,48 @@ class RegionVerdict:
             raise ValueError("thresholds are non-negative")
 
 
+# u = 1/p1, v = 1/p2, w = 1/p = u + v
+_IN_REGION = {
+    "I": lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
+    and _le(0.5, w) and _le(w, 1.0),
+    "II": lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
+    and 0 < w <= 0.5 + _EPS,
+    "III_a": lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
+    and _le(0.0, v) and _le(v, 0.5) and _le(0.5, w) and _le(w, 1.0),
+    "III_b": lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
+    and _le(0.0, u) and _le(u, 0.5) and _le(0.5, w) and _le(w, 1.0),
+    "IV_a": lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
+    and _le(0.0, v) and _le(v, 0.5) and _le(1.0, w),
+    "IV_b": lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
+    and _le(0.0, u) and _le(u, 0.5) and _le(1.0, w),
+    "V": lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
+    and _le(0.5, v) and _le(v, 1.0),
+}
+
+
 def _general_items(dims: Dims):
     d = dims.total_dim
     q = dims.homogeneous_dim
     dk = dims.threshold_dim
     return [
-        # u = 1/p1, v = 1/p2, w = 1/p = u + v
-        ("I", lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
-         and _le(0.5, w) and _le(w, 1.0),
-         lambda u, v, w: (d - 1) * (1.0 - w)),
-        ("II", lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
-         and 0 < w <= 0.5 + _EPS,
-         lambda u, v, w: (d - 1) / 2.0 + d * (0.5 - w)),
-        ("III_a", lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-         and _le(0.0, v) and _le(v, 0.5) and _le(0.5, w) and _le(w, 1.0),
-         lambda u, v, w: q * (u - 0.5) + (d - 1) * (1.0 - w)),
-        ("III_b", lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
-         and _le(0.0, u) and _le(u, 0.5) and _le(0.5, w) and _le(w, 1.0),
-         lambda u, v, w: q * (v - 0.5) + (d - 1) * (1.0 - w)),
-        ("IV_a", lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-         and _le(0.0, v) and _le(v, 0.5) and _le(1.0, w),
-         lambda u, v, w: dk * (w - 1.0) + q * (0.5 - v)),
-        ("IV_b", lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
-         and _le(0.0, u) and _le(u, 0.5) and _le(1.0, w),
-         lambda u, v, w: dk * (w - 1.0) + q * (0.5 - u)),
-        ("V", lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-         and _le(0.5, v) and _le(v, 1.0),
-         lambda u, v, w: dk * (w - 1.0)),
+        ("I", lambda u, v, w: (d - 1) * (1.0 - w)),
+        ("II", lambda u, v, w: (d - 1) / 2.0 + d * (0.5 - w)),
+        ("III_a", lambda u, v, w: q * (u - 0.5) + (d - 1) * (1.0 - w)),
+        ("III_b", lambda u, v, w: q * (v - 0.5) + (d - 1) * (1.0 - w)),
+        ("IV_a", lambda u, v, w: dk * (w - 1.0) + q * (0.5 - v)),
+        ("IV_b", lambda u, v, w: dk * (w - 1.0) + q * (0.5 - u)),
+        ("V", lambda u, v, w: dk * (w - 1.0)),
     ]
 
 
 def _restricted_items(dims: Dims):
     d = dims.total_dim
     return [
-        ("III_a", lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-         and _le(0.0, v) and _le(v, 0.5) and _le(0.5, w) and _le(w, 1.0),
-         lambda u, v, w: d * (0.5 - v) - (1.0 - w)),
-        ("III_b", lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
-         and _le(0.0, u) and _le(u, 0.5) and _le(0.5, w) and _le(w, 1.0),
-         lambda u, v, w: d * (0.5 - u) - (1.0 - w)),
-        ("IV_a", lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-         and _le(0.0, v) and _le(v, 0.5) and _le(1.0, w),
-         lambda u, v, w: d * (u - 0.5)),
-        ("IV_b", lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
-         and _le(0.0, u) and _le(u, 0.5) and _le(1.0, w),
-         lambda u, v, w: d * (v - 0.5)),
-        ("V", lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-         and _le(0.5, v) and _le(v, 1.0),
-         lambda u, v, w: d * (w - 1.0)),
+        ("III_a", lambda u, v, w: d * (0.5 - v) - (1.0 - w)),
+        ("III_b", lambda u, v, w: d * (0.5 - u) - (1.0 - w)),
+        ("IV_a", lambda u, v, w: d * (u - 0.5)),
+        ("IV_b", lambda u, v, w: d * (v - 0.5)),
+        ("V", lambda u, v, w: d * (w - 1.0)),
     ]
 
 
@@ -113,7 +108,8 @@ def threshold(p1: float, p2: float, dims: Dims,
     items = list(_general_items(dims))
     if variant == "restricted":
         items += _restricted_items(dims)
-    hits = [(fml(u, v, w), name) for name, cond, fml in items if cond(u, v, w)]
+    hits = [(fml(u, v, w), name) for name, fml in items
+            if _IN_REGION[name](u, v, w)]
     if hits:
         best, region = min(hits, key=lambda t: (t[0], t[1]))
         return RegionVerdict(region=region, threshold=float(best),

@@ -79,7 +79,7 @@ FAMILIES = ("hermite-bump", "two-scale")
 
 def family_fields(name: str, grid: Grid, seed: int,
                   band: tuple[float, float] | None = None,
-                  max_degree: int = 4, stride: int = 1) -> SpectralField:
+                  max_degree: int = 4) -> SpectralField:
     """Named, seeded field families.
 
     * ``hermite-bump``: random degree <= 4 coefficients on a dyadic
@@ -102,7 +102,7 @@ def family_fields(name: str, grid: Grid, seed: int,
     sel = np.zeros(grid.n_lambda, dtype=bool)
     for lo, hi in bands:
         sel |= (grid.lambda_abs >= lo - 1e-12) & (grid.lambda_abs <= hi + 1e-12)
-    idx = np.where(sel)[0][::stride]
+    idx = np.where(sel)[0]
     if idx.size == 0:
         raise ValueError(f"family band {band} misses every grid node")
     support = grid.lambda_points[idx]
@@ -247,18 +247,17 @@ def _first_layer_rhs(F: Symbol1D, gamma: float, y1_norm: float,
     return piece(lo, split, True) + piece(split, hi, False)
 
 
-def _refinement_report(ratios, refine: int, abscissa,
-                       **details) -> ProbeReport:
-    """Report of ``ratios(grid)`` on the ``weighted`` grid at ``refine``.
+def _refinement_report(ratios, abscissa, **details) -> ProbeReport:
+    """Report of ``ratios(grid)`` on the ``weighted`` grid.
 
     The verdict is the refinement check: the ratios on the grid refined
-    once more may grow by less than RATIO_GROWTH_TOL.
+    once may grow by less than RATIO_GROWTH_TOL.
     """
-    base = ratios(probe_grid("weighted", refine))
+    base = ratios(probe_grid("weighted"))
     report = ProbeReport.from_samples(
         abscissa, log2_safe(base), max_ratio=float(np.max(base)),
         **details, ratios=base.tolist())
-    fine = ratios(probe_grid("weighted", 2 * refine))
+    fine = ratios(probe_grid("weighted", 2))
     growth = float(np.max(fine / np.maximum(base, 1e-300))) - 1.0
     report.details["refinement_growth"] = growth
     report.verdict = "PASS" if growth < RATIO_GROWTH_TOL else "FAIL"
@@ -268,7 +267,6 @@ def _refinement_report(ratios, refine: int, abscissa,
 def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                               gamma2: float = 0.0, n1: float = 1.0,
                               n2: float = 0.0, m_range=range(2, 6),
-                              seed: int = 0, refine: int = 1,
                               workers: int | None = None) -> ProbeReport:
     """Ratio/slope probes for the four weighted-kernel estimates.
 
@@ -283,7 +281,7 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
     """
     if kind not in PLANCHEREL_KINDS:
         raise KeyError(f"unknown kind {kind!r}; available {PLANCHEREL_KINDS}")
-    grid = probe_grid("weighted", refine)
+    grid = probe_grid("weighted")
     dims = grid.dims
     half = dims.d2 / 2.0
     if kind in ("linear_first_layer",) and not 0 <= gamma1 < half:
@@ -309,7 +307,7 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                     out.append(lhs / rhs)
             return np.array(out)
 
-        return _refinement_report(ratios, refine, np.log2(np.array(ys + ys)),
+        return _refinement_report(ratios, np.log2(np.array(ys + ys)),
                                   gamma=gamma1, kind=kind)
 
     if kind == "bilinear":
@@ -324,8 +322,8 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                 out.append(lhs / rhs)
             return np.array(out)
 
-        return _refinement_report(ratios, refine,
-                                  np.log2(np.array(_BASE_POINTS)), kind=kind)
+        return _refinement_report(ratios, np.log2(np.array(_BASE_POINTS)),
+                                  kind=kind)
 
     if kind == "second_layer":
         rhs = (sobolev_norm_1d(prof, gamma1) * sobolev_norm_1d(prof, gamma2)) ** 2
@@ -338,9 +336,8 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                 out.append(c1 * c2 / rhs)
             return np.array(out)
 
-        return _refinement_report(ratios, refine,
-                                  np.log2(np.array(_BASE_POINTS)), kind=kind,
-                                  gamma1=gamma1, gamma2=gamma2)
+        return _refinement_report(ratios, np.log2(np.array(_BASE_POINTS)),
+                                  kind=kind, gamma1=gamma1, gamma2=gamma2)
 
     # truncated: channel slope in the first cutoff index; the bilinear
     # left side factors over channels for a tensor symbol, so the slope
@@ -376,7 +373,7 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
 
 def coefficient_decay_probe(alpha: float, beta: float,
                             j_range=range(2, 9), l_max: int = 512,
-                            n_eta: int = 257, shell_clear: bool = False,
+                            shell_clear: bool = False,
                             workers: int | None = None) -> ProbeReport:
     """Slope of the weighted sup-norm coefficient maxima in j.
 
@@ -397,7 +394,7 @@ def coefficient_decay_probe(alpha: float, beta: float,
 
     def one_j(j):
         hi = 1.0 - 2.0 ** (-j + 1) - 0.02 if shell_clear else 1.0
-        eta1 = np.linspace(0.0, hi, n_eta)
+        eta1 = np.linspace(0.0, hi, 257)
         coeffs = fourier_coeff_batch(DyadicPiece(j, alpha), ls, eta1)
         sup = np.max(np.abs(coeffs), axis=1)
         return float(np.max(weights * sup))
@@ -425,10 +422,7 @@ class DecayProbeSpec:
     p2: float
     p: float
     j_range: tuple = (1, 2, 3, 4, 5, 6)
-    family: str = "hermite-bump"
     seed: int = 0
-    norm_kind: str = "lp"          # "lp" or "mixed(p,q)"
-    mixed_q: float = 1.0
 
     def __post_init__(self):
         inv = (0.0 if math.isinf(self.p1) else 1.0 / self.p1) \
@@ -446,7 +440,7 @@ def _decay_fields(spec_family: str, seed: int, grid: Grid):
     return f, g
 
 
-def _decay_probe(alpha: float, j_range, family: str, seed: int, grid: Grid,
+def _decay_probe(alpha: float, j_range, seed: int, grid: Grid,
                  workers: int | None, norms, alpha_threshold,
                  **details) -> ProbeReport:
     """Shared body of the decay probes.
@@ -460,7 +454,7 @@ def _decay_probe(alpha: float, j_range, family: str, seed: int, grid: Grid,
     below -DECAY_SLOPE_TOL passes.
     """
     f_norm, g_norm, out_norm = norms
-    f, g = _decay_fields(family, seed, grid)
+    f, g = _decay_fields("hermite-bump", seed, grid)
     denom = f_norm(synthesize(f, grid)) * g_norm(synthesize(g, grid))
     j_values = list(j_range)
     if denom == 0.0:
@@ -501,18 +495,15 @@ def dyadic_decay_probe(spec: DecayProbeSpec, grid: Grid | None = None,
     no-guarantee regime (nothing is claimed there) and still succeeds.
     """
     grid = grid or probe_grid("decay")
-    out_norm = ((lambda h: lp_norm(h, spec.p)) if spec.norm_kind == "lp"
-                else (lambda h: mixed_norm(h, spec.p, spec.mixed_q)))
     norms = (lambda h: lp_norm(h, spec.p1), lambda h: lp_norm(h, spec.p2),
-             out_norm)
+             lambda h: lp_norm(h, spec.p))
     corner = threshold(spec.p1, spec.p2, grid.dims, "general").threshold
-    return _decay_probe(spec.alpha, spec.j_range, spec.family, spec.seed,
-                        grid, workers, norms, ("corner_threshold", corner),
+    return _decay_probe(spec.alpha, spec.j_range, spec.seed, grid, workers,
+                        norms, ("corner_threshold", corner),
                         exponents=(spec.p1, spec.p2, spec.p))
 
 
-def mixed_norm_decay_probe(alpha: float, j_range=range(1, 7),
-                           family: str = "hermite-bump", seed: int = 0,
+def mixed_norm_decay_probe(alpha: float, j_range=range(1, 7), seed: int = 0,
                            grid: Grid | None = None,
                            workers: int | None = None) -> ProbeReport:
     """Decay probe in the mixed norms: output in the inner-2/3 outer-1
@@ -520,20 +511,19 @@ def mixed_norm_decay_probe(alpha: float, j_range=range(1, 7),
     grid = grid or probe_grid("decay")
     norms = (lambda h: lp_norm(h, 1.0), lambda h: mixed_norm(h, 2.0, np.inf),
              lambda h: mixed_norm(h, 2.0 / 3.0, 1.0))
-    return _decay_probe(alpha, j_range, family, seed, grid, workers, norms,
+    return _decay_probe(alpha, j_range, seed, grid, workers, norms,
                         ("threshold", (grid.dims.total_dim + 1) / 2.0))
 
 
 # ---------------------------------------------------------------------------
 # restriction-estimate probe (first-layer weighted output bound)
 
-def restriction_probe(gamma: float = 0.0, seed: int = 0,
-                      refine: int = 1) -> ProbeReport:
+def restriction_probe(gamma: float = 0.0) -> ProbeReport:
     """Ratio probe for the weighted output estimate against ||F||_2 ||f||_1.
 
     Bump inputs at several positions; ratio bounded and refinement-stable.
     """
-    grid = probe_grid("weighted", refine)
+    grid = probe_grid("weighted")
     half = grid.dims.d2 / 2.0
     if not 0 <= gamma < half:
         raise ValueError(f"gamma must lie in [0, {half})")
@@ -558,5 +548,4 @@ def restriction_probe(gamma: float = 0.0, seed: int = 0,
             out.append(lhs / (f2 * l1))
         return np.array(out)
 
-    return _refinement_report(ratios, refine, np.arange(len(bumps)),
-                              gamma=gamma)
+    return _refinement_report(ratios, np.arange(len(bumps)), gamma=gamma)

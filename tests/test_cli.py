@@ -2,7 +2,15 @@ import os
 
 import pytest
 
+from grushin import cli
 from grushin.cli import main
+from grushin.dims import Dims
+from grushin.fields import SpectralField
+from grushin.geometry import Point
+from grushin.grid import Grid
+from grushin.report import ProbeReport
+from grushin.symbols import RieszParams
+from grushin.verifier import DecayProbeSpec
 
 RIESZ_GRID = ["--set", "d1=1", "--set", "d2=1",
               "--set", "x1_extent=28", "--set", "x1_count=56",
@@ -142,3 +150,121 @@ def test_workers_env_override(tmp_path, monkeypatch):
     assert default_workers() == 3
     monkeypatch.setenv("GRUSHIN_WORKERS", "junk")
     assert default_workers() == 1
+
+
+# The probe functions the table in grushin.cli calls, by module-global name.
+PROBE_FUNCTIONS = ("partition_probe", "roundtrip_probe",
+                   "pointwise_kernel_probe", "weighted_plancherel_probe",
+                   "restriction_probe", "coefficient_decay_probe",
+                   "dyadic_decay_probe", "mixed_norm_decay_probe",
+                   "dilation_covariance_check", "weight_integral_check")
+
+
+def _plain(value):
+    """Call arguments in comparable form; fields and grids by type name."""
+    if isinstance(value, Point):
+        return ("Point", value.x1.tolist(), value.x2.tolist())
+    if isinstance(value, (SpectralField, Grid)):
+        return type(value).__name__
+    return value
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Stub every probe on grushin.cli; the list records each call."""
+    calls = []
+    for name in PROBE_FUNCTIONS:
+        def stub(*args, _name=name, **kwargs):
+            calls.append((_name, tuple(_plain(a) for a in args),
+                          {k: _plain(v) for k, v in kwargs.items()}))
+            return ProbeReport.deviation(0.0, 1.0)
+        monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def _suite_calls(seed, workers, alpha, alpha_mixed):
+    kernel = {"seed": seed, "workers": workers}
+    plancherel = {"gamma1": 0.25, "gamma2": 0.25, "n1": 1.0, "n2": 0.0,
+                  "workers": workers}
+    return [
+        ("partition_probe", (), {}),
+        ("roundtrip_probe", (), {}),
+        ("pointwise_kernel_probe", (1.0, 0.0, 0.0), {"variant": "xx", **kernel}),
+        ("pointwise_kernel_probe", (1.0, 0.0, 0.0), {"variant": "yz", **kernel}),
+        ("pointwise_kernel_probe", (1.0, 1.0, 0.0), {"variant": "xx", **kernel}),
+        ("pointwise_kernel_probe", (1.0, 1.0, 0.0), {"variant": "yz", **kernel}),
+        ("pointwise_kernel_probe", (1.0, 1.0, 1.0), {"variant": "xx", **kernel}),
+        ("pointwise_kernel_probe", (1.0, 1.0, 1.0), {"variant": "yz", **kernel}),
+        ("weighted_plancherel_probe", ("linear_first_layer",), plancherel),
+        ("weighted_plancherel_probe", ("bilinear",), plancherel),
+        ("weighted_plancherel_probe", ("second_layer",),
+         {**plancherel, "gamma2": 0.4}),
+        ("weighted_plancherel_probe", ("truncated",), plancherel),
+        ("restriction_probe", (0.0,), {}),
+        ("coefficient_decay_probe", (1.0, 0.05), {"workers": workers}),
+        ("dyadic_decay_probe",
+         (DecayProbeSpec(alpha=alpha, p1=2.0, p2=2.0, p=1.0, seed=seed),),
+         {"workers": workers}),
+        ("mixed_norm_decay_probe", (alpha_mixed,),
+         {"seed": seed, "workers": workers}),
+    ]
+
+
+def test_verify_suite_calls_each_probe_with_its_keys(tmp_path, probe_calls):
+    assert main(["verify", "--suite", "all", "--out",
+                 str(tmp_path / "a")]) == 0
+    assert probe_calls == _suite_calls(0, None, 0.5, 1.6)
+
+    probe_calls.clear()
+    assert main(["verify", "--suite", "all", "--set", "alpha=0.7",
+                 "--set", "alpha_mixed=2.0", "--set", "seed=3",
+                 "--set", "workers=2", "--out", str(tmp_path / "b")]) == 0
+    assert probe_calls == _suite_calls(3, 2, 0.7, 2.0)
+
+    probe_calls.clear()
+    assert main(["verify", "--suite", "decay", "--out",
+                 str(tmp_path / "c")]) == 0
+    assert probe_calls == _suite_calls(0, None, 0.5, 1.6)[-3:]
+
+
+PROBE_DEFAULT_CALLS = {
+    "partition": ("partition_probe", (), {}),
+    "roundtrip": ("roundtrip_probe", (), {}),
+    "kernel": ("pointwise_kernel_probe", (1.0, 0.0, 0.0),
+               {"variant": "xx", "seed": 0, "workers": None}),
+    "plancherel": ("weighted_plancherel_probe", ("second_layer",),
+                   {"gamma1": 0.25, "gamma2": 0.25, "n1": 1.0, "n2": 0.0,
+                    "workers": None}),
+    "restriction": ("restriction_probe", (0.0,), {}),
+    "coefficient": ("coefficient_decay_probe", (1.0, 0.05), {"workers": None}),
+    "decay": ("dyadic_decay_probe",
+              (DecayProbeSpec(alpha=0.5, p1=2.0, p2=2.0, p=1.0, seed=0),),
+              {"workers": None}),
+    "mixed": ("mixed_norm_decay_probe", (1.6,), {"seed": 0, "workers": None}),
+    "dilation": ("dilation_covariance_check",
+                 (RieszParams(1.0, 4.0, Dims(1, 1)), "SpectralField",
+                  "SpectralField", 2.0, "Grid"), {}),
+    "weight-integral": ("weight_integral_check",
+                        (("Point", [0.0], [0.0]), [0.25, 0.5, 1.0, 2.0, 4.0],
+                         0.5, "first"), {}),
+}
+
+
+def test_probe_defaults_match_the_table(tmp_path, probe_calls):
+    assert list(cli.PROBES) == list(PROBE_DEFAULT_CALLS)
+    with pytest.raises(SystemExit):
+        main(["probe", "--probe", "bogus"])
+    for name, call in PROBE_DEFAULT_CALLS.items():
+        probe_calls.clear()
+        assert main(["probe", "--probe", name,
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert probe_calls == [call]
+
+
+def test_probe_partition_and_replay(tmp_path):
+    out = tmp_path / "part.csv"
+    assert main(["probe", "--probe", "partition", "--out", str(out)]) == 0
+    replay_out = tmp_path / "part2.csv"
+    assert main(["replay", str(out) + ".manifest",
+                 "--out", str(replay_out)]) == 0
+    assert out.read_bytes() == replay_out.read_bytes()
