@@ -9,17 +9,21 @@ configurations.
 
 ``--src`` is the ``src`` directory of the checkout to measure (default:
 this checkout's).  Each layer is called once to warm up, then timed
-``REPEATS`` times with one BLAS thread; the median, the minimum, every
-sample and a checksum of the output (the sum of its absolute values) are
-merged into the JSON file under ``--label``, next to the sha256 of the
-measured ``grushin`` sources and the numpy version.  Labels already in
-the file are kept, so before and after land in one file.
+``REPEATS`` times with one BLAS thread, then called once more, untimed,
+under ``tracemalloc`` for its peak traced allocation (``peak_mb``); the
+median, the minimum, every sample, the peak and a checksum of the output
+(the sum of its absolute values) are merged into the JSON file under
+``--label``, next to the sha256 of the measured ``grushin`` sources and
+the numpy version.  Labels already in the file are kept, so before and
+after land in one file.
 
 The configurations are those of ``grushin verify --suite decay`` on the
 ``decay`` probe grid (library seed 0):
 
 * ``fourier_coeff_batch``: the piece (j, alpha = 1) at l = 0..2048 and at
-  the live eigenvalues of the first decay field, j = 1, 3, 6;
+  the live eigenvalues of the first decay field, j = 1, 3, 6; and the
+  coefficient probe's largest call, j = 8 at l = 0..512 and 257 eta1
+  samples on [0, 1];
 * ``truncated_series_symbol``: truncation 2048 at the distinct
   eigenvalues of both decay fields, j = 1, 3, 6;
 * ``_bilinear_contract``: that symbol gathered onto the atom pairs of
@@ -57,6 +61,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +103,11 @@ def _layers():
                                           + g.eigenvalues.shape)
         out.append((f"_bilinear_contract[j={j}]",
                     lambda m=mt: _bilinear_contract(m, f, g, grid).values))
+
+    piece8 = DyadicPiece(8, 1.0)
+    eta1 = np.linspace(0.0, 1.0, 257)
+    out.append(("fourier_coeff_batch[j=8,coefficient]",
+                lambda: fourier_coeff_batch(piece8, np.arange(0, 513), eta1)))
 
     nu = (f.lambda_support[:, None, :]
           + g.lambda_support[None, :, :]).reshape(-1, grid.dims.d2)
@@ -168,11 +178,17 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             value = call()
             samples.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        call()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
         layers[name] = {"median_s": statistics.median(samples),
                         "min_s": min(samples), "samples_s": samples,
+                        "peak_mb": peak_mb,
                         "checksum": float(np.sum(np.abs(value)))}
         print(f"{name}: median {layers[name]['median_s']:.4f} s, "
-              f"min {layers[name]['min_s']:.4f} s", flush=True)
+              f"min {layers[name]['min_s']:.4f} s, peak {peak_mb:.1f} MB",
+              flush=True)
 
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {}

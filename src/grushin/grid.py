@@ -237,25 +237,33 @@ class Grid:
 
         ``coeffs`` has shape (n_x1, n), ``lam`` shape (n, d2); returns
         shape (n_x1, n_x2).  Columns that share a bin (equal frequencies,
-        or frequencies equal up to aliasing) are summed, then one inverse
-        FFT over the x''-axes.  The binning is one flat ``bincount`` over
+        or frequencies equal up to aliasing) are summed, then ``_x2_ifft``
+        takes the inverse FFT.  The binning is one flat ``bincount`` over
         all entries, read frequency-major (a view for the x'-fastest
         arrays every caller passes, one copy otherwise), so each bin sums
         its columns in column order: the result is the same, bit for bit,
         as one bincount per row.
         """
-        bins, counts = self._x2_bins(lam)
-        axes = tuple(range(1, 1 + len(counts)))
+        bins, _ = self._x2_bins(lam)
         n = self.n_x2
         rows = coeffs.shape[0]
         flat = (rows * bins[:, None] + np.arange(rows)).ravel()
         vals = coeffs.T.ravel()
         spec = (np.bincount(flat, vals.real, rows * n)
                 + 1j * np.bincount(flat, vals.imag, rows * n))
-        spec = spec.reshape(n, rows).T
-        spec = np.ascontiguousarray(spec).reshape((-1,) + counts)
-        out = np.fft.fftshift(np.fft.ifftn(spec, axes=axes), axes=axes)
-        return n * out.reshape(coeffs.shape[0], -1)
+        # rebound, so the frequency-major bins are freed before the FFT
+        spec = np.ascontiguousarray(spec.reshape(n, rows).T)
+        return self._x2_ifft(spec)
+
+    def _x2_ifft(self, spec: np.ndarray) -> np.ndarray:
+        """The synthesis half of ``x2_inverse``: the inverse FFT over the
+        x''-axes of a C-contiguous (n_x1, n_x2) spectrum in DFT bins."""
+        counts = tuple(ax.size for ax in self.x2_axes)
+        axes = tuple(range(1, 1 + len(counts)))
+        # nested, so the unshifted output is freed before the scaling
+        out = np.fft.fftshift(np.fft.ifftn(spec.reshape((-1,) + counts),
+                                           axes=axes), axes=axes)
+        return self.n_x2 * out.reshape(spec.shape[0], -1)
 
 
 def _tensor_points(axes) -> np.ndarray:

@@ -49,21 +49,24 @@ def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
 # x') temporary near 1.7 MB on the ``decay`` grid; 32 rows measured
 # about 25% slower there.
 _CONTRACT_ROWS = 8
+# Samples per chunk of the series coefficient table: 2^18 keeps it near
+# 2 MB; 2^20 peaked 0.5 MB higher in the README ``riesz`` runs.
+_COEFF_SAMPLES = 2 ** 18
 
 
 def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
                        grid: Grid) -> GriddedField:
     """Contract symbol values mt[i, a, j, b] over atom pairs:
-    D[x, i, j] = sum_{a,b} mt[i,a,j,b] Pf[i,a,x] Pg[j,b,x].
-
-    Only the atoms where ``mt`` lives are visited: level a of f on the
-    node span from its first to its last nonzero row of ``mt``, level b
-    of g likewise over the columns, in blocks of ``_CONTRACT_ROWS`` node
-    rows (each entry sums over (a, b) in the same order, whatever the
-    block size).  Skipped entries are exact zeros.  D is stored
-    x'-fastest, so the inverse x''-transform reads it as a view.  Each
-    pair (i, j) lands on the output frequency lambda_i + mu_j; pairs with
-    the same sum share one bin of the inverse x''-transform.
+    D[i, j, x] = sum_{a,b} mt[i,a,j,b] Pf[i,a,x] Pg[j,b,x] at frequency
+    lambda_i + mu_j.  Only the atoms where ``mt`` lives are visited: level
+    a of f on the node span from its first to its last nonzero row of
+    ``mt``, level b of g likewise over the columns, in blocks of
+    ``_CONTRACT_ROWS`` node rows (each entry sums over (a, b) in the same
+    order, whatever the block size); skipped entries are exact zeros.
+    Each block is added row by row into the x''-spectrum at the bins of
+    lambda_i + mu_j (by ``np.add.at`` where g repeats a node), so D is
+    never whole and each bin sums in (i, j) order, bit for bit as
+    ``Grid.x2_inverse`` bins a whole D; one inverse FFT ends the sum.
     """
     for h in (f, g):
         if h.dims != grid.dims:
@@ -73,20 +76,27 @@ def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
     live = mt != 0
     f_spans = [_span(col) for col in np.any(live, axis=(2, 3)).T]
     g_spans = [_span(col) for col in np.any(live, axis=(0, 1)).T]
-    D = np.zeros((pf.shape[0], pg.shape[0], pf.shape[2]),
-                 dtype=np.result_type(mt, pf, pg))
+    nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
+    bins = grid._x2_bins(nu.reshape(-1, grid.dims.d2))[0].reshape(nu.shape[:2])
+    distinct = np.unique(bins[:1]).size == bins.shape[1]
+    spec = np.zeros((grid.n_x2, pf.shape[2]), dtype=complex)
     for c0 in range(0, max(i1 for _, i1 in f_spans), _CONTRACT_ROWS):
+        D = np.zeros((_CONTRACT_ROWS, pg.shape[0], pf.shape[2]),
+                     dtype=np.result_type(mt, pf, pg))
         for a, (i0, i1) in enumerate(f_spans):
             i0, i1 = max(i0, c0), min(i1, c0 + _CONTRACT_ROWS)
             for b, (j0, j1) in enumerate(g_spans):
                 if i0 < i1 and j0 < j1:
-                    D[i0:i1, j0:j1] += (mt[i0:i1, a, j0:j1, b][:, :, None]
-                                        * pf[i0:i1, a, None, :]
-                                        * pg[None, j0:j1, b, :])
-    nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
+                    D[i0 - c0:i1 - c0, j0:j1] += (
+                        mt[i0:i1, a, j0:j1, b][:, :, None]
+                        * pf[i0:i1, a, None, :] * pg[None, j0:j1, b, :])
+        for i, row in zip(bins[c0:c0 + _CONTRACT_ROWS], D):
+            if distinct:
+                spec[i] += row
+            else:
+                np.add.at(spec, i, row)
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
-    values = grid.x2_inverse(D.reshape(-1, D.shape[2]).T,
-                             nu.reshape(-1, grid.dims.d2))
+    values = grid._x2_ifft(np.ascontiguousarray(spec.T))
     return GriddedField(grid=grid, values=scale * values)
 
 
@@ -172,7 +182,8 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     1 - eta1 - eta2 can lie in the shell, only columns with support are
     transformed, and the others are zero.  The table is real, so one real
     FFT gives every l >= 0 and c_{-l} = conj(c_l); n >= 4 max|l| keeps
-    every |l| below n/2.  Falls back to Gauss-Legendre for small batches.
+    every |l| below n/2.  Chunks of ``_COEFF_SAMPLES // n`` columns keep
+    only the requested |l|.  Small batches fall back to Gauss-Legendre.
     """
     ls = np.asarray(ls, dtype=int)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
@@ -182,12 +193,14 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     n = 1
     while n < max(4 * l_top, 64 * 2 ** min(piece.j, 16), 512):
         n *= 2
-    live, table = _shell_table(piece, eta1, n)
-    spec = np.fft.rfft(table, axis=1)                   # entry l: l >= 0
     # e^{i pi l} / n; n is a power of two, so the scale is exact
     scale = np.where(ls % 2 == 0, 1.0, -1.0) / n
     out = np.zeros((eta1.size, ls.size), dtype=complex)
-    out[live] = spec[:, np.abs(ls)] * scale
+    chunk = max(1, _COEFF_SAMPLES // n)
+    for c0 in range(0, eta1.size, chunk):
+        live, table = _shell_table(piece, eta1[c0:c0 + chunk], n)
+        spec = np.fft.rfft(table, axis=1)               # entry l: l >= 0
+        out[c0 + live] = spec[:, np.abs(ls)] * scale
     out.imag[:, ls < 0] *= -1.0                         # c_{-l} = conj(c_l)
     return out.T
 

@@ -448,10 +448,11 @@ def _decay_probe(alpha: float, j_range, seed: int, grid: Grid,
     ``norms`` is (f_norm, g_norm, out_norm): the slope is fitted to
     log2 out_norm(piece_j(f, g)) / (f_norm(f) g_norm(g)) against j, each
     piece evaluated on the separated path; ``expansion_cap_hits`` counts
-    the pieces whose series stopped at its cap.  ``alpha_threshold`` is a
-    (details key, value) pair: at or below the value the report is
-    NO-GUARANTEE; above it (or when the value is None) a slope at or
-    below -DECAY_SLOPE_TOL passes.
+    the pieces whose series stopped at its cap, and ``truncations`` and
+    ``tail_bounds`` give each piece's series cutoff and measured tail.
+    ``alpha_threshold`` is a (details key, value) pair: at or below the
+    value the report is NO-GUARANTEE; above it (or when the value is
+    None) a slope at or below -DECAY_SLOPE_TOL passes.
     """
     f_norm, g_norm, out_norm = norms
     f, g = _decay_fields("hermite-bump", seed, grid)
@@ -466,14 +467,16 @@ def _decay_probe(alpha: float, j_range, seed: int, grid: Grid,
     def one_j(j):
         exp = build_expansion(DyadicPiece(j, alpha),
                               eta1_samples=live_eigenvalues(f), l_cap=2048)
-        return (out_norm(bilinear_apply_separated(exp, f, g, grid)),
-                not exp.converged)
+        return out_norm(bilinear_apply_separated(exp, f, g, grid)), exp
 
-    n, capped = zip(*parallel_map(one_j, j_values, workers))
+    n, exps = zip(*parallel_map(one_j, j_values, workers))
     report = ProbeReport.from_samples(
         j_values, log2_safe(np.array(n) / denom),
         max_ratio=float(max(n) / denom), alpha=alpha, **details,
-        values=list(n), denominator=denom, expansion_cap_hits=sum(capped))
+        values=list(n), denominator=denom,
+        expansion_cap_hits=sum(not e.converged for e in exps),
+        truncations=[e.truncation for e in exps],
+        tail_bounds=[e.tail_bound for e in exps])
     key, value = alpha_threshold
     report.details[key] = value
     if max(n) == 0.0:

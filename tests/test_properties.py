@@ -1,15 +1,18 @@
 """Algebraic identities the library relies on, checked on random fields
 over small grids in every (d1, d2) in {1, 2}^2: bilinearity and symmetry
-of the direct path, the atom-pair contraction against the dense einsum,
-dilation covariance of the Riesz means, the synthesize/analyze round
-trip, results that do not depend on the worker count, the Plancherel
-identity between the two weighted kernel norms at weight exponent 0
-(d2 = 1), and kernel batches that do not depend on how the triples are
-batched and match the per-triple contraction."""
+of the direct path, the atom-pair contraction against the dense einsum
+(also where pair sums alias and where a support node repeats) and, bit
+for bit, against the contraction into one whole array, dilation
+covariance of the Riesz means, the synthesize/analyze round trip,
+results that do not depend on the worker count, the Plancherel identity
+between the two weighted kernel norms at weight exponent 0 (d2 = 1), and
+kernel batches that do not depend on how the triples are batched and
+match the per-triple contraction."""
 
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +25,14 @@ from grushin.fields import SpectralField, analyze, synthesize
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import multi_index_degrees
 from grushin.reductions import parallel_map
-from grushin.riesz import (_bilinear_contract, _weighted_profiles,
-                           bilinear_apply_direct, dilation_covariance_check)
+from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract, _span,
+                           _weighted_profiles, bilinear_apply_direct,
+                           dilation_covariance_check, truncated_series_symbol)
 from grushin.symbols import (DyadicPiece, RieszParams, Symbol2D,
                              bump_symbol_1d, dyadic_piece_symbol,
                              indicator_symbol_1d, riesz_symbol, tensor_symbol,
                              truncated_power)
+from grushin.verifier import _decay_fields, probe_grid
 
 SPEC = GridSpec(x1_extent=16.0, x1_count=32, x2_count=8, lambda_min=0.5,
                 lambda_max=1.0, lambda_count=2)
@@ -147,6 +152,98 @@ def test_contraction_matches_the_dense_einsum(dims, seed, complex_mt,
     else:
         assert np.max(np.abs(want)) > 0.0
         assert _rel(got, want) <= 1e-13
+
+
+# Nodes +-1..+-5 steps on 16 x''-points per axis: pair sums reach +-10
+# steps, so sums such as 4 + 5 and -3 - 4 share a bin (9 = -7 mod 16).
+ALIAS_SPEC = GridSpec(x1_extent=8.0, x1_count=16, x2_count=16,
+                      lambda_min=0.2, lambda_max=1.0, lambda_count=5)
+
+
+@lru_cache(maxsize=None)
+def _alias_grid(d1, d2):
+    return make_grid(Dims(d1, d2), ALIAS_SPEC)
+
+
+@settings(max_examples=10, deadline=None)
+@given(dims=DIMS, seed=SEEDS)
+def test_contraction_adds_pair_sums_that_alias(dims, seed):
+    grid = _alias_grid(*dims)
+    rng = np.random.default_rng(seed)
+    n_mu = multi_index_degrees(grid.dims.d1, 1).size
+    f, g = (SpectralField(grid.dims, grid.lambda_points, 1,
+                          rng.normal(size=(grid.n_lambda, n_mu))
+                          + 1j * rng.normal(size=(grid.n_lambda, n_mu)))
+            for _ in range(2))
+    k = np.round(grid.lambda_points / grid.lambda_step).astype(int)
+    sums = (k[:, None] + k[None, :]).reshape(-1, grid.dims.d2)
+    assert grid.resolved.x2_count == 16
+    assert (len(np.unique(sums % 16, axis=0))
+            < len(np.unique(sums, axis=0)))
+    mt = rng.normal(size=f.eigenvalues.shape + g.eigenvalues.shape)
+    got = _bilinear_contract(mt, f, g, grid).values
+    assert _rel(got, _dense_contract(mt, f, g, grid)) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=DIMS, seed=SEEDS, repeats=st.integers(1, 3))
+def test_contraction_sums_a_repeated_support_node(dims, seed, repeats):
+    # Two support rows of g on one node put two pairs of each f row in one
+    # bin; both must be added.
+    grid = _grid(*dims)
+    (f,) = _fields(grid, seed)
+    (g,) = _fields(grid, seed + 1)
+    rng = np.random.default_rng(seed)
+    again = rng.integers(g.lambda_support.shape[0], size=repeats)
+    extra = (rng.normal(size=(repeats, g.coeffs.shape[1]))
+             + 1j * rng.normal(size=(repeats, g.coeffs.shape[1])))
+    g = SpectralField(grid.dims,
+                      np.concatenate([g.lambda_support,
+                                      g.lambda_support[again]]),
+                      g.max_degree, np.concatenate([g.coeffs, extra]))
+    mt = rng.normal(size=f.eigenvalues.shape + g.eigenvalues.shape)
+    got = _bilinear_contract(mt, f, g, grid).values
+    want = _dense_contract(mt, f, g, grid)
+    assert np.max(np.abs(want)) > 0.0
+    assert _rel(got, want) <= 1e-13
+
+
+def _whole_d_contract(mt, f, g, grid):
+    """The live-block contraction into the whole (I, J, x') array D, binned
+    by ``Grid.x2_inverse``: each entry sums over (a, b) in the order
+    ``_bilinear_contract`` uses, so the two agree bit for bit."""
+    pf, pg = _weighted_profiles(f, grid), _weighted_profiles(g, grid)
+    live = mt != 0
+    f_spans = [_span(col) for col in np.any(live, axis=(2, 3)).T]
+    g_spans = [_span(col) for col in np.any(live, axis=(0, 1)).T]
+    D = np.zeros((pf.shape[0], pg.shape[0], pf.shape[2]),
+                 dtype=np.result_type(mt, pf, pg))
+    for a, (i0, i1) in enumerate(f_spans):
+        for b, (j0, j1) in enumerate(g_spans):
+            if i0 < i1 and j0 < j1:
+                D[i0:i1, j0:j1] += (mt[i0:i1, a, j0:j1, b][:, :, None]
+                                    * pf[i0:i1, a, None, :]
+                                    * pg[None, j0:j1, b, :])
+    nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
+    scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
+    return scale * grid.x2_inverse(D.reshape(-1, D.shape[2]).T,
+                                   nu.reshape(-1, grid.dims.d2))
+
+
+@pytest.mark.parametrize("j", [1, 3, 6])
+def test_binned_contraction_is_the_whole_d_contraction_bit_for_bit(j):
+    # The separated path's symbol on the ``decay`` probe grid's fields.
+    grid = probe_grid("decay")
+    f, g = _decay_fields("hermite-bump", 0, grid)
+    uniq_f, inv_f = np.unique(f.eigenvalues.reshape(-1), return_inverse=True)
+    uniq_g, inv_g = np.unique(g.eigenvalues.reshape(-1), return_inverse=True)
+    exp = FourierSeriesExpansion(DyadicPiece(j, 1.0), truncation=2048)
+    mt = truncated_series_symbol(exp, uniq_f, uniq_g)[
+        np.ix_(inv_f, inv_g)].reshape(f.eigenvalues.shape
+                                      + g.eigenvalues.shape)
+    got = _bilinear_contract(mt, f, g, grid).values
+    assert np.max(np.abs(got)) > 0.0
+    assert np.array_equal(got, _whole_d_contract(mt, f, g, grid))
 
 
 # Nodes k/16 up to 1: a support on |lambda_i| = 1/4 stays on the node set

@@ -1,17 +1,20 @@
-"""Band-only series tables, the real-form series symbol, the flat
-x''-binning and the real-FFT Sobolev norm, each against the dense form it
-replaces, kept here as the oracle."""
+"""Band-only series tables (whole or in chunks), the real-form series
+symbol, the flat x''-binning and the real-FFT Sobolev norm, each against
+the dense form it replaces, kept here as the oracle."""
 
 import numpy as np
 import pytest
 
+from grushin import riesz
 from grushin.calculus import PaddingError, sobolev_product_norm
 from grushin.dims import Dims
 from grushin.grid import GridSpec, make_grid
 from grushin.riesz import (FourierSeriesExpansion, _shell_table,
-                           fourier_coeff_batch, fourier_coeff_quadrature,
+                           build_expansion, fourier_coeff_batch,
+                           fourier_coeff_quadrature,
                            truncated_series_symbol)
 from grushin.symbols import DyadicPiece, Symbol2D, dyadic_piece_profile, plateau
+from grushin.verifier import _decay_fields, live_eigenvalues, probe_grid
 
 
 def _table_size(piece, ls):
@@ -97,6 +100,36 @@ def test_small_batches_take_the_quadrature_path():
     ls = np.array([-3, 0, 5])
     got = fourier_coeff_batch(piece, ls, eta)
     assert np.array_equal(got, fourier_coeff_quadrature(piece, ls, eta))
+
+
+@pytest.mark.parametrize("j", [2, 5, 8])
+def test_coefficient_chunks_do_not_change_a_bit(j, monkeypatch):
+    # The coefficient probe's call: l = 0..512 at 257 eta1 samples.
+    piece = DyadicPiece(j, 1.0)
+    eta1 = np.linspace(0.0, 1.0, 257)
+    ls = np.arange(-512, 513)
+    monkeypatch.setattr(riesz, "_COEFF_SAMPLES", 1)          # one row
+    one = fourier_coeff_batch(piece, ls, eta1)
+    monkeypatch.setattr(riesz, "_COEFF_SAMPLES", 2 ** 40)    # whole table
+    whole = fourier_coeff_batch(piece, ls, eta1)
+    assert np.any(whole) and np.array_equal(one, whole)
+    # the tolerance of the FFT path against quadrature on the shell window
+    ref = fourier_coeff_quadrature(piece, ls[::4], eta1[::32])
+    assert np.max(np.abs(whole[::4, ::32] - ref)) <= 1e-4
+
+
+def test_expansions_on_the_decay_eigenvalues_keep_their_cutoffs():
+    # Every decay piece stops at the decay probes' cap, with these tails.
+    f, _ = _decay_fields("hermite-bump", 0, probe_grid("decay"))
+    tails = [0.15563622833916202, 0.07781831995237816, 0.03878375065691086,
+             0.019387953803259528, 0.009376338938534654,
+             0.0046820409655974095, 4.448675594279679e-05,
+             0.0001476523901974063]
+    for j, tail in zip(range(1, 9), tails):
+        exp = build_expansion(DyadicPiece(j, 1.0),
+                              eta1_samples=live_eigenvalues(f), l_cap=2048)
+        assert (exp.truncation, exp.converged) == (2048, False)
+        assert exp.tail_bound == pytest.approx(tail, rel=1e-12)
 
 
 def _complex_series_symbol(exp, eta1, eta2):

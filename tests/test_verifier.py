@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from grushin.report import ProbeReport, fit_line
-from grushin.verifier import (DecayProbeSpec, coefficient_decay_probe,
+from grushin.riesz import build_expansion
+from grushin.symbols import DyadicPiece
+from grushin.verifier import (DecayProbeSpec, _decay_fields,
+                              coefficient_decay_probe,
                               dyadic_decay_probe, family_fields,
                               live_eigenvalues, mixed_norm_decay_probe,
                               pointwise_kernel_probe, probe_grid,
@@ -125,9 +128,18 @@ def test_decay_probe_degenerate_zero_field():
 
 
 def test_mixed_probe_no_guarantee_below_threshold():
-    rep = mixed_norm_decay_probe(1.0, j_range=range(1, 4),
-                                 grid=probe_grid("riesz"))
+    grid = probe_grid("riesz")
+    rep = mixed_norm_decay_probe(1.0, j_range=range(1, 4), grid=grid)
     assert rep.verdict == "NO-GUARANTEE"
+    # each piece's series cutoff and tail, as build_expansion reports them
+    f, _ = _decay_fields("hermite-bump", 0, grid)
+    exps = [build_expansion(DyadicPiece(j, 1.0), l_cap=2048,
+                            eta1_samples=live_eigenvalues(f))
+            for j in range(1, 4)]
+    assert rep.details["truncations"] == [e.truncation for e in exps]
+    assert rep.details["tail_bounds"] == [e.tail_bound for e in exps]
+    assert rep.details["expansion_cap_hits"] == sum(not e.converged
+                                                    for e in exps)
 
 
 def test_decay_probe_runs_bit_identical_across_workers():
