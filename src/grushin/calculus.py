@@ -51,7 +51,6 @@ class SpectralAtoms:
     (2k + d1)|lambda| <= eta_max."""
 
     grid: Grid
-    eta_max: float
     lam: np.ndarray        # (Q, d2)
     lam_abs: np.ndarray    # (Q,)
     weight: np.ndarray     # (Q,)
@@ -77,8 +76,7 @@ def build_atoms(grid: Grid, eta_max: float) -> SpectralAtoms:
     idx = np.repeat(np.arange(grid.n_lambda), counts)
     lev = np.arange(idx.size) - np.repeat(np.cumsum(counts) - counts, counts)
     lam_abs = grid.lambda_abs[idx]
-    return SpectralAtoms(grid=grid, eta_max=eta_max,
-                         lam=grid.lambda_points[idx], lam_abs=lam_abs,
+    return SpectralAtoms(grid=grid, lam=grid.lambda_points[idx], lam_abs=lam_abs,
                          weight=grid.lambda_weights[idx], level=lev,
                          eigen=(2 * lev + d1) * lam_abs, lam_index=idx)
 
@@ -232,8 +230,8 @@ def apply_linear_multiplier_gridded(F: Symbol1D, h: GriddedField) -> GriddedFiel
     # build_atoms gives every node its levels 0..kmax, so the atoms' bank
     # holds each node's basis up to kmax; x2_inverse sums a node's rows.
     bank, row_atom = _profile_bank(atoms, grid.x1_points)
-    sections = grid.x2_forward(h.values, atoms.lam)[row_atom]
-    coeff = np.sum(bank * grid.x1_weights * sections, axis=1)
+    coeff = np.sum(bank * grid.x1_weights
+                   * grid.x2_forward(h.values, atoms.lam)[row_atom], axis=1)
     box = grid.x2_box_length ** grid.dims.d2
     c = np.asarray(F(atoms.eigen))[row_atom] * coeff / box
     values = grid.x2_inverse((c[:, None] * bank).T, atoms.lam[row_atom])
@@ -495,12 +493,12 @@ def sobolev_product_norm(G: Symbol2D, s1: float, s2: float,
     return float(np.sqrt(total))
 
 
-def sobolev_norm_1d(g: Symbol1D, s: float, samples: int = 4096,
-                    pad: int = 4) -> float:
-    """1-D Sobolev norm (same Fourier-weight convention)."""
+def sobolev_norm_1d(g: Symbol1D, s: float) -> float:
+    """1-D Sobolev norm (same Fourier-weight convention), by FFT of 4096
+    samples zero-padded to 4 times their length."""
     lo, hi = g.support
-    n = samples
-    big = pad * n
+    n = 4096
+    big = 4 * n
     h = (hi - lo) / n
     e = lo + (np.arange(big) + 0.5) * h
     vals = np.zeros(big, dtype=complex)

@@ -29,9 +29,8 @@ from .grid import GRID_KEYS, GridSpec, format_flat_config, make_grid, \
 from .report import ProbeReport, csv_row
 from .riesz import (bilinear_apply_direct, bilinear_apply_separated,
                     build_expansion, dilation_covariance_check)
-from .symbols import (DyadicPiece, RieszParams, builtin_symbol_1d,
-                      builtin_symbol_2d, dyadic_piece_symbol, riesz_symbol,
-                      truncated_power)
+from .symbols import (DyadicPiece, RieszParams, Symbol2D, builtin_symbol,
+                      dyadic_piece_symbol, riesz_symbol, truncated_power)
 from .thresholds import threshold_table
 from .verifier import (DecayProbeSpec, coefficient_decay_probe,
                        dyadic_decay_probe, family_fields, live_eigenvalues,
@@ -143,7 +142,7 @@ def cmd_riesz(cfg: dict, out: str | None):
         result = direct
     else:
         result = bilinear_apply_direct(
-            riesz_symbol(RieszParams(alpha, big_r, grid.dims)), f, g, grid)
+            riesz_symbol(RieszParams(alpha, big_r)), f, g, grid)
     write_field_binary(result, out + ".grsh")
     write_field_csv(result, out + ".csv", [f"config_hash={config_hash(cfg)}"])
     return (out + ".manifest", [out + ".grsh", out + ".csv"], verdicts,
@@ -154,9 +153,12 @@ def cmd_riesz(cfg: dict, out: str | None):
 
 def cmd_kernel(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
-    name = cfg.get("symbol", "riesz")
     params = {k.split(".", 1)[1]: v for k, v in cfg.items()
               if k.startswith("symbol.")}
+    try:
+        sym = builtin_symbol(cfg.get("symbol", "riesz"), **params)
+    except KeyError as err:
+        raise SystemExit(err.args[0]) from None
     out = out or "kernel.csv"
     n = int(cfg.get("n_points", 16))
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
@@ -164,26 +166,17 @@ def cmd_kernel(cfg: dict, out: str | None):
             (rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)),
             (rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)))
            for _ in range(n)]
+    # a bilinear kernel is sampled at (x, y, z), a linear one at (x, y)
+    layers = 3 if isinstance(sym, Symbol2D) else 2
+    batch = bilinear_kernel_batch if layers == 3 else linear_kernel_batch
+    vals = batch(sym, *([p[k] for p in pts] for k in range(layers)), grid)
     with open(out, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
-        try:
-            sym2 = builtin_symbol_2d(name, **params)
-            vals = bilinear_kernel_batch(sym2, [p[0] for p in pts],
-                                         [p[1] for p in pts],
-                                         [p[2] for p in pts], grid)
-            fh.write("x1,x2,y1,y2,z1,z2,re,im\n")
-            for (x, y, z), v in zip(pts, vals):
-                fh.write(csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
-                                 z[0][0], z[1][0], v.real, v.imag))
-        except KeyError:
-            sym1 = builtin_symbol_1d(name, **{k: float(v)
-                                              for k, v in params.items()})
-            vals = linear_kernel_batch(sym1, [p[0] for p in pts],
-                                       [p[1] for p in pts], grid)
-            fh.write("x1,x2,y1,y2,re,im\n")
-            for (x, y, _), v in zip(pts, vals):
-                fh.write(csv_row(x[0][0], x[1][0], y[0][0], y[1][0],
-                                 v.real, v.imag))
+        fh.write(",".join(f"{v}{k}" for v in "xyz"[:layers] for k in (1, 2))
+                 + ",re,im\n")
+        for p, v in zip(pts, vals):
+            fh.write(csv_row(*(c[0] for point in p[:layers] for c in point),
+                             v.real, v.imag))
     return out + ".manifest", [out], {}, f"kernel samples written to {out}", 0
 
 
@@ -233,10 +226,9 @@ def roundtrip_probe() -> ProbeReport:
 
 
 def _decay_probe_run(cfg: dict, seed: int, workers):
-    p1 = float(cfg.get("p1", 2)); p2 = float(cfg.get("p2", 2))
-    inv = (0 if math.isinf(p1) else 1 / p1) + (0 if math.isinf(p2) else 1 / p2)
-    spec = DecayProbeSpec(alpha=float(cfg.get("alpha", 0.5)), p1=p1, p2=p2,
-                          p=math.inf if inv == 0 else 1.0 / inv, seed=seed)
+    spec = DecayProbeSpec(alpha=float(cfg.get("alpha", 0.5)),
+                          p1=float(cfg.get("p1", 2)),
+                          p2=float(cfg.get("p2", 2)), seed=seed)
     return dyadic_decay_probe(spec, workers=workers)
 
 
@@ -246,7 +238,7 @@ def _dilation_probe_run(cfg: dict, seed: int, workers):
                           max_degree=2) for s in (seed, seed + 1))
     t = float(cfg.get("t", 2.0))
     return dilation_covariance_check(
-        RieszParams(float(cfg.get("alpha", 1.0)), t * t, grid.dims),
+        RieszParams(float(cfg.get("alpha", 1.0)), t * t),
         f, g, t, grid)
 
 

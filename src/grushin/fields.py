@@ -11,7 +11,7 @@ x'-quadrature error.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -237,13 +237,12 @@ def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
     if any(m.size == 0 for m in maps1 + maps2):
         raise GridError(f"dilation ratio {t} is inadmissible for this grid")
 
-    from dataclasses import replace as _replace
     new_x1 = tuple(ax[m[:, 0]] for ax, m in zip(grid.x1_axes, maps1))
     new_x2 = tuple(ax[m[:, 0]] for ax, m in zip(grid.x2_axes, maps2))
     # The spec the sub-grid resolves to: its own axes (count times node
     # spacing) and the t^2-scaled frequency window.
     res = grid.resolved
-    new_res = _replace(
+    new_res = replace(
         res,
         x1_extent=_axis_extent(new_x1[0], res.x1_extent / res.x1_count),
         x1_count=new_x1[0].size,
@@ -252,7 +251,7 @@ def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
         lambda_min=(t * t) * res.lambda_min,
         lambda_max=(t * t) * res.lambda_max,
     )
-    new_grid = _replace(
+    new_grid = replace(
         grid,
         x1_axes=new_x1,
         x1_axis_weights=tuple(_requad(ax) for ax in new_x1),

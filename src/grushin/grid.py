@@ -107,8 +107,7 @@ class Grid:
     lambda_axes: tuple[np.ndarray, ...]
     lambda_axis_weights: tuple[np.ndarray, ...]
     lambda_step: float
-    spec: GridSpec          # as requested
-    resolved: GridSpec      # after extent/count adjustment
+    resolved: GridSpec      # the spec after extent/count adjustment
 
     # -- flattened tensor views -------------------------------------------
     @cached_property
@@ -160,17 +159,18 @@ class Grid:
         return float(min(np.abs(ax).min() for ax in self.lambda_axes))
 
     # -- lookups ------------------------------------------------------------
-    def lambda_index(self, lam, tol: float = 1e-9):
+    def lambda_index(self, lam):
         """Index of a frequency vector among the grid nodes, or the index
-        array of an (n, d2) batch; GridError if any is absent.  The nodes
-        are a tensor product, so each coordinate is matched on its axis."""
+        array of an (n, d2) batch; GridError if any is absent (off by more
+        than 1e-9 steps).  The nodes are a tensor product, so each
+        coordinate is matched on its axis."""
         lam = np.asarray(lam, dtype=float)
         rows = np.atleast_2d(lam)
         per_axis = [np.abs(rows[:, k, None] - ax)
                     for k, ax in enumerate(self.lambda_axes)]
         nearest = tuple(np.argmin(diff, axis=1) for diff in per_axis)
         miss = np.max([diff.min(axis=1) for diff in per_axis], axis=0)
-        off = np.flatnonzero(miss > tol * max(1.0, self.lambda_step))
+        off = np.flatnonzero(miss > 1e-9 * max(1.0, self.lambda_step))
         if off.size:
             raise GridError(f"frequency {rows[off[0]]} is not a grid node")
         idx = np.ravel_multi_index(nearest, [ax.size for ax in self.lambda_axes])
@@ -251,7 +251,9 @@ class Grid:
         vals = coeffs.T.ravel()
         spec = (np.bincount(flat, vals.real, rows * n)
                 + 1j * np.bincount(flat, vals.imag, rows * n))
-        # rebound, so the frequency-major bins are freed before the FFT
+        # the inputs, and the frequency-major bins by the rebinding, are
+        # freed before the FFT, where a gridded multiplier peaks
+        del flat, vals, coeffs
         spec = np.ascontiguousarray(spec.reshape(n, rows).T)
         return self._x2_ifft(spec)
 
@@ -343,6 +345,5 @@ def make_grid(dims: Dims, spec: GridSpec) -> Grid:
         lambda_axes=tuple(lam_axis.copy() for _ in range(dims.d2)),
         lambda_axis_weights=tuple(lam_w.copy() for _ in range(dims.d2)),
         lambda_step=step,
-        spec=spec,
         resolved=resolved,
     )

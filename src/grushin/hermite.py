@@ -150,17 +150,14 @@ class HermiteTable:
         return worst
 
 
-def build_hermite_table(max_l: int, extent: float | None = None,
-                        count: int | None = None) -> HermiteTable:
+def build_hermite_table(max_l: int) -> HermiteTable:
     """Table over a uniform grid wide/fine enough for discrete orthonormality.
 
-    Default extent covers the classical turning point sqrt(2*max_l+1)
-    with margin; default spacing is 0.05.
+    The extent covers the classical turning point sqrt(2*max_l+1) with
+    margin; the spacing is 0.05.
     """
-    if extent is None:
-        extent = 1.6 * np.sqrt(2.0 * max_l + 1.0) + 4.0
-    if count is None:
-        count = int(np.ceil(2.0 * extent / 0.05)) | 1
+    extent = 1.6 * np.sqrt(2.0 * max_l + 1.0) + 4.0
+    count = int(np.ceil(2.0 * extent / 0.05)) | 1
     nodes = np.linspace(-extent, extent, count)
     h = nodes[1] - nodes[0]
     weights = np.full(count, h)

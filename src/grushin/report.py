@@ -96,7 +96,7 @@ def csv_row(*values) -> str:
     return ",".join(repr(float(v)) for v in values) + "\n"
 
 
-def log2_safe(values, floor: float = 1e-300) -> np.ndarray:
-    """log2 with a floor so exact zeros do not poison regression fits."""
-    v = np.maximum(np.asarray(values, dtype=float), floor)
-    return np.log2(v)
+def log2_safe(values) -> np.ndarray:
+    """log2 with a floor of 1e-300, so exact zeros do not poison
+    regression fits."""
+    return np.log2(np.maximum(np.asarray(values, dtype=float), 1e-300))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GriddedField, SpectralField
+from .fields import GriddedField, SpectralField, dilate_gridded, dilate_spectral
 from .grid import Grid, GridError
 from .hermite import scaled_profile_bank
 from .report import ProbeReport
@@ -49,9 +49,9 @@ def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
 # x') temporary near 1.7 MB on the ``decay`` grid; 32 rows measured
 # about 25% slower there.
 _CONTRACT_ROWS = 8
-# Samples per chunk of the series coefficient table: 2^18 keeps it near
-# 2 MB; 2^20 peaked 0.5 MB higher in the README ``riesz`` runs.
-_COEFF_SAMPLES = 2 ** 18
+# Samples per chunk of the series coefficient table: 2^17 keeps it near
+# 1 MB; 2^18 peaked 1.7 MB higher in the README ``riesz`` runs.
+_COEFF_SAMPLES = 2 ** 17
 
 
 def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
@@ -279,12 +279,12 @@ def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
     eta2 = np.atleast_1d(np.asarray(eta2, dtype=float))
     ls = np.arange(0, L + 1)
-    pos = fourier_coeff_batch(exp.piece, ls, eta1)       # (L+1, n1)
-    plat = plateau(eta2)
-    rows = np.flatnonzero(np.any(pos, axis=0))
-    cols = np.flatnonzero(plat)
-    c = pos[:, rows]
+    c = fourier_coeff_batch(exp.piece, ls, eta1)         # (L+1, n1)
+    rows = np.flatnonzero(np.any(c, axis=0))
+    c = c[:, rows]   # rebound, so the full table is freed before the trig ones
     c[1:] *= 2.0
+    plat = plateau(eta2)
+    cols = np.flatnonzero(plat)
     angle = np.pi * np.multiply.outer(ls, eta2[cols])     # (L+1, n2 live)
     out = np.zeros((eta1.size, eta2.size))
     out[np.ix_(rows, cols)] = (c.real.T @ np.cos(angle)
@@ -325,11 +325,8 @@ def dilation_covariance_check(params: RieszParams, f: SpectralField,
     """Check the rescaling identity: the mean at R scaled by t^{-2} equals
     the t-dilation conjugate of the mean at R; reports the max pointwise
     relative deviation on shared nodes."""
-    from .fields import dilate_gridded, dilate_spectral
-
     lhs = bilinear_apply_direct(
-        riesz_symbol(RieszParams(params.alpha, params.R / (t * t), params.dims)),
-        f, g, grid)
+        riesz_symbol(RieszParams(params.alpha, params.R / (t * t))), f, g, grid)
     ft = dilate_spectral(f, t, grid)
     gt = dilate_spectral(g, t, grid)
     inner = bilinear_apply_direct(riesz_symbol(params), ft, gt, grid)

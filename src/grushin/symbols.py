@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import Dims
-
 
 def _exp_inv(u):
     """exp(-1/u) for u > 0, 0 otherwise (smooth at 0)."""
@@ -64,10 +62,10 @@ def dyadic_bump(t):
     return out
 
 
-def plateau(t, inner: float = 1.0, outer: float = 2.0):
-    """Smooth plateau: 1 on [-inner, inner], 0 outside [-outer, outer]."""
+def plateau(t):
+    """Smooth plateau: 1 on [-1, 1], 0 outside [-2, 2]."""
     t = np.abs(np.asarray(t, dtype=float))
-    return 1.0 - smooth_step((t - inner) / (outer - inner))
+    return 1.0 - smooth_step(t - 1.0)
 
 
 def truncated_power(t, alpha: float):
@@ -88,7 +86,6 @@ class Symbol1D:
 
     evaluator: callable
     support: tuple[float, float]
-    name: str = ""
 
     def __call__(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -102,11 +99,14 @@ class Symbol1D:
 
 @dataclass
 class Symbol2D:
-    """A bilinear multiplier G(eta1, eta2) with declared support box."""
+    """A bilinear multiplier G(eta1, eta2) with declared support box.
+
+    The evaluator must be elementwise: it sees only points inside the
+    box, either the broadcast inputs whole or the gathered inside points.
+    """
 
     evaluator: callable
     support: tuple[tuple[float, float], tuple[float, float]]
-    name: str = ""
 
     def __call__(self, eta1, eta2):
         eta1 = np.asarray(eta1, dtype=float)
@@ -114,7 +114,9 @@ class Symbol2D:
         (a1, b1), (a2, b2) = self.support
         inside = (eta1 >= a1) & (eta1 <= b1) & (eta2 >= a2) & (eta2 <= b2)
         out = np.zeros(np.broadcast(eta1, eta2).shape, dtype=complex)
-        if inside.any():
+        if inside.all():    # the evaluator is elementwise: nothing to gather
+            out[...] = self.evaluator(eta1, eta2)
+        elif inside.any():
             e1 = np.broadcast_to(eta1, out.shape)[inside]
             e2 = np.broadcast_to(eta2, out.shape)[inside]
             out[inside] = self.evaluator(e1, e2)
@@ -148,7 +150,6 @@ def partition_defect(taus) -> float:
 class RieszParams:
     alpha: float
     R: float = 1.0
-    dims: Dims = Dims(1, 1)
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -182,12 +183,11 @@ def riesz_symbol(params: RieszParams) -> Symbol2D:
     def ev(e1, e2):
         return truncated_power(1.0 - (e1 + e2) / R, alpha)
 
-    return Symbol2D(ev, ((0.0, R), (0.0, R)), name=f"riesz(alpha={alpha},R={R})")
+    return Symbol2D(ev, ((0.0, R), (0.0, R)))
 
 
 def riesz_symbol_1d(alpha: float, R: float = 1.0) -> Symbol1D:
-    return Symbol1D(lambda e: truncated_power(1.0 - e / R, alpha), (0.0, R),
-                    name=f"riesz1(alpha={alpha},R={R})")
+    return Symbol1D(lambda e: truncated_power(1.0 - e / R, alpha), (0.0, R))
 
 
 def dyadic_piece_profile(piece: DyadicPiece):
@@ -219,23 +219,21 @@ def dyadic_piece_symbol(piece: DyadicPiece) -> Symbol2D:
         out[inside] = profile(s[inside])
         return out
 
-    return Symbol2D(ev, ((0.0, 1.0), (0.0, 1.0)),
-                    name=f"dyadic(j={piece.j},alpha={piece.alpha})")
+    return Symbol2D(ev, ((0.0, 1.0), (0.0, 1.0)))
 
 
 def indicator_symbol_1d(lo: float = 0.0, hi: float = 1.0) -> Symbol1D:
-    return Symbol1D(lambda e: np.ones_like(e), (lo, hi),
-                    name=f"indicator({lo},{hi})")
+    return Symbol1D(lambda e: np.ones_like(e), (lo, hi))
 
 
-def gaussian_symbol_1d(center: float = 0.5, width: float = 0.15,
-                       cut: float = 5.0) -> Symbol1D:
-    lo, hi = center - cut * width, center + cut * width
+def gaussian_symbol_1d(center: float = 0.5, width: float = 0.15) -> Symbol1D:
+    """Gaussian profile, cut to zero beyond five widths from the center."""
+    lo, hi = center - 5.0 * width, center + 5.0 * width
 
     def ev(e):
         return np.exp(-0.5 * ((e - center) / width) ** 2)
 
-    return Symbol1D(ev, (lo, hi), name=f"gaussian({center},{width})")
+    return Symbol1D(ev, (lo, hi))
 
 
 def bump_symbol_1d(lo: float, hi: float) -> Symbol1D:
@@ -249,7 +247,7 @@ def bump_symbol_1d(lo: float, hi: float) -> Symbol1D:
         out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
         return out * np.e  # normalized to 1 at the center
 
-    return Symbol1D(ev, (lo, hi), name=f"bump({lo},{hi})")
+    return Symbol1D(ev, (lo, hi))
 
 
 @dataclass
@@ -269,9 +267,11 @@ class SeparableSymbol2D(Symbol2D):
 def tensor_symbol(f1: Symbol1D, f2: Symbol1D) -> SeparableSymbol2D:
     return SeparableSymbol2D(
         evaluator=lambda e1, e2: f1(e1) * f2(e2),
-        support=(f1.support, f2.support),
-        name=f"tensor({f1.name},{f2.name})",
-        factor1=f1, factor2=f2)
+        support=(f1.support, f2.support), factor1=f1, factor2=f2)
+
+
+def _bump(p):
+    return bump_symbol_1d(float(p.get("lo", 0.25)), float(p.get("hi", 0.75)))
 
 
 _BUILTIN_1D = {
@@ -281,29 +281,38 @@ _BUILTIN_1D = {
                                                float(p.get("hi", 1.0))),
     "gaussian": lambda p: gaussian_symbol_1d(float(p.get("center", 0.5)),
                                              float(p.get("width", 0.15))),
-    "bump": lambda p: bump_symbol_1d(float(p.get("lo", 0.25)),
-                                     float(p.get("hi", 0.75))),
+    "bump": _bump,
 }
 
 
+_BUILTIN_2D = {
+    "riesz": lambda p: riesz_symbol(RieszParams(float(p.get("alpha", 1.0)),
+                                                float(p.get("R", 1.0)))),
+    "dyadic": lambda p: dyadic_piece_symbol(
+        DyadicPiece(int(p.get("j", 2)), float(p.get("alpha", 1.0)))),
+    "tensor-bump": lambda p: tensor_symbol(_bump(p), _bump(p)),
+}
+
+
+def _lookup(tables, name: str, params: dict):
+    """Build ``name`` from the first table that has it; KeyError naming
+    every symbol of the tables if none does."""
+    for table in tables:
+        if name in table:
+            return table[name](params)
+    names = list(dict.fromkeys(n for table in tables for n in table))
+    raise KeyError(f"unknown symbol {name!r}; available: {names}")
+
+
 def builtin_symbol_1d(name: str, **params) -> Symbol1D:
-    if name not in _BUILTIN_1D:
-        raise KeyError(f"unknown symbol {name!r}; available: "
-                       f"{sorted(_BUILTIN_1D)}")
-    return _BUILTIN_1D[name](params)
+    return _lookup((_BUILTIN_1D,), name, params)
 
 
 def builtin_symbol_2d(name: str, **params) -> Symbol2D:
-    if name == "riesz":
-        return riesz_symbol(RieszParams(float(params.get("alpha", 1.0)),
-                                        float(params.get("R", 1.0))))
-    if name == "dyadic":
-        return dyadic_piece_symbol(DyadicPiece(int(params.get("j", 2)),
-                                               float(params.get("alpha", 1.0))))
-    if name == "tensor-bump":
-        return tensor_symbol(bump_symbol_1d(float(params.get("lo", 0.25)),
-                                            float(params.get("hi", 0.75))),
-                             bump_symbol_1d(float(params.get("lo", 0.25)),
-                                            float(params.get("hi", 0.75))))
-    raise KeyError(f"unknown 2-D symbol {name!r}; available: "
-                   "['riesz', 'dyadic', 'tensor-bump']")
+    return _lookup((_BUILTIN_2D,), name, params)
+
+
+def builtin_symbol(name: str, **params) -> Symbol1D | Symbol2D:
+    """The built-in symbol ``name``, from the 2-D table first, so
+    ``riesz`` is the bilinear symbol; the 1-D table holds the rest."""
+    return _lookup((_BUILTIN_2D, _BUILTIN_1D), name, params)

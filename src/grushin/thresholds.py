@@ -31,7 +31,6 @@ def _le(a, b):
 class RegionVerdict:
     region: str
     threshold: float | None
-    variant: str
     source: str = "item"
 
     def __post_init__(self):
@@ -112,15 +111,14 @@ def threshold(p1: float, p2: float, dims: Dims,
             if _IN_REGION[name](u, v, w)]
     if hits:
         best, region = min(hits, key=lambda t: (t[0], t[1]))
-        return RegionVerdict(region=region, threshold=float(best),
-                             variant=variant)
+        return RegionVerdict(region=region, threshold=float(best))
     if u < _EPS and v < _EPS:
         # The joint-sup corner: the endpoint estimate gives d - 1/2
         # (the limit of the region-II formula), proved separately.
         d = dims.total_dim
         return RegionVerdict(region="II", threshold=float(d - 0.5),
-                             variant=variant, source="endpoint")
-    return RegionVerdict(region="NotCovered", threshold=None, variant=variant)
+                             source="endpoint")
+    return RegionVerdict(region="NotCovered", threshold=None)
 
 
 def threshold_table(dims: Dims, variant: str = "general",

@@ -112,9 +112,11 @@ def family_fields(name: str, grid: Grid, seed: int,
     return SpectralField(grid.dims, support, max_degree, coeffs)
 
 
-def live_eigenvalues(f: SpectralField, cap: float = 1.0) -> np.ndarray:
+def live_eigenvalues(f: SpectralField) -> np.ndarray:
+    """The distinct eigenvalues of f up to 1, the top of every dyadic
+    piece's support."""
     ev = np.unique(f.eigenvalues.reshape(-1))
-    return ev[ev <= cap + 1e-12]
+    return ev[ev <= 1.0 + 1e-12]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +268,7 @@ def _refinement_report(ratios, abscissa, **details) -> ProbeReport:
 
 def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                               gamma2: float = 0.0, n1: float = 1.0,
-                              n2: float = 0.0, m_range=range(2, 6),
+                              n2: float = 0.0,
                               workers: int | None = None) -> ProbeReport:
     """Ratio/slope probes for the four weighted-kernel estimates.
 
@@ -276,8 +278,9 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
       weight at gamma = 0; ratio over base points.
     * second_layer: |x''-y''| weights with gamma1, gamma2 in [0, d2/2);
       RHS is the product Sobolev norm.
-    * truncated: frequency-size cutoffs at scales M; log2 LHS vs M slope
-      compared with 2*n1 - d2 (and the ratio against the closed RHS).
+    * truncated: frequency-size cutoffs at scales M = 2..5; log2 LHS vs
+      M slope compared with 2*n1 - d2 (and the ratio against the closed
+      RHS).
     """
     if kind not in PLANCHEREL_KINDS:
         raise KeyError(f"unknown kind {kind!r}; available {PLANCHEREL_KINDS}")
@@ -344,7 +347,7 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
     # and ratio live in channel one while channel two is held fixed.
     s1 = sobolev_norm_1d(prof, n1) ** 2
     s2 = sobolev_norm_1d(prof, n2) ** 2
-    m_values = list(m_range)
+    m_values = [2, 3, 4, 5]
 
     def chan(m, order):
         vals = [second_layer_channel_l2(prof, grid, np.array([x1]), order,
@@ -415,23 +418,20 @@ def coefficient_decay_probe(alpha: float, beta: float,
 
 @dataclass(frozen=True)
 class DecayProbeSpec:
-    """Configuration of a geometric-decay probe at one exponent tuple."""
+    """Configuration of a geometric-decay probe at the input exponents
+    (p1, p2); the output exponent p follows from 1/p = 1/p1 + 1/p2."""
 
     alpha: float
     p1: float
     p2: float
-    p: float
     j_range: tuple = (1, 2, 3, 4, 5, 6)
     seed: int = 0
 
-    def __post_init__(self):
-        inv = (0.0 if math.isinf(self.p1) else 1.0 / self.p1) \
-            + (0.0 if math.isinf(self.p2) else 1.0 / self.p2)
-        target = 0.0 if math.isinf(self.p) else 1.0 / self.p
-        if abs(inv - target) > 1e-12:
-            raise ValueError(
-                f"exponents violate the product relation: 1/p1 + 1/p2 = "
-                f"{inv} != 1/p = {target}")
+    @property
+    def p(self) -> float:
+        inv = ((0 if math.isinf(self.p1) else 1 / self.p1)
+               + (0 if math.isinf(self.p2) else 1 / self.p2))
+        return math.inf if inv == 0 else 1.0 / inv
 
 
 def _decay_fields(spec_family: str, seed: int, grid: Grid):

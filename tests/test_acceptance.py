@@ -172,7 +172,7 @@ def test_acceptance_07_dilation_covariance(dilation_grid):
     f, h = field(1), field(2)
     worst = 0.0
     for t in (2.0, 0.5):
-        rep = dilation_covariance_check(RieszParams(1.0, t * t, g.dims),
+        rep = dilation_covariance_check(RieszParams(1.0, t * t),
                                         f, h, t, g)
         worst = max(worst, rep.max_ratio)
     _verdict(7, "dilation covariance", worst <= 1e-4, f"max dev={worst:.2e}")
@@ -191,8 +191,7 @@ def test_acceptance_08_weighted_plancherel():
                        f"growth={growth:.2%}")
         ok = ok and rep.verdict == "PASS" and growth < 0.05 \
             and np.isfinite(rep.max_ratio)
-    rep = weighted_plancherel_probe("truncated", n1=1.0, n2=0.0,
-                                    m_range=range(2, 6))
+    rep = weighted_plancherel_probe("truncated", n1=1.0, n2=0.0)
     target = rep.details["slope_target"]
     details.append(f"truncated: slope={rep.slope:.3f} target={target}")
     ok = ok and abs(rep.slope - target) <= 0.15
@@ -221,7 +220,7 @@ def test_acceptance_09_pointwise_kernel(beta1, beta2):
     (2.0, math.inf, 2.0, 0.7, 0.5),
 ])
 def test_acceptance_10_dyadic_decay(p1, p2, p, alpha, corner):
-    spec = DecayProbeSpec(alpha=alpha, p1=p1, p2=p2, p=p,
+    spec = DecayProbeSpec(alpha=alpha, p1=p1, p2=p2,
                           j_range=(1, 2, 3, 4, 5, 6), seed=3)
     rep = dyadic_decay_probe(spec)
     assert rep.details["corner_threshold"] == pytest.approx(corner)
@@ -271,7 +270,7 @@ def test_acceptance_13_determinism(riesz_grid):
     g = riesz_grid
     runs = []
     for workers in (1, 2, 8, 1):
-        spec = DecayProbeSpec(alpha=0.7, p1=2.0, p2=math.inf, p=2.0,
+        spec = DecayProbeSpec(alpha=0.7, p1=2.0, p2=math.inf,
                               j_range=(1, 2, 3), seed=9)
         rep = dyadic_decay_probe(spec, grid=g, workers=workers)
         runs.append(pickle.dumps((rep.abscissa.tobytes(),

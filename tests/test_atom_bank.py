@@ -86,7 +86,7 @@ def test_atom_projection_values_on_an_atom_subset(riesz_grid):
     atoms = build_atoms(riesz_grid, 0.45)
     keep = (atoms.level % 3 != 1) & (atoms.lam_index % 2 == 0)
     sub = C.SpectralAtoms(
-        grid=riesz_grid, eta_max=atoms.eta_max, lam=atoms.lam[keep],
+        grid=riesz_grid, lam=atoms.lam[keep],
         lam_abs=atoms.lam_abs[keep], weight=atoms.weight[keep],
         level=atoms.level[keep], eigen=atoms.eigen[keep],
         lam_index=atoms.lam_index[keep])

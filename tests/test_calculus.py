@@ -322,7 +322,7 @@ def _kept_form(grid, c, atoms, x1, exponent):
     """conj(c) @ M @ c over the atoms with c != 0, Gram built literally."""
     from grushin.calculus import SpectralAtoms, _weighted_gram
     keep = np.abs(c) > 0
-    sub = SpectralAtoms(grid, atoms.eta_max, atoms.lam[keep],
+    sub = SpectralAtoms(grid, atoms.lam[keep],
                         atoms.lam_abs[keep], atoms.weight[keep],
                         atoms.level[keep], atoms.eigen[keep],
                         atoms.lam_index[keep])

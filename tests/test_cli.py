@@ -4,7 +4,6 @@ import pytest
 
 from grushin import cli
 from grushin.cli import main
-from grushin.dims import Dims
 from grushin.fields import SpectralField
 from grushin.geometry import Point
 from grushin.grid import Grid
@@ -88,6 +87,33 @@ def test_kernel_command(tmp_path):
     assert len(lines) == 5
     for line in lines[2:]:
         assert len([float(v) for v in line.split(",")]) == 6
+
+
+def test_kernel_command_rejects_an_unknown_symbol_before_writing(tmp_path):
+    out = tmp_path / "k.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["kernel"] + RIESZ_GRID + ["--set", "symbol=nope",
+                                        "--out", str(out)])
+    for name in ("riesz", "dyadic", "tensor-bump", "indicator", "gaussian",
+                 "bump"):
+        assert repr(name) in str(err.value)
+    assert not out.exists()
+
+    # riesz names the bilinear symbol, not the 1-D one
+    assert main(["kernel"] + RIESZ_GRID + ["--set", "n_points=2",
+                                           "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "x1,x2,y1,y2,z1,z2,re,im"
+
+
+def test_kernel_command_keeps_a_key_error_of_the_bilinear_path(tmp_path,
+                                                                monkeypatch):
+    def fail(*args):
+        raise KeyError("inside the kernel batch")
+
+    monkeypatch.setattr(cli, "bilinear_kernel_batch", fail)
+    with pytest.raises(KeyError, match="inside the kernel batch"):
+        main(["kernel"] + RIESZ_GRID + ["--set", "symbol=dyadic",
+                                        "--out", str(tmp_path / "k.csv")])
 
 
 def test_thresholds_command_corners(tmp_path):
@@ -203,7 +229,7 @@ def _suite_calls(seed, workers, alpha, alpha_mixed):
         ("restriction_probe", (0.0,), {}),
         ("coefficient_decay_probe", (1.0, 0.05), {"workers": workers}),
         ("dyadic_decay_probe",
-         (DecayProbeSpec(alpha=alpha, p1=2.0, p2=2.0, p=1.0, seed=seed),),
+         (DecayProbeSpec(alpha=alpha, p1=2.0, p2=2.0, seed=seed),),
          {"workers": workers}),
         ("mixed_norm_decay_probe", (alpha_mixed,),
          {"seed": seed, "workers": workers}),
@@ -238,11 +264,11 @@ PROBE_DEFAULT_CALLS = {
     "restriction": ("restriction_probe", (0.0,), {}),
     "coefficient": ("coefficient_decay_probe", (1.0, 0.05), {"workers": None}),
     "decay": ("dyadic_decay_probe",
-              (DecayProbeSpec(alpha=0.5, p1=2.0, p2=2.0, p=1.0, seed=0),),
+              (DecayProbeSpec(alpha=0.5, p1=2.0, p2=2.0, seed=0),),
               {"workers": None}),
     "mixed": ("mixed_norm_decay_probe", (1.6,), {"seed": 0, "workers": None}),
     "dilation": ("dilation_covariance_check",
-                 (RieszParams(1.0, 4.0, Dims(1, 1)), "SpectralField",
+                 (RieszParams(1.0, 4.0), "SpectralField",
                   "SpectralField", 2.0, "Grid"), {}),
     "weight-integral": ("weight_integral_check",
                         (("Point", [0.0], [0.0]), [0.25, 0.5, 1.0, 2.0, 4.0],

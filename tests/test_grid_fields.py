@@ -31,7 +31,7 @@ def test_make_grid_counts(default_grid):
     g = default_grid
     assert g.n_x1 == 64
     assert g.n_lambda == 64          # 32 per sign
-    assert g.lambda_min_actual >= g.spec.lambda_min - 1e-12
+    assert g.lambda_min_actual >= GridSpec().lambda_min - 1e-12
     assert np.all(g.lambda_weights > 0)
     assert np.all(g.x1_weights > 0)
 

@@ -276,7 +276,7 @@ def test_riesz_means_are_dilation_covariant(dims, seed, t, alpha, r):
                           rng.normal(size=(support.shape[0], n_mu))
                           + 1j * rng.normal(size=(support.shape[0], n_mu)))
             for _ in range(2))
-    rep = dilation_covariance_check(RieszParams(alpha, r * t * t, grid.dims),
+    rep = dilation_covariance_check(RieszParams(alpha, r * t * t),
                                     f, g, t, grid)
     assert rep.verdict == "PASS"
     assert rep.details["reference"] > 0.0

@@ -179,16 +179,16 @@ def test_dilation_covariance(dilation_grid):
     g = dilation_grid
     f = _dilation_field(g, 15)
     h = _dilation_field(g, 16)
-    rep = dilation_covariance_check(RieszParams(1.0, 4.0, g.dims), f, h,
+    rep = dilation_covariance_check(RieszParams(1.0, 4.0), f, h,
                                     2.0, g)
     assert rep.verdict == "PASS"
     assert rep.max_ratio <= 1e-4
 
-    rep_half = dilation_covariance_check(RieszParams(1.0, 0.25, g.dims), f, h,
+    rep_half = dilation_covariance_check(RieszParams(1.0, 0.25), f, h,
                                          0.5, g)
     assert rep_half.verdict == "PASS"
     assert rep_half.max_ratio <= 1e-4
 
-    rep_id = dilation_covariance_check(RieszParams(1.0, 1.0, g.dims), f, h,
+    rep_id = dilation_covariance_check(RieszParams(1.0, 1.0), f, h,
                                        1.0, g)
     assert rep_id.max_ratio == 0.0

@@ -102,6 +102,20 @@ def test_dyadic_piece_symbol_is_its_profile_bit_for_bit(decay_eigen, j, alpha):
         assert got.tobytes() == want.tobytes()
 
 
+def test_symbol_inside_its_box_is_the_gathered_evaluation():
+    # a grid inside the support box is evaluated without gathers; one
+    # point outside sends the same grid through the gathered path
+    e1 = np.linspace(0.0, 1.0, 37)[:, None]
+    e2 = np.linspace(0.0, 1.0, 41)[None, :]
+    for sym in (dyadic_piece_symbol(DyadicPiece(2, 0.7)),
+                riesz_symbol(RieszParams(1.5)),
+                Symbol2D(lambda a, b: np.exp(1j * a * b), ((0.0, 1.0),) * 2)):
+        whole = sym(e1, e2)
+        part = sym(np.vstack([e1, [[2.0]]]), e2)
+        assert np.array_equal(whole, part[:-1])
+        assert not np.any(part[-1])
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_dyadic_partial_sum_reconstruction(alpha):
     e1 = np.linspace(0, 1, 231)

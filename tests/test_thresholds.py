@@ -114,9 +114,9 @@ def test_errors():
     with pytest.raises(ValueError):
         threshold(2, 2, D11, "bogus")
     with pytest.raises(ValueError):
-        RegionVerdict("nope", 1.0, "general")
+        RegionVerdict("nope", 1.0)
     with pytest.raises(ValueError):
-        RegionVerdict("NotCovered", 1.0, "general")
+        RegionVerdict("NotCovered", 1.0)
     with pytest.raises(ValueError):
         threshold_table(D11, resolution=1)
 

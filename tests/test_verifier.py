@@ -94,22 +94,21 @@ def test_coefficient_decay_shell_clear_sharp_rate():
 
 
 def test_decay_probe_spec_validates_product_relation():
-    with pytest.raises(ValueError):
-        DecayProbeSpec(alpha=1.0, p1=2, p2=2, p=2)
-    DecayProbeSpec(alpha=1.0, p1=2, p2=2, p=1)
-    DecayProbeSpec(alpha=1.0, p1=math.inf, p2=math.inf, p=math.inf)
+    # the output exponent follows from 1/p = 1/p1 + 1/p2
+    assert DecayProbeSpec(alpha=1.0, p1=2, p2=2).p == 1.0
+    assert DecayProbeSpec(alpha=1.0, p1=2, p2=math.inf).p == 2.0
+    assert DecayProbeSpec(alpha=1.0, p1=math.inf, p2=math.inf).p == math.inf
 
 
 def test_decay_probe_no_guarantee_labeling():
-    spec = DecayProbeSpec(alpha=0.0, p1=2, p2=2, p=1,
-                          j_range=(1, 2, 3))
+    spec = DecayProbeSpec(alpha=0.0, p1=2, p2=2, j_range=(1, 2, 3))
     rep = dyadic_decay_probe(spec)
     assert rep.verdict == "NO-GUARANTEE"
 
 
 def test_decay_probe_degenerate_zero_field():
     # zero-coefficient family member: all norms vanish, degenerate pass
-    spec = DecayProbeSpec(alpha=1.0, p1=2, p2=2, p=1, j_range=(1, 2))
+    spec = DecayProbeSpec(alpha=1.0, p1=2, p2=2, j_range=(1, 2))
     grid = probe_grid("riesz")
     from grushin import verifier as V
 
@@ -143,7 +142,7 @@ def test_mixed_probe_no_guarantee_below_threshold():
 
 
 def test_decay_probe_runs_bit_identical_across_workers():
-    spec = DecayProbeSpec(alpha=0.7, p1=2, p2=math.inf, p=2,
+    spec = DecayProbeSpec(alpha=0.7, p1=2, p2=math.inf,
                           j_range=(1, 2, 3), seed=2)
     grid = probe_grid("riesz")
     a = dyadic_decay_probe(spec, grid=grid, workers=1)
