@@ -1,7 +1,7 @@
 """Per-layer timings of the separated path's coefficient, symbol,
 contraction and binning layers, of the Sobolev norm, of the weighted
-kernel norms and of the pointwise kernel batches, on fixed
-configurations.
+kernel norms, the gridded multiplier and the truncated probe's forms,
+and of the pointwise kernel batches, on fixed configurations.
 
     python scripts/layer_bench.py --label change --out BENCH.json
     python scripts/layer_bench.py --label parent --src ../parent/src \
@@ -40,8 +40,20 @@ and those of ``grushin verify --suite plancherel`` on the refined
 with the probes' bump profile on (0.05, 0.45):
 
 * ``second_layer_channel_l2`` at u-exponent 0.25, and at 1.0 with the
-  frequency cutoff ``DyadicCutoff(3)``;
+  frequency cutoff ``DyadicCutoff(3)``, each with its own channel sums
+  (``channel_sums``, where the library has it);
 * ``bilinear_weighted_l2`` of the tensor symbol at exponents (0, 0);
+* ``linear_first_layer_weighted_l2`` of the first-layer probe's
+  indicator symbol on [0, 0.45] at y' = 5, gamma = 0.25;
+* ``apply_linear_multiplier_gridded`` of that indicator to the
+  restriction probe's bump at x' = 4, width 1;
+
+and the whole truncated Plancherel probe on the (unrefined) ``weighted``
+grid with one worker, ``weighted_plancherel_probe("truncated")``: its
+channel sums at five base points and its 25 cutoff forms.  A library
+that caches the grid's profile bank (``calculus._grid_bank``) reads it
+from the cache after the warm-up call, as a probe does after its first
+call on a grid;
 
 and those of ``grushin verify --suite kernel`` on the ``decay`` grid,
 alpha = 1:
@@ -71,15 +83,21 @@ REPEATS = 5
 def _layers():
     """(name, zero-argument callable) for every timed configuration."""
     import numpy as np
-    from grushin.calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
-                                  build_atoms, second_layer_channel_l2,
+    from grushin import calculus
+    from grushin.calculus import (apply_linear_multiplier_gridded,
+                                  bilinear_kernel_batch, bilinear_weighted_l2,
+                                  build_atoms, linear_first_layer_weighted_l2,
+                                  second_layer_channel_l2,
                                   sobolev_product_norm)
+    from grushin.fields import GriddedField
     from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
                                fourier_coeff_batch, truncated_series_symbol)
     from grushin.symbols import (DyadicCutoff, DyadicPiece, bump_symbol_1d,
-                                 dyadic_piece_symbol, tensor_symbol)
+                                 dyadic_piece_symbol, indicator_symbol_1d,
+                                 tensor_symbol)
     from grushin.verifier import (_stratified_triples, family_fields,
-                                  live_eigenvalues, probe_grid)
+                                  live_eigenvalues, probe_grid,
+                                  weighted_plancherel_probe)
 
     grid = probe_grid("decay")
     band = (1.0 / 8.0, 0.96)
@@ -125,15 +143,34 @@ def _layers():
     wgrid = probe_grid("weighted", 2)
     prof = bump_symbol_1d(0.05, 0.45)
     x1 = np.array([5.0])
-    out.append(("second_layer_channel_l2[0.25]",
-                lambda: second_layer_channel_l2(prof, wgrid, x1, 0.25)))
+
+    def channel(exponent, cutoff=None):
+        if hasattr(calculus, "channel_sums"):
+            sums = calculus.channel_sums(prof, wgrid, x1)
+            return second_layer_channel_l2(sums, exponent, cutoff)
+        return second_layer_channel_l2(prof, wgrid, x1, exponent,
+                                       cutoff=cutoff)
+
+    out.append(("second_layer_channel_l2[0.25]", lambda: channel(0.25)))
     out.append(("second_layer_channel_l2[1.0,cutoff3]",
-                lambda: second_layer_channel_l2(prof, wgrid, x1, 1.0,
-                                                cutoff=DyadicCutoff(3))))
+                lambda: channel(1.0, DyadicCutoff(3))))
     out.append(("bilinear_weighted_l2[tensor,0,0]",
                 lambda: bilinear_weighted_l2(tensor_symbol(prof, prof),
                                              (x1, np.zeros(1)), wgrid,
                                              0.0, 0.0)))
+    ind = indicator_symbol_1d(0.0, 0.45)
+    out.append(("linear_first_layer_weighted_l2[indicator,y=5,0.25]",
+                lambda: linear_first_layer_weighted_l2(
+                    ind, (x1, np.zeros(1)), wgrid, 0.25)))
+    bump = GriddedField(grid=wgrid, values=(
+        np.exp(-0.5 * (wgrid.x1_points[:, 0] - 4.0) ** 2)[:, None]
+        * np.exp(-0.5 * (wgrid.x2_points[:, 0] / 4.0) ** 2)[None, :]
+    ).astype(complex))
+    out.append(("apply_linear_multiplier_gridded[indicator,bump x=4]",
+                lambda: apply_linear_multiplier_gridded(ind, bump).values))
+    out.append(("weighted_plancherel_probe[truncated]",
+                lambda: np.array(weighted_plancherel_probe(
+                    "truncated", workers=1).details["channel_values"])))
 
     triples = tuple(zip(*_stratified_triples(0)))
     for j in range(1, 7):

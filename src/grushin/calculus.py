@@ -105,18 +105,34 @@ def _profile_bank(atoms: SpectralAtoms, points: np.ndarray):
     return bank, row_atom
 
 
+@lru_cache(maxsize=1)
+def _grid_bank(grid: Grid, eta_max: float):
+    """``build_atoms(grid, eta_max)`` and its read-only profile bank at the
+    grid's x' nodes, (atoms, bank, row_atom); a probe uses one grid at a time."""
+    atoms = build_atoms(grid, eta_max)
+    bank, row_atom = _profile_bank(atoms, grid.x1_points)
+    bank.flags.writeable = False
+    return atoms, bank, row_atom
+
+
 def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
-                           y1_points: np.ndarray) -> np.ndarray:
+                           y1_points: np.ndarray, y1_bank=None) -> np.ndarray:
     """R[q, i] = projection kernel at level k_q, frequency lambda_q,
     evaluated at (x1, y1_points[i]).
 
     ``x1_points`` is one base point (d1,) or (1, d1), broadcast along
     the rows of ``y1_points`` (n, d1), or n points aligned with them.
+    ``y1_bank`` is the atoms' bank at ``y1_points`` if the caller holds
+    one (``_grid_bank``); profiles are pointwise, so that is bit-identical.
     """
     x1 = np.atleast_2d(x1_points)
-    y1 = np.atleast_2d(y1_points)
-    bank, row_atom = _profile_bank(atoms, np.concatenate([x1, y1]))
-    terms = bank[:, :x1.shape[0]] * bank[:, x1.shape[0]:]
+    if y1_bank is None:
+        bank, row_atom = _profile_bank(
+            atoms, np.concatenate([x1, np.atleast_2d(y1_points)]))
+        terms = bank[:, :x1.shape[0]] * bank[:, x1.shape[0]:]
+    else:
+        bank, row_atom = _profile_bank(atoms, x1)
+        terms = bank * y1_bank
     if row_atom.size == atoms.count:     # one row per atom (always at d1 = 1)
         return terms
     first = np.searchsorted(row_atom, np.arange(atoms.count))
@@ -226,10 +242,9 @@ def apply_linear_multiplier_gridded(F: Symbol1D, h: GriddedField) -> GriddedFiel
     resynthesized.  Exact in the level sum; quadrature only in x'.
     """
     grid = h.grid
-    atoms = build_atoms(grid, F.support[1])
     # build_atoms gives every node its levels 0..kmax, so the atoms' bank
     # holds each node's basis up to kmax; x2_inverse sums a node's rows.
-    bank, row_atom = _profile_bank(atoms, grid.x1_points)
+    atoms, bank, row_atom = _grid_bank(grid, F.support[1])
     coeff = np.sum(bank * grid.x1_weights
                    * grid.x2_forward(h.values, atoms.lam)[row_atom], axis=1)
     box = grid.x2_box_length ** grid.dims.d2
@@ -241,20 +256,20 @@ def apply_linear_multiplier_gridded(F: Symbol1D, h: GriddedField) -> GriddedFiel
 # ---------------------------------------------------------------------------
 # weighted kernel norms (the probe left-hand sides)
 
-def _channel_coeff(f: Symbol1D, atoms: SpectralAtoms, cutoff=None):
-    """f(eigen) times the node weight and the optional frequency cutoff."""
-    c = np.asarray(f(atoms.eigen), dtype=complex) * atoms.weight
-    return c if cutoff is None else c * np.asarray(cutoff(atoms.lam_abs))
-
-
-def _node_channels(atoms: SpectralAtoms, coeff, x1_point: np.ndarray):
-    """Z[n, i] = sum over the atoms q of node n of coeff_q Proj_q(x1, y1_i)
-    and first[n], the node's first atom (build_atoms goes node by node)."""
+def channel_sums(f: Symbol1D, grid: Grid, x1_point) -> tuple:
+    """(grid, Z, nodes), read-only: Z[n, i] = sum over the atoms q of
+    frequency node nodes[n] of f(eigen_q) w_q Proj_q(x1, y1_i), y1 the
+    grid's x' nodes, over every atom of ``_grid_bank(grid, sup supp f)``
+    (where f vanishes they add exact zeros)."""
+    atoms, bank, _ = _grid_bank(grid, f.support[1])
+    coeff = np.asarray(f(atoms.eigen), dtype=complex) * atoms.weight
     if not coeff.imag.any():
         coeff = coeff.real
-    proj = atom_projection_values(atoms, x1_point, atoms.grid.x1_points)
+    proj = atom_projection_values(atoms, x1_point, grid.x1_points, bank)
     first = np.flatnonzero(np.diff(atoms.lam_index, prepend=-1))
-    return np.add.reduceat(coeff[:, None] * proj, first, axis=0), first
+    z = np.add.reduceat(coeff[:, None] * proj, first, axis=0)
+    z.flags.writeable = False
+    return grid, z, atoms.lam_index[first]
 
 
 def linear_first_layer_weighted_l2(F: Symbol1D, y, grid: Grid,
@@ -264,8 +279,7 @@ def linear_first_layer_weighted_l2(F: Symbol1D, y, grid: Grid,
     The x''-sum is exact on the lattice (block-diagonal across frequency
     nodes); the x'-integral is grid quadrature.
     """
-    atoms = build_atoms(grid, F.support[1])
-    z, _ = _node_channels(atoms, _channel_coeff(F, atoms), np.atleast_1d(y[0]))
+    _, z, _ = channel_sums(F, grid, np.atleast_1d(y[0]))
     wx = grid.x1_weights * np.linalg.norm(grid.x1_points, axis=1) ** (2 * gamma)
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2) * grid.x2_box_length ** grid.dims.d2
     return scale * sum(np.sum(wx * np.abs(z) ** 2, axis=1).tolist())
@@ -303,20 +317,24 @@ def _power_cos_moments(p: float, k_max: int) -> np.ndarray:
 def u_weight_table(grid: Grid, exponent: float, k_max: int) -> np.ndarray:
     """V(k) = integral of |u|^{2 exponent} e^{i k step u} over one period.
 
-    Exact for exponent 0 (the lattice delta); for fractional exponents
-    the closed moment integral avoids the aliasing a kinked weight
-    suffers under the node-sum rule.
+    Exactly the lattice delta (the box length at k = 0) for exponent 0;
+    otherwise the closed moment integral avoids the aliasing a kinked
+    weight suffers under the node-sum rule.
     """
+    if exponent == 0:
+        return np.where(np.arange(k_max + 1) == 0, grid.x2_box_length, 0.0)
     p = 2.0 * exponent
     return 2.0 * (grid.x2_box_length / 2.0) ** (p + 1.0) \
         * _power_cos_moments(p, k_max)
 
 
-def _u_weight_matrix(grid: Grid, lam: np.ndarray, exponent: float):
-    """V(k_q - k_r) at lam = k step, from a table up to max |k_q - k_r|."""
+def _u_weight_matrix(grid: Grid, lam: np.ndarray, exponent: float,
+                     rows=slice(None)):
+    """V(k_q - k_r) at lam = k step over ``rows`` of lam, from a table up
+    to max |k_q - k_r| over all of lam (its quadrature depends on that)."""
     steps = np.round(lam[:, 0] / grid.lambda_step).astype(int)
-    diffs = np.abs(steps[:, None] - steps[None, :])
-    return u_weight_table(grid, exponent, int(diffs.max()))[diffs]
+    table = u_weight_table(grid, exponent, int(steps.max() - steps.min()))
+    return table[np.abs(steps[rows, None] - steps[None, rows])]
 
 
 def _weighted_gram(atoms: SpectralAtoms, x1_point: np.ndarray,
@@ -337,42 +355,29 @@ def _weighted_gram(atoms: SpectralAtoms, x1_point: np.ndarray,
     return _u_weight_matrix(grid, atoms.lam, exponent) * S
 
 
-def _channel_form(atoms: SpectralAtoms, coeff: np.ndarray,
-                  x1_point: np.ndarray, exponent: float) -> float:
-    """conj(c) @ _weighted_gram(atoms, x1, exponent) @ c without the Gram.
+def second_layer_channel_l2(sums: tuple, u_exponent: float,
+                            cutoff=None) -> float:
+    """Integral over (y', u) of |u|^{2 u_exponent} |K(y', u)|^2, K the
+    kernel of a profile times an optional frequency-size cutoff, frozen at
+    base point x1; ``sums`` is the profile's ``channel_sums`` at x1.
 
-    The atoms of one frequency node share its step, so with the node sums
-    Z of ``_node_channels`` the form is sum_{y1} w1 Z^H T Z: T[n, m] =
-    V(k_n - k_m) is the Toeplitz u-weight over the nodes, a few hundred
-    where the atoms are a few thousand.  T is real symmetric, so Re Z and
-    Im Z add.  d2 = 1 only, as for the Gram.
+    A cutoff of |lambda| scales each node's row.  A node's atoms share its
+    step, so the form is sum_{y1} w1 Z^T T Z over the nonzero rows, with
+    the real symmetric Toeplitz u-weight T[n, m] = V(k_n - k_m) (Re Z and
+    Im Z add); at exponent 0, T = L I.  d2 = 1 only (NotImplementedError).
     """
-    grid = atoms.grid
+    grid, z, nodes = sums
     if grid.dims.d2 != 1:
         raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
-    z, first = _node_channels(atoms, coeff, x1_point)
-    T = _u_weight_matrix(grid, atoms.lam[first], exponent)
-    parts = (z.real, z.imag) if np.iscomplexobj(z) else (z,)
-    return sum(float(grid.x1_weights @ np.sum(part * (T @ part), axis=0))
+    if cutoff is not None:
+        z = np.asarray(cutoff(grid.lambda_abs[nodes]))[:, None] * z
+    live = np.any(z != 0, axis=1)
+    parts = (z[live].real, z[live].imag) if np.iscomplexobj(z) else (z[live],)
+    # At exponent 0, T = L I (the lattice delta), so np.dot only scales.
+    T = (grid.x2_box_length if u_exponent == 0 else
+         _u_weight_matrix(grid, grid.lambda_points[nodes], u_exponent, live))
+    form = sum(float(grid.x1_weights @ np.sum(part * np.dot(T, part), axis=0))
                for part in parts)
-
-
-def second_layer_channel_l2(profile: Symbol1D, grid: Grid, x1_point,
-                            u_exponent: float, cutoff=None) -> float:
-    """One channel of the second-layer weighted bounds:
-
-    integral over (y', u) of |u|^{2 u_exponent} |K(y', u)|^2 where K is
-    the kernel of profile (optionally times a frequency-size cutoff)
-    applied through the calculus, frozen at base point x1, contracted
-    by ``_channel_form``.  d2 = 1 only (NotImplementedError otherwise).
-    """
-    atoms = build_atoms(grid, profile.support[1])
-    coeff = _channel_coeff(profile, atoms, cutoff)
-    keep = np.abs(coeff) > 0   # the u-weight table spans the kept atoms
-    if not keep.any():
-        return 0.0
-    form = _channel_form(_atom_subset(atoms, keep), coeff[keep],
-                         np.atleast_1d(x1_point), u_exponent)
     return (2.0 * np.pi) ** (-2 * grid.dims.d2) * form
 
 
@@ -383,24 +388,25 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
     integral over (y, z) of |x''-y''|^{2 exp1} |x''-z''|^{2 exp2}
     |bilinear kernel(x, y, z)|^2, with optional frequency-size cutoffs on
     each channel.  A tensor symbol g = a b^T factors into two channel
-    forms, (a^H M1 a)(b^H M2 b); any other G is contracted against both
+    forms, (a^H M1 a)(b^H M2 b), over one ``channel_sums`` table if the
+    factors are one symbol; any other G is contracted against both
     weighted Grams; no probe reaches that branch, but it stays as the only
     code for the general-G estimate, and its `_weighted_gram` is the
     tests' oracle.  d2 = 1 only (NotImplementedError otherwise).
     """
+    if grid.dims.d2 != 1:
+        raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
     x1 = np.atleast_1d(x[0])
+    if isinstance(G, SeparableSymbol2D):
+        sums1 = channel_sums(G.factor1, grid, x1)
+        sums2 = (sums1 if G.factor2 is G.factor1
+                 else channel_sums(G.factor2, grid, x1))
+        return (second_layer_channel_l2(sums1, exp1, cutoff1)
+                * second_layer_channel_l2(sums2, exp2, cutoff2))
+
     (a1, b1), (a2, b2) = G.support
     atoms1 = build_atoms(grid, b1)
     atoms2 = atoms1 if b2 == b1 else build_atoms(grid, b2)
-    scale = (2.0 * np.pi) ** (-4 * grid.dims.d2)
-    if isinstance(G, SeparableSymbol2D):
-        a = _channel_coeff(G.factor1, atoms1, cutoff1)
-        b = _channel_coeff(G.factor2, atoms2, cutoff2)
-        one = _channel_form(atoms1, a, x1, exp1)
-        if atoms2 is atoms1 and exp2 == exp1 and np.array_equal(a, b):
-            return scale * one * one
-        return scale * one * _channel_form(atoms2, b, x1, exp2)
-
     cut1 = 1.0 if cutoff1 is None else np.asarray(cutoff1(atoms1.lam_abs))
     cut2 = 1.0 if cutoff2 is None else np.asarray(cutoff2(atoms2.lam_abs))
     g = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]),
@@ -414,7 +420,7 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
     # imaginary.  A real g skips the second GEMM pair.
     parts = (g.real, g.imag) if g.imag.any() else (g.real,)
     total = sum(float(np.sum((M1.T @ part @ M2) * part)) for part in parts)
-    return scale * total
+    return (2.0 * np.pi) ** (-4 * grid.dims.d2) * total
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
-                       linear_first_layer_weighted_l2, restriction_apply_l2,
-                       second_layer_channel_l2, sobolev_norm_1d)
+                       channel_sums, linear_first_layer_weighted_l2,
+                       restriction_apply_l2, second_layer_channel_l2,
+                       sobolev_norm_1d)
 from .dims import Dims
 from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
 from .geometry import Point, ball_volume, control_distance_batch
@@ -225,6 +226,9 @@ PLANCHEREL_KINDS = ("linear_first_layer", "bilinear", "second_layer",
                     "truncated")
 
 _BASE_POINTS = (0.5, 2.0, 5.0, 12.0, 30.0)
+# Looked up on first use: importing numpy.polynomial slows every start-up.
+_gauss_legendre = lru_cache(maxsize=1)(
+    lambda n: np.polynomial.legendre.leggauss(n))
 
 
 def _first_layer_rhs(F: Symbol1D, gamma: float, y1_norm: float,
@@ -238,7 +242,7 @@ def _first_layer_rhs(F: Symbol1D, gamma: float, y1_norm: float,
     def piece(a, b, small_eta):
         if b <= a:
             return 0.0
-        nodes, w = np.polynomial.legendre.leggauss(200)
+        nodes, w = _gauss_legendre(200)
         eta = 0.5 * (b + a) + 0.5 * (b - a) * nodes
         vals = np.abs(np.asarray(F(eta))) ** 2 * eta ** (d / 2.0 - 1.0)
         vals = vals * (eta ** (d2 / 2.0 - gamma) if small_eta
@@ -334,9 +338,9 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
         def ratios(gr):
             out = []
             for x1 in _BASE_POINTS:
-                c1 = second_layer_channel_l2(prof, gr, np.array([x1]), gamma1)
-                c2 = second_layer_channel_l2(prof, gr, np.array([x1]), gamma2)
-                out.append(c1 * c2 / rhs)
+                sums = channel_sums(prof, gr, np.array([x1]))
+                out.append(second_layer_channel_l2(sums, gamma1)
+                           * second_layer_channel_l2(sums, gamma2) / rhs)
             return np.array(out)
 
         return _refinement_report(ratios, np.log2(np.array(_BASE_POINTS)),
@@ -344,16 +348,16 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
 
     # truncated: channel slope in the first cutoff index; the bilinear
     # left side factors over channels for a tensor symbol, so the slope
-    # and ratio live in channel one while channel two is held fixed.
+    # and ratio live in channel one while channel two is held fixed.  One
+    # read-only table of channel sums per base point serves every cutoff.
     s1 = sobolev_norm_1d(prof, n1) ** 2
     s2 = sobolev_norm_1d(prof, n2) ** 2
     m_values = [2, 3, 4, 5]
+    tables = [channel_sums(prof, grid, np.array([x1])) for x1 in _BASE_POINTS]
 
     def chan(m, order):
-        vals = [second_layer_channel_l2(prof, grid, np.array([x1]), order,
-                                        cutoff=DyadicCutoff(m))
-                for x1 in _BASE_POINTS]
-        return float(np.mean(vals))
+        return float(np.mean([second_layer_channel_l2(t, order, DyadicCutoff(m))
+                              for t in tables]))
 
     chan1 = np.array(parallel_map(lambda m: chan(m, n1), m_values, workers))
     m2_fixed = m_values[0]

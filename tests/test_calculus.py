@@ -6,7 +6,7 @@ from grushin.calculus import (PaddingError, apply_joint_multiplier,
                               apply_linear_multiplier_gridded,
                               atom_projection_values, bilinear_kernel,
                               bilinear_weighted_l2, build_atoms,
-                              linear_first_layer_weighted_l2,
+                              channel_sums, linear_first_layer_weighted_l2,
                               linear_kernel, linear_kernel_on_grid,
                               second_layer_channel_l2, sobolev_norm_1d,
                               sobolev_product_norm)
@@ -250,7 +250,7 @@ def test_second_layer_channel_matches_position_space(riesz_grid):
     # K(x, (y', -u)) enter the even weight alike.
     g = riesz_grid
     prof = bump_symbol_1d(0.05, 0.45)
-    got = second_layer_channel_l2(prof, g, np.array([0.4]), 1.0)
+    got = second_layer_channel_l2(channel_sums(prof, g, np.array([0.4])), 1.0)
     K = linear_kernel_on_grid(prof, (np.array([0.4]), np.zeros(1)), g)
     L = g.x2_box_length
     u = np.abs((g.x2_points[:, 0] + L / 2.0) % L - L / 2.0)   # wrapped |u|
@@ -262,18 +262,23 @@ def test_second_layer_channel_matches_position_space(riesz_grid):
 
 
 def test_weighted_gram_paths_reject_d2_2_before_projecting(monkeypatch):
+    # The channel sums are the first layer's too, which holds at any d2;
+    # the second-layer form rejects them before any u-weight work, and
+    # the bilinear norm before projecting.
     from grushin import calculus
 
     def no_projection(*args, **kwargs):
         raise AssertionError("projection work before the d2 check")
 
-    monkeypatch.setattr(calculus, "atom_projection_values", no_projection)
     g = make_grid(Dims(1, 2), GridSpec(x1_extent=8.0, x1_count=16,
                                        x2_count=8, lambda_min=0.125,
                                        lambda_max=0.5, lambda_count=4))
     prof = bump_symbol_1d(0.05, 0.45)
+    sums = channel_sums(prof, g, np.array([1.0]))
+    monkeypatch.setattr(calculus, "atom_projection_values", no_projection)
+    monkeypatch.setattr(calculus, "_u_weight_matrix", no_projection)
     with pytest.raises(NotImplementedError):
-        second_layer_channel_l2(prof, g, np.array([1.0]), 0.25)
+        second_layer_channel_l2(sums, 0.25)
     with pytest.raises(NotImplementedError):
         calculus.bilinear_weighted_l2(
             tensor_symbol(prof, prof), (np.array([1.0]), np.zeros(2)), g,
@@ -307,8 +312,8 @@ def test_bilinear_weighted_l2_factors_for_tensor_symbols(riesz_grid):
     # F x F at exponents (e, e) shares one Gram; (e, e') needs two.
     prof = bump_symbol_1d(0.05, 0.45)
     x1 = np.array([0.4])
-    one = {e: second_layer_channel_l2(prof, riesz_grid, x1, e)
-           for e in (0.25, 0.4)}
+    sums = channel_sums(prof, riesz_grid, x1)
+    one = {e: second_layer_channel_l2(sums, e) for e in (0.25, 0.4)}
     for e1, e2 in ((0.25, 0.25), (0.25, 0.4)):
         both = bilinear_weighted_l2(tensor_symbol(prof, prof),
                                     (x1, np.array([0.0])), riesz_grid, e1, e2)
@@ -316,18 +321,6 @@ def test_bilinear_weighted_l2_factors_for_tensor_symbols(riesz_grid):
 
 
 EXPONENTS = (0.0, 0.25, 0.4, 1.0)
-
-
-def _kept_form(grid, c, atoms, x1, exponent):
-    """conj(c) @ M @ c over the atoms with c != 0, Gram built literally."""
-    from grushin.calculus import SpectralAtoms, _weighted_gram
-    keep = np.abs(c) > 0
-    sub = SpectralAtoms(grid, atoms.lam[keep],
-                        atoms.lam_abs[keep], atoms.weight[keep],
-                        atoms.level[keep], atoms.eigen[keep],
-                        atoms.lam_index[keep])
-    M = _weighted_gram(sub, x1, exponent)
-    return float(np.real(np.conj(c[keep]) @ M @ c[keep]))
 
 
 @pytest.mark.parametrize("grid_name", ["riesz", "weighted"])
@@ -340,20 +333,23 @@ def test_channel_forms_match_the_literal_gram(grid_name):
     prof = bump_symbol_1d(0.05, 0.45)
     x1 = np.array([5.0])
     atoms = build_atoms(g, 0.45)
-    # a real profile and a complex one (both parts of the node sums)
+    grams = {e: _weighted_gram(atoms, x1, e) for e in EXPONENTS}
+    # A real profile and a complex one (both parts of the node sums); one
+    # table of channel sums serves every exponent and cutoff.
     twisted = Symbol1D(lambda e: prof(e) * np.exp(9j * e), prof.support)
     for F in (prof, twisted):
-        for cut in (None, DyadicCutoff(3)):
+        sums = channel_sums(F, g, x1)
+        for cut in (None, DyadicCutoff(2), DyadicCutoff(3)):
             c = F(atoms.eigen) * atoms.weight
             c = c if cut is None else c * cut(atoms.lam_abs)
             for e in EXPONENTS:
-                got = second_layer_channel_l2(F, g, x1, e, cutoff=cut)
-                want = _kept_form(g, c / (2 * np.pi), atoms, x1, e)
-                assert got == pytest.approx(want, rel=1e-12)
+                got = second_layer_channel_l2(sums, e, cutoff=cut)
+                want = float(np.real(np.conj(c) @ grams[e] @ c))
+                assert got == pytest.approx(want / (2 * np.pi) ** 2,
+                                            rel=1e-12)
     base = prof(atoms.eigen) * atoms.weight
 
     G = tensor_symbol(prof, prof)
-    grams = {e: _weighted_gram(atoms, x1, e) for e in EXPONENTS}
     cut1, cut2 = DyadicCutoff(2), DyadicCutoff(3)
     cases = [(e1, e2, cuts) for e1, e2 in ((0.0, 0.0), (0.25, 0.4), (1.0, 0.25))
              for cuts in ((None, None), (cut1, cut2))]
@@ -382,10 +378,10 @@ def test_channel_forms_build_no_gram(riesz_grid, monkeypatch):
     monkeypatch.setattr(calculus, "_weighted_gram", no_gram)
     prof = bump_symbol_1d(0.05, 0.45)
     x1 = np.array([0.7])
+    sums = channel_sums(prof, riesz_grid, x1)
     for e in EXPONENTS:
-        assert second_layer_channel_l2(prof, riesz_grid, x1, e) > 0.0
-        assert second_layer_channel_l2(prof, riesz_grid, x1, e,
-                                       cutoff=DyadicCutoff(3)) > 0.0
+        assert second_layer_channel_l2(sums, e) > 0.0
+        assert second_layer_channel_l2(sums, e, cutoff=DyadicCutoff(3)) > 0.0
     assert bilinear_weighted_l2(
         tensor_symbol(prof, indicator_symbol_1d(0.0, 0.3)),
         (x1, np.zeros(1)), riesz_grid, 0.25, 1.0,
@@ -415,3 +411,33 @@ def test_power_cos_moments_cache_is_bounded_and_read_only(riesz_grid):
     table = u_weight_table(riesz_grid, 0.25, 40)
     table[0] = 0.0                       # a fresh scaled copy
     assert mom[0] != 0.0
+
+
+def test_u_weight_table_at_exponent_zero_is_the_exact_delta(riesz_grid):
+    from grushin.calculus import _power_cos_moments, u_weight_table
+    L = riesz_grid.x2_box_length
+    table = u_weight_table(riesz_grid, 0.0, 60)
+    assert table[0] == L and not table[1:].any()
+    quadrature = 2.0 * (L / 2.0) * _power_cos_moments(0.0, 60)
+    assert np.max(np.abs(table - quadrature)) <= 1e-14 * L
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+def test_grid_bank_projections_equal_the_direct_ones_bitwise(d1, riesz_grid):
+    # The cached bank at the grid's x' nodes times a base point's own
+    # profiles gives the projections bit for bit, at a grid node and off
+    # the nodes, and the bank is shared and read-only.
+    from grushin.calculus import _grid_bank
+    g = riesz_grid if d1 == 1 else make_grid(
+        Dims(2, 1), GridSpec(d1=2, d2=1, x1_extent=8, x1_count=24,
+                             x2_count=32, lambda_min=0.25, lambda_max=2.0,
+                             lambda_count=8))
+    atoms, bank, _ = _grid_bank(g, 1.8 * d1)
+    assert _grid_bank(g, 1.8 * d1)[1] is bank
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
+    for x1 in (g.x1_points[3], np.full(d1, 0.3071), np.full(d1, -2.5)):
+        direct = atom_projection_values(atoms, x1, g.x1_points)
+        shared = atom_projection_values(atoms, x1, g.x1_points, bank)
+        assert direct.shape == (atoms.count, g.n_x1)
+        assert np.array_equal(direct, shared)

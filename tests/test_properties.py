@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from grushin.calculus import (_stack, atom_projection_values,
                               bilinear_kernel_batch, build_atoms,
-                              linear_first_layer_weighted_l2,
+                              channel_sums, linear_first_layer_weighted_l2,
                               second_layer_channel_l2)
 from grushin.dims import Dims
 from grushin.fields import SpectralField, analyze, synthesize
@@ -332,7 +332,7 @@ def test_second_layer_at_exponent_zero_is_the_first_layer_norm(
     grid = _plancherel_grid(d1)
     F = (bump_symbol_1d if bump else indicator_symbol_1d)(lo, lo + width)
     base = np.full(d1, x1)
-    second = second_layer_channel_l2(F, grid, base, 0.0)
+    second = second_layer_channel_l2(channel_sums(F, grid, base), 0.0)
     first = linear_first_layer_weighted_l2(F, (base, np.zeros(1)), grid, 0.0)
     assert first > 0.0
     assert abs(second - first) <= 1e-12 * first

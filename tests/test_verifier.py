@@ -200,3 +200,14 @@ def test_kernel_sample_cache_tells_grids_apart():
         assert not vals.flags.writeable
         want = np.abs(bilinear_kernel_batch(sym, *zip(*triples), grid))
         assert np.array_equal(vals, want)
+
+
+def test_truncated_probe_identical_across_workers():
+    # The cutoff forms run under parallel_map and share the read-only
+    # channel sums and grid bank built before it.
+    a = weighted_plancherel_probe("truncated", workers=1)
+    b = weighted_plancherel_probe("truncated", workers=4)
+    assert a.ordinate.tobytes() == b.ordinate.tobytes()
+    assert (a.slope, a.max_ratio, a.verdict) == (b.slope, b.max_ratio,
+                                                 b.verdict)
+    assert a.details == b.details
