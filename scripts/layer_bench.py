@@ -41,7 +41,7 @@ with the probes' bump profile on (0.05, 0.45):
 
 * ``second_layer_channel_l2`` at u-exponent 0.25, and at 1.0 with the
   frequency cutoff ``DyadicCutoff(3)``, each with its own channel sums
-  (``channel_sums``, where the library has it);
+  (``channel_sums``);
 * ``bilinear_weighted_l2`` of the tensor symbol at exponents (0, 0);
 * ``linear_first_layer_weighted_l2`` of the first-layer probe's
   indicator symbol on [0, 0.45] at y' = 5, gamma = 0.25;
@@ -145,11 +145,8 @@ def _layers():
     x1 = np.array([5.0])
 
     def channel(exponent, cutoff=None):
-        if hasattr(calculus, "channel_sums"):
-            sums = calculus.channel_sums(prof, wgrid, x1)
-            return second_layer_channel_l2(sums, exponent, cutoff)
-        return second_layer_channel_l2(prof, wgrid, x1, exponent,
-                                       cutoff=cutoff)
+        sums = calculus.channel_sums(prof, wgrid, x1)
+        return second_layer_channel_l2(sums, exponent, cutoff)
 
     out.append(("second_layer_channel_l2[0.25]", lambda: channel(0.25)))
     out.append(("second_layer_channel_l2[1.0,cutoff3]",

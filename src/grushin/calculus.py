@@ -65,7 +65,7 @@ class SpectralAtoms:
 
 def build_atoms(grid: Grid, eta_max: float) -> SpectralAtoms:
     d1 = grid.dims.d1
-    lam_min = grid.lambda_min_actual
+    lam_min = grid.resolved.lambda_min
     if d1 * lam_min > eta_max:
         raise GridError(
             f"lambda_min {lam_min:.4g} too large: no spectrum below "
@@ -297,10 +297,12 @@ def restriction_apply_l2(F: Symbol1D, h: GriddedField, gamma: float) -> float:
 def _power_cos_moments(p: float, k_max: int) -> np.ndarray:
     """W(p, k) = integral over [0, 1] of s^p cos(k pi s) ds, k = 0..k_max.
 
-    Composite Gauss panels sized to the oscillation; the s^p kink at 0
-    contributes one short panel whose absolute error is negligible for
-    p >= 0.  Cached by value and returned read-only: every Gram of a
-    probe asks for one of a few (p, k_max) tables.
+    Composite Gauss panels sized to the oscillation, max(2 k_max, 64) of
+    them.  For fractional p the s^p kink at 0 is not polynomial on the
+    first panel, whose width follows k_max, so the error moves with the
+    table length: tables of different k_max move a cutoff's channel
+    forms by up to 3.3e-6 relative.  Cached by value and read-only:
+    every Gram of a probe asks for one of a few (p, k_max) tables.
     """
     panels = max(2 * k_max, 64)
     nodes, wts = np.polynomial.legendre.leggauss(8)
@@ -331,7 +333,9 @@ def u_weight_table(grid: Grid, exponent: float, k_max: int) -> np.ndarray:
 def _u_weight_matrix(grid: Grid, lam: np.ndarray, exponent: float,
                      rows=slice(None)):
     """V(k_q - k_r) at lam = k step over ``rows`` of lam, from a table up
-    to max |k_q - k_r| over all of lam (its quadrature depends on that)."""
+    to max |k_q - k_r| over all of lam, not over ``rows``: the table's
+    quadrature depends on its length, and sized by all nodes a cutoff's
+    rows read the same moments as the full atom set (its Gram oracle)."""
     steps = np.round(lam[:, 0] / grid.lambda_step).astype(int)
     table = u_weight_table(grid, exponent, int(steps.max() - steps.min()))
     return table[np.abs(steps[rows, None] - steps[None, rows])]

@@ -159,8 +159,10 @@ def cmd_kernel(cfg: dict, out: str | None):
         sym = builtin_symbol(cfg.get("symbol", "riesz"), **params)
     except KeyError as err:
         raise SystemExit(err.args[0]) from None
-    out = out or "kernel.csv"
     n = int(cfg.get("n_points", 16))
+    if n < 1:
+        raise SystemExit(f"n_points must be >= 1, got {n}")
+    out = out or "kernel.csv"
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     pts = [((rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)),
             (rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)),

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .dims import Dims
-from .grid import Grid, GridError
+from .grid import Grid, GridError, nearest_node, trapezoid_weights
 from .hermite import multi_index_degrees, scaled_profile_bank
 from .reductions import pairwise_sum
 from .report import csv_row
@@ -213,82 +213,43 @@ def dilate_spectral(f: SpectralField, t: float,
     return SpectralField(f.dims, new_support, f.max_degree, scale * f.coeffs)
 
 
-def _sub_axis(nodes: np.ndarray, factor: float, tol: float) -> np.ndarray:
-    """Indices i with factor*nodes[i] present in nodes."""
-    keep = []
-    for i, v in enumerate(nodes):
-        target = factor * v
-        j = int(np.argmin(np.abs(nodes - target)))
-        if abs(nodes[j] - target) <= tol:
-            keep.append((i, j))
-    return np.array(keep, dtype=int).reshape(-1, 2)
-
-
 def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
     """Pointwise dilation (x', x'') -> values at (t x', t^2 x''), restricted
     to the sub-grid of nodes whose image is again a node."""
     if t <= 0:
         raise ValueError("dilation ratio must be positive")
-    grid = h.grid
-    tol1 = 1e-9 * max(1.0, abs(t)) * (grid.x1_axes[0][1] - grid.x1_axes[0][0])
-    maps1 = [_sub_axis(ax, t, tol1) for ax in grid.x1_axes]
-    tol2 = 1e-9 * max(1.0, t * t) * (grid.x2_axes[0][1] - grid.x2_axes[0][0])
-    maps2 = [_sub_axis(ax, t * t, tol2) for ax in grid.x2_axes]
-    if any(m.size == 0 for m in maps1 + maps2):
-        raise GridError(f"dilation ratio {t} is inadmissible for this grid")
-
-    new_x1 = tuple(ax[m[:, 0]] for ax, m in zip(grid.x1_axes, maps1))
-    new_x2 = tuple(ax[m[:, 0]] for ax, m in zip(grid.x2_axes, maps2))
-    # The spec the sub-grid resolves to: its own axes (count times node
-    # spacing) and the t^2-scaled frequency window.
-    res = grid.resolved
-    new_res = replace(
-        res,
-        x1_extent=_axis_extent(new_x1[0], res.x1_extent / res.x1_count),
-        x1_count=new_x1[0].size,
-        x2_extent=_axis_extent(new_x2[0], res.x2_extent / res.x2_count),
-        x2_count=new_x2[0].size,
-        lambda_min=(t * t) * res.lambda_min,
-        lambda_max=(t * t) * res.lambda_max,
-    )
+    grid, res = h.grid, h.grid.resolved
+    layers = []
+    for axis, factor, extent, count, periodic in (
+            (grid.x1_axis, t, res.x1_extent, res.x1_count, False),
+            (grid.x2_axis, t * t, res.x2_extent, res.x2_count, True)):
+        image, hit = nearest_node(axis, factor * axis,
+                                  1e-9 * max(1.0, factor) * (axis[1] - axis[0]))
+        keep = np.flatnonzero(hit)
+        if keep.size == 0:
+            raise GridError(f"dilation ratio {t} is inadmissible for this grid")
+        # The sub-axis resolves to its own extent: node count times node
+        # spacing (the parent's spacing for a one-node axis).
+        sub = axis[keep]
+        h_sub = float(sub[1] - sub[0]) if sub.size > 1 else extent / count
+        layers.append((image[keep], sub,
+                       trapezoid_weights(sub.size, h_sub, periodic),
+                       sub.size * h_sub))
+    (take1, x1, w1, extent1), (take2, x2, w2, extent2) = layers
     new_grid = replace(
-        grid,
-        x1_axes=new_x1,
-        x1_axis_weights=tuple(_requad(ax) for ax in new_x1),
-        x2_axes=new_x2,
-        x2_axis_weights=tuple(np.full(ax.size, ax[1] - ax[0]) if ax.size > 1
-                              else np.ones(1) for ax in new_x2),
-        lambda_axes=tuple((t * t) * ax for ax in grid.lambda_axes),
-        lambda_axis_weights=tuple((t * t) * w for w in grid.lambda_axis_weights),
+        grid, x1_axis=x1, x1_axis_weights=w1, x2_axis=x2, x2_axis_weights=w2,
+        lambda_axis=(t * t) * grid.lambda_axis,
         lambda_step=(t * t) * grid.lambda_step,
-        resolved=new_res,
-    )
-    shape = ([m.shape[0] for m in maps1] + [m.shape[0] for m in maps2])
-    vals = h.values.reshape([ax.size for ax in grid.x1_axes]
-                            + [ax.size for ax in grid.x2_axes])
-    for axis, m in enumerate(maps1 + maps2):
-        vals = np.take(vals, m[:, 1], axis=axis)
-    vals = vals.reshape(int(np.prod(shape[:grid.dims.d1])), -1)
-    # Grid caches (cached_property) belong to the old instance; the
-    # replace() above created a fresh one.
-    return GriddedField(grid=new_grid, values=vals)
-
-
-def _axis_extent(nodes: np.ndarray, spacing: float) -> float:
-    """Extent of a zero-anchored lattice axis: node count times spacing
-    (``spacing`` is used for a one-node axis)."""
-    if nodes.size > 1:
-        spacing = float(nodes[1] - nodes[0])
-    return nodes.size * spacing
-
-
-def _requad(nodes: np.ndarray) -> np.ndarray:
-    if nodes.size == 1:
-        return np.ones(1)
-    h = nodes[1] - nodes[0]
-    w = np.full(nodes.size, h)
-    w[0] = w[-1] = h / 2.0
-    return w
+        resolved=replace(res, x1_extent=extent1, x1_count=x1.size,
+                         x2_extent=extent2, x2_count=x2.size,
+                         lambda_min=(t * t) * res.lambda_min,
+                         lambda_max=(t * t) * res.lambda_max))
+    vals = h.values.reshape(grid.tensor_shape)
+    for axis, take in enumerate((take1,) * grid.dims.d1
+                                + (take2,) * grid.dims.d2):
+        vals = np.take(vals, take, axis=axis)
+    # replace() made a fresh grid, so no cached view of the old one leaks
+    return GriddedField(grid=new_grid, values=vals.reshape(new_grid.n_x1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +258,7 @@ def _requad(nodes: np.ndarray) -> np.ndarray:
 def write_field_binary(h: GriddedField, path: str):
     """Little-endian: magic GRSH1, int32 d1, d2, per-axis counts, then
     row-major complex64 pairs."""
-    counts = [ax.size for ax in h.grid.x1_axes] + [ax.size for ax in h.grid.x2_axes]
+    counts = h.grid.tensor_shape
     with open(path, "wb") as fh:
         fh.write(FIELD_MAGIC)
         fh.write(struct.pack("<2i", h.grid.dims.d1, h.grid.dims.d2))
@@ -311,8 +272,7 @@ def read_field_binary(path: str, grid: Grid) -> GriddedField:
         raw = fh.read()
     if raw[:5] != FIELD_MAGIC:
         raise ValueError(f"bad magic {raw[:5]!r}; expected {FIELD_MAGIC!r}")
-    want = ((grid.dims.d1, grid.dims.d2)
-            + tuple(ax.size for ax in grid.x1_axes + grid.x2_axes))
+    want = (grid.dims.d1, grid.dims.d2) + grid.tensor_shape
     head = 5 + 4 * len(want)
     got = struct.unpack_from(f"<{(min(len(raw), head) - 5) // 4}i", raw, 5)
     if len(got) >= 2 and got[:2] != want[:2]:

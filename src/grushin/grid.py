@@ -17,15 +17,12 @@ on the grid and in run manifests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .dims import Dims
-
-GRID_KEYS = ("d1", "d2", "x1_extent", "x1_count", "x2_extent", "x2_count",
-             "lambda_min", "lambda_max", "lambda_count")
 
 
 class GridError(ValueError):
@@ -48,14 +45,13 @@ class GridSpec:
 
     @classmethod
     def from_mapping(cls, mapping) -> "GridSpec":
-        kwargs = {}
-        for key in GRID_KEYS:
-            if key in mapping:
-                raw = mapping[key]
-                kwargs[key] = (int(raw) if key in ("d1", "d2", "x1_count",
-                                                   "x2_count", "lambda_count")
-                               else float(raw))
-        return cls(**kwargs)
+        """The keys of ``mapping`` that name a field, each parsed with the
+        type of the field's default."""
+        return cls(**{f.name: type(f.default)(mapping[f.name])
+                      for f in fields(cls) if f.name in mapping})
+
+
+GRID_KEYS = tuple(f.name for f in fields(GridSpec))
 
 
 def parse_flat_config(text: str) -> dict:
@@ -76,63 +72,72 @@ def format_flat_config(mapping: dict) -> str:
     return "".join(f"{k}={mapping[k]}\n" for k in sorted(mapping))
 
 
-def _uniform_axis(extent: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-anchored lattice on [-extent/2, extent/2) with trapezoid weights."""
-    h = extent / count
-    nodes = (np.arange(count) - count // 2) * h
+def trapezoid_weights(count: int, h: float, periodic: bool) -> np.ndarray:
+    """Trapezoid weights of a ``count``-node axis of spacing ``h``; the
+    periodic rule weighs the end nodes fully, and a one-node axis weighs 1."""
+    if count == 1:
+        return np.ones(1)
     weights = np.full(count, h)
-    weights[0] = weights[-1] = h / 2.0
-    return nodes, weights
+    if not periodic:
+        weights[0] = weights[-1] = h / 2.0
+    return weights
 
 
-def _periodic_axis(extent: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-anchored lattice with the periodic (uniform-weight) rule."""
-    h = extent / count
-    nodes = (np.arange(count) - count // 2) * h
-    return nodes, np.full(count, h)
+def nearest_node(axis: np.ndarray, values, tol: float):
+    """Index of the node of the ascending ``axis`` nearest each of
+    ``values``, and whether that node lies within ``tol`` of it (never so
+    for NaN)."""
+    values = np.asarray(values, dtype=float)
+    right = np.minimum(np.searchsorted(axis, values), axis.size - 1)
+    left = np.maximum(right - 1, 0)
+    idx = np.where(np.abs(axis[left] - values) <= np.abs(axis[right] - values),
+                   left, right)
+    return idx, np.abs(axis[idx] - values) <= tol
 
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Discretization: x'-axes, x''-axes, and the punctured frequency nodes.
+    """Discretization: the x'-axis, the x''-axis and the punctured
+    frequency axis, one per layer; each layer's nodes are the d1- or
+    d2-fold tensor power of its axis.
 
     Compared and hashed by identity, so a grid can key a cache.
     """
 
     dims: Dims
-    x1_axes: tuple[np.ndarray, ...]
-    x1_axis_weights: tuple[np.ndarray, ...]
-    x2_axes: tuple[np.ndarray, ...]
-    x2_axis_weights: tuple[np.ndarray, ...]
-    lambda_axes: tuple[np.ndarray, ...]
-    lambda_axis_weights: tuple[np.ndarray, ...]
+    x1_axis: np.ndarray
+    x1_axis_weights: np.ndarray
+    x2_axis: np.ndarray
+    x2_axis_weights: np.ndarray
+    lambda_axis: np.ndarray       # weighs lambda_step per node
     lambda_step: float
     resolved: GridSpec      # the spec after extent/count adjustment
 
     # -- flattened tensor views -------------------------------------------
     @cached_property
     def x1_points(self) -> np.ndarray:
-        return _tensor_points(self.x1_axes)
+        return _tensor_points(self.x1_axis, self.dims.d1)
 
     @cached_property
     def x1_weights(self) -> np.ndarray:
-        return _tensor_weights(self.x1_axis_weights)
+        return _tensor_weights(self.x1_axis_weights, self.dims.d1)
 
     @cached_property
     def x2_points(self) -> np.ndarray:
-        return _tensor_points(self.x2_axes)
+        return _tensor_points(self.x2_axis, self.dims.d2)
 
     @cached_property
     def x2_weights(self) -> np.ndarray:
-        return _tensor_weights(self.x2_axis_weights)
+        return _tensor_weights(self.x2_axis_weights, self.dims.d2)
 
     @cached_property
     def lambda_points(self) -> np.ndarray:
-        return _tensor_points(self.lambda_axes)
+        return _tensor_points(self.lambda_axis, self.dims.d2)
 
     @cached_property
     def lambda_weights(self) -> np.ndarray:
-        return _tensor_weights(self.lambda_axis_weights)
+        return _tensor_weights(np.full(self.lambda_axis.size, self.lambda_step),
+                               self.dims.d2)
 
     @cached_property
     def lambda_abs(self) -> np.ndarray:
@@ -140,11 +145,18 @@ class Grid:
 
     @property
     def n_x1(self) -> int:
-        return int(np.prod([a.size for a in self.x1_axes]))
+        return self.x1_axis.size ** self.dims.d1
 
     @property
     def n_x2(self) -> int:
-        return int(np.prod([a.size for a in self.x2_axes]))
+        return self.x2_axis.size ** self.dims.d2
+
+    @property
+    def tensor_shape(self) -> tuple[int, ...]:
+        """Node count along each x'- then each x''-coordinate: the shape
+        of a gridded field's values as a tensor."""
+        return ((self.x1_axis.size,) * self.dims.d1
+                + (self.x2_axis.size,) * self.dims.d2)
 
     @property
     def n_lambda(self) -> int:
@@ -154,26 +166,21 @@ class Grid:
     def x2_box_length(self) -> float:
         return float(self.resolved.x2_extent)
 
-    @property
-    def lambda_min_actual(self) -> float:
-        return float(min(np.abs(ax).min() for ax in self.lambda_axes))
-
     # -- lookups ------------------------------------------------------------
     def lambda_index(self, lam):
         """Index of a frequency vector among the grid nodes, or the index
         array of an (n, d2) batch; GridError if any is absent (off by more
         than 1e-9 steps).  The nodes are a tensor product, so each
-        coordinate is matched on its axis."""
+        coordinate is matched on the frequency axis."""
         lam = np.asarray(lam, dtype=float)
         rows = np.atleast_2d(lam)
-        per_axis = [np.abs(rows[:, k, None] - ax)
-                    for k, ax in enumerate(self.lambda_axes)]
-        nearest = tuple(np.argmin(diff, axis=1) for diff in per_axis)
-        miss = np.max([diff.min(axis=1) for diff in per_axis], axis=0)
-        off = np.flatnonzero(miss > 1e-9 * max(1.0, self.lambda_step))
+        nearest, hit = nearest_node(self.lambda_axis, rows,
+                                    1e-9 * max(1.0, self.lambda_step))
+        off = np.flatnonzero(~hit.all(axis=1))
         if off.size:
             raise GridError(f"frequency {rows[off[0]]} is not a grid node")
-        idx = np.ravel_multi_index(nearest, [ax.size for ax in self.lambda_axes])
+        idx = np.ravel_multi_index(tuple(nearest.T),
+                                   (self.lambda_axis.size,) * self.dims.d2)
         return int(idx[0]) if lam.ndim < 2 else idx
 
     def resolvable_degree(self, lam_abs: float) -> int:
@@ -202,19 +209,20 @@ class Grid:
         """Flat DFT bin of each frequency row of ``lam`` (shape (n, d2)),
         and the x''-axis counts.
 
-        Raises GridError unless every x''-axis is the periodic lattice
-        dual to ``lambda_step`` and every frequency lies on that lattice.
+        Raises GridError unless the x''-axis is the periodic lattice dual
+        to ``lambda_step`` and every frequency lies on that lattice.
         """
-        counts = tuple(ax.size for ax in self.x2_axes)
+        n = self.x2_axis.size
+        counts = (n,) * self.dims.d2
         L = 2.0 * math.pi / self.lambda_step
-        for ax, n in zip(self.x2_axes, counts):
-            if not np.allclose(ax, (np.arange(n) - n // 2) * (L / n),
-                               rtol=0.0, atol=1e-9 * L / n):
-                raise GridError("x''-axis is not the periodic lattice of the "
-                                "frequency step; the x''-transform is undefined")
+        if not np.allclose(self.x2_axis, (np.arange(n) - n // 2) * (L / n),
+                           rtol=0.0, atol=1e-9 * L / n):
+            raise GridError("x''-axis is not the periodic lattice of the "
+                            "frequency step; the x''-transform is undefined")
         lam = np.asarray(lam, dtype=float)
         k = np.round(lam / self.lambda_step)
-        if np.any(np.abs(k * self.lambda_step - lam) > 1e-9 * self.lambda_step):
+        if not np.all(np.abs(k * self.lambda_step - lam)
+                      <= 1e-9 * self.lambda_step):
             raise GridError("frequencies off the lattice of the frequency step")
         bins = np.ravel_multi_index(tuple(np.mod(k.astype(int), counts).T),
                                     counts)
@@ -260,7 +268,7 @@ class Grid:
     def _x2_ifft(self, spec: np.ndarray) -> np.ndarray:
         """The synthesis half of ``x2_inverse``: the inverse FFT over the
         x''-axes of a C-contiguous (n_x1, n_x2) spectrum in DFT bins."""
-        counts = tuple(ax.size for ax in self.x2_axes)
+        counts = (self.x2_axis.size,) * self.dims.d2
         axes = tuple(range(1, 1 + len(counts)))
         # nested, so the unshifted output is freed before the scaling
         out = np.fft.fftshift(np.fft.ifftn(spec.reshape((-1,) + counts),
@@ -268,15 +276,15 @@ class Grid:
         return self.n_x2 * out.reshape(spec.shape[0], -1)
 
 
-def _tensor_points(axes) -> np.ndarray:
-    grids = np.meshgrid(*axes, indexing="ij")
+def _tensor_points(axis: np.ndarray, d: int) -> np.ndarray:
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
-def _tensor_weights(axis_weights) -> np.ndarray:
-    w = axis_weights[0]
-    for nxt in axis_weights[1:]:
-        w = np.multiply.outer(w, nxt)
+def _tensor_weights(axis_weights: np.ndarray, d: int) -> np.ndarray:
+    w = axis_weights
+    for _ in range(d - 1):
+        w = np.multiply.outer(w, axis_weights)
     return w.reshape(-1)
 
 
@@ -330,20 +338,18 @@ def make_grid(dims: Dims, spec: GridSpec) -> Grid:
             f"x1 spacing {h1:.4g} too coarse for lambda_max {lam_top:.4g}; "
             f"the rule requires h <= 0.5/sqrt(lambda_max)")
 
-    x1 = [_uniform_axis(spec.x1_extent, spec.x1_count) for _ in range(dims.d1)]
-    x2 = [_periodic_axis(x2_extent, n2) for _ in range(dims.d2)]
-    lam_axis = np.concatenate([-pos[::-1], pos])
-    lam_w = np.full(lam_axis.size, step)
+    h2 = x2_extent / n2
     resolved = replace(spec, x2_extent=x2_extent, x2_count=n2,
                        lambda_min=float(pos[0]), lambda_max=float(lam_top))
+    # zero-anchored axes on [-extent/2, extent/2); the x''-axis takes the
+    # periodic rule, so its exponentials at distinct nodes are orthogonal
     return Grid(
         dims=dims,
-        x1_axes=tuple(ax for ax, _ in x1),
-        x1_axis_weights=tuple(w for _, w in x1),
-        x2_axes=tuple(ax for ax, _ in x2),
-        x2_axis_weights=tuple(w for _, w in x2),
-        lambda_axes=tuple(lam_axis.copy() for _ in range(dims.d2)),
-        lambda_axis_weights=tuple(lam_w.copy() for _ in range(dims.d2)),
+        x1_axis=(np.arange(spec.x1_count) - spec.x1_count // 2) * h1,
+        x1_axis_weights=trapezoid_weights(spec.x1_count, h1, periodic=False),
+        x2_axis=(np.arange(n2) - n2 // 2) * h2,
+        x2_axis_weights=trapezoid_weights(n2, h2, periodic=True),
+        lambda_axis=np.concatenate([-pos[::-1], pos]),
         lambda_step=step,
         resolved=resolved,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import GriddedField, SpectralField, dilate_gridded, dilate_spectral
-from .grid import Grid, GridError
+from .grid import Grid, GridError, nearest_node
 from .hermite import scaled_profile_bank
 from .report import ProbeReport
 from .symbols import (DyadicPiece, RieszParams, Symbol2D, dyadic_piece_profile,
@@ -332,8 +332,8 @@ def dilation_covariance_check(params: RieszParams, f: SpectralField,
     inner = bilinear_apply_direct(riesz_symbol(params), ft, gt, grid)
     rhs = dilate_gridded(inner, 1.0 / t)
 
-    i1 = _shared_nodes(grid.x1_axes, rhs.grid.x1_axes)
-    i2 = _shared_nodes(grid.x2_axes, rhs.grid.x2_axes)
+    i1 = _shared_nodes(grid.x1_axis, rhs.grid.x1_axis, grid.dims.d1)
+    i2 = _shared_nodes(grid.x2_axis, rhs.grid.x2_axis, grid.dims.d2)
     lhs_sub = lhs.values[np.ix_(i1, i2)]
     ref = float(np.max(np.abs(rhs.values)))
     dev = float(np.max(np.abs(lhs_sub - rhs.values)) / ref) if ref > 0 else 0.0
@@ -344,9 +344,9 @@ def dilation_covariance_check(params: RieszParams, f: SpectralField,
     return report
 
 
-def _shared_nodes(axes, sub_axes) -> np.ndarray:
-    """Flat indices, into the tensor node set of ``axes``, of the nodes of
-    ``sub_axes`` (each sub-axis node matched to its nearest node)."""
-    idx = [np.argmin(np.abs(ax[None, :] - sub[:, None]), axis=1)
-           for ax, sub in zip(axes, sub_axes)]
-    return np.ravel_multi_index(np.ix_(*idx), [ax.size for ax in axes]).ravel()
+def _shared_nodes(axis: np.ndarray, sub_axis: np.ndarray, d: int) -> np.ndarray:
+    """Flat indices, into the d-fold tensor node set of ``axis``, of the
+    d-fold tensor nodes of ``sub_axis``, whose nodes are copies of nodes
+    of ``axis``."""
+    idx, _ = nearest_node(axis, sub_axis, 0.0)
+    return np.ravel_multi_index(np.ix_(*[idx] * d), (axis.size,) * d).ravel()

@@ -274,9 +274,13 @@ def _bump(p):
     return bump_symbol_1d(float(p.get("lo", 0.25)), float(p.get("hi", 0.75)))
 
 
-_BUILTIN_1D = {
-    "riesz": lambda p: riesz_symbol_1d(float(p.get("alpha", 1.0)),
-                                       float(p.get("R", 1.0))),
+# 2-D symbols first: the order an unknown name's error lists them in.
+_BUILTIN = {
+    "riesz": lambda p: riesz_symbol(RieszParams(float(p.get("alpha", 1.0)),
+                                                float(p.get("R", 1.0)))),
+    "dyadic": lambda p: dyadic_piece_symbol(
+        DyadicPiece(int(p.get("j", 2)), float(p.get("alpha", 1.0)))),
+    "tensor-bump": lambda p: tensor_symbol(_bump(p), _bump(p)),
     "indicator": lambda p: indicator_symbol_1d(float(p.get("lo", 0.0)),
                                                float(p.get("hi", 1.0))),
     "gaussian": lambda p: gaussian_symbol_1d(float(p.get("center", 0.5)),
@@ -285,34 +289,9 @@ _BUILTIN_1D = {
 }
 
 
-_BUILTIN_2D = {
-    "riesz": lambda p: riesz_symbol(RieszParams(float(p.get("alpha", 1.0)),
-                                                float(p.get("R", 1.0)))),
-    "dyadic": lambda p: dyadic_piece_symbol(
-        DyadicPiece(int(p.get("j", 2)), float(p.get("alpha", 1.0)))),
-    "tensor-bump": lambda p: tensor_symbol(_bump(p), _bump(p)),
-}
-
-
-def _lookup(tables, name: str, params: dict):
-    """Build ``name`` from the first table that has it; KeyError naming
-    every symbol of the tables if none does."""
-    for table in tables:
-        if name in table:
-            return table[name](params)
-    names = list(dict.fromkeys(n for table in tables for n in table))
-    raise KeyError(f"unknown symbol {name!r}; available: {names}")
-
-
-def builtin_symbol_1d(name: str, **params) -> Symbol1D:
-    return _lookup((_BUILTIN_1D,), name, params)
-
-
-def builtin_symbol_2d(name: str, **params) -> Symbol2D:
-    return _lookup((_BUILTIN_2D,), name, params)
-
-
 def builtin_symbol(name: str, **params) -> Symbol1D | Symbol2D:
-    """The built-in symbol ``name``, from the 2-D table first, so
-    ``riesz`` is the bilinear symbol; the 1-D table holds the rest."""
-    return _lookup((_BUILTIN_2D, _BUILTIN_1D), name, params)
+    """The built-in symbol ``name``; KeyError naming every built-in if
+    there is none."""
+    if name not in _BUILTIN:
+        raise KeyError(f"unknown symbol {name!r}; available: {list(_BUILTIN)}")
+    return _BUILTIN[name](params)

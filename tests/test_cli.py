@@ -105,6 +105,16 @@ def test_kernel_command_rejects_an_unknown_symbol_before_writing(tmp_path):
     assert out.read_text().splitlines()[1] == "x1,x2,y1,y2,z1,z2,re,im"
 
 
+def test_kernel_command_rejects_no_points_before_writing(tmp_path):
+    out = tmp_path / "k.csv"
+    for n in ("0", "-1"):
+        with pytest.raises(SystemExit, match="n_points"):
+            main(["kernel"] + RIESZ_GRID + ["--set", f"n_points={n}",
+                                            "--out", str(out)])
+    assert not out.exists()
+    assert not (tmp_path / "k.csv.manifest").exists()
+
+
 def test_kernel_command_keeps_a_key_error_of_the_bilinear_path(tmp_path,
                                                                 monkeypatch):
     def fail(*args):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ def test_make_grid_counts(default_grid):
     g = default_grid
     assert g.n_x1 == 64
     assert g.n_lambda == 64          # 32 per sign
-    assert g.lambda_min_actual >= GridSpec().lambda_min - 1e-12
+    assert g.resolved.lambda_min >= GridSpec().lambda_min - 1e-12
     assert np.all(g.lambda_weights > 0)
     assert np.all(g.x1_weights > 0)
 
@@ -51,9 +53,9 @@ def test_make_grid_rejects_bad_specs():
 def test_make_grid_deterministic():
     a = make_grid(Dims(1, 1), GridSpec())
     b = make_grid(Dims(1, 1), GridSpec())
-    assert all((x == y).all() for x, y in zip(a.lambda_axes, b.lambda_axes))
-    assert all((x == y).all() for x, y in zip(a.x1_axes, b.x1_axes))
-    assert all((x == y).all() for x, y in zip(a.x2_axes, b.x2_axes))
+    assert (a.lambda_axis == b.lambda_axis).all()
+    assert (a.x1_axis == b.x1_axis).all()
+    assert (a.x2_axis == b.x2_axis).all()
 
 
 @pytest.mark.parametrize("d2", [1, 2])
@@ -70,6 +72,13 @@ def test_lambda_index_batches(d2):
     off[2, -1] += 0.5 * g.lambda_step
     with pytest.raises(GridError, match="not a grid node"):
         g.lambda_index(off)
+    # NaN is no node: every lattice check must hold, not merely not fail
+    nan = g.lambda_points[picks].copy()
+    nan[1, 0] = np.nan
+    with pytest.raises(GridError, match="not a grid node"):
+        g.lambda_index(nan)
+    with pytest.raises(GridError, match="not a grid node"):
+        g.lambda_index([np.nan] * d2)
 
 
 def test_synthesize_zero_and_linearity(default_grid):
@@ -199,10 +208,10 @@ def test_dilate_commuting_square(dilation_grid):
     f = random_field(g, (0.25, 0.75), 2, seed=6)
     lhs = synthesize(dilate_spectral(f, 2.0, g), g)
     rhs = dilate_gridded(synthesize(f, g), 2.0)
-    i1 = [int(np.argmin(np.abs(g.x1_axes[0] - v)))
-          for v in rhs.grid.x1_axes[0]]
-    i2 = [int(np.argmin(np.abs(g.x2_axes[0] - v)))
-          for v in rhs.grid.x2_axes[0]]
+    i1 = [int(np.argmin(np.abs(g.x1_axis - v)))
+          for v in rhs.grid.x1_axis]
+    i2 = [int(np.argmin(np.abs(g.x2_axis - v)))
+          for v in rhs.grid.x2_axis]
     dev = np.max(np.abs(lhs.values[np.ix_(i1, i2)] - rhs.values))
     assert dev <= 1e-8 * np.max(np.abs(rhs.values))
 
@@ -237,9 +246,12 @@ def test_dilate_rejects_inadmissible(dilation_grid):
         dilate_spectral(f, 64.0, g)      # off the grid range
 
 
-def test_field_serialization_roundtrip(tmp_path, default_grid):
-    g = default_grid
-    f = random_field(g, (1.0, 2.0), 2, seed=9)
+@pytest.mark.parametrize("d1,d2", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_field_serialization_roundtrip(tmp_path, d1, d2):
+    g = make_grid(Dims(d1, d2), GridSpec(
+        x1_extent=8.0, x1_count=16, x2_count=8,
+        lambda_min=0.25, lambda_max=1.0, lambda_count=4))
+    f = random_field(g, (0.75, 1.0), 1, seed=9)
     h = synthesize(f, g)
     path = tmp_path / "field.grsh"
     write_field_binary(h, str(path))
@@ -249,13 +261,22 @@ def test_field_serialization_roundtrip(tmp_path, default_grid):
         np.max(np.abs(h.values)) + 1e-12
     raw = path.read_bytes()
     assert raw[:5] == b"GRSH1"
+    # header: d1, d2, then the node count of each x'- and x''-coordinate
+    counts = [16] * d1 + [g.resolved.x2_count] * d2
+    assert struct.unpack_from(f"<{2 + d1 + d2}i", raw, 5) == (d1, d2, *counts)
 
     csv_path = tmp_path / "field.csv"
     write_field_csv(h, str(csv_path), ["config_hash=deadbeef"])
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "# config_hash=deadbeef"
-    assert lines[1] == "x1_0,x2_0,re,im"
+    assert lines[1].split(",") == ([f"x1_{k}" for k in range(d1)]
+                                   + [f"x2_{k}" for k in range(d2)]
+                                   + ["re", "im"])
     assert len(lines) == 2 + g.n_x1 * g.n_x2
+    # each row's coordinates are its node's, x' slowest
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert np.array_equal(rows[:, :d1], np.repeat(g.x1_points, g.n_x2, axis=0))
+    assert np.array_equal(rows[:, d1:d1 + d2], np.tile(g.x2_points, (g.n_x1, 1)))
 
 
 def test_field_serialization_rejects_mismatch(tmp_path, default_grid,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grushin.symbols import (DyadicCutoff, DyadicPiece, RieszParams,
-                             builtin_symbol_1d, builtin_symbol_2d,
+                             builtin_symbol, riesz_symbol_1d,
                              Symbol2D, bump_symbol_1d, dyadic_bump,
                              dyadic_piece_profile, dyadic_piece_symbol,
                              partition_defect, plateau, riesz_symbol,
@@ -144,19 +144,17 @@ def test_cutoff_band_and_symbol_masks():
 
 
 def test_tensor_symbol_and_builtins():
-    f1 = builtin_symbol_1d("riesz", alpha=1.0, R=1.0)
-    f2 = builtin_symbol_1d("gaussian", center=0.5, width=0.1)
+    f1 = riesz_symbol_1d(alpha=1.0, R=1.0)
+    f2 = builtin_symbol("gaussian", center=0.5, width=0.1)
     g = tensor_symbol(f1, f2)
     assert isinstance(g, SeparableSymbol2D)
     v = g(np.array([0.5]), np.array([0.5]))
     assert v[0] == pytest.approx(0.5 * 1.0)
-    assert builtin_symbol_1d("indicator")(np.array([0.5]))[0] == 1.0
+    assert builtin_symbol("indicator")(np.array([0.5]))[0] == 1.0
     with pytest.raises(KeyError):
-        builtin_symbol_1d("nope")
-    sym2 = builtin_symbol_2d("dyadic", j=2, alpha=1.0)
+        builtin_symbol("nope")
+    sym2 = builtin_symbol("dyadic", j=2, alpha=1.0)
     assert sym2(np.array([2.0]), np.array([2.0]))[0] == 0.0
-    with pytest.raises(KeyError):
-        builtin_symbol_2d("nope")
 
 
 def test_truncated_power_convention():

@@ -25,7 +25,7 @@ def test_x2_pair_matches_dense_sums(d1, d2):
     # repeated frequencies, pair sums, and multiples past Nyquist
     lam = np.concatenate([nodes, nodes[:3], nodes[:3] + nodes[3:],
                           3.0 * g.lambda_points[[0, -1]]])
-    nyquist = np.pi * g.x2_axes[0].size / g.x2_box_length
+    nyquist = np.pi * g.x2_axis.size / g.x2_box_length
     assert np.max(np.abs(lam)) > nyquist
 
     phases = np.exp(-1j * lam @ g.x2_points.T)              # (n, n_x2)
@@ -64,3 +64,14 @@ def test_transforms_reject_dilated_subgrid(dilation_grid):
         analyze(h, 2, lambda_support=band)
     with pytest.raises(GridError):
         apply_linear_multiplier_gridded(bump_symbol_1d(0.05, 0.45), h)
+
+
+@pytest.mark.parametrize("d2", [1, 2])
+def test_transforms_reject_a_nan_frequency(d2):
+    g = make_grid(Dims(1, d2), SMALL)
+    lam = g.lambda_points[:3].copy()
+    lam[1, -1] = np.nan
+    with pytest.raises(GridError, match="off the lattice"):
+        g.x2_forward(np.ones((g.n_x1, g.n_x2)), lam)
+    with pytest.raises(GridError, match="off the lattice"):
+        g.x2_inverse(np.ones((g.n_x1, 3), dtype=complex), lam)
