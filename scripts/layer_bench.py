@@ -1,21 +1,22 @@
-"""Per-layer timings of the separated path's coefficient, symbol,
-contraction and binning layers, of the Sobolev norm, of the weighted
-kernel norms, the gridded multiplier and the truncated probe's forms,
-and of the pointwise kernel batches, on fixed configurations.
+"""Per-layer timings of the separated path's coefficient, expansion,
+symbol, contraction and binning layers, of the Sobolev norm, of the
+weighted kernel norms, the gridded multiplier and the truncated probe's
+forms, and of the pointwise kernel batches, on fixed configurations.
 
-    python scripts/layer_bench.py --label change --out BENCH.json
-    python scripts/layer_bench.py --label parent --src ../parent/src \
-        --out BENCH.json
+    python scripts/layer_bench.py --out BENCH.json \
+        --run parent=../parent/src --run change=src
 
-``--src`` is the ``src`` directory of the checkout to measure (default:
-this checkout's).  Each layer is called once to warm up, then timed
-``REPEATS`` times with one BLAS thread, then called once more, untimed,
-under ``tracemalloc`` for its peak traced allocation (``peak_mb``); the
-median, the minimum, every sample, the peak and a checksum of the output
-(the sum of its absolute values) are merged into the JSON file under
-``--label``, next to the sha256 of the measured ``grushin`` sources and
-the numpy version.  Labels already in the file are kept, so before and
-after land in one file.
+Each ``--run LABEL=SRC`` names the ``src`` directory of a checkout to
+measure.  The labels are measured in ``REPEATS`` rounds, their order
+alternating from round to round, so drift of the machine's speed shows
+on every label alike.  Each round runs each label in a fresh interpreter
+with one BLAS thread: every layer is called once to warm up, then timed
+once, then called once more, untimed, under ``tracemalloc`` for its
+peak traced allocation.  The median, the minimum and every sample of
+each layer, with the first round's peak (``peak_mb``) and a checksum of
+its output (the sum of its absolute values), are merged into the JSON
+file under its label, next to the sha256 of the measured ``grushin``
+sources and the numpy version.  Labels already in the file are kept.
 
 The configurations are those of ``grushin verify --suite decay`` on the
 ``decay`` probe grid (library seed 0):
@@ -24,11 +25,18 @@ The configurations are those of ``grushin verify --suite decay`` on the
   the live eigenvalues of the first decay field, j = 1, 3, 6; and the
   coefficient probe's largest call, j = 8 at l = 0..512 and 257 eta1
   samples on [0, 1];
+* ``build_expansion``: the decay probes' expansion of the piece, at the
+  live eigenvalues of the first decay field with ``l_cap = 2048``,
+  j = 1, 3, 6;
 * ``truncated_series_symbol``: truncation 2048 at the distinct
-  eigenvalues of both decay fields, j = 1, 3, 6;
-* ``_bilinear_contract``: that symbol gathered onto the atom pairs of
-  the two decay fields (as ``bilinear_apply_separated`` does) and
-  contracted against them, j = 1, 3, 6;
+  eigenvalues of both decay fields, j = 1, 3, 6, computed afresh, and
+  (``carried``) from that expansion, which reads the coefficient table
+  the expansion carries where the library keeps one;
+* ``_bilinear_contract``: that symbol on the distinct eigenvalue pairs,
+  contracted against the atoms of the two decay fields (as
+  ``bilinear_apply_separated`` does; a checkout whose contraction takes
+  the dense pair array gets the symbol gathered onto every atom pair),
+  j = 1, 3, 6;
 * ``x2_inverse``: a random x'-fastest (64 x 45,796) array binned to the
   pair frequencies of the two fields, the shape of the bilinear
   contraction's output;
@@ -68,15 +76,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 5
 
 
@@ -91,7 +100,8 @@ def _layers():
                                   sobolev_product_norm)
     from grushin.fields import GriddedField
     from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
-                               fourier_coeff_batch, truncated_series_symbol)
+                               build_expansion, fourier_coeff_batch,
+                               truncated_series_symbol)
     from grushin.symbols import (DyadicCutoff, DyadicPiece, bump_symbol_1d,
                                  dyadic_piece_symbol, indicator_symbol_1d,
                                  tensor_symbol)
@@ -106,7 +116,19 @@ def _layers():
     live = live_eigenvalues(f)
     uniq_f, inv_f = np.unique(f.eigenvalues.reshape(-1), return_inverse=True)
     uniq_g, inv_g = np.unique(g.eigenvalues.reshape(-1), return_inverse=True)
+    inv_f = inv_f.reshape(f.eigenvalues.shape)
+    inv_g = inv_g.reshape(g.eigenvalues.shape)
     ls = np.arange(0, 2049)
+    dense = next(iter(inspect.signature(_bilinear_contract).parameters)) \
+        == "mt"
+
+    def contract(table):
+        if dense:
+            mt = table[np.ix_(inv_f.ravel(), inv_g.ravel())].reshape(
+                inv_f.shape + inv_g.shape)
+            return lambda: _bilinear_contract(mt, f, g, grid).values
+        return lambda: _bilinear_contract(table, inv_f, inv_g, f, g,
+                                          grid).values
 
     out = []
     for j in (1, 3, 6):
@@ -114,13 +136,17 @@ def _layers():
         exp = FourierSeriesExpansion(piece, truncation=2048)
         out.append((f"fourier_coeff_batch[j={j}]",
                     lambda p=piece: fourier_coeff_batch(p, ls, live)))
+        out.append((f"build_expansion[j={j}]",
+                    lambda p=piece: build_expansion(p, eta1_samples=live,
+                                                    l_cap=2048).tail_bound))
         out.append((f"truncated_series_symbol[j={j}]",
                     lambda e=exp: truncated_series_symbol(e, uniq_f, uniq_g)))
-        mt = truncated_series_symbol(exp, uniq_f, uniq_g)[
-            np.ix_(inv_f, inv_g)].reshape(f.eigenvalues.shape
-                                          + g.eigenvalues.shape)
+        built = build_expansion(piece, eta1_samples=live, l_cap=2048)
+        out.append((f"truncated_series_symbol[j={j},carried]",
+                    lambda e=built: truncated_series_symbol(e, uniq_f,
+                                                            uniq_g)))
         out.append((f"_bilinear_contract[j={j}]",
-                    lambda m=mt: _bilinear_contract(m, f, g, grid).values))
+                    contract(truncated_series_symbol(exp, uniq_f, uniq_g))))
 
     piece8 = DyadicPiece(8, 1.0)
     eta1 = np.linspace(0.0, 1.0, 257)
@@ -190,46 +216,73 @@ def _source_digest(src: Path) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--src", default=str(ROOT / "src"))
-    args = parser.parse_args(argv)
-
-    # one BLAS thread, fixed before numpy loads
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
-    src = Path(args.src).resolve()
+def _child(src: Path) -> dict:
+    """One round of one checkout: every layer warmed up, timed once, then
+    called once more under ``tracemalloc`` for its traced peak."""
     sys.path.insert(0, str(src))
     import numpy as np
 
     layers = {}
     for name, call in _layers():
+        call()
+        t0 = time.perf_counter()
         value = call()
-        samples = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            value = call()
-            samples.append(time.perf_counter() - t0)
+        seconds = time.perf_counter() - t0
         tracemalloc.start()
         call()
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         tracemalloc.stop()
-        layers[name] = {"median_s": statistics.median(samples),
-                        "min_s": min(samples), "samples_s": samples,
-                        "peak_mb": peak_mb,
+        layers[name] = {"s": seconds, "peak_mb": peak_mb,
                         "checksum": float(np.sum(np.abs(value)))}
-        print(f"{name}: median {layers[name]['median_s']:.4f} s, "
-              f"min {layers[name]['min_s']:.4f} s, peak {peak_mb:.1f} MB",
-              flush=True)
+    return {"numpy": np.__version__, "layers": layers}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out")
+    parser.add_argument("--run", action="append", metavar="LABEL=SRC",
+                        help="a checkout's src directory, under a label")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(_child(Path(args.child))))
+        return 0
+    if not args.out or not args.run:
+        parser.error("--out and at least one --run are required")
+
+    runs = [(label, Path(src).resolve())
+            for label, src in (r.split("=", 1) for r in args.run)]
+    # one BLAS thread, fixed before numpy loads in each child
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    rounds = {label: [] for label, _ in runs}
+    for r in range(REPEATS):
+        for label, src in (runs if r % 2 == 0 else runs[::-1]):
+            done = subprocess.run(
+                [sys.executable, __file__, "--child", str(src)], env=env,
+                check=True, capture_output=True, text=True)
+            rounds[label].append(json.loads(done.stdout.splitlines()[-1]))
+            print(f"round {r + 1}/{REPEATS}: {label}", flush=True)
 
     path = Path(args.out)
     record = json.loads(path.read_text()) if path.exists() else {}
-    record.setdefault("runs", {})[args.label] = {
-        "source_sha256": _source_digest(src), "numpy": np.__version__,
-        "python": sys.version.split()[0], "nproc": os.cpu_count(),
-        "repeats": REPEATS, "layers": layers}
+    for label, src in runs:
+        first = rounds[label][0]
+        layers = {}
+        for name, probe in first["layers"].items():
+            samples = [rnd["layers"][name]["s"] for rnd in rounds[label]]
+            layers[name] = {"median_s": statistics.median(samples),
+                            "min_s": min(samples), "samples_s": samples,
+                            "peak_mb": probe["peak_mb"],
+                            "checksum": probe["checksum"]}
+            print(f"{label} {name}: median {layers[name]['median_s']:.4f} s, "
+                  f"min {layers[name]['min_s']:.4f} s, "
+                  f"peak {probe['peak_mb']:.1f} MB")
+        record.setdefault("runs", {})[label] = {
+            "source_sha256": _source_digest(src), "numpy": first["numpy"],
+            "python": sys.version.split()[0], "nproc": os.cpu_count(),
+            "repeats": REPEATS, "interleaved_with": [lb for lb, _ in runs],
+            "layers": layers}
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -178,17 +178,6 @@ def _stack(points, layer: int) -> np.ndarray:
     return np.array([np.atleast_1d(p[layer]) for p in points], dtype=float)
 
 
-def linear_kernel_on_grid(F: Symbol1D, x, grid: Grid) -> np.ndarray:
-    """K(x, y) for every grid node y; shape (n_x1, n_x2)."""
-    atoms = build_atoms(grid, F.support[1])
-    x1, x2 = np.atleast_1d(x[0]), np.atleast_1d(x[1])
-    coeff = (atoms.weight * np.asarray(F(atoms.eigen))
-             * np.exp(1j * (atoms.lam @ x2))
-             * (2.0 * np.pi) ** (-grid.dims.d2))
-    proj = atom_projection_values(atoms, x1, grid.x1_points)   # (Q, n1)
-    return grid.x2_inverse((proj * coeff[:, None]).T, -atoms.lam)
-
-
 def bilinear_kernel(G: Symbol2D, x, y, z, grid: Grid) -> complex:
     return complex(bilinear_kernel_batch(G, [x], [y], [z], grid)[0])
 

@@ -24,8 +24,8 @@ from .dims import Dims
 from .fields import (analyze, lp_norm, synthesize, write_field_binary,
                      write_field_csv)
 from .geometry import Point, weight_integral_check
-from .grid import GRID_KEYS, GridSpec, format_flat_config, make_grid, \
-    parse_flat_config
+from .grid import GRID_KEYS, GridError, GridSpec, format_flat_config, \
+    make_grid, parse_flat_config
 from .report import ProbeReport, csv_row
 from .riesz import (bilinear_apply_direct, bilinear_apply_separated,
                     build_expansion, dilation_covariance_check)
@@ -61,8 +61,11 @@ def _grid_from_config(cfg: dict):
     missing = [k for k in ("d1", "d2") if k not in cfg]
     if missing:
         raise SystemExit(f"missing required config key: {missing[0]}")
-    spec = GridSpec.from_mapping(cfg)
-    return make_grid(Dims(spec.d1, spec.d2), spec)
+    try:
+        spec = GridSpec.from_mapping(cfg)
+        return make_grid(Dims(spec.d1, spec.d2), spec)
+    except GridError as err:
+        raise SystemExit(f"bad grid config: {err}") from None
 
 
 def _write_manifest(path: str, command: str, cfg: dict, outputs: list[str],

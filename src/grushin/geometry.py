@@ -144,20 +144,3 @@ def weight_integral_check(a: Point, r_values, gamma: float, layer: str,
         refinement_growth=growth, gamma=gamma, layer=layer)
     report.verdict = "PASS" if growth < 0.05 else "FAIL"
     return report
-
-
-def quasi_triangle_constant(dims: Dims, n_samples: int = 2000,
-                            seed: int = 0) -> float:
-    """Measured constant K with dist(x,z) <= K (dist(x,y) + dist(y,z)),
-    over random triples with x' in [-4, 4]^d1 and x'' in [-16, 16]^d2."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        pts = [Point(rng.uniform(-4.0, 4.0, dims.d1),
-                     rng.uniform(-16.0, 16.0, dims.d2))
-               for _ in range(3)]
-        x, y, z = pts
-        through = control_distance(x, y) + control_distance(y, z)
-        if through > 0:
-            worst = max(worst, control_distance(x, z) / through)
-    return worst

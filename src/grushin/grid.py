@@ -17,6 +17,7 @@ on the grid and in run manifests.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -45,13 +46,35 @@ class GridSpec:
 
     @classmethod
     def from_mapping(cls, mapping) -> "GridSpec":
-        """The keys of ``mapping`` that name a field, each parsed with the
-        type of the field's default."""
-        return cls(**{f.name: type(f.default)(mapping[f.name])
-                      for f in fields(cls) if f.name in mapping})
+        """The keys of ``mapping`` that name a field, each parsed from its
+        text with the type of the field's default (so 4.5 is no count),
+        then ``check_spec``-ed; a value that does not parse is kept as
+        given, for the check to reject."""
+        values = {}
+        for f in fields(cls):
+            if f.name in mapping:
+                try:
+                    values[f.name] = type(f.default)(str(mapping[f.name]))
+                except ValueError:
+                    values[f.name] = mapping[f.name]
+        return check_spec(cls(**values))
 
 
 GRID_KEYS = tuple(f.name for f in fields(GridSpec))
+
+
+def check_spec(spec: GridSpec) -> GridSpec:
+    """``spec``, if each field is a finite positive number of its default's
+    type (an integer for counts and dimensions; NaN fails); else GridError
+    naming the first that is not."""
+    for f in fields(GridSpec):
+        kind, value = type(f.default), getattr(spec, f.name)
+        number = numbers.Integral if kind is int else numbers.Real
+        if not (isinstance(value, number) and math.isfinite(value)
+                and value > 0):
+            raise GridError(f"{f.name} must be a finite positive "
+                            f"{kind.__name__}, got {value!r}")
+    return spec
 
 
 def parse_flat_config(text: str) -> dict:
@@ -291,17 +314,14 @@ def _tensor_weights(axis_weights: np.ndarray, d: int) -> np.ndarray:
 def make_grid(dims: Dims, spec: GridSpec) -> Grid:
     """Build a grid; deterministic function of the spec.
 
-    Raises GridError on non-positive counts/extents, lambda_min <= 0, or a
-    frequency window the lattice cannot host.
+    Raises GridError on a spec ``check_spec`` rejects, x-counts below 2,
+    or a frequency window the lattice cannot host.
     """
     if spec.d1 != dims.d1 or spec.d2 != dims.d2:
         spec = replace(spec, d1=dims.d1, d2=dims.d2)
-    if spec.x1_count < 2 or spec.x2_count < 2 or spec.lambda_count < 1:
-        raise GridError("node counts must be positive (x counts >= 2)")
-    if spec.x1_extent <= 0 or spec.x2_extent <= 0:
-        raise GridError("extents must be positive")
-    if spec.lambda_min <= 0:
-        raise GridError("lambda_min must be > 0 (the frequency box is punctured)")
+    check_spec(spec)
+    if spec.x1_count < 2 or spec.x2_count < 2:
+        raise GridError("x node counts must be >= 2")
     if spec.lambda_max < spec.lambda_min:
         raise GridError("lambda_max must be >= lambda_min")
 

@@ -35,62 +35,49 @@ def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
                           grid: Grid) -> GriddedField:
     """Direct double-sum evaluation of the bilinear multiplier operator.
 
-    The symbol is evaluated once per joint eigenvalue pair and contracted
-    against the two coefficient sets; bilinear in (f, g), and symmetric
-    to roundoff for a symmetric symbol.
+    The symbol is evaluated once per pair of distinct eigenvalues and
+    contracted against the two coefficient sets; bilinear in (f, g), and
+    symmetric to roundoff for a symmetric symbol.
     """
-    mt = np.asarray(m(f.eigenvalues[:, None, :, None],
-                      g.eigenvalues[None, :, None, :]))
-    mt = np.transpose(mt, (0, 2, 1, 3))          # (nf, amu, ng, bmu)
-    return _bilinear_contract(mt, f, g, grid)
+    (uf, inv_f), (ug, inv_g) = map(_distinct_eigenvalues, (f, g))
+    table = np.asarray(m(uf[:, None], ug[None, :]))
+    return _bilinear_contract(table, inv_f, inv_g, f, g, grid)
 
 
-# Node rows per block of the contraction: 8 rows keep each (rows, nodes,
-# x') temporary near 1.7 MB on the ``decay`` grid; 32 rows measured
-# about 25% slower there.
+def _distinct_eigenvalues(h: SpectralField):
+    """h's distinct eigenvalues, and each atom's index among them."""
+    uniq, inv = np.unique(h.eigenvalues, return_inverse=True)
+    return uniq, inv.reshape(h.eigenvalues.shape)
+
+
+# Node rows per block of the contraction: 8 rows keep each (g-nodes, rows,
+# x') temporary near 1.7 MB on the ``decay`` grid.
 _CONTRACT_ROWS = 8
 # Samples per chunk of the series coefficient table: 2^17 keeps it near
 # 1 MB; 2^18 peaked 1.7 MB higher in the README ``riesz`` runs.
 _COEFF_SAMPLES = 2 ** 17
 
 
-def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
+def _bilinear_contract(table: np.ndarray, inv_f: np.ndarray,
+                       inv_g: np.ndarray, f: SpectralField, g: SpectralField,
                        grid: Grid) -> GriddedField:
-    """Contract symbol values mt[i, a, j, b] over atom pairs:
-    D[i, j, x] = sum_{a,b} mt[i,a,j,b] Pf[i,a,x] Pg[j,b,x] at frequency
-    lambda_i + mu_j.  Only the atoms where ``mt`` lives are visited: level
-    a of f on the node span from its first to its last nonzero row of
-    ``mt``, level b of g likewise over the columns, in blocks of
-    ``_CONTRACT_ROWS`` node rows (each entry sums over (a, b) in the same
-    order, whatever the block size); skipped entries are exact zeros.
-    Each block is added row by row into the x''-spectrum at the bins of
-    lambda_i + mu_j (by ``np.add.at`` where g repeats a node), so D is
-    never whole and each bin sums in (i, j) order, bit for bit as
-    ``Grid.x2_inverse`` bins a whole D; one inverse FFT ends the sum.
-    """
-    for h in (f, g):
-        if h.dims != grid.dims:
-            raise GridError("field dims do not match grid dims")
-    pf = _weighted_profiles(f, grid)
-    pg = _weighted_profiles(g, grid)
-    live = mt != 0
-    f_spans = [_span(col) for col in np.any(live, axis=(2, 3)).T]
-    g_spans = [_span(col) for col in np.any(live, axis=(0, 1)).T]
+    """Contract the symbol over atom pairs: D[i, j, x] = sum_{a,b}
+    table[inv_f[i,a], inv_g[j,b]] Pf[i,a,x] Pg[j,b,x] at frequency
+    lambda_i + mu_j; ``table`` is the symbol on the distinct eigenvalue
+    pairs (rows f's, columns g's).  Each block of D (``_contract_blocks``)
+    is added row by row into the x''-spectrum at the bins of lambda_i +
+    mu_j (``np.add.at`` where g repeats a node): each bin sums in (i, j)
+    order, bit for bit as ``Grid.x2_inverse`` bins a whole D, and one
+    inverse FFT ends the sum."""
+    if f.dims != grid.dims or g.dims != grid.dims:
+        raise GridError("field dims do not match grid dims")
     nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
     bins = grid._x2_bins(nu.reshape(-1, grid.dims.d2))[0].reshape(nu.shape[:2])
     distinct = np.unique(bins[:1]).size == bins.shape[1]
+    pf, pg = _weighted_profiles(f, grid), _weighted_profiles(g, grid)
     spec = np.zeros((grid.n_x2, pf.shape[2]), dtype=complex)
-    for c0 in range(0, max(i1 for _, i1 in f_spans), _CONTRACT_ROWS):
-        D = np.zeros((_CONTRACT_ROWS, pg.shape[0], pf.shape[2]),
-                     dtype=np.result_type(mt, pf, pg))
-        for a, (i0, i1) in enumerate(f_spans):
-            i0, i1 = max(i0, c0), min(i1, c0 + _CONTRACT_ROWS)
-            for b, (j0, j1) in enumerate(g_spans):
-                if i0 < i1 and j0 < j1:
-                    D[i0 - c0:i1 - c0, j0:j1] += (
-                        mt[i0:i1, a, j0:j1, b][:, :, None]
-                        * pf[i0:i1, a, None, :] * pg[None, j0:j1, b, :])
-        for i, row in zip(bins[c0:c0 + _CONTRACT_ROWS], D):
+    for c0, g0, D in _contract_blocks(table, inv_f, inv_g, pf, pg):
+        for i, row in zip(bins[c0:c0 + len(D), g0:g0 + D.shape[1]], D):
             if distinct:
                 spec[i] += row
             else:
@@ -98,6 +85,30 @@ def _bilinear_contract(mt: np.ndarray, f: SpectralField, g: SpectralField,
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
     values = grid._x2_ifft(np.ascontiguousarray(spec.T))
     return GriddedField(grid=grid, values=scale * values)
+
+
+def _contract_blocks(table, inv_f, inv_g, pf, pg):
+    """Yield (c0, g0, D), D[r, k, x] the pair array's entry (c0 + r, g0 + k,
+    x), in blocks of ``_CONTRACT_ROWS`` node rows, over the g-nodes and, per
+    block, the levels a of f where the symbol lives (the rest is exactly
+    zero).  Per block and level, one batched matmul over the g-nodes j
+    contracts the symbol (j, i, b) with g's profiles (j, b, x') over b,
+    times f's profiles at level a."""
+    live = table != 0
+    f_live = np.any(live, axis=1)[inv_f]                  # (nodes, levels)
+    g0, g1 = _span(np.any(np.any(live, axis=0)[inv_g], axis=1))
+    # a real table multiplies g's profiles as float pairs: one real GEMM
+    rhs = pg[g0:g1] if np.iscomplexobj(table) else pg[g0:g1].view(float)
+    stop = _span(np.any(f_live, axis=1))[1]
+    for c0 in range(0, stop, _CONTRACT_ROWS):
+        c1 = min(c0 + _CONTRACT_ROWS, stop)
+        D = np.zeros((g1 - g0, c1 - c0, pf.shape[2]), dtype=complex)
+        for a in np.flatnonzero(np.any(f_live[c0:c1], axis=0)):
+            m = table[inv_f[c0:c1, a]].T[inv_g[g0:g1]]        # (j, b, i)
+            prod = np.matmul(m.transpose(0, 2, 1), rhs).view(complex)
+            prod *= pf[c0:c1, a]
+            D += prod
+        yield c0, g0, D.transpose(1, 0, 2)
 
 
 def _span(mask: np.ndarray) -> tuple[int, int]:
@@ -126,6 +137,11 @@ class FourierSeriesExpansion:
     cutoff; ``tail_bound`` the measured sup-norm tail sum beyond it.
     ``converged`` is False when ``build_expansion`` stopped at its cap
     before the tail met the tolerance.
+
+    ``coeffs`` (None if not built) is ``fourier_coeff_batch(piece,
+    0..truncation, samples)`` as ``build_expansion`` computed it on the
+    way; ``truncated_series_symbol`` reads it, and the separated path
+    drops it once read, so no contraction or kept expansion holds it.
     """
 
     piece: DyadicPiece
@@ -133,6 +149,8 @@ class FourierSeriesExpansion:
     tail_bound: float = 0.0
     converged: bool = True
     details: dict = field(default_factory=dict)
+    samples: np.ndarray | None = field(default=None, repr=False)
+    coeffs: np.ndarray | None = field(default=None, repr=False)
 
 
 def _eta2_window(piece: DyadicPiece, eta1: np.ndarray):
@@ -188,7 +206,7 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     ls = np.asarray(ls, dtype=int)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
     l_top = int(np.max(np.abs(ls), initial=0))
-    if ls.size * max(l_top, 1) < 4096:
+    if _quadrature_path(ls.size, l_top):
         return fourier_coeff_quadrature(piece, ls, eta1)
     n = 1
     while n < max(4 * l_top, 64 * 2 ** min(piece.j, 16), 512):
@@ -203,6 +221,11 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
         out[c0 + live] = spec[:, np.abs(ls)] * scale
     out.imag[:, ls < 0] *= -1.0                         # c_{-l} = conj(c_l)
     return out.T
+
+
+def _quadrature_path(n_ls: int, l_top: int) -> bool:
+    """Whether ``fourier_coeff_batch`` takes Gauss-Legendre."""
+    return n_ls * max(l_top, 1) < 4096
 
 
 def _shell_table(piece: DyadicPiece, eta1: np.ndarray, n: int):
@@ -243,24 +266,33 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
     smooth bump decays root-exponentially in l, so the next octave is a
     faithful tail proxy.  Stopping at ``l_cap`` first is reported as
     ``converged=False``, not silently.
+
+    Where the octave L+1..2L takes the FFT path, one batch from l = 0
+    gives it (the same bits) and the table up to 2L, carried as ``coeffs``
+    if the expansion stops at 2L.
     """
     if eta1_samples is None:
         eta1_samples = np.linspace(0.0, 1.0, 33)
+    eta1_samples = np.atleast_1d(np.asarray(eta1_samples, dtype=float))
     L = max(8, 2 ** (piece.j + 2))
-    head = fourier_coeff_batch(piece, np.arange(0, L + 1), eta1_samples)
-    mass = float(np.sum(np.max(np.abs(head), axis=1)))
+    table = fourier_coeff_batch(piece, np.arange(0, L + 1), eta1_samples)
+    mass = float(np.sum(np.max(np.abs(table), axis=1)))
     while True:
-        ls = np.arange(L + 1, 2 * L + 1)
-        coeffs = fourier_coeff_batch(piece, ls, eta1_samples)
+        start = 0 if L < l_cap and not _quadrature_path(L, 2 * L) else L + 1
+        batch = fourier_coeff_batch(piece, np.arange(start, 2 * L + 1),
+                                    eta1_samples)
+        coeffs = batch[L + 1 - start:]
         octave = 2.0 * float(np.sum(np.max(np.abs(coeffs), axis=1)))
         converged = octave < tol * mass
         if converged or L >= l_cap:
             return FourierSeriesExpansion(
                 piece=piece, truncation=L, tail_bound=octave,
                 converged=converged,
-                details={"tol": tol, "series_mass": mass})
+                details={"tol": tol, "series_mass": mass},
+                samples=eta1_samples, coeffs=table)
         mass += octave
         L *= 2
+        table = batch if start == 0 else None
 
 
 def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
@@ -279,9 +311,10 @@ def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
     eta2 = np.atleast_1d(np.asarray(eta2, dtype=float))
     ls = np.arange(0, L + 1)
-    c = fourier_coeff_batch(exp.piece, ls, eta1)         # (L+1, n1)
-    rows = np.flatnonzero(np.any(c, axis=0))
-    c = c[:, rows]   # rebound, so the full table is freed before the trig ones
+    table, at = _coeff_table(exp, L, eta1)
+    rows = np.flatnonzero(np.append(np.any(table, axis=0), False)[at])
+    c = table[:, at[rows]]
+    del table        # a computed table is freed before the trig ones
     c[1:] *= 2.0
     plat = plateau(eta2)
     cols = np.flatnonzero(plat)
@@ -290,6 +323,20 @@ def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
     out[np.ix_(rows, cols)] = (c.real.T @ np.cos(angle)
                                - c.imag.T @ np.sin(angle)) * plat[cols]
     return out
+
+
+def _coeff_table(exp: FourierSeriesExpansion, L: int, eta1: np.ndarray):
+    """Coefficients up to |l| = L, and each eta1's column in them (-1: all
+    zero, past the last): the expansion's own table when L is its
+    truncation and each eta1 is a sample or past the shell, where every
+    coefficient is zero; else ``fourier_coeff_batch``, with the same bits."""
+    if exp.coeffs is not None and L == exp.truncation:
+        col = {x: k for k, x in enumerate(exp.samples.tolist())}
+        at = np.array([col.get(x, -1) for x in eta1.tolist()], dtype=int)
+        if np.all((at >= 0) | (eta1 >= 1.0 - exp.piece.shell[0])):
+            return exp.coeffs, at
+    return (fourier_coeff_batch(exp.piece, np.arange(0, L + 1), eta1),
+            np.arange(eta1.size))
 
 
 def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
@@ -308,12 +355,10 @@ def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
     the periodized series converges to zero, so any residual there is
     part of the reported truncation tail.
     """
-    uniq_f, inv_f = np.unique(f.eigenvalues.reshape(-1), return_inverse=True)
-    uniq_g, inv_g = np.unique(g.eigenvalues.reshape(-1), return_inverse=True)
-    m_uniq = truncated_series_symbol(exp, uniq_f, uniq_g, truncation)
-    mt = m_uniq[np.ix_(inv_f, inv_g)].reshape(
-        f.eigenvalues.shape + g.eigenvalues.shape)   # (nf, amu, ng, bmu)
-    return _bilinear_contract(mt, f, g, grid)
+    (uf, inv_f), (ug, inv_g) = map(_distinct_eigenvalues, (f, g))
+    table = truncated_series_symbol(exp, uf, ug, truncation)
+    exp.coeffs = None          # read once: not held through the contraction
+    return _bilinear_contract(table, inv_f, inv_g, f, g, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -133,16 +133,6 @@ class DyadicCutoff:
         return dyadic_bump(np.ldexp(np.asarray(tau, dtype=float), self.M))
 
 
-def partition_defect(taus) -> float:
-    """Max deviation of the truncated dyadic sum from 1 over given tau > 0."""
-    taus = np.asarray(taus, dtype=float)
-    total = np.zeros_like(taus)
-    m_lo = np.floor(-1.0 - np.log2(taus)).astype(int)
-    for off in (0, 1, 2):
-        total += dyadic_bump(np.ldexp(taus, (m_lo + off).astype(np.int32)))
-    return float(np.max(np.abs(total - 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # concrete symbols
 

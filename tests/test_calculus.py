@@ -7,8 +7,8 @@ from grushin.calculus import (PaddingError, apply_joint_multiplier,
                               atom_projection_values, bilinear_kernel,
                               bilinear_weighted_l2, build_atoms,
                               channel_sums, linear_first_layer_weighted_l2,
-                              linear_kernel, linear_kernel_on_grid,
-                              second_layer_channel_l2, sobolev_norm_1d,
+                              linear_kernel, second_layer_channel_l2,
+                              sobolev_norm_1d,
                               sobolev_product_norm)
 from grushin.dims import Dims
 from grushin.fields import synthesize
@@ -21,6 +21,17 @@ from grushin.symbols import (DyadicCutoff, DyadicPiece, Symbol1D, Symbol2D,
 from conftest import random_field
 
 WIDE = (0.0, 100.0)
+
+
+def linear_kernel_on_grid(F: Symbol1D, x, grid) -> np.ndarray:
+    """K(x, y) for every grid node y; shape (n_x1, n_x2)."""
+    atoms = build_atoms(grid, F.support[1])
+    x1, x2 = np.atleast_1d(x[0]), np.atleast_1d(x[1])
+    coeff = (atoms.weight * np.asarray(F(atoms.eigen))
+             * np.exp(1j * (atoms.lam @ x2))
+             * (2.0 * np.pi) ** (-grid.dims.d2))
+    proj = atom_projection_values(atoms, x1, grid.x1_points)   # (Q, n1)
+    return grid.x2_inverse((proj * coeff[:, None]).T, -atoms.lam)
 
 
 def test_identity_and_homomorphism(default_grid):

@@ -42,6 +42,16 @@ def test_grid_command_and_missing_key(tmp_path):
     assert "d1" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", ["x1_extent=nan", "lambda_max=inf",
+                                 "x1_count=4.0"])
+def test_bad_grid_values_stop_before_anything_is_written(tmp_path, bad):
+    out = tmp_path / "g.cfg"
+    with pytest.raises(SystemExit, match=bad.split("=")[0]):
+        main(["grid", "--set", "d1=1", "--set", "d2=1", "--set", bad,
+              "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_field_and_riesz_commands(tmp_path):
     os.chdir(tmp_path)
     rc = main(["field"] + RIESZ_GRID + ["--set", "seed=1",

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from grushin.dims import Dims
 from grushin.geometry import (Point, ball_volume, control_distance,
-                              control_distance_batch, quasi_triangle_constant,
-                              second_layer_reach, weight_integral_check)
+                              control_distance_batch, second_layer_reach,
+                              weight_integral_check)
 
 coords = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 
@@ -43,6 +43,23 @@ def test_distance_is_the_one_row_batch():
         rows = [control_distance(Point(*x), Point(*y))
                 for x, y in zip(zip(a1, a2), zip(b1, b2))]
         assert rows == batch.tolist()
+
+
+def quasi_triangle_constant(dims: Dims, n_samples: int = 2000,
+                            seed: int = 0) -> float:
+    """Measured constant K with dist(x,z) <= K (dist(x,y) + dist(y,z)),
+    over random triples with x' in [-4, 4]^d1 and x'' in [-16, 16]^d2."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        pts = [Point(rng.uniform(-4.0, 4.0, dims.d1),
+                     rng.uniform(-16.0, 16.0, dims.d2))
+               for _ in range(3)]
+        x, y, z = pts
+        through = control_distance(x, y) + control_distance(y, z)
+        if through > 0:
+            worst = max(worst, control_distance(x, z) / through)
+    return worst
 
 
 def test_quasi_triangle_measured_constant():

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from grushin.fields import (DegreeError, GriddedField, SpectralField, analyze,
                             dilate_gridded, dilate_spectral, lp_norm,
                             mixed_norm, read_field_binary, synthesize,
                             write_field_binary, write_field_csv)
-from grushin.grid import GridError, GridSpec, make_grid
+from grushin.grid import GRID_KEYS, GridError, GridSpec, make_grid
 
 from conftest import random_field
 
@@ -48,6 +49,29 @@ def test_make_grid_rejects_bad_specs():
     with pytest.raises(GridError):
         # spacing too coarse for the requested top frequency
         make_grid(Dims(1, 1), GridSpec(x1_count=16, lambda_max=4.0))
+
+
+COUNTS = ("d1", "d2", "x1_count", "x2_count", "lambda_count")
+
+
+def _bad_values(key):
+    """Values ``key`` must reject: NaN and +-inf, and for the counts (and
+    dimensions) numbers that are not integers."""
+    return ["nan", "inf", "-inf"] + (["4.0", "2.5"] if key in COUNTS else [])
+
+
+@pytest.mark.parametrize("key", GRID_KEYS)
+def test_grid_config_rejects_non_finite_and_non_integer_values(key):
+    assert set(COUNTS) <= set(GRID_KEYS)
+    for raw in _bad_values(key):
+        with pytest.raises(GridError, match=key):
+            GridSpec.from_mapping({"d1": "1", "d2": "1", key: raw})
+        value = float(raw)
+        with pytest.raises(GridError, match=key):      # not read as text
+            GridSpec.from_mapping({"d1": 1, "d2": 1, key: value})
+        if key not in ("d1", "d2"):      # make_grid takes those from dims
+            with pytest.raises(GridError, match=key):
+                make_grid(Dims(1, 1), replace(GridSpec(), **{key: value}))
 
 
 def test_make_grid_deterministic():

@@ -25,7 +25,8 @@ from grushin.fields import SpectralField, analyze, synthesize
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import multi_index_degrees
 from grushin.reductions import parallel_map
-from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract, _span,
+from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
+                           _contract_blocks, _distinct_eigenvalues,
                            _weighted_profiles, bilinear_apply_direct,
                            dilation_covariance_check, truncated_series_symbol)
 from grushin.symbols import (DyadicPiece, RieszParams, Symbol2D,
@@ -113,6 +114,16 @@ def _dense_contract(mt, f, g, grid):
                                    nu.reshape(-1, grid.dims.d2))
 
 
+def _dense_table_contract(mt, f, g, grid):
+    """``_bilinear_contract`` of a dense pair array mt[i, a, j, b]: each
+    atom of f is its own table row and each atom of g its own column."""
+    nf, amu, ng, bmu = mt.shape
+    return _bilinear_contract(mt.reshape(nf * amu, ng * bmu),
+                              np.arange(nf * amu).reshape(nf, amu),
+                              np.arange(ng * bmu).reshape(ng, bmu),
+                              f, g, grid)
+
+
 def _live_atoms(rng, n_nodes, n_levels):
     """Random live (node, level) atoms; on level 0 the first and last
     nodes live and a middle one dead, so its live nodes are no range."""
@@ -145,7 +156,7 @@ def test_contraction_matches_the_dense_einsum(dims, seed, complex_mt,
         only = np.zeros(shape, dtype=bool)
         only[tuple(int(rng.integers(n)) for n in shape)] = True
         mt *= only
-    got = _bilinear_contract(mt, f, g, grid).values
+    got = _dense_table_contract(mt, f, g, grid).values
     want = _dense_contract(mt, f, g, grid)
     if pattern == "zero":
         assert not np.any(got)
@@ -181,7 +192,7 @@ def test_contraction_adds_pair_sums_that_alias(dims, seed):
     assert (len(np.unique(sums % 16, axis=0))
             < len(np.unique(sums, axis=0)))
     mt = rng.normal(size=f.eigenvalues.shape + g.eigenvalues.shape)
-    got = _bilinear_contract(mt, f, g, grid).values
+    got = _dense_table_contract(mt, f, g, grid).values
     assert _rel(got, _dense_contract(mt, f, g, grid)) <= 1e-13
 
 
@@ -202,28 +213,21 @@ def test_contraction_sums_a_repeated_support_node(dims, seed, repeats):
                                       g.lambda_support[again]]),
                       g.max_degree, np.concatenate([g.coeffs, extra]))
     mt = rng.normal(size=f.eigenvalues.shape + g.eigenvalues.shape)
-    got = _bilinear_contract(mt, f, g, grid).values
+    got = _dense_table_contract(mt, f, g, grid).values
     want = _dense_contract(mt, f, g, grid)
     assert np.max(np.abs(want)) > 0.0
     assert _rel(got, want) <= 1e-13
 
 
-def _whole_d_contract(mt, f, g, grid):
-    """The live-block contraction into the whole (I, J, x') array D, binned
-    by ``Grid.x2_inverse``: each entry sums over (a, b) in the order
-    ``_bilinear_contract`` uses, so the two agree bit for bit."""
+def _whole_d_contract(table, inv_f, inv_g, f, g, grid):
+    """The contraction's own blocks (``_contract_blocks``) written into the
+    whole (I, J, x') array D, binned by ``Grid.x2_inverse``: each bin sums
+    in the order ``_bilinear_contract`` uses, so the two agree bit for
+    bit."""
     pf, pg = _weighted_profiles(f, grid), _weighted_profiles(g, grid)
-    live = mt != 0
-    f_spans = [_span(col) for col in np.any(live, axis=(2, 3)).T]
-    g_spans = [_span(col) for col in np.any(live, axis=(0, 1)).T]
-    D = np.zeros((pf.shape[0], pg.shape[0], pf.shape[2]),
-                 dtype=np.result_type(mt, pf, pg))
-    for a, (i0, i1) in enumerate(f_spans):
-        for b, (j0, j1) in enumerate(g_spans):
-            if i0 < i1 and j0 < j1:
-                D[i0:i1, j0:j1] += (mt[i0:i1, a, j0:j1, b][:, :, None]
-                                    * pf[i0:i1, a, None, :]
-                                    * pg[None, j0:j1, b, :])
+    D = np.zeros((pf.shape[0], pg.shape[0], pf.shape[2]), dtype=complex)
+    for c0, g0, block in _contract_blocks(table, inv_f, inv_g, pf, pg):
+        D[c0:c0 + block.shape[0], g0:g0 + block.shape[1]] = block
     nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
     return scale * grid.x2_inverse(D.reshape(-1, D.shape[2]).T,
@@ -235,15 +239,14 @@ def test_binned_contraction_is_the_whole_d_contraction_bit_for_bit(j):
     # The separated path's symbol on the ``decay`` probe grid's fields.
     grid = probe_grid("decay")
     f, g = _decay_fields("hermite-bump", 0, grid)
-    uniq_f, inv_f = np.unique(f.eigenvalues.reshape(-1), return_inverse=True)
-    uniq_g, inv_g = np.unique(g.eigenvalues.reshape(-1), return_inverse=True)
+    uniq_f, inv_f = _distinct_eigenvalues(f)
+    uniq_g, inv_g = _distinct_eigenvalues(g)
     exp = FourierSeriesExpansion(DyadicPiece(j, 1.0), truncation=2048)
-    mt = truncated_series_symbol(exp, uniq_f, uniq_g)[
-        np.ix_(inv_f, inv_g)].reshape(f.eigenvalues.shape
-                                      + g.eigenvalues.shape)
-    got = _bilinear_contract(mt, f, g, grid).values
+    table = truncated_series_symbol(exp, uniq_f, uniq_g)
+    got = _bilinear_contract(table, inv_f, inv_g, f, g, grid).values
     assert np.max(np.abs(got)) > 0.0
-    assert np.array_equal(got, _whole_d_contract(mt, f, g, grid))
+    assert np.array_equal(got,
+                          _whole_d_contract(table, inv_f, inv_g, f, g, grid))
 
 
 # Nodes k/16 up to 1: a support on |lambda_i| = 1/4 stays on the node set

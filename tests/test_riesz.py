@@ -126,7 +126,9 @@ def test_expansion_tail_rule_and_agreement(riesz_grid):
     for j, alpha in ((2, 1.0), (3, 1.0), (4, 2.0), (3, 2.0)):
         piece = DyadicPiece(j, alpha)
         exp = build_expansion(piece, eta1_samples=live, tol=1e-8)
+        assert exp.coeffs is not None
         sep = bilinear_apply_separated(exp, f, h, g)
+        assert exp.coeffs is None          # the carried table is dropped
         direct = bilinear_apply_direct(dyadic_piece_symbol(piece), f, h, g)
         assert rel_l2(sep.values, direct.values) <= 1e-6
 

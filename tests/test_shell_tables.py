@@ -1,6 +1,9 @@
 """Band-only series tables (whole or in chunks), the real-form series
-symbol, the flat x''-binning and the real-FFT Sobolev norm, each against
-the dense form it replaces, kept here as the oracle."""
+symbol, the coefficient table an expansion carries, the flat x''-binning
+and the real-FFT Sobolev norm, each against the dense or fresh form it
+replaces, kept here as the oracle."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +155,65 @@ def test_real_form_symbol_matches_complex_form(j):
     assert got.dtype == np.float64 and got.shape == (97, 89)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert not np.any(got[eta1 >= 1.0]) and not np.any(got[:, eta2 >= 2.0])
+
+
+def _capped_and_converged():
+    f, _ = _decay_fields("hermite-bump", 0, probe_grid("decay"))
+    capped = build_expansion(DyadicPiece(1, 1.0),
+                             eta1_samples=live_eigenvalues(f), l_cap=2048)
+    # eta1 below the shell window: no jump, so the series converges
+    converged = build_expansion(DyadicPiece(3, 1.0),
+                                eta1_samples=np.linspace(0.0, 0.7, 15))
+    assert not capped.converged and converged.converged
+    return capped, converged
+
+
+def test_expansion_carries_the_batch_at_its_truncation():
+    for exp in _capped_and_converged():
+        want = fourier_coeff_batch(exp.piece, np.arange(exp.truncation + 1),
+                                   exp.samples)
+        assert exp.coeffs is not None
+        assert np.array_equal(exp.coeffs, want)
+
+
+def _no_batch(*args):
+    raise AssertionError("fourier_coeff_batch called")
+
+
+@pytest.mark.parametrize("j", [1, 3, 6])
+def test_series_symbol_reads_the_carried_table_bit_for_bit(j, monkeypatch):
+    # The decay probes' call: every distinct eigenvalue of f is a sample
+    # (those up to 1) or lies past the shell.
+    f, g = _decay_fields("hermite-bump", 0, probe_grid("decay"))
+    exp = build_expansion(DyadicPiece(j, 1.0),
+                          eta1_samples=live_eigenvalues(f), l_cap=2048)
+    eta1, eta2 = np.unique(f.eigenvalues), np.unique(g.eigenvalues)
+    fresh = truncated_series_symbol(replace(exp, coeffs=None), eta1, eta2)
+    monkeypatch.setattr(riesz, "fourier_coeff_batch", _no_batch)
+    got = truncated_series_symbol(exp, eta1, eta2)
+    assert np.any(got) and np.array_equal(got, fresh)
+
+
+def test_series_symbol_off_the_samples_computes_afresh(monkeypatch):
+    capped, _ = _capped_and_converged()
+    eta1 = np.append(capped.samples[:3], 0.5 * (capped.samples[3]
+                                                + capped.samples[4]))
+    eta2 = np.linspace(0.0, 2.5, 11)
+    assert eta1[-1] < 1.0 - capped.piece.shell[0]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fourier_coeff_batch(*args)
+
+    monkeypatch.setattr(riesz, "fourier_coeff_batch", counted)
+    got = truncated_series_symbol(capped, eta1, eta2)
+    assert len(calls) == 1
+    assert np.array_equal(got, truncated_series_symbol(
+        replace(capped, coeffs=None), eta1, eta2))
+    # another truncation than the expansion's own computes afresh too
+    truncated_series_symbol(capped, capped.samples, eta2, truncation=64)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

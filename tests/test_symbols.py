@@ -5,7 +5,7 @@ from grushin.symbols import (DyadicCutoff, DyadicPiece, RieszParams,
                              builtin_symbol, riesz_symbol_1d,
                              Symbol2D, bump_symbol_1d, dyadic_bump,
                              dyadic_piece_profile, dyadic_piece_symbol,
-                             partition_defect, plateau, riesz_symbol,
+                             plateau, riesz_symbol,
                              SeparableSymbol2D, tensor_symbol, truncated_power)
 
 
@@ -15,6 +15,16 @@ def decay_eigen():
     from grushin.calculus import build_atoms
     from grushin.verifier import probe_grid
     return build_atoms(probe_grid("decay"), 1.0).eigen
+
+
+def partition_defect(taus) -> float:
+    """Max deviation of the truncated dyadic sum from 1 over given tau > 0."""
+    taus = np.asarray(taus, dtype=float)
+    total = np.zeros_like(taus)
+    m_lo = np.floor(-1.0 - np.log2(taus)).astype(int)
+    for off in (0, 1, 2):
+        total += dyadic_bump(np.ldexp(taus, (m_lo + off).astype(np.int32)))
+    return float(np.max(np.abs(total - 1.0)))
 
 
 def test_dyadic_partition_of_unity():
