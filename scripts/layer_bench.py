@@ -34,9 +34,7 @@ The configurations are those of ``grushin verify --suite decay`` on the
   the expansion carries where the library keeps one;
 * ``_bilinear_contract``: that symbol on the distinct eigenvalue pairs,
   contracted against the atoms of the two decay fields (as
-  ``bilinear_apply_separated`` does; a checkout whose contraction takes
-  the dense pair array gets the symbol gathered onto every atom pair),
-  j = 1, 3, 6;
+  ``bilinear_apply_separated`` does), j = 1, 3, 6;
 * ``x2_inverse``: a random x'-fastest (64 x 45,796) array binned to the
   pair frequencies of the two fields, the shape of the bilinear
   contraction's output;
@@ -69,14 +67,14 @@ alpha = 1:
 * ``bilinear_kernel_batch``: the piece j at the 40 stratified triples of
   library seed 0, j = 1..6;
 * ``dyadic_piece_symbol``: the piece j at every pair of atom eigenvalues
-  up to 1 (730 x 730 pairs), j = 1, 3, 6.
+  up to 1 (730 x 730 pairs, the cost of evaluating a symbol on every
+  atom pair rather than once per distinct eigenvalue pair), j = 1, 3, 6.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import os
 import statistics
@@ -119,16 +117,6 @@ def _layers():
     inv_f = inv_f.reshape(f.eigenvalues.shape)
     inv_g = inv_g.reshape(g.eigenvalues.shape)
     ls = np.arange(0, 2049)
-    dense = next(iter(inspect.signature(_bilinear_contract).parameters)) \
-        == "mt"
-
-    def contract(table):
-        if dense:
-            mt = table[np.ix_(inv_f.ravel(), inv_g.ravel())].reshape(
-                inv_f.shape + inv_g.shape)
-            return lambda: _bilinear_contract(mt, f, g, grid).values
-        return lambda: _bilinear_contract(table, inv_f, inv_g, f, g,
-                                          grid).values
 
     out = []
     for j in (1, 3, 6):
@@ -145,8 +133,10 @@ def _layers():
         out.append((f"truncated_series_symbol[j={j},carried]",
                     lambda e=built: truncated_series_symbol(e, uniq_f,
                                                             uniq_g)))
+        table = truncated_series_symbol(exp, uniq_f, uniq_g)
         out.append((f"_bilinear_contract[j={j}]",
-                    contract(truncated_series_symbol(exp, uniq_f, uniq_g))))
+                    lambda t=table: _bilinear_contract(t, inv_f, inv_g, f, g,
+                                                       grid).values))
 
     piece8 = DyadicPiece(8, 1.0)
     eta1 = np.linspace(0.0, 1.0, 257)

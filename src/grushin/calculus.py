@@ -123,16 +123,13 @@ def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
     ``x1_points`` is one base point (d1,) or (1, d1), broadcast along
     the rows of ``y1_points`` (n, d1), or n points aligned with them.
     ``y1_bank`` is the atoms' bank at ``y1_points`` if the caller holds
-    one (``_grid_bank``); profiles are pointwise, so that is bit-identical.
+    one (``_grid_bank``); else it is built here.  Profiles are pointwise,
+    so either way the values are bit-identical.
     """
-    x1 = np.atleast_2d(x1_points)
     if y1_bank is None:
-        bank, row_atom = _profile_bank(
-            atoms, np.concatenate([x1, np.atleast_2d(y1_points)]))
-        terms = bank[:, :x1.shape[0]] * bank[:, x1.shape[0]:]
-    else:
-        bank, row_atom = _profile_bank(atoms, x1)
-        terms = bank * y1_bank
+        y1_bank = _profile_bank(atoms, np.atleast_2d(y1_points))[0]
+    bank, row_atom = _profile_bank(atoms, np.atleast_2d(x1_points))
+    terms = bank * y1_bank
     if row_atom.size == atoms.count:     # one row per atom (always at d1 = 1)
         return terms
     first = np.searchsorted(row_atom, np.arange(atoms.count))
@@ -185,28 +182,30 @@ def bilinear_kernel(G: Symbol2D, x, y, z, grid: Grid) -> complex:
 def bilinear_kernel_batch(G: Symbol2D, xs, ys, zs, grid: Grid) -> np.ndarray:
     """Kernel of the bilinear operator at sample triples.
 
-    Only the live block of the symbol is visited: the atom rows and
-    columns where G(eta1, eta2) is nonzero somewhere.  The triples are
+    The symbol is read once per pair of distinct atom eigenvalues
+    (``Symbol2D.on_pairs``), and only its live block is visited: the atom
+    rows and columns where it is nonzero somewhere.  The triples are
     contracted in real arithmetic by one stacked matmul, one product per
     triple, so each value does not depend on the rest of the batch.
     """
     (a1, b1), (a2, b2) = G.support
     atoms1 = build_atoms(grid, b1)
     atoms2 = build_atoms(grid, b2)
-    gmat = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]))
-    live = gmat != 0
-    rows = np.flatnonzero(live.any(axis=1))
-    cols = np.flatnonzero(live.any(axis=0))
+    table, inv1, inv2 = G.on_pairs(atoms1.eigen, atoms2.eigen)
+    live = table != 0
+    rows = np.flatnonzero(live.any(axis=1)[inv1])
+    cols = np.flatnonzero(live.any(axis=0)[inv2])
     if rows.size == 0:
         return np.zeros(len(xs), dtype=complex)
     sub1, sub2 = _atom_subset(atoms1, rows), _atom_subset(atoms2, cols)
     a = _phase_rows(sub1, sub1.weight, xs, ys)
     b = _phase_rows(sub2, sub2.weight, xs, zs)
-    block = np.ix_(rows, cols)
+    # gathered from table.real and table.imag, each GEMM operand is contiguous
+    block = np.ix_(inv1[rows], inv2[cols])
     ab = np.stack((a.real, a.imag), axis=1)     # (T, 2, R)
-    u = ab @ gmat.real[block]                   # (Re a Gr, Im a Gr)
-    if gmat.imag.any():                         # plus i a Gi
-        v = ab @ gmat.imag[block]
+    u = ab @ table.real[block]                  # (Re a Gr, Im a Gr)
+    if table.imag.any():                        # plus i a Gi
+        v = ab @ table.imag[block]
         u = u + np.stack((-v[:, 1], v[:, 0]), axis=1)
     q = u @ np.stack((b.real, b.imag), axis=2)  # (T, 2, 2)
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
@@ -402,8 +401,8 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
     atoms2 = atoms1 if b2 == b1 else build_atoms(grid, b2)
     cut1 = 1.0 if cutoff1 is None else np.asarray(cutoff1(atoms1.lam_abs))
     cut2 = 1.0 if cutoff2 is None else np.asarray(cutoff2(atoms2.lam_abs))
-    g = np.asarray(G(atoms1.eigen[:, None], atoms2.eigen[None, :]),
-                   dtype=complex) * np.outer(atoms1.weight * cut1,
+    table, inv1, inv2 = G.on_pairs(atoms1.eigen, atoms2.eigen)
+    g = table[np.ix_(inv1, inv2)] * np.outer(atoms1.weight * cut1,
                                              atoms2.weight * cut2)
 
     M1 = _weighted_gram(atoms1, x1, exp1)

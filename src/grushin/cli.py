@@ -121,8 +121,13 @@ def cmd_field(cfg: dict, out: str | None):
 
 def cmd_riesz(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
-    alpha = float(cfg.get("alpha", 1.0))
-    big_r = float(cfg.get("R", 1.0))
+    try:
+        alpha = float(cfg.get("alpha", 1.0))
+        piece = DyadicPiece(int(cfg["j"]), alpha) if "j" in cfg else None
+        sym = (dyadic_piece_symbol(piece) if piece else
+               riesz_symbol(RieszParams(alpha, float(cfg.get("R", 1.0)))))
+    except ValueError as err:
+        raise SystemExit(f"bad riesz config: {err}") from None
     family = cfg.get("family", "hermite-bump")
     seed = int(cfg.get("seed", 0))
     band = (float(cfg.get("band_lo", 1.0 / 8.0)),
@@ -131,21 +136,16 @@ def cmd_riesz(cfg: dict, out: str | None):
     g = family_fields(family, grid, seed + 1, band=band)
     out = out or "riesz_out"
     verdicts = {}
-    if "j" in cfg:
-        piece = DyadicPiece(int(cfg["j"]), alpha)
-        direct = bilinear_apply_direct(dyadic_piece_symbol(piece), f, g, grid)
+    result = bilinear_apply_direct(sym, f, g, grid)
+    if piece:
         exp = build_expansion(piece, eta1_samples=live_eigenvalues(f))
         sep = bilinear_apply_separated(exp, f, g, grid)
-        den = math.sqrt(float(np.sum(np.abs(direct.values) ** 2))) or 1.0
-        dev = math.sqrt(float(np.sum(np.abs(sep.values - direct.values) ** 2)))
+        den = math.sqrt(float(np.sum(np.abs(result.values) ** 2))) or 1.0
+        dev = math.sqrt(float(np.sum(np.abs(sep.values - result.values) ** 2)))
         verdicts["separation_rel_l2"] = repr(dev / den)
         verdicts["separation_truncation"] = str(exp.truncation)
         verdicts["separation_tail"] = repr(exp.tail_bound)
         verdicts["separation_converged"] = str(exp.converged)
-        result = direct
-    else:
-        result = bilinear_apply_direct(
-            riesz_symbol(RieszParams(alpha, big_r)), f, g, grid)
     write_field_binary(result, out + ".grsh")
     write_field_csv(result, out + ".csv", [f"config_hash={config_hash(cfg)}"])
     return (out + ".manifest", [out + ".grsh", out + ".csv"], verdicts,
@@ -167,9 +167,8 @@ def cmd_kernel(cfg: dict, out: str | None):
         raise SystemExit(f"n_points must be >= 1, got {n}")
     out = out or "kernel.csv"
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    pts = [((rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)),
-            (rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)),
-            (rng.uniform(-2, 2, grid.dims.d1), rng.uniform(-4, 4, grid.dims.d2)))
+    pts = [tuple((rng.uniform(-2, 2, grid.dims.d1),
+                  rng.uniform(-4, 4, grid.dims.d2)) for _ in "xyz")
            for _ in range(n)]
     # a bilinear kernel is sampled at (x, y, z), a linear one at (x, y)
     layers = 3 if isinstance(sym, Symbol2D) else 2

@@ -86,9 +86,9 @@ class GriddedField:
             raise ValueError(f"values shape {self.values.shape} != {want}")
 
 
-def _support_indices(f: SpectralField, grid: Grid) -> np.ndarray:
+def _support_indices(lambda_support: np.ndarray, grid: Grid) -> np.ndarray:
     try:
-        return grid.lambda_index(f.lambda_support)
+        return grid.lambda_index(lambda_support)
     except GridError as e:
         raise GridError(f"field support not contained in grid nodes: {e}") from e
 
@@ -117,7 +117,7 @@ def synthesize(f: SpectralField, grid: Grid) -> GriddedField:
     sum_mu C(lambda, mu) Phi_mu^lambda(x').  The frequency sum is finite,
     so the only discretization is the declared node set itself.
     """
-    idx = _support_indices(f, grid)
+    idx = _support_indices(f.lambda_support, grid)
     _check_degree(f.max_degree, f.lambda_abs, grid)
     w = grid.lambda_weights[idx]
     profiles = profile_tensor(f, grid)                      # (n_supp, n_x1)
@@ -139,10 +139,8 @@ def analyze(h: GriddedField, max_degree: int,
     if lambda_support is None:
         lambda_support = grid.lambda_points
     lambda_support = np.atleast_2d(np.asarray(lambda_support, dtype=float))
-    probe = SpectralField(grid.dims, lambda_support, 0,
-                          np.zeros((lambda_support.shape[0], 1)))
-    idx = _support_indices(probe, grid)
-    _check_degree(max_degree, probe.lambda_abs, grid)
+    idx = _support_indices(lambda_support, grid)
+    _check_degree(max_degree, grid.lambda_abs[idx], grid)
 
     # h^lambda(x') = sum_{x''} w2 h e^{-i lambda x''}; the synthesize
     # prefactor (2 pi)^{-d2} w(lambda) cancels against the box length, so

@@ -104,34 +104,27 @@ def weight_integral_check(a: Point, r_values, gamma: float, layer: str,
     growth under one quadrature refinement doubling.
     """
     dims = a.dims
-    if layer == "first":
-        if not 0 <= gamma < dims.d1:
-            raise ValueError(f"first-layer gamma must lie in [0, {dims.d1})")
-    elif layer == "second":
-        if not 0 <= gamma < dims.d2:
-            raise ValueError(f"second-layer gamma must lie in [0, {dims.d2})")
-    else:
+    top = {"first": dims.d1, "second": dims.d2}
+    if layer not in top:
         raise ValueError(f"unknown layer {layer!r}")
+    if not 0 <= gamma < top[layer]:
+        raise ValueError(f"{layer}-layer gamma must lie in [0, {top[layer]})")
+    first = layer == "first"
+    a_norm = float(np.linalg.norm(a.x1))
+
+    def integrand(x1, x2):
+        nrm = np.linalg.norm(x1 if first else x2 - a.x2, axis=1)
+        return np.where(nrm > 0, nrm ** -gamma if gamma else 1.0,
+                        0.0 if gamma else 1.0)
+
+    def rhs(r):
+        if first:
+            return r ** dims.total_dim * max(4 * r, a_norm) ** (dims.d2 - gamma)
+        return r ** (dims.d1 + 2 * (dims.d2 - gamma))
 
     def run(n):
-        ratios = []
-        for r in r_values:
-            if layer == "first":
-                def integrand(x1, x2):
-                    nrm = np.linalg.norm(x1, axis=1)
-                    return np.where(nrm > 0, nrm ** -gamma if gamma else 1.0,
-                                    0.0 if gamma else 1.0)
-                rhs = (r ** dims.total_dim
-                       * max(4 * r, float(np.linalg.norm(a.x1))) ** (dims.d2 - gamma))
-            else:
-                def integrand(x1, x2):
-                    gapn = np.linalg.norm(x2 - a.x2, axis=1)
-                    return np.where(gapn > 0, gapn ** -gamma if gamma else 1.0,
-                                    0.0 if gamma else 1.0)
-                rhs = r ** (dims.d1 + 2 * (dims.d2 - gamma))
-            lhs = _ball_quadrature(a, r, integrand, n)
-            ratios.append(lhs / rhs)
-        return np.array(ratios)
+        return np.array([_ball_quadrature(a, r, integrand, n) / rhs(r)
+                         for r in r_values])
 
     r_values = np.asarray(list(r_values), dtype=float)
     ratios = run(n_per_axis)

@@ -21,8 +21,8 @@ from .fields import GriddedField, SpectralField, dilate_gridded, dilate_spectral
 from .grid import Grid, GridError, nearest_node
 from .hermite import scaled_profile_bank
 from .report import ProbeReport
-from .symbols import (DyadicPiece, RieszParams, Symbol2D, dyadic_piece_profile,
-                      plateau, riesz_symbol)
+from .symbols import (DyadicPiece, RieszParams, Symbol2D, distinct,
+                      dyadic_piece_profile, plateau, riesz_symbol)
 
 __all__ = [
     "FourierSeriesExpansion", "bilinear_apply_direct",
@@ -39,15 +39,8 @@ def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
     contracted against the two coefficient sets; bilinear in (f, g), and
     symmetric to roundoff for a symmetric symbol.
     """
-    (uf, inv_f), (ug, inv_g) = map(_distinct_eigenvalues, (f, g))
-    table = np.asarray(m(uf[:, None], ug[None, :]))
+    table, inv_f, inv_g = m.on_pairs(f.eigenvalues, g.eigenvalues)
     return _bilinear_contract(table, inv_f, inv_g, f, g, grid)
-
-
-def _distinct_eigenvalues(h: SpectralField):
-    """h's distinct eigenvalues, and each atom's index among them."""
-    uniq, inv = np.unique(h.eigenvalues, return_inverse=True)
-    return uniq, inv.reshape(h.eigenvalues.shape)
 
 
 # Node rows per block of the contraction: 8 rows keep each (g-nodes, rows,
@@ -73,12 +66,12 @@ def _bilinear_contract(table: np.ndarray, inv_f: np.ndarray,
         raise GridError("field dims do not match grid dims")
     nu = f.lambda_support[:, None, :] + g.lambda_support[None, :, :]
     bins = grid._x2_bins(nu.reshape(-1, grid.dims.d2))[0].reshape(nu.shape[:2])
-    distinct = np.unique(bins[:1]).size == bins.shape[1]
+    unique_bins = np.unique(bins[:1]).size == bins.shape[1]
     pf, pg = _weighted_profiles(f, grid), _weighted_profiles(g, grid)
     spec = np.zeros((grid.n_x2, pf.shape[2]), dtype=complex)
     for c0, g0, D in _contract_blocks(table, inv_f, inv_g, pf, pg):
         for i, row in zip(bins[c0:c0 + len(D), g0:g0 + D.shape[1]], D):
-            if distinct:
+            if unique_bins:
                 spec[i] += row
             else:
                 np.add.at(spec, i, row)
@@ -201,7 +194,11 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     transformed, and the others are zero.  The table is real, so one real
     FFT gives every l >= 0 and c_{-l} = conj(c_l); n >= 4 max|l| keeps
     every |l| below n/2.  Chunks of ``_COEFF_SAMPLES // n`` columns keep
-    only the requested |l|.  Small batches fall back to Gauss-Legendre.
+    only the requested |l|.  Small batches (``_quadrature_path``) take
+    Gauss-Legendre, not as a duplicate path: where 1 - eta1 lies in the
+    shell the zero extension jumps at eta2 = 0, where the trapezoid rule
+    pays O(1/n); at j = 2, eta1 = 0.75, l = 5 the FFT at n = 512 is 5.1 %
+    away from ``fourier_coeff_quadrature``.
     """
     ls = np.asarray(ls, dtype=int)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
@@ -355,7 +352,7 @@ def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
     the periodized series converges to zero, so any residual there is
     part of the reported truncation tail.
     """
-    (uf, inv_f), (ug, inv_g) = map(_distinct_eigenvalues, (f, g))
+    (uf, inv_f), (ug, inv_g) = map(distinct, (f.eigenvalues, g.eigenvalues))
     table = truncated_series_symbol(exp, uf, ug, truncation)
     exp.coeffs = None          # read once: not held through the contraction
     return _bilinear_contract(table, inv_f, inv_g, f, g, grid)

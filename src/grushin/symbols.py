@@ -50,15 +50,15 @@ def dyadic_bump(t):
     unity over dyadic scales for t > 0."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    num = mollifier_bump(tp)
-    den = np.zeros_like(tp)
+    inside = (t > 0.5) & (t < 2.0)  # b, so Theta, vanishes elsewhere
+    ti = t[inside]
+    num = mollifier_bump(ti)
+    den = np.zeros_like(ti)
     # Only scales with 2^M t in (1/2, 2) contribute: at most two integers M.
-    m_lo = np.floor(-1.0 - np.log2(tp)).astype(int)
+    m_lo = np.floor(-1.0 - np.log2(ti)).astype(int)
     for off in (0, 1, 2):
-        den += mollifier_bump(np.ldexp(tp, (m_lo + off).astype(np.int32)))
-    out[pos] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        den += mollifier_bump(np.ldexp(ti, (m_lo + off).astype(np.int32)))
+    out[inside] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return out
 
 
@@ -75,6 +75,13 @@ def truncated_power(t, alpha: float):
     pos = t > 0
     out[pos] = t[pos] ** alpha if alpha != 0 else 1.0
     return out
+
+
+def distinct(values):
+    """The sorted distinct entries of ``values``, and the index of each
+    entry among them (shaped like ``values``)."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    return uniq, inv.reshape(np.shape(values))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +129,14 @@ class Symbol2D:
             out[inside] = self.evaluator(e1, e2)
         return out
 
+    def on_pairs(self, eta1, eta2):
+        """The symbol on every pair (eta1[a], eta2[b]), evaluated once per
+        pair of distinct values: (table, inv1, inv2), where
+        table[inv1[a], inv2[b]] is self(eta1[a], eta2[b]) bit for bit and
+        inv1, inv2 have the shapes of eta1, eta2."""
+        (u1, inv1), (u2, inv2) = distinct(eta1), distinct(eta2)
+        return self(u1[:, None], u2[None, :]), inv1, inv2
+
 
 @dataclass(frozen=True)
 class DyadicCutoff:
@@ -142,10 +157,11 @@ class RieszParams:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.R <= 0:
-            raise ValueError("R must be > 0")
+        # each check is written so that NaN fails it
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and >= 0")
+        if not 0 < self.R < np.inf:
+            raise ValueError("R must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -156,10 +172,10 @@ class DyadicPiece:
     alpha: float
 
     def __post_init__(self):
-        if self.j < 0:
+        if not self.j >= 0:
             raise ValueError("j must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and >= 0")
 
     @property
     def shell(self) -> tuple[float, float]:
@@ -193,23 +209,11 @@ def dyadic_piece_profile(piece: DyadicPiece):
 
 
 def dyadic_piece_symbol(piece: DyadicPiece) -> Symbol2D:
-    """The dyadic piece as a 2-variable symbol restricted to [0, 1]^2.
-
-    The profile is evaluated only where s = 1 - eta1 - eta2 lies in the
-    open shell of the piece; the bump vanishes exactly outside it, so the
-    exact zeros written there are the profile's own values.
-    """
+    """The dyadic piece as a 2-variable symbol restricted to [0, 1]^2: its
+    profile at s = 1 - eta1 - eta2, exactly 0 outside the open shell."""
     profile = dyadic_piece_profile(piece)
-    lo, hi = piece.shell
-
-    def ev(e1, e2):
-        s = 1.0 - e1 - e2
-        inside = (s > lo) & (s < hi)
-        out = np.zeros(s.shape)
-        out[inside] = profile(s[inside])
-        return out
-
-    return Symbol2D(ev, ((0.0, 1.0), (0.0, 1.0)))
+    return Symbol2D(lambda e1, e2: profile(1.0 - e1 - e2),
+                    ((0.0, 1.0), (0.0, 1.0)))
 
 
 def indicator_symbol_1d(lo: float = 0.0, hi: float = 1.0) -> Symbol1D:
@@ -246,12 +250,6 @@ class SeparableSymbol2D(Symbol2D):
 
     factor1: Symbol1D = None
     factor2: Symbol1D = None
-
-    def __call__(self, eta1, eta2):
-        """factor1(eta1) * factor2(eta2): each factor is evaluated once per
-        axis, not at every broadcast pair; the support box is the product
-        of the factors' supports, as ``tensor_symbol`` declares it."""
-        return self.factor1(eta1) * self.factor2(eta2)
 
 
 def tensor_symbol(f1: Symbol1D, f2: Symbol1D) -> SeparableSymbol2D:

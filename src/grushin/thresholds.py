@@ -27,6 +27,11 @@ def _le(a, b):
     return a <= b + _EPS
 
 
+def reciprocal(t: float) -> float:
+    """1/t with 1/0 = inf and 1/inf = 0: p = 1/u from u, and u from p."""
+    return math.inf if t == 0 else 1.0 / t
+
+
 @dataclass(frozen=True)
 class RegionVerdict:
     region: str
@@ -100,8 +105,7 @@ def threshold(p1: float, p2: float, dims: Dims,
     for p in (p1, p2):
         if not (p >= 1.0):
             raise ValueError(f"exponents must lie in [1, inf], got {p}")
-    u = 0.0 if math.isinf(p1) else 1.0 / p1
-    v = 0.0 if math.isinf(p2) else 1.0 / p2
+    u, v = reciprocal(p1), reciprocal(p2)
     w = u + v
 
     items = list(_general_items(dims))
@@ -135,9 +139,7 @@ def threshold_table(dims: Dims, variant: str = "general",
         for j in range(resolution + 1):
             u = i / resolution
             v = j / resolution
-            p1 = math.inf if u == 0 else 1.0 / u
-            p2 = math.inf if v == 0 else 1.0 / v
-            verdict = threshold(p1, p2, dims, variant)
+            verdict = threshold(reciprocal(u), reciprocal(v), dims, variant)
             alpha = "" if verdict.threshold is None else repr(verdict.threshold)
             buf.write(f"{u!r},{v!r},{verdict.region},{alpha},{variant}\n")
     return buf.getvalue()
@@ -148,7 +150,6 @@ def figure_corners(dims: Dims, variant: str = "general") -> dict:
     out = {}
     for ui in (0.0, 0.5, 1.0):
         for vi in (0.0, 0.5, 1.0):
-            p1 = math.inf if ui == 0 else 1.0 / ui
-            p2 = math.inf if vi == 0 else 1.0 / vi
-            out[(ui, vi)] = threshold(p1, p2, dims, variant).threshold
+            out[(ui, vi)] = threshold(reciprocal(ui), reciprocal(vi), dims,
+                                      variant).threshold
     return out

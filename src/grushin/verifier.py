@@ -29,7 +29,7 @@ from .riesz import (bilinear_apply_separated, build_expansion,
                     fourier_coeff_batch)
 from .symbols import (DyadicCutoff, DyadicPiece, Symbol1D, bump_symbol_1d,
                       dyadic_piece_symbol, indicator_symbol_1d, tensor_symbol)
-from .thresholds import threshold
+from .thresholds import reciprocal, threshold
 
 SLOPE_TOL = 0.15          # log2 slope tolerance at desk scale
 RATIO_GROWTH_TOL = 0.05   # allowed ratio growth per refinement doubling
@@ -123,7 +123,9 @@ def live_eigenvalues(f: SpectralField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pointwise kernel probe
 
-KERNEL_VARIANTS = ("xx", "xz", "xy", "yz")
+# variant -> the two points of (x, y, z) whose unit-ball volumes weight
+# the kernel
+KERNEL_VARIANTS = {"xx": (0, 0), "xz": (0, 2), "xy": (0, 1), "yz": (1, 2)}
 
 
 TRIPLES_PER_BAND = 8
@@ -153,17 +155,12 @@ def _stratified_triples(seed: int) -> tuple:
     return tuple(triples)
 
 
-def _volume_factor(variant: str, x, y, z) -> float:
-    px, py, pz = Point(*x), Point(*y), Point(*z)
-    if variant == "xx":
-        return ball_volume(px, 1.0) ** 2
-    if variant == "xz":
-        return ball_volume(px, 1.0) * ball_volume(pz, 1.0)
-    if variant == "xy":
-        return ball_volume(px, 1.0) * ball_volume(py, 1.0)
-    if variant == "yz":
-        return ball_volume(py, 1.0) * ball_volume(pz, 1.0)
-    raise KeyError(f"unknown variant {variant!r}; available {KERNEL_VARIANTS}")
+def _volume_factor(variant: str, *triple) -> float:
+    if variant not in KERNEL_VARIANTS:
+        raise KeyError(f"unknown variant {variant!r}; "
+                       f"available {tuple(KERNEL_VARIANTS)}")
+    a, b = (Point(*triple[k]) for k in KERNEL_VARIANTS[variant])
+    return ball_volume(a, 1.0) * ball_volume(b, 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -433,9 +430,7 @@ class DecayProbeSpec:
 
     @property
     def p(self) -> float:
-        inv = ((0 if math.isinf(self.p1) else 1 / self.p1)
-               + (0 if math.isinf(self.p2) else 1 / self.p2))
-        return math.inf if inv == 0 else 1.0 / inv
+        return reciprocal(reciprocal(self.p1) + reciprocal(self.p2))
 
 
 def _decay_fields(spec_family: str, seed: int, grid: Grid):

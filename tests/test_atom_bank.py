@@ -19,8 +19,8 @@ from grushin.fields import analyze, synthesize
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import hermite_all, hermite_ragged, projection_kernel
 from grushin.riesz import bilinear_apply_direct, build_expansion
-from grushin.symbols import (DyadicPiece, bump_symbol_1d, dyadic_piece_symbol,
-                             riesz_symbol_1d)
+from grushin.symbols import (DyadicPiece, Symbol2D, bump_symbol_1d,
+                             dyadic_piece_symbol, riesz_symbol_1d)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,26 @@ def test_kernel_batches_equal_per_triple_calls(riesz_grid):
     batch = linear_kernel_batch(F, xs, ys, riesz_grid)
     single = [linear_kernel(F, x, y, riesz_grid) for x, y in zip(xs, ys)]
     np.testing.assert_array_equal(batch, np.array(single))
+
+
+def test_kernel_batch_reads_its_symbol_once_per_distinct_eigenvalue_pair():
+    # The decay grid has 730 atoms up to eigenvalue 1 but 128 distinct
+    # eigenvalues: the symbol is read at most 128 x 128 times, not 730 x 730.
+    grid = V.probe_grid("decay")
+    sym = dyadic_piece_symbol(DyadicPiece(3, 1.0))
+    points = []
+
+    def counted(e1, e2):
+        points.append(np.broadcast(e1, e2).size)
+        return sym.evaluator(e1, e2)
+
+    xs, ys, zs = zip(*V._stratified_triples(0)[:4])
+    got = bilinear_kernel_batch(Symbol2D(counted, sym.support), xs, ys, zs,
+                                grid)
+    eigen = build_atoms(grid, 1.0).eigen
+    assert 0 < sum(points) <= np.unique(eigen).size ** 2 < eigen.size ** 2
+    np.testing.assert_array_equal(
+        got, bilinear_kernel_batch(sym, xs, ys, zs, grid))
 
 
 def test_atom_layer_needs_no_profile_matrix(monkeypatch, riesz_grid):

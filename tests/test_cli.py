@@ -52,6 +52,24 @@ def test_bad_grid_values_stop_before_anything_is_written(tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [["alpha=nan"], ["R=nan"], ["alpha=inf"],
+                                 ["j=2", "alpha=nan"]])
+def test_non_finite_riesz_parameters_stop_before_anything_is_written(
+        tmp_path, bad):
+    sets = [a for item in bad for a in ("--set", item)]
+    name = bad[-1].split("=")[0]
+    with pytest.raises(SystemExit, match=f"{name} must be finite"):
+        main(["riesz"] + RIESZ_GRID + sets + ["--out", str(tmp_path / "r")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_decay_probe_rejects_a_nan_alpha_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        main(["probe", "--probe", "decay", "--set", "alpha=nan",
+              "--out", str(tmp_path / "p.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_field_and_riesz_commands(tmp_path):
     os.chdir(tmp_path)
     rc = main(["field"] + RIESZ_GRID + ["--set", "seed=1",

@@ -26,11 +26,11 @@ from grushin.grid import GridSpec, make_grid
 from grushin.hermite import multi_index_degrees
 from grushin.reductions import parallel_map
 from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
-                           _contract_blocks, _distinct_eigenvalues,
+                           _contract_blocks,
                            _weighted_profiles, bilinear_apply_direct,
                            dilation_covariance_check, truncated_series_symbol)
 from grushin.symbols import (DyadicPiece, RieszParams, Symbol2D,
-                             bump_symbol_1d, dyadic_piece_symbol,
+                             bump_symbol_1d, distinct, dyadic_piece_symbol,
                              indicator_symbol_1d, riesz_symbol, tensor_symbol,
                              truncated_power)
 from grushin.verifier import _decay_fields, probe_grid
@@ -239,8 +239,8 @@ def test_binned_contraction_is_the_whole_d_contraction_bit_for_bit(j):
     # The separated path's symbol on the ``decay`` probe grid's fields.
     grid = probe_grid("decay")
     f, g = _decay_fields("hermite-bump", 0, grid)
-    uniq_f, inv_f = _distinct_eigenvalues(f)
-    uniq_g, inv_g = _distinct_eigenvalues(g)
+    uniq_f, inv_f = distinct(f.eigenvalues)
+    uniq_g, inv_g = distinct(g.eigenvalues)
     exp = FourierSeriesExpansion(DyadicPiece(j, 1.0), truncation=2048)
     table = truncated_series_symbol(exp, uniq_f, uniq_g)
     got = _bilinear_contract(table, inv_f, inv_g, f, g, grid).values

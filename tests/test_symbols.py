@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grushin.symbols import (DyadicCutoff, DyadicPiece, RieszParams,
-                             builtin_symbol, riesz_symbol_1d,
+                             builtin_symbol, distinct, riesz_symbol_1d,
                              Symbol2D, bump_symbol_1d, dyadic_bump,
                              dyadic_piece_profile, dyadic_piece_symbol,
                              plateau, riesz_symbol,
@@ -97,7 +97,7 @@ def _shell_points(j):
 @pytest.mark.parametrize("j", range(9))
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_dyadic_piece_symbol_is_its_profile_bit_for_bit(decay_eigen, j, alpha):
-    # The symbol evaluates the profile on the open shell only; everywhere
+    # The symbol is its profile at 1 - eta1 - eta2; everywhere
     # the result must be the full-grid evaluation, to the last bit.
     piece = DyadicPiece(j, alpha)
     profile = dyadic_piece_profile(piece)
@@ -110,6 +110,35 @@ def test_dyadic_piece_symbol_is_its_profile_bit_for_bit(decay_eigen, j, alpha):
                        full(decay_eigen[:, None], decay_eigen[None, :]))):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("riesz", {}), *(("dyadic", {"j": j}) for j in range(1, 7)),
+    ("tensor-bump", {})])
+def test_on_pairs_is_the_broadcast_call_bit_for_bit(decay_eigen, name,
+                                                     params):
+    # atom eigenvalues (repeated across nodes) plus one value outside the
+    # support box; the first input is 2-D, as a field's eigenvalues are
+    sym = builtin_symbol(name, **params)
+    eta = np.append(decay_eigen, 3.0)
+    e1 = eta.reshape(17, 43)
+    table, inv1, inv2 = sym.on_pairs(e1, eta[::-1])
+    assert table.shape == (distinct(eta)[0].size,) * 2
+    assert inv1.shape == e1.shape and inv2.shape == eta.shape
+    got = table[inv1.reshape(-1)][:, inv2]
+    want = sym(eta[:, None], eta[None, ::-1])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: RieszParams(float("nan")), lambda: RieszParams(float("inf")),
+    lambda: RieszParams(1.0, float("nan")), lambda: RieszParams(1.0, np.inf),
+    lambda: DyadicPiece(2, float("nan")), lambda: DyadicPiece(2, np.inf)])
+def test_non_finite_symbol_parameters_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bad()
 
 
 def test_symbol_inside_its_box_is_the_gathered_evaluation():
