@@ -52,7 +52,11 @@ with the probes' bump profile on (0.05, 0.45):
 * ``linear_first_layer_weighted_l2`` of the first-layer probe's
   indicator symbol on [0, 0.45] at y' = 5, gamma = 0.25;
 * ``apply_linear_multiplier_gridded`` of that indicator to the
-  restriction probe's bump at x' = 4, width 1;
+  restriction probe's bump at x' = 4, width 1, and ``restriction_apply_l2``
+  of the same pair at gamma = 0 (the restriction probe's weighted norm);
+* ``_power_cos_moments`` at p = 0.5 and k_max = 460, the u-weight moment
+  table of the second-layer forms on that grid, computed afresh through
+  its ``__wrapped__`` (the cache would answer every timed call);
 
 and the whole truncated Plancherel probe on the (unrefined) ``weighted``
 grid with one worker, ``weighted_plancherel_probe("truncated")``: its
@@ -94,6 +98,7 @@ def _layers():
     from grushin.calculus import (apply_linear_multiplier_gridded,
                                   bilinear_kernel_batch, bilinear_weighted_l2,
                                   build_atoms, linear_first_layer_weighted_l2,
+                                  restriction_apply_l2,
                                   second_layer_channel_l2,
                                   sobolev_product_norm)
     from grushin.fields import GriddedField
@@ -181,6 +186,10 @@ def _layers():
     ).astype(complex))
     out.append(("apply_linear_multiplier_gridded[indicator,bump x=4]",
                 lambda: apply_linear_multiplier_gridded(ind, bump).values))
+    out.append(("restriction_apply_l2[indicator,bump x=4,0]",
+                lambda: restriction_apply_l2(ind, bump, 0.0)))
+    out.append(("_power_cos_moments[p=0.5,460]",
+                lambda: calculus._power_cos_moments.__wrapped__(0.5, 460)))
     out.append(("weighted_plancherel_probe[truncated]",
                 lambda: np.array(weighted_plancherel_probe(
                     "truncated", workers=1).details["channel_values"])))

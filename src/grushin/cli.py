@@ -229,13 +229,6 @@ def roundtrip_probe() -> ProbeReport:
     return ProbeReport.deviation(err, 1e-6)
 
 
-def _decay_probe_run(cfg: dict, seed: int, workers):
-    spec = DecayProbeSpec(alpha=float(cfg.get("alpha", 0.5)),
-                          p1=float(cfg.get("p1", 2)),
-                          p2=float(cfg.get("p2", 2)), seed=seed)
-    return dyadic_decay_probe(spec, workers=workers)
-
-
 def _dilation_probe_run(cfg: dict, seed: int, workers):
     grid = probe_grid("dilation")
     f, g = (family_fields("hermite-bump", grid, s, band=(0.25, 0.75),
@@ -266,7 +259,9 @@ PROBES = {
     "coefficient": lambda cfg, seed, workers: coefficient_decay_probe(
         float(cfg.get("alpha", 1.0)), float(cfg.get("beta", 0.05)),
         workers=workers),
-    "decay": _decay_probe_run,
+    "decay": lambda cfg, seed, workers: dyadic_decay_probe(DecayProbeSpec(
+        alpha=float(cfg.get("alpha", 0.5)), p1=float(cfg.get("p1", 2)),
+        p2=float(cfg.get("p2", 2)), seed=seed), workers=workers),
     "mixed": lambda cfg, seed, workers: mixed_norm_decay_probe(
         float(cfg.get("alpha", 1.6)), seed=seed, workers=workers),
     "dilation": _dilation_probe_run,
@@ -303,6 +298,14 @@ def _workers(cfg: dict):
     return int(cfg["workers"]) if "workers" in cfg else None
 
 
+def _run_probe(probe: str, cfg: dict, seed: int, workers) -> ProbeReport:
+    """``PROBES[probe]``; a bad parameter stops with a one-line message."""
+    try:
+        return PROBES[probe](cfg, seed, workers)
+    except (KeyError, ValueError) as err:
+        raise SystemExit(f"bad probe config: {err.args[0]}") from None
+
+
 def cmd_verify(cfg: dict, out: str | None):
     suite = cfg.setdefault("suite", "core")
     if suite not in SUITES:
@@ -313,7 +316,7 @@ def cmd_verify(cfg: dict, out: str | None):
         if suite == "all" or name.startswith(suite + "/"):
             if _SUITE_ALPHA.get(name) in cfg:
                 keys = {**keys, "alpha": cfg[_SUITE_ALPHA[name]]}
-            reports[name] = PROBES[probe](keys, seed, workers)
+            reports[name] = _run_probe(probe, keys, seed, workers)
     chash = config_hash(cfg)
     out = out or f"verify_{suite}"
     os.makedirs(out, exist_ok=True)
@@ -340,7 +343,7 @@ def cmd_probe(cfg: dict, out: str | None):
     name = cfg.setdefault("probe", "decay")
     if name not in PROBES:
         raise SystemExit(f"unknown probe {name!r}; available: {tuple(PROBES)}")
-    rep = PROBES[name](cfg, int(cfg.get("seed", 0)), _workers(cfg))
+    rep = _run_probe(name, cfg, int(cfg.get("seed", 0)), _workers(cfg))
     out = out or f"probe_{name}.csv"
     _report_csv(rep, out, config_hash(cfg))
     return (out + ".manifest", [out], {name: rep.verdict},

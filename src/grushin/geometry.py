@@ -81,8 +81,7 @@ def _ball_quadrature(a: Point, r: float, integrand, n_per_axis: int) -> float:
                     + (hi - lo) / (2 * n_per_axis))
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    x1 = pts[:, :dims.d1]
-    x2 = pts[:, dims.d1:]
+    x1, x2 = pts[:, :dims.d1], pts[:, dims.d1:]
     dist = control_distance_batch(x1, x2,
                                   np.broadcast_to(a.x1, x1.shape),
                                   np.broadcast_to(a.x2, x2.shape))

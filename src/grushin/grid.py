@@ -328,12 +328,8 @@ def make_grid(dims: Dims, spec: GridSpec) -> Grid:
     # Lattice step: largest divisor of lambda_min compatible with the
     # requested node count over [lambda_min, lambda_max].
     m = spec.lambda_count
-    if m > 1:
-        a_est = spec.lambda_min * (m - 1) / max(spec.lambda_max - spec.lambda_min,
-                                                1e-300)
-        a = max(1, int(round(a_est)))
-    else:
-        a = 1
+    a = max(1, int(round(spec.lambda_min * (m - 1)
+                         / max(spec.lambda_max - spec.lambda_min, 1e-300))))
     step = spec.lambda_min / a
     b = int(math.floor(spec.lambda_max / step + 1e-9))
     if b - a + 1 < m:

@@ -173,20 +173,15 @@ def multi_indices(d1: int, k: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("need d1 >= 1, k >= 0")
     if d1 == 1:
         return ((k,),)
-    out = []
-    for last in range(k + 1):
-        for head in multi_indices(d1 - 1, k - last):
-            out.append(head + (last,))
-    return tuple(out)
+    return tuple(head + (last,) for last in range(k + 1)
+                 for head in multi_indices(d1 - 1, k - last))
 
 
 @lru_cache(maxsize=32)
 def multi_indices_upto(d1: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
     """Multi-indices with |mu| <= max_degree, by degree then colex within degree."""
-    out = []
-    for k in range(max_degree + 1):
-        out.extend(multi_indices(d1, k))
-    return tuple(out)
+    return tuple(mu for k in range(max_degree + 1)
+                 for mu in multi_indices(d1, k))
 
 
 @lru_cache(maxsize=32)
@@ -268,10 +263,7 @@ def _profile_rows(lam: np.ndarray, node: np.ndarray, mu: np.ndarray,
     for j in range(d1):
         table, start, rank = hermite_ragged(top, t[:, :, j])
         rows = table[start[mu[:, j]] + rank[node]]
-        if j == 0:
-            bank = rows
-        else:
-            bank *= rows
+        bank = rows if j == 0 else bank * rows
     bank *= scale[node][:, None]
     return bank
 

@@ -47,14 +47,10 @@ class ProbeReport:
     @classmethod
     def from_samples(cls, abscissa, ordinate, max_ratio=float("nan"), **details):
         slope, intercept = fit_line(abscissa, ordinate)
-        return cls(
-            abscissa=np.asarray(abscissa, dtype=float),
-            ordinate=np.asarray(ordinate, dtype=float),
-            slope=slope,
-            intercept=intercept,
-            max_ratio=float(max_ratio),
-            details=dict(details),
-        )
+        return cls(abscissa=np.asarray(abscissa, dtype=float),
+                   ordinate=np.asarray(ordinate, dtype=float), slope=slope,
+                   intercept=intercept, max_ratio=float(max_ratio),
+                   details=dict(details))
 
     @classmethod
     def deviation(cls, dev: float, tol: float, **details):
@@ -83,9 +79,8 @@ class ProbeReport:
         buf.write(f"# slope={self.slope!r} intercept={self.intercept!r} "
                   f"max_ratio={self.max_ratio!r}\n")
         buf.write("abscissa,ordinate,fitted,residual\n")
-        fit = self.fitted()
-        res = self.residual()
-        for row in zip(self.abscissa, self.ordinate, fit, res):
+        for row in zip(self.abscissa, self.ordinate, self.fitted(),
+                       self.residual()):
             buf.write(csv_row(*row))
         return buf.getvalue()
 

@@ -185,11 +185,8 @@ class DyadicPiece:
 def riesz_symbol(params: RieszParams) -> Symbol2D:
     """(1 - (eta1 + eta2)/R)_+^alpha on the quadrant box [0, R]^2."""
     alpha, R = params.alpha, params.R
-
-    def ev(e1, e2):
-        return truncated_power(1.0 - (e1 + e2) / R, alpha)
-
-    return Symbol2D(ev, ((0.0, R), (0.0, R)))
+    return Symbol2D(lambda e1, e2: truncated_power(1.0 - (e1 + e2) / R, alpha),
+                    ((0.0, R), (0.0, R)))
 
 
 def riesz_symbol_1d(alpha: float, R: float = 1.0) -> Symbol1D:
@@ -222,12 +219,8 @@ def indicator_symbol_1d(lo: float = 0.0, hi: float = 1.0) -> Symbol1D:
 
 def gaussian_symbol_1d(center: float = 0.5, width: float = 0.15) -> Symbol1D:
     """Gaussian profile, cut to zero beyond five widths from the center."""
-    lo, hi = center - 5.0 * width, center + 5.0 * width
-
-    def ev(e):
-        return np.exp(-0.5 * ((e - center) / width) ** 2)
-
-    return Symbol1D(ev, (lo, hi))
+    return Symbol1D(lambda e: np.exp(-0.5 * ((e - center) / width) ** 2),
+                    (center - 5.0 * width, center + 5.0 * width))
 
 
 def bump_symbol_1d(lo: float, hi: float) -> Symbol1D:

@@ -147,9 +147,6 @@ def threshold_table(dims: Dims, variant: str = "general",
 
 def figure_corners(dims: Dims, variant: str = "general") -> dict:
     """The nine labeled lattice nodes (u, v) in {0, 1/2, 1}^2 -> threshold."""
-    out = {}
-    for ui in (0.0, 0.5, 1.0):
-        for vi in (0.0, 0.5, 1.0):
-            out[(ui, vi)] = threshold(reciprocal(ui), reciprocal(vi), dims,
-                                      variant).threshold
-    return out
+    return {(ui, vi): threshold(reciprocal(ui), reciprocal(vi), dims,
+                                variant).threshold
+            for ui in (0.0, 0.5, 1.0) for vi in (0.0, 0.5, 1.0)}

@@ -302,14 +302,10 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
         ys = [5.0, 10.0, 20.0, 40.0]
 
         def ratios(gr):
-            out = []
-            for F in symbols:
-                for y1 in ys:
-                    lhs = linear_first_layer_weighted_l2(
-                        F, (np.array([y1]), np.array([0.0])), gr, gamma1)
-                    rhs = _first_layer_rhs(F, gamma1, y1, dims)
-                    out.append(lhs / rhs)
-            return np.array(out)
+            return np.array([linear_first_layer_weighted_l2(
+                F, (np.array([y1]), np.array([0.0])), gr, gamma1)
+                / _first_layer_rhs(F, gamma1, y1, dims)
+                for F in symbols for y1 in ys])
 
         return _refinement_report(ratios, np.log2(np.array(ys + ys)),
                                   gamma=gamma1, kind=kind)
@@ -318,13 +314,10 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
         G = tensor_symbol(prof, prof)
 
         def ratios(gr):
-            out = []
-            for x1 in _BASE_POINTS:
-                lhs = bilinear_weighted_l2(G, (np.array([x1]),
-                                               np.array([0.0])), gr, 0.0, 0.0)
-                rhs = (_first_layer_rhs(prof, 0.0, x1, dims) ** 2)
-                out.append(lhs / rhs)
-            return np.array(out)
+            return np.array([bilinear_weighted_l2(
+                G, (np.array([x1]), np.array([0.0])), gr, 0.0, 0.0)
+                / _first_layer_rhs(prof, 0.0, x1, dims) ** 2
+                for x1 in _BASE_POINTS])
 
         return _refinement_report(ratios, np.log2(np.array(_BASE_POINTS)),
                                   kind=kind)
@@ -332,13 +325,11 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
     if kind == "second_layer":
         rhs = (sobolev_norm_1d(prof, gamma1) * sobolev_norm_1d(prof, gamma2)) ** 2
 
-        def ratios(gr):
-            out = []
-            for x1 in _BASE_POINTS:
-                sums = channel_sums(prof, gr, np.array([x1]))
-                out.append(second_layer_channel_l2(sums, gamma1)
-                           * second_layer_channel_l2(sums, gamma2) / rhs)
-            return np.array(out)
+        def ratios(gr):      # one base point's channel sums at a time
+            return np.array([second_layer_channel_l2(sums, gamma1)
+                             * second_layer_channel_l2(sums, gamma2) / rhs
+                             for sums in (channel_sums(prof, gr, np.array([x1]))
+                                          for x1 in _BASE_POINTS)])
 
         return _refinement_report(ratios, np.log2(np.array(_BASE_POINTS)),
                                   kind=kind, gamma1=gamma1, gamma2=gamma2)
@@ -541,13 +532,8 @@ def restriction_probe(gamma: float = 0.0) -> ProbeReport:
 
     bumps = ((0.0, 0.7), (4.0, 1.0), (12.0, 1.5))
 
-    def ratios(gr):
-        out = []
-        for x0, s in bumps:
-            h = make_bump(gr, x0, s)
-            l1 = lp_norm(h, 1.0)
-            lhs = restriction_apply_l2(F, h, gamma)
-            out.append(lhs / (f2 * l1))
-        return np.array(out)
+    def ratios(gr):         # one bump field at a time
+        return np.array([restriction_apply_l2(F, h, gamma) / (f2 * lp_norm(h, 1.0))
+                         for h in (make_bump(gr, x0, s) for x0, s in bumps)])
 
     return _refinement_report(ratios, np.arange(len(bumps)), gamma=gamma)

@@ -287,7 +287,7 @@ def test_weighted_gram_paths_reject_d2_2_before_projecting(monkeypatch):
     prof = bump_symbol_1d(0.05, 0.45)
     sums = channel_sums(prof, g, np.array([1.0]))
     monkeypatch.setattr(calculus, "atom_projection_values", no_projection)
-    monkeypatch.setattr(calculus, "_u_weight_matrix", no_projection)
+    monkeypatch.setattr(calculus, "u_weight_table", no_projection)
     with pytest.raises(NotImplementedError):
         second_layer_channel_l2(sums, 0.25)
     with pytest.raises(NotImplementedError):
@@ -400,16 +400,20 @@ def test_channel_forms_build_no_gram(riesz_grid, monkeypatch):
 
 
 def test_separable_symbol_matches_generic_path(riesz_grid):
+    # The tensor symbol's broadcast call against the factors that the
+    # tensor branch of bilinear_weighted_l2 reads, bit for bit.
     atoms = build_atoms(riesz_grid, 0.45)
-    # atom eigenvalues plus points outside every support
+    # atom eigenvalues plus points outside both supports
     eta = np.concatenate([atoms.eigen, [-0.1, 0.0, 0.45, 0.5, 3.0]])
     bump = bump_symbol_1d(0.05, 0.45)
     for f1 in (bump, indicator_symbol_1d(0.0, 0.3)):
         G = tensor_symbol(f1, bump)
-        fast = G(eta[:, None], eta[None, :])
-        generic = Symbol2D.__call__(G, eta[:, None], eta[None, :])
-        assert fast.dtype == generic.dtype == complex
-        assert np.array_equal(fast, generic)
+        got = G(eta[:, None], eta[None, :])
+        factors = G.factor1(eta)[:, None] * G.factor2(eta)[None, :]
+        assert got.dtype == factors.dtype == complex
+        assert np.array_equal(got, factors)
+        outside = (eta < 0.0) | (eta > 0.45)
+        assert not got[outside].any() and not got[:, outside].any()
 
 
 def test_power_cos_moments_cache_is_bounded_and_read_only(riesz_grid):
@@ -452,3 +456,127 @@ def test_grid_bank_projections_equal_the_direct_ones_bitwise(d1, riesz_grid):
         shared = atom_projection_values(atoms, x1, g.x1_points, bank)
         assert direct.shape == (atoms.count, g.n_x1)
         assert np.array_equal(direct, shared)
+
+
+def _cosine_matrix_moments(p, k_max):
+    """The composite 8-node Gauss rule of ``_power_cos_moments`` on
+    max(2 k_max, 64) panels, summed as one dense cosine matrix."""
+    panels = max(2 * k_max, 64)
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    rad = 0.5 * (edges[1:] - edges[:-1])
+    s = (mid[:, None] + rad[:, None] * nodes[None, :]).reshape(-1)
+    w = (rad[:, None] * wts[None, :]).reshape(-1)
+    return np.cos(np.pi * np.outer(np.arange(k_max + 1), s)) @ (w * s ** p)
+
+
+@pytest.mark.parametrize("k_max", [40, 460])
+@pytest.mark.parametrize("p", [0.5, 0.8, 2.0])
+def test_power_cos_moments_fft_is_the_cosine_matrix_rule(p, k_max):
+    from grushin.calculus import _power_cos_moments
+    got = _power_cos_moments.__wrapped__(p, k_max)
+    assert got.shape == (k_max + 1,)
+    assert np.max(np.abs(got - _cosine_matrix_moments(p, k_max))) <= 1e-14
+
+
+def test_power_cos_moments_against_closed_forms():
+    from grushin.calculus import _power_cos_moments
+    # p = 2 is smooth: 1/3 at k = 0 and 2 (-1)^k / (k pi)^2 for k >= 1
+    k = np.arange(1, 461)
+    mom = _power_cos_moments(2.0, 460)
+    assert abs(mom[0] - 1.0 / 3.0) <= 1e-15
+    assert np.max(np.abs(mom[1:] - 2.0 * (-1.0) ** k / (k * np.pi) ** 2)) \
+        <= 1e-15
+    # Fractional p: the s^p kink on the first panel leaves an offset that
+    # is nearly the same at every k; its size at k = 0, k_max = 460, is
+    # pinned, and tables of two lengths differ by a near constant.
+    for p, offset in ((0.5, 6.05e-9), (0.8, 1.056e-10)):
+        long, short = _power_cos_moments(p, 460), _power_cos_moments(p, 40)
+        assert long[0] - 1.0 / (p + 1.0) == pytest.approx(offset, rel=0.01)
+        shift = long[:41] - short
+        assert np.ptp(shift) <= 1e-3 * abs(shift.mean())
+
+
+def _restriction_bump(grid, x0, s):
+    """The restriction probe's bump field, a Gaussian in x' and in each
+    x''-coordinate."""
+    from grushin.fields import GriddedField
+    vals = (np.exp(-0.5 * ((grid.x1_points[:, 0] - x0) / s) ** 2)[:, None]
+            * np.exp(-0.5 * np.sum(grid.x2_points ** 2, axis=1)
+                     / (4 * s) ** 2)[None, :])
+    return GriddedField(grid=grid, values=vals.astype(complex))
+
+
+# each node of |lambda| < 0.15 carries two or more levels below 0.45
+D2_GRID = GridSpec(d1=1, d2=2, x1_extent=16.0, x1_count=48, x2_count=32,
+                   lambda_min=0.0625, lambda_max=1.0, lambda_count=16)
+
+
+@pytest.mark.parametrize("grid_name", ["weighted", "d2=2"])
+def test_restriction_norm_by_parseval_matches_the_output_field(grid_name):
+    # Parseval over the x''-lattice against the explicit weighted sum
+    # over the synthesized output field.
+    from grushin.calculus import restriction_apply_l2
+    from grushin.verifier import probe_grid
+    g = (make_grid(Dims(1, 2), D2_GRID) if grid_name == "d2=2"
+         else probe_grid("weighted"))
+    F = indicator_symbol_1d(0.0, 0.45)
+    for x0, s in ((0.0, 0.7), (4.0, 1.0)):
+        h = _restriction_bump(g, x0, s)
+        out = apply_linear_multiplier_gridded(F, h).values
+        assert np.abs(out).max() > 0.0
+        for gamma in (0.0, 0.25):
+            wx = g.x1_weights * np.abs(g.x1_points[:, 0]) ** (2 * gamma)
+            explicit = np.sqrt(np.sum(np.multiply.outer(wx, g.x2_weights)
+                                      * np.abs(out) ** 2))
+            assert restriction_apply_l2(F, h, gamma) == pytest.approx(
+                explicit, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid_name", ["weighted", "d2=2"])
+def test_gridded_multiplier_does_not_depend_on_the_row_block(grid_name,
+                                                             monkeypatch):
+    from grushin import calculus
+    from grushin.fields import GriddedField
+    from grushin.verifier import probe_grid
+    g = (make_grid(Dims(1, 2), D2_GRID) if grid_name == "d2=2"
+         else probe_grid("weighted"))
+    F = bump_symbol_1d(0.05, 0.45)
+    rng = np.random.default_rng(5)                # mass in every x'-row
+    h = GriddedField(grid=g, values=rng.standard_normal((g.n_x1, g.n_x2))
+                     + 1j * rng.standard_normal((g.n_x1, g.n_x2)))
+    ref = apply_linear_multiplier_gridded(F, h).values
+    for rows in (1, 7, g.n_x1):
+        monkeypatch.setattr(calculus, "_FORWARD_ROWS", rows)
+        got = apply_linear_multiplier_gridded(F, h).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_channel_form_with_a_gap_in_its_live_steps(riesz_grid):
+    # A cutoff that empties the middle frequency sizes leaves live nodes
+    # with a gap in their steps (besides the punctured origin); the
+    # zero-filled positions of the autocorrelation must not change the
+    # form, which is checked against the literal Gram.
+    from grushin.calculus import _weighted_gram
+    g = riesz_grid
+    prof = bump_symbol_1d(0.05, 0.45)
+    x1 = np.array([0.7])
+    atoms = build_atoms(g, 0.45)
+    sums = channel_sums(prof, g, x1)
+    tau = g.lambda_abs[sums[2]]
+    lo, hi = np.quantile(tau, [0.3, 0.7])
+
+    def gap(t):
+        return np.where((t < lo) | (t > hi), 1.0, 0.0)
+
+    kept = gap(tau) != 0
+    assert kept.any() and not kept.all()
+    steps = np.round(g.lambda_points[sums[2], 0] / g.lambda_step)
+    live = steps[kept & (steps > 0)]
+    assert np.any(np.diff(live) > 1)              # a gap on one side
+    c = prof(atoms.eigen) * atoms.weight * gap(atoms.lam_abs)
+    for e in (0.25, 0.4, 1.0):
+        want = float(np.real(np.conj(c) @ _weighted_gram(atoms, x1, e) @ c))
+        got = second_layer_channel_l2(sums, e, cutoff=gap)
+        assert got == pytest.approx(want / (2 * np.pi) ** 2, rel=1e-12)

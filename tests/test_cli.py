@@ -64,8 +64,24 @@ def test_non_finite_riesz_parameters_stop_before_anything_is_written(
 
 
 def test_decay_probe_rejects_a_nan_alpha_before_writing(tmp_path):
-    with pytest.raises(ValueError, match="alpha must be finite"):
+    with pytest.raises(SystemExit,
+                       match="^bad probe config: alpha must be finite"):
         main(["probe", "--probe", "decay", "--set", "alpha=nan",
+              "--out", str(tmp_path / "p.csv")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_rejects_a_nan_alpha_before_writing(tmp_path):
+    with pytest.raises(SystemExit,
+                       match="^bad probe config: alpha must be finite"):
+        main(["verify", "--suite", "decay", "--set", "alpha=nan",
+              "--out", str(tmp_path / "v")])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_probe_kind_is_a_typed_error(tmp_path):
+    with pytest.raises(SystemExit, match="^bad probe config: unknown kind"):
+        main(["probe", "--probe", "plancherel", "--set", "kind=none",
               "--out", str(tmp_path / "p.csv")])
     assert list(tmp_path.iterdir()) == []
 
