@@ -48,6 +48,9 @@ with the probes' bump profile on (0.05, 0.45):
 * ``second_layer_channel_l2`` at u-exponent 0.25, and at 1.0 with the
   frequency cutoff ``DyadicCutoff(3)``, each with its own channel sums
   (``channel_sums``);
+* ``channel_sums`` of that profile alone, with the base point's atom
+  profiles built in every call: a library that caches them
+  (``calculus._base_point_bank``) has that cache cleared first;
 * ``bilinear_weighted_l2`` of the tensor symbol at exponents (0, 0);
 * ``linear_first_layer_weighted_l2`` of the first-layer probe's
   indicator symbol on [0, 0.45] at y' = 5, gamma = 0.25;
@@ -169,6 +172,13 @@ def _layers():
         sums = calculus.channel_sums(prof, wgrid, x1)
         return second_layer_channel_l2(sums, exponent, cutoff)
 
+    def fresh_channel_sums():
+        cached = getattr(calculus, "_base_point_bank", None)
+        if cached is not None:
+            cached.cache_clear()
+        return calculus.channel_sums(prof, wgrid, x1)[1]
+
+    out.append(("channel_sums[prof,x1=5]", fresh_channel_sums))
     out.append(("second_layer_channel_l2[0.25]", lambda: channel(0.25)))
     out.append(("second_layer_channel_l2[1.0,cutoff3]",
                 lambda: channel(1.0, DyadicCutoff(3))))

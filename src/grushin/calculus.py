@@ -105,30 +105,41 @@ def _profile_bank(atoms: SpectralAtoms, points: np.ndarray):
     return bank, row_atom
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _grid_bank(grid: Grid, eta_max: float):
     """``build_atoms(grid, eta_max)`` and its read-only profile bank at the
-    grid's x' nodes, (atoms, bank, row_atom); a probe uses one grid at a time."""
+    grid's x' nodes, (atoms, bank, row_atom), for a grid and its refinement."""
     atoms = build_atoms(grid, eta_max)
     bank, row_atom = _profile_bank(atoms, grid.x1_points)
     bank.flags.writeable = False
     return atoms, bank, row_atom
 
 
+@lru_cache(maxsize=32)
+def _base_point_bank(grid: Grid, eta_max: float, x1: tuple):
+    """``_profile_bank`` of ``_grid_bank(grid, eta_max)``'s atoms at one base
+    point x1, read-only: the probes of a pass share a few base points."""
+    bank = _profile_bank(_grid_bank(grid, eta_max)[0], np.array([x1]))[0]
+    bank.flags.writeable = False
+    return bank
+
+
 def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
-                           y1_points: np.ndarray, y1_bank=None) -> np.ndarray:
+                           y1_points: np.ndarray, y1_bank=None,
+                           x1_bank=None) -> np.ndarray:
     """R[q, i] = projection kernel at level k_q, frequency lambda_q,
     evaluated at (x1, y1_points[i]).
 
     ``x1_points`` is one base point (d1,) or (1, d1), broadcast along
     the rows of ``y1_points`` (n, d1), or n points aligned with them.
-    ``y1_bank`` is the atoms' bank at ``y1_points`` if the caller holds
-    one (``_grid_bank``); else it is built here.  Profiles are pointwise,
-    so either way the values are bit-identical.
+    ``y1_bank`` is the atoms' bank at ``y1_points`` and ``x1_bank`` the
+    pair (bank, row_atom) at ``x1_points`` if the caller holds them
+    (``_grid_bank``, ``_base_point_bank``); else they are built here.
+    Profiles are pointwise, so either way the values are bit-identical.
     """
     if y1_bank is None:
         y1_bank = _profile_bank(atoms, np.atleast_2d(y1_points))[0]
-    bank, row_atom = _profile_bank(atoms, np.atleast_2d(x1_points))
+    bank, row_atom = x1_bank or _profile_bank(atoms, np.atleast_2d(x1_points))
     terms = bank * y1_bank
     if row_atom.size == atoms.count:     # one row per atom (always at d1 = 1)
         return terms
@@ -225,6 +236,8 @@ def _atom_subset(atoms: SpectralAtoms, keep) -> SpectralAtoms:
 # x'-rows per block of the streamed forward x''-transform: a 1 MB block
 # of the refined ``weighted`` grid's 2,048 x''-nodes
 _FORWARD_ROWS = 32
+# frequency nodes (or x''-bins) per block of the node and bin sums
+_NODE_BLOCK = 32
 
 
 def _gridded_coefficients(F: Symbol1D, h: GriddedField):
@@ -268,16 +281,34 @@ def channel_sums(f: Symbol1D, grid: Grid, x1_point) -> tuple:
     """(grid, Z, nodes), read-only: Z[n, i] = sum over the atoms q of
     frequency node nodes[n] of f(eigen_q) w_q Proj_q(x1, y1_i), y1 the
     grid's x' nodes, over every atom of ``_grid_bank(grid, sup supp f)``
-    (where f vanishes they add exact zeros)."""
-    atoms, bank, _ = _grid_bank(grid, f.support[1])
+    (where f vanishes they add exact zeros).  Blocks of ``_NODE_BLOCK``
+    whole nodes keep each node's sequential sum and hold no (rows x n1)
+    product."""
+    eta_max = f.support[1]
+    atoms, bank, row_atom = _grid_bank(grid, eta_max)
+    x1_bank = _base_point_bank(grid, eta_max, tuple(np.ravel(x1_point).tolist()))
     coeff = np.asarray(f(atoms.eigen), dtype=complex) * atoms.weight
     if not coeff.imag.any():
         coeff = coeff.real
-    proj = atom_projection_values(atoms, x1_point, grid.x1_points, bank)
     first = np.flatnonzero(np.diff(atoms.lam_index, prepend=-1))
-    z = np.add.reduceat(coeff[:, None] * proj, first, axis=0)
+    z = np.empty((first.size, grid.n_x1), dtype=coeff.dtype)
+    for nodes, block, starts in _segment_blocks(first, atoms.count):
+        rows = slice(*np.searchsorted(row_atom, (block.start, block.stop)))
+        proj = atom_projection_values(
+            _atom_subset(atoms, block), x1_point, grid.x1_points, bank[rows],
+            (x1_bank[rows], row_atom[rows] - block.start))
+        np.add.reduceat(coeff[block, None] * proj, starts, axis=0, out=z[nodes])
     z.flags.writeable = False
     return grid, z, atoms.lam_index[first]
+
+
+def _segment_blocks(first: np.ndarray, total: int):
+    """(segments, items, reduceat starts) per block of ``_NODE_BLOCK`` whole
+    segments, segment s being items first[s] .. first[s + 1] - 1 of total."""
+    edge = np.append(first, total)
+    for s0 in range(0, first.size, _NODE_BLOCK):
+        s1 = min(s0 + _NODE_BLOCK, first.size)
+        yield slice(s0, s1), slice(edge[s0], edge[s1]), first[s0:s1] - edge[s0]
 
 
 def linear_first_layer_weighted_l2(F: Symbol1D, y, grid: Grid,
@@ -306,9 +337,13 @@ def restriction_apply_l2(F: Symbol1D, h: GriddedField, gamma: float) -> float:
     bins = grid._x2_bins(lam)[0]
     order = np.argsort(bins, kind="stable")
     first = np.flatnonzero(np.diff(bins[order], prepend=-1))
-    binned = np.add.reduceat(c[order, None] * bank[order], first, axis=0)
+    power = np.zeros(grid.n_x1)
+    for _, block, starts in _segment_blocks(first, order.size):
+        rows = order[block]
+        binned = np.add.reduceat(c[rows, None] * bank[rows], starts, axis=0)
+        for row in binned.real ** 2 + binned.imag ** 2:    # in bin order
+            power += row
     wx = np.linalg.norm(grid.x1_points, axis=1) ** (2 * gamma) * grid.x1_weights
-    power = np.sum(binned.real ** 2 + binned.imag ** 2, axis=0)
     return float(np.sqrt(grid.x2_box_length ** grid.dims.d2 * (power @ wx)))
 
 

@@ -70,14 +70,11 @@ def _grid_from_config(cfg: dict):
 
 def _write_manifest(path: str, command: str, cfg: dict, outputs: list[str],
                     verdicts: dict, started: float):
-    record = dict(cfg)
-    record["command"] = command
-    record["config_hash"] = config_hash(cfg)
-    record["library_version"] = __version__
-    record["wall_clock_s"] = f"{time.time() - started:.3f}"
-    record["outputs"] = ";".join(outputs)
-    for name, verdict in verdicts.items():
-        record[f"verdict_{name}"] = verdict
+    record = {**cfg, "command": command, "config_hash": config_hash(cfg),
+              "library_version": __version__,
+              "wall_clock_s": f"{time.time() - started:.3f}",
+              "outputs": ";".join(outputs),
+              **{f"verdict_{name}": v for name, v in verdicts.items()}}
     with open(path, "w") as fh:
         fh.write(format_flat_config({k: str(v) for k, v in record.items()}))
 
@@ -204,9 +201,8 @@ def cmd_thresholds(cfg: dict, out: str | None):
 
 def partition_probe() -> ProbeReport:
     """The dyadic pieces sum to the truncated power away from its edge."""
-    e1 = np.linspace(0, 1, 201)
-    e2 = np.linspace(0, 1, 199)
-    E1, E2 = np.meshgrid(e1, e2, indexing="ij")
+    E1, E2 = np.meshgrid(np.linspace(0, 1, 201), np.linspace(0, 1, 199),
+                         indexing="ij")
     worst = 0.0
     for alpha in (0.5, 1.0, 2.0):
         total = np.zeros_like(E1, dtype=complex)
@@ -351,19 +347,20 @@ def cmd_probe(cfg: dict, out: str | None):
             f"max_ratio {rep.max_ratio!r})", 0 if rep.passed else 1)
 
 
-_DISPATCH = {
-    "grid": cmd_grid,
-    "field": cmd_field,
-    "riesz": cmd_riesz,
-    "kernel": cmd_kernel,
-    "verify": cmd_verify,
-    "thresholds": cmd_thresholds,
-    "probe": cmd_probe,
+# command -> (run, help); `replay` re-runs any of them from a manifest
+_COMMANDS = {
+    "grid": (cmd_grid, "build and validate a grid from a flat config"),
+    "field": (cmd_field, "generate a family field and write it out"),
+    "riesz": (cmd_riesz, "apply the bilinear mean (direct and separated)"),
+    "kernel": (cmd_kernel, "sample multiplier kernels at random points"),
+    "verify": (cmd_verify, "run a named probe suite"),
+    "thresholds": (cmd_thresholds, "emit the smoothness-threshold table"),
+    "probe": (cmd_probe, "run a single probe"),
 }
 
 
 def _run(command: str, cfg: dict, out: str | None, started: float) -> int:
-    manifest, outputs, verdicts, message, status = _DISPATCH[command](cfg, out)
+    manifest, outputs, verdicts, message, status = _COMMANDS[command][0](cfg, out)
     _write_manifest(manifest, command, cfg, outputs, verdicts, started)
     print(message)
     return status
@@ -374,7 +371,7 @@ def cmd_replay(args) -> int:
     with open(args.manifest) as fh:
         record = parse_flat_config(fh.read())
     command = record.get("command")
-    if command not in _DISPATCH:
+    if command not in _COMMANDS:
         raise SystemExit(f"manifest has no replayable command: {command!r}")
     drop = {"command", "config_hash", "library_version", "wall_clock_s",
             "outputs"}
@@ -389,15 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral calculus and bilinear summability experiments "
                     "for the degenerate two-layer operator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("grid", "build and validate a grid from a flat config"),
-            ("field", "generate a family field and write it out"),
-            ("riesz", "apply the bilinear mean (direct and separated)"),
-            ("kernel", "sample multiplier kernels at random points"),
-            ("verify", "run a named probe suite"),
-            ("thresholds", "emit the smoothness-threshold table"),
-            ("probe", "run a single probe"),
-            ("replay", "re-run a recorded manifest")):
+    helps = {name: text for name, (_, text) in _COMMANDS.items()}
+    helps["replay"] = "re-run a recorded manifest"
+    for name, helptext in helps.items():
         p = sub.add_parser(name, help=helptext)
         if name == "replay":
             p.add_argument("manifest")

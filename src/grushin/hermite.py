@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .grid import trapezoid_weights
+
 _PI_M14 = np.pi ** -0.25
 _TAIL_FLUSH = 1e-300
 _RESCALE_LIMIT = 1e280
@@ -73,17 +75,11 @@ def _recurrence(t: np.ndarray, counts: list[int]) -> np.ndarray:
     # in base-2 exponent form to survive exp(-t^2/2) underflow.
     e0 = -half_t2 / np.log(2.0)
     expo = np.floor(e0).astype(np.int64)
-    v_prev = _PI_M14 * np.exp2(e0 - expo)
-    out[:counts[0]] = _emit(v_prev, expo)
-    if len(counts) == 1:
-        return out
-
-    pos, n = counts[0], counts[1]
-    if n < counts[0]:
-        tf, v_prev, expo = tf[:n], v_prev[:n], expo[:n]
-    v_cur = tf * np.sqrt(2.0) * v_prev
-    out[pos:pos + n] = _emit(v_cur, expo)
-    for l in range(1, len(counts) - 1):
+    v_cur = _PI_M14 * np.exp2(e0 - expo)
+    v_prev = np.zeros_like(v_cur)        # h_{-1} = 0: level 1 is one step
+    pos, n = 0, counts[0]
+    out[:n] = _emit(v_cur, expo)
+    for l in range(len(counts) - 1):
         pos += n
         n = counts[l + 1]
         if n < v_cur.shape[0]:
@@ -111,8 +107,6 @@ def _emit(v, expo):
 
 def hermite_eval(l: int, t):
     """The l-th Hermite function at t (scalar in, scalar out)."""
-    if l < 0:
-        raise ValueError("degree must be >= 0")
     vals = hermite_all(l, np.asarray(t, dtype=float))[l]
     return vals if vals.shape else float(vals)
 
@@ -159,11 +153,9 @@ def build_hermite_table(max_l: int) -> HermiteTable:
     extent = 1.6 * np.sqrt(2.0 * max_l + 1.0) + 4.0
     count = int(np.ceil(2.0 * extent / 0.05)) | 1
     nodes = np.linspace(-extent, extent, count)
-    h = nodes[1] - nodes[0]
-    weights = np.full(count, h)
-    weights[0] = weights[-1] = h / 2.0
     return HermiteTable(max_l=max_l, nodes=nodes, values=hermite_all(max_l, nodes),
-                        weights=weights)
+                        weights=trapezoid_weights(count, nodes[1] - nodes[0],
+                                                  periodic=False))
 
 
 @lru_cache(maxsize=32)
@@ -274,8 +266,6 @@ def projection_kernel(k: int, lam, x1, y1):
     ``x1``/``y1`` may be points (d1,) or aligned batches (n, d1);
     symmetric in (x1, y1).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     norm = _lambda_norm(lam)
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))

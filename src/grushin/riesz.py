@@ -24,11 +24,9 @@ from .report import ProbeReport
 from .symbols import (DyadicPiece, RieszParams, Symbol2D, distinct,
                       dyadic_piece_profile, plateau, riesz_symbol)
 
-__all__ = [
-    "FourierSeriesExpansion", "bilinear_apply_direct",
-    "bilinear_apply_separated", "fourier_coeff_batch",
-    "build_expansion", "dilation_covariance_check", "riesz_symbol",
-]
+__all__ = ["FourierSeriesExpansion", "bilinear_apply_direct",
+           "bilinear_apply_separated", "fourier_coeff_batch",
+           "build_expansion", "dilation_covariance_check", "riesz_symbol"]
 
 
 def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
@@ -146,13 +144,6 @@ class FourierSeriesExpansion:
     coeffs: np.ndarray | None = field(default=None, repr=False)
 
 
-def _eta2_window(piece: DyadicPiece, eta1: np.ndarray):
-    lo_s, hi_s = piece.shell
-    lo = np.maximum(1.0 - eta1 - hi_s, 0.0)
-    hi = np.minimum(1.0 - eta1 - lo_s, 1.0)
-    return lo, np.maximum(hi, lo)
-
-
 def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     """Series coefficients by Gauss-Legendre over the eta2 shell window.
 
@@ -166,7 +157,9 @@ def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     phase = np.pi * int(np.max(np.abs(ls), initial=1)) * width
     n_quad = int(max(48, np.ceil(0.75 * phase) + 24))
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    lo, hi = _eta2_window(piece, eta1)
+    lo_s, hi_s = piece.shell                # the eta2 window of the shell
+    lo = np.maximum(1.0 - eta1 - hi_s, 0.0)
+    hi = np.maximum(np.minimum(1.0 - eta1 - lo_s, 1.0), lo)
     mid = 0.5 * (hi + lo)
     rad = 0.5 * (hi - lo)
     pts = mid[None, :] + rad[None, :] * nodes[:, None]      # (n_quad, n)
@@ -369,8 +362,7 @@ def dilation_covariance_check(params: RieszParams, f: SpectralField,
     relative deviation on shared nodes."""
     lhs = bilinear_apply_direct(
         riesz_symbol(RieszParams(params.alpha, params.R / (t * t))), f, g, grid)
-    ft = dilate_spectral(f, t, grid)
-    gt = dilate_spectral(g, t, grid)
+    ft, gt = (dilate_spectral(h, t, grid) for h in (f, g))
     inner = bilinear_apply_direct(riesz_symbol(params), ft, gt, grid)
     rhs = dilate_gridded(inner, 1.0 / t)
 

@@ -53,11 +53,8 @@ def dyadic_bump(t):
     inside = (t > 0.5) & (t < 2.0)  # b, so Theta, vanishes elsewhere
     ti = t[inside]
     num = mollifier_bump(ti)
-    den = np.zeros_like(ti)
-    # Only scales with 2^M t in (1/2, 2) contribute: at most two integers M.
-    m_lo = np.floor(-1.0 - np.log2(ti)).astype(int)
-    for off in (0, 1, 2):
-        den += mollifier_bump(np.ldexp(ti, (m_lo + off).astype(np.int32)))
+    # Only b(t) and one neighbour are nonzero: b(2t) below 1, b(t/2) above.
+    den = num + mollifier_bump(np.ldexp(ti, np.where(ti < 1.0, 1, -1)))
     out[inside] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
     return out
 

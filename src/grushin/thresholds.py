@@ -137,8 +137,7 @@ def threshold_table(dims: Dims, variant: str = "general",
     buf.write("inv_p1,inv_p2,region,alpha,variant\n")
     for i in range(resolution + 1):
         for j in range(resolution + 1):
-            u = i / resolution
-            v = j / resolution
+            u, v = i / resolution, j / resolution
             verdict = threshold(reciprocal(u), reciprocal(v), dims, variant)
             alpha = "" if verdict.threshold is None else repr(verdict.threshold)
             buf.write(f"{u!r},{v!r},{verdict.region},{alpha},{variant}\n")

@@ -79,7 +79,7 @@ FAMILIES = ("hermite-bump", "two-scale")
 
 
 def family_fields(name: str, grid: Grid, seed: int,
-                  band: tuple[float, float] | None = None,
+                  band: tuple[float, float] = (1.0 / 8.0, 0.96),
                   max_degree: int = 4) -> SpectralField:
     """Named, seeded field families.
 
@@ -93,8 +93,6 @@ def family_fields(name: str, grid: Grid, seed: int,
     name_tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4],
                               "little")
     rng = np.random.default_rng(np.random.SeedSequence([name_tag, seed]))
-    if band is None:
-        band = (1.0 / 8.0, 0.96)
     if name == "two-scale":
         lo, hi = band
         bands = [(lo, min(2 * lo, hi)), (min(4 * lo, hi), min(8 * lo, hi))]
@@ -198,8 +196,7 @@ def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
                     for a, b, t in zip(dy, dz, triples)])
 
     def one_j(j):
-        return float(np.max(_kernel_samples(grid, alpha, j, seed)
-                            * wts))
+        return float(np.max(_kernel_samples(grid, alpha, j, seed) * wts))
 
     j_values = list(j_range)
     s = parallel_map(one_j, j_values, workers)
@@ -425,9 +422,8 @@ class DecayProbeSpec:
 
 
 def _decay_fields(spec_family: str, seed: int, grid: Grid):
-    f = family_fields(spec_family, grid, seed, band=(1.0 / 8.0, 0.96))
-    g = family_fields(spec_family, grid, seed + 1, band=(1.0 / 8.0, 0.96))
-    return f, g
+    return tuple(family_fields(spec_family, grid, s, band=(1.0 / 8.0, 0.96))
+                 for s in (seed, seed + 1))
 
 
 def _decay_probe(alpha: float, j_range, seed: int, grid: Grid,

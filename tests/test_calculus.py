@@ -458,6 +458,43 @@ def test_grid_bank_projections_equal_the_direct_ones_bitwise(d1, riesz_grid):
         assert np.array_equal(direct, shared)
 
 
+def whole_table_channel_sums(f, grid, x1_point):
+    """Z by one product over the whole (atoms x n1) table and one
+    ``reduceat`` over its node segments."""
+    from grushin.calculus import _grid_bank
+    atoms, bank, _ = _grid_bank(grid, f.support[1])
+    coeff = np.asarray(f(atoms.eigen), dtype=complex) * atoms.weight
+    if not coeff.imag.any():
+        coeff = coeff.real
+    proj = atom_projection_values(atoms, x1_point, grid.x1_points, bank)
+    first = np.flatnonzero(np.diff(atoms.lam_index, prepend=-1))
+    return np.add.reduceat(coeff[:, None] * proj, first, axis=0)
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+def test_channel_sums_in_node_blocks_are_the_whole_table_sums(d1, riesz_grid,
+                                                              monkeypatch):
+    # Blocks of whole nodes keep each node's sequential sum, real and
+    # complex coefficients alike, at a grid node and off the nodes.
+    from grushin import calculus
+    g = riesz_grid if d1 == 1 else make_grid(
+        Dims(2, 1), GridSpec(d1=2, d2=1, x1_extent=8, x1_count=24,
+                             x2_count=32, lambda_min=0.25, lambda_max=2.0,
+                             lambda_count=8))
+    # at d1 = 2 the low nodes carry levels up to 6, several rows each
+    prof = bump_symbol_1d(0.05, 0.45) if d1 == 1 else bump_symbol_1d(0.1, 3.6)
+    twisted = Symbol1D(lambda e: prof(e) * np.exp(1j * e), prof.support)
+    n_nodes = np.unique(build_atoms(g, prof.support[1]).lam_index).size
+    for x1 in (g.x1_points[3], np.full(d1, 0.3071)):
+        for f in (prof, twisted):
+            ref = whole_table_channel_sums(f, g, x1)
+            for block in (1, 7, n_nodes):
+                monkeypatch.setattr(calculus, "_NODE_BLOCK", block)
+                got = channel_sums(f, g, x1)[1]
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
+
 def _cosine_matrix_moments(p, k_max):
     """The composite 8-node Gauss rule of ``_power_cos_moments`` on
     max(2 k_max, 64) panels, summed as one dense cosine matrix."""
@@ -532,6 +569,63 @@ def test_restriction_norm_by_parseval_matches_the_output_field(grid_name):
                                       * np.abs(out) ** 2))
             assert restriction_apply_l2(F, h, gamma) == pytest.approx(
                 explicit, rel=1e-12)
+
+
+def whole_table_parseval_norm(F, h, gamma):
+    """The restriction norm with every bin's row sum B_b held at once."""
+    from grushin.calculus import _gridded_coefficients
+    grid = h.grid
+    lam, bank, c = _gridded_coefficients(F, h)
+    bins = grid._x2_bins(lam)[0]
+    order = np.argsort(bins, kind="stable")
+    first = np.flatnonzero(np.diff(bins[order], prepend=-1))
+    binned = np.add.reduceat(c[order, None] * bank[order], first, axis=0)
+    wx = np.linalg.norm(grid.x1_points, axis=1) ** (2 * gamma) * grid.x1_weights
+    power = np.sum(binned.real ** 2 + binned.imag ** 2, axis=0)
+    return float(np.sqrt(grid.x2_box_length ** grid.dims.d2 * (power @ wx)))
+
+
+@pytest.mark.parametrize("grid_name", ["weighted", "d2=2"])
+def test_parseval_norm_in_bin_blocks_is_the_whole_table_norm(grid_name,
+                                                             monkeypatch):
+    from grushin import calculus
+    from grushin.calculus import restriction_apply_l2
+    from grushin.verifier import probe_grid
+    g = (make_grid(Dims(1, 2), D2_GRID) if grid_name == "d2=2"
+         else probe_grid("weighted"))
+    F = indicator_symbol_1d(0.0, 0.45)
+    h = _restriction_bump(g, 4.0, 1.0)
+    for gamma in (0.0, 0.25):
+        ref = whole_table_parseval_norm(F, h, gamma)
+        for block in (1, 7, 32, g.n_x2):
+            monkeypatch.setattr(calculus, "_NODE_BLOCK", block)
+            assert restriction_apply_l2(F, h, gamma) == ref
+
+
+def test_plancherel_pass_builds_each_bank_and_base_point_column_once(
+        tmp_path, monkeypatch):
+    # Each weighted grid's bank once, and each base point's profiles once
+    # per grid, across all five probes: 2 banks and 8 x 2 columns.
+    from grushin import calculus
+    from grushin.cli import main
+    calls = []
+    build = calculus._profile_bank
+
+    def counted(atoms, points):
+        calls.append((id(atoms.grid), np.asarray(points).tobytes()))
+        return build(atoms, points)
+
+    monkeypatch.setattr(calculus, "_profile_bank", counted)
+    calculus._grid_bank.cache_clear()
+    calculus._base_point_bank.cache_clear()
+    try:
+        main(["verify", "--suite", "plancherel", "--out", str(tmp_path)])
+    finally:
+        calculus._grid_bank.cache_clear()
+        calculus._base_point_bank.cache_clear()
+    assert len(calls) == 18
+    assert len(set(calls)) == 18
+    assert len({grid for grid, _ in calls}) == 2
 
 
 @pytest.mark.parametrize("grid_name", ["weighted", "d2=2"])

@@ -33,6 +33,36 @@ def test_dyadic_partition_of_unity():
     assert partition_defect(taus) <= 1e-12
 
 
+def three_scale_dyadic_bump(t):
+    """Theta by the three-scale formula: every 2^M t with M = m_lo..m_lo+2
+    that can fall in (1/2, 2), summed in that order."""
+    from grushin.symbols import mollifier_bump
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = (t > 0.5) & (t < 2.0)
+    ti = t[inside]
+    num = mollifier_bump(ti)
+    den = np.zeros_like(ti)
+    m_lo = np.floor(-1.0 - np.log2(ti)).astype(int)
+    for off in (0, 1, 2):
+        den += mollifier_bump(np.ldexp(ti, (m_lo + off).astype(np.int32)))
+    out[inside] = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return out
+
+
+def test_dyadic_bump_is_the_three_scale_formula_bit_for_bit():
+    # Two bumps (b(t) and its one live neighbour) against three scales:
+    # the dropped scale is an exact zero, so the bits are the same.
+    edges = np.array([0.5, 1.0, 2.0])
+    t = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 4.0),
+        np.ldexp(1.0, np.arange(-8, 9)), [0.0, -1.0, 0.75, 1.5],
+        np.random.default_rng(7).uniform(0.25, 2.5, 10 ** 6)])
+    got = dyadic_bump(t)
+    assert np.array_equal(got, three_scale_dyadic_bump(t))
+    assert got[1] == 1.0 and np.all(got[[0, 2]] == 0.0)
+
+
 def test_bump_support_and_center():
     assert dyadic_bump(np.array([1.0]))[0] == pytest.approx(1.0)
     assert np.all(dyadic_bump(np.array([0.5, 2.0, 0.1, 5.0])) == 0.0)
