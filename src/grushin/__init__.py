@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .calculus import (apply_joint_multiplier, apply_linear_multiplier,
                        bilinear_kernel, linear_kernel, sobolev_product_norm)
-from .dims import Dims
+from .dims import ConfigError, Dims
 from .fields import (GriddedField, SpectralField, analyze, lp_norm,
                      mixed_norm, read_field_binary, synthesize,
                      write_field_binary, write_field_csv)

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dims import ConfigError
 from .fields import GriddedField, SpectralField
 from .grid import Grid, GridError
 from .hermite import _profile_rows, multi_index_degrees, multi_indices_upto
@@ -21,7 +22,7 @@ from .reductions import pairwise_sum
 from .symbols import SeparableSymbol2D, Symbol1D, Symbol2D
 
 
-class PaddingError(ValueError):
+class PaddingError(ConfigError):
     """Sampled symbol does not vanish near the padded-box boundary."""
 
 

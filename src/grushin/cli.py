@@ -20,12 +20,12 @@ import numpy as np
 
 from . import __version__
 from .calculus import bilinear_kernel_batch, linear_kernel_batch
-from .dims import Dims
+from .dims import ConfigError, Dims, config_value
 from .fields import (analyze, lp_norm, synthesize, write_field_binary,
                      write_field_csv)
 from .geometry import Point, weight_integral_check
-from .grid import GRID_KEYS, GridError, GridSpec, format_flat_config, \
-    make_grid, parse_flat_config
+from .grid import GRID_KEYS, GridSpec, format_flat_config, make_grid, \
+    parse_flat_config
 from .report import ProbeReport, csv_row
 from .riesz import (bilinear_apply_direct, bilinear_apply_separated,
                     build_expansion, dilation_covariance_check)
@@ -39,17 +39,37 @@ from .verifier import (DecayProbeSpec, coefficient_decay_probe,
                        weighted_plancherel_probe)
 
 
-def _resolve_config(args) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg.update(parse_flat_config(fh.read()))
-    for item in getattr(args, "set", None) or []:
+def _read_config_file(path: str) -> dict:
+    """The flat config in the file at ``path`` (a config or a manifest)."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror}") from None
+    return parse_flat_config(text)
+
+
+def _resolve_config(args) -> tuple[str, dict]:
+    """The command and its config: a manifest's, or --config then --set's."""
+    if args.command == "replay":
+        record = _read_config_file(args.manifest)
+        command = record.get("command")
+        if command not in _COMMANDS:
+            raise ConfigError(f"manifest has no replayable command: {command!r}")
+        drop = {"command", "config_hash", "library_version", "wall_clock_s",
+                "outputs"}
+        return command, {k: v for k, v in record.items()
+                         if k not in drop and not k.startswith("verdict_")}
+    cfg = _read_config_file(args.config) if args.config else {}
+    for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         cfg[key.strip()] = val.strip()
-    return cfg
+    for key in ("suite", "probe"):
+        if getattr(args, key, None):
+            cfg.setdefault(key, getattr(args, key))
+    return args.command, cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -60,12 +80,9 @@ def config_hash(cfg: dict) -> str:
 def _grid_from_config(cfg: dict):
     missing = [k for k in ("d1", "d2") if k not in cfg]
     if missing:
-        raise SystemExit(f"missing required config key: {missing[0]}")
-    try:
-        spec = GridSpec.from_mapping(cfg)
-        return make_grid(Dims(spec.d1, spec.d2), spec)
-    except GridError as err:
-        raise SystemExit(f"bad grid config: {err}") from None
+        raise ConfigError(f"missing required config key: {missing[0]}")
+    spec = GridSpec.from_mapping(cfg)
+    return make_grid(Dims(spec.d1, spec.d2), spec)
 
 
 def _write_manifest(path: str, command: str, cfg: dict, outputs: list[str],
@@ -104,9 +121,9 @@ def cmd_grid(cfg: dict, out: str | None):
 def cmd_field(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     family = cfg.get("family", "hermite-bump")
-    seed = int(cfg.get("seed", 0))
+    seed = config_value(cfg, "seed", 0)
     f = family_fields(family, grid, seed,
-                      max_degree=int(cfg.get("max_degree", 4)))
+                      max_degree=config_value(cfg, "max_degree", 4))
     h = synthesize(f, grid)
     out = out or "field"
     write_field_binary(h, out + ".grsh")
@@ -118,17 +135,14 @@ def cmd_field(cfg: dict, out: str | None):
 
 def cmd_riesz(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
-    try:
-        alpha = float(cfg.get("alpha", 1.0))
-        piece = DyadicPiece(int(cfg["j"]), alpha) if "j" in cfg else None
-        sym = (dyadic_piece_symbol(piece) if piece else
-               riesz_symbol(RieszParams(alpha, float(cfg.get("R", 1.0)))))
-    except ValueError as err:
-        raise SystemExit(f"bad riesz config: {err}") from None
+    alpha = config_value(cfg, "alpha", 1.0)
+    piece = DyadicPiece(config_value(cfg, "j", 0), alpha) if "j" in cfg else None
+    sym = (dyadic_piece_symbol(piece) if piece else
+           riesz_symbol(RieszParams(alpha, config_value(cfg, "R", 1.0))))
     family = cfg.get("family", "hermite-bump")
-    seed = int(cfg.get("seed", 0))
-    band = (float(cfg.get("band_lo", 1.0 / 8.0)),
-            float(cfg.get("band_hi", 0.45)))
+    seed = config_value(cfg, "seed", 0)
+    band = (config_value(cfg, "band_lo", 1.0 / 8.0),
+            config_value(cfg, "band_hi", 0.45))
     f = family_fields(family, grid, seed, band=band)
     g = family_fields(family, grid, seed + 1, band=band)
     out = out or "riesz_out"
@@ -155,15 +169,12 @@ def cmd_kernel(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     params = {k.split(".", 1)[1]: v for k, v in cfg.items()
               if k.startswith("symbol.")}
-    try:
-        sym = builtin_symbol(cfg.get("symbol", "riesz"), **params)
-    except KeyError as err:
-        raise SystemExit(err.args[0]) from None
-    n = int(cfg.get("n_points", 16))
+    sym = builtin_symbol(cfg.get("symbol", "riesz"), **params)
+    n = config_value(cfg, "n_points", 16)
     if n < 1:
-        raise SystemExit(f"n_points must be >= 1, got {n}")
+        raise ConfigError(f"n_points must be >= 1, got {n}")
     out = out or "kernel.csv"
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(config_value(cfg, "seed", 0))
     pts = [tuple((rng.uniform(-2, 2, grid.dims.d1),
                   rng.uniform(-4, 4, grid.dims.d2)) for _ in "xyz")
            for _ in range(n)]
@@ -182,11 +193,10 @@ def cmd_kernel(cfg: dict, out: str | None):
 
 
 def cmd_thresholds(cfg: dict, out: str | None):
-    d1 = int(cfg.get("d1", 1))
-    d2 = int(cfg.get("d2", 1))
+    dims = Dims(config_value(cfg, "d1", 1), config_value(cfg, "d2", 1))
     variant = cfg.get("variant", "general")
-    resolution = int(cfg.get("resolution", 20))
-    table = threshold_table(Dims(d1, d2), variant, resolution)
+    resolution = config_value(cfg, "resolution", 20)
+    table = threshold_table(dims, variant, resolution)
     out = out or "thresholds.csv"
     with open(out, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)}\n")
@@ -229,10 +239,9 @@ def _dilation_probe_run(cfg: dict, seed: int, workers):
     grid = probe_grid("dilation")
     f, g = (family_fields("hermite-bump", grid, s, band=(0.25, 0.75),
                           max_degree=2) for s in (seed, seed + 1))
-    t = float(cfg.get("t", 2.0))
+    t = config_value(cfg, "t", 2.0)
     return dilation_covariance_check(
-        RieszParams(float(cfg.get("alpha", 1.0)), t * t),
-        f, g, t, grid)
+        RieszParams(config_value(cfg, "alpha", 1.0), t * t), f, g, t, grid)
 
 
 # name -> run(cfg, seed, workers), with the defaults of `grushin probe`.
@@ -242,28 +251,28 @@ PROBES = {
     "partition": lambda cfg, seed, workers: partition_probe(),
     "roundtrip": lambda cfg, seed, workers: roundtrip_probe(),
     "kernel": lambda cfg, seed, workers: pointwise_kernel_probe(
-        float(cfg.get("alpha", 1.0)), float(cfg.get("beta1", 0.0)),
-        float(cfg.get("beta2", 0.0)), variant=cfg.get("variant", "xx"),
+        config_value(cfg, "alpha", 1.0), config_value(cfg, "beta1", 0.0),
+        config_value(cfg, "beta2", 0.0), variant=cfg.get("variant", "xx"),
         seed=seed, workers=workers),
     "plancherel": lambda cfg, seed, workers: weighted_plancherel_probe(
         cfg.get("kind", "second_layer"),
-        gamma1=float(cfg.get("gamma1", 0.25)),
-        gamma2=float(cfg.get("gamma2", 0.25)),
-        n1=float(cfg.get("N1", 1.0)), n2=float(cfg.get("N2", 0.0)),
+        gamma1=config_value(cfg, "gamma1", 0.25),
+        gamma2=config_value(cfg, "gamma2", 0.25),
+        n1=config_value(cfg, "N1", 1.0), n2=config_value(cfg, "N2", 0.0),
         workers=workers),
     "restriction": lambda cfg, seed, workers: restriction_probe(0.0),
     "coefficient": lambda cfg, seed, workers: coefficient_decay_probe(
-        float(cfg.get("alpha", 1.0)), float(cfg.get("beta", 0.05)),
+        config_value(cfg, "alpha", 1.0), config_value(cfg, "beta", 0.05),
         workers=workers),
     "decay": lambda cfg, seed, workers: dyadic_decay_probe(DecayProbeSpec(
-        alpha=float(cfg.get("alpha", 0.5)), p1=float(cfg.get("p1", 2)),
-        p2=float(cfg.get("p2", 2)), seed=seed), workers=workers),
+        alpha=config_value(cfg, "alpha", 0.5), p1=config_value(cfg, "p1", 2.0),
+        p2=config_value(cfg, "p2", 2.0), seed=seed), workers=workers),
     "mixed": lambda cfg, seed, workers: mixed_norm_decay_probe(
-        float(cfg.get("alpha", 1.6)), seed=seed, workers=workers),
+        config_value(cfg, "alpha", 1.6), seed=seed, workers=workers),
     "dilation": _dilation_probe_run,
     "weight-integral": lambda cfg, seed, workers: weight_integral_check(
-        Point([float(cfg.get("a1", 0.0))], [float(cfg.get("a2", 0.0))]),
-        [0.25, 0.5, 1.0, 2.0, 4.0], float(cfg.get("gamma", 0.5)),
+        Point([config_value(cfg, "a1", 0.0)], [config_value(cfg, "a2", 0.0)]),
+        [0.25, 0.5, 1.0, 2.0, 4.0], config_value(cfg, "gamma", 0.5),
         cfg.get("layer", "first")),
 }
 
@@ -291,28 +300,20 @@ _SUITE_ALPHA = {"decay/2-2-1": "alpha", "decay/mixed": "alpha_mixed"}
 
 
 def _workers(cfg: dict):
-    return int(cfg["workers"]) if "workers" in cfg else None
-
-
-def _run_probe(probe: str, cfg: dict, seed: int, workers) -> ProbeReport:
-    """``PROBES[probe]``; a bad parameter stops with a one-line message."""
-    try:
-        return PROBES[probe](cfg, seed, workers)
-    except (KeyError, ValueError) as err:
-        raise SystemExit(f"bad probe config: {err.args[0]}") from None
+    return config_value(cfg, "workers", 0) if "workers" in cfg else None
 
 
 def cmd_verify(cfg: dict, out: str | None):
     suite = cfg.setdefault("suite", "core")
     if suite not in SUITES:
-        raise SystemExit(f"unknown suite {suite!r}; available: {SUITES}")
-    seed, workers = int(cfg.get("seed", 0)), _workers(cfg)
+        raise ConfigError(f"unknown suite {suite!r}; available: {SUITES}")
+    seed, workers = config_value(cfg, "seed", 0), _workers(cfg)
     reports = {}
     for name, probe, keys in SUITE:
         if suite == "all" or name.startswith(suite + "/"):
             if _SUITE_ALPHA.get(name) in cfg:
                 keys = {**keys, "alpha": cfg[_SUITE_ALPHA[name]]}
-            reports[name] = _run_probe(probe, keys, seed, workers)
+            reports[name] = PROBES[probe](keys, seed, workers)
     chash = config_hash(cfg)
     out = out or f"verify_{suite}"
     os.makedirs(out, exist_ok=True)
@@ -338,8 +339,8 @@ def cmd_verify(cfg: dict, out: str | None):
 def cmd_probe(cfg: dict, out: str | None):
     name = cfg.setdefault("probe", "decay")
     if name not in PROBES:
-        raise SystemExit(f"unknown probe {name!r}; available: {tuple(PROBES)}")
-    rep = _run_probe(name, cfg, int(cfg.get("seed", 0)), _workers(cfg))
+        raise ConfigError(f"unknown probe {name!r}; available: {tuple(PROBES)}")
+    rep = PROBES[name](cfg, config_value(cfg, "seed", 0), _workers(cfg))
     out = out or f"probe_{name}.csv"
     _report_csv(rep, out, config_hash(cfg))
     return (out + ".manifest", [out], {name: rep.verdict},
@@ -364,20 +365,6 @@ def _run(command: str, cfg: dict, out: str | None, started: float) -> int:
     _write_manifest(manifest, command, cfg, outputs, verdicts, started)
     print(message)
     return status
-
-
-def cmd_replay(args) -> int:
-    started = time.time()
-    with open(args.manifest) as fh:
-        record = parse_flat_config(fh.read())
-    command = record.get("command")
-    if command not in _COMMANDS:
-        raise SystemExit(f"manifest has no replayable command: {command!r}")
-    drop = {"command", "config_hash", "library_version", "wall_clock_s",
-            "outputs"}
-    cfg = {k: v for k, v in record.items()
-           if k not in drop and not k.startswith("verdict_")}
-    return _run(command, cfg, args.out, started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,14 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.time()
-    if args.command == "replay":
-        return cmd_replay(args)
-    cfg = _resolve_config(args)
-    for key in ("suite", "probe"):
-        if getattr(args, key, None):
-            cfg.setdefault(key, getattr(args, key))
-    return _run(args.command, cfg, args.out, started)
+    try:
+        return _run(*_resolve_config(args), args.out, time.time())
+    except ConfigError as err:
+        # verify's errors are its probes'; args[0], as str() quotes a KeyError
+        topic = "probe" if args.command == "verify" else args.command
+        raise SystemExit(f"bad {topic} config: {err.args[0]}") from None
 
 
 if __name__ == "__main__":

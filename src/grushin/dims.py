@@ -1,8 +1,26 @@
-"""Dimension bookkeeping for the two-layer space R^{d1} x R^{d2}."""
+"""Dimensions of the two-layer space R^{d1} x R^{d2}, and config errors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+class ConfigError(ValueError):
+    """A value that comes from a config does not parse or is out of range."""
+
+
+class UnknownName(ConfigError, KeyError):
+    """An unknown grid, family, variant, kind or symbol name in a config."""
+
+
+def config_value(cfg: dict, key: str, default):
+    """``cfg[key]`` parsed from its text with the type of ``default`` (so 4.5
+    is no int), else ``default``; ConfigError naming ``key`` if it fails."""
+    try:
+        return type(default)(str(cfg[key])) if key in cfg else default
+    except ValueError:
+        raise ConfigError(f"{key} must parse as {type(default).__name__}, "
+                          f"got {cfg[key]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -21,9 +39,9 @@ class Dims:
 
     def __post_init__(self):
         if int(self.d1) != self.d1 or int(self.d2) != self.d2:
-            raise ValueError("d1, d2 must be integers")
+            raise ConfigError("d1, d2 must be integers")
         if self.d1 < 1 or self.d2 < 1:
-            raise ValueError(f"d1, d2 must be >= 1, got ({self.d1}, {self.d2})")
+            raise ConfigError(f"d1, d2 must be >= 1, got ({self.d1}, {self.d2})")
 
     @property
     def total_dim(self) -> int:

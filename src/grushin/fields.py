@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dims import Dims
+from .dims import ConfigError, Dims
 from .grid import Grid, GridError, nearest_node, trapezoid_weights
 from .hermite import multi_index_degrees, scaled_profile_bank
 from .reductions import pairwise_sum
@@ -25,7 +25,7 @@ from .report import csv_row
 FIELD_MAGIC = b"GRSH1"
 
 
-class DegreeError(ValueError):
+class DegreeError(ConfigError):
     """Requested Hermite degree exceeds what the grid resolves."""
 
 
@@ -162,7 +162,7 @@ def lp_norm(h: GriddedField, p: float) -> float:
     """(sum w(x) |h(x)|^p)^(1/p); max for p = inf.  Quasi-norms (p < 1) use
     the same formula."""
     if not (p > 0):
-        raise ValueError(f"p must be positive or inf, got {p}")
+        raise ConfigError(f"p must be positive or inf, got {p}")
     a = np.abs(h.values)
     if np.isinf(p):
         return float(a.max(initial=0.0))
@@ -174,7 +174,7 @@ def lp_norm(h: GriddedField, p: float) -> float:
 def mixed_norm(h: GriddedField, p: float, q: float) -> float:
     """Inner p-norm over x'' then outer q-norm over x'."""
     if not (p > 0) or not (q > 0):
-        raise ValueError(f"p, q must be positive or inf, got ({p}, {q})")
+        raise ConfigError(f"p, q must be positive or inf, got ({p}, {q})")
     a = np.abs(h.values)  # (n_x1, n_x2)
     if np.isinf(p):
         inner = a.max(axis=1, initial=0.0)
@@ -200,7 +200,7 @@ def dilate_spectral(f: SpectralField, t: float,
     grid argument the mapped support is validated against the node set.
     """
     if t <= 0:
-        raise ValueError("dilation ratio must be positive")
+        raise ConfigError("dilation ratio must be positive")
     new_support = (t * t) * f.lambda_support
     if grid is not None:
         try:
@@ -215,7 +215,7 @@ def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
     """Pointwise dilation (x', x'') -> values at (t x', t^2 x''), restricted
     to the sub-grid of nodes whose image is again a node."""
     if t <= 0:
-        raise ValueError("dilation ratio must be positive")
+        raise ConfigError("dilation ratio must be positive")
     grid, res = h.grid, h.grid.resolved
     layers = []
     for axis, factor, extent, count, periodic in (

@@ -23,10 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dims import Dims
+from .dims import ConfigError, Dims
 
 
-class GridError(ValueError):
+class GridError(ConfigError):
     pass
 
 
@@ -85,7 +85,7 @@ def parse_flat_config(text: str) -> dict:
         if not body:
             continue
         if "=" not in body:
-            raise GridError(f"line {lineno}: expected key=value, got {body!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {body!r}")
         key, val = body.split("=", 1)
         out[key.strip()] = val.strip()
     return out

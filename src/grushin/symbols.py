@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dims import ConfigError, UnknownName, config_value
+
 
 def _exp_inv(u):
     """exp(-1/u) for u > 0, 0 otherwise (smooth at 0)."""
@@ -156,9 +158,9 @@ class RieszParams:
     def __post_init__(self):
         # each check is written so that NaN fails it
         if not 0 <= self.alpha < np.inf:
-            raise ValueError("alpha must be finite and >= 0")
+            raise ConfigError("alpha must be finite and >= 0")
         if not 0 < self.R < np.inf:
-            raise ValueError("R must be finite and > 0")
+            raise ConfigError("R must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -170,9 +172,9 @@ class DyadicPiece:
 
     def __post_init__(self):
         if not self.j >= 0:
-            raise ValueError("j must be >= 0")
+            raise ConfigError("j must be >= 0")
         if not 0 <= self.alpha < np.inf:
-            raise ValueError("alpha must be finite and >= 0")
+            raise ConfigError("alpha must be finite and >= 0")
 
     @property
     def shell(self) -> tuple[float, float]:
@@ -249,27 +251,28 @@ def tensor_symbol(f1: Symbol1D, f2: Symbol1D) -> SeparableSymbol2D:
 
 
 def _bump(p):
-    return bump_symbol_1d(float(p.get("lo", 0.25)), float(p.get("hi", 0.75)))
+    return bump_symbol_1d(config_value(p, "lo", 0.25),
+                          config_value(p, "hi", 0.75))
 
 
 # 2-D symbols first: the order an unknown name's error lists them in.
 _BUILTIN = {
-    "riesz": lambda p: riesz_symbol(RieszParams(float(p.get("alpha", 1.0)),
-                                                float(p.get("R", 1.0)))),
+    "riesz": lambda p: riesz_symbol(RieszParams(config_value(p, "alpha", 1.0),
+                                                config_value(p, "R", 1.0))),
     "dyadic": lambda p: dyadic_piece_symbol(
-        DyadicPiece(int(p.get("j", 2)), float(p.get("alpha", 1.0)))),
+        DyadicPiece(config_value(p, "j", 2), config_value(p, "alpha", 1.0))),
     "tensor-bump": lambda p: tensor_symbol(_bump(p), _bump(p)),
-    "indicator": lambda p: indicator_symbol_1d(float(p.get("lo", 0.0)),
-                                               float(p.get("hi", 1.0))),
-    "gaussian": lambda p: gaussian_symbol_1d(float(p.get("center", 0.5)),
-                                             float(p.get("width", 0.15))),
+    "indicator": lambda p: indicator_symbol_1d(config_value(p, "lo", 0.0),
+                                               config_value(p, "hi", 1.0)),
+    "gaussian": lambda p: gaussian_symbol_1d(config_value(p, "center", 0.5),
+                                             config_value(p, "width", 0.15)),
     "bump": _bump,
 }
 
 
 def builtin_symbol(name: str, **params) -> Symbol1D | Symbol2D:
-    """The built-in symbol ``name``; KeyError naming every built-in if
+    """The built-in symbol ``name``; UnknownName naming every built-in if
     there is none."""
     if name not in _BUILTIN:
-        raise KeyError(f"unknown symbol {name!r}; available: {list(_BUILTIN)}")
+        raise UnknownName(f"unknown symbol {name!r}; available: {list(_BUILTIN)}")
     return _BUILTIN[name](params)

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .dims import Dims
+from .dims import ConfigError, Dims
 
 REGIONS = ("I", "II", "III_a", "III_b", "IV_a", "IV_b", "V", "NotCovered")
 VARIANTS = ("general", "restricted")
@@ -101,10 +101,10 @@ def threshold(p1: float, p2: float, dims: Dims,
     sets (the support hypothesis only helps).
     """
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise ConfigError(f"variant must be one of {VARIANTS}")
     for p in (p1, p2):
         if not (p >= 1.0):
-            raise ValueError(f"exponents must lie in [1, inf], got {p}")
+            raise ConfigError(f"exponents must lie in [1, inf], got {p}")
     u, v = reciprocal(p1), reciprocal(p2)
     w = u + v
 
@@ -132,7 +132,7 @@ def threshold_table(dims: Dims, variant: str = "general",
     Header: inv_p1,inv_p2,region,alpha,variant.
     """
     if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+        raise ConfigError("resolution must be >= 2")
     buf = io.StringIO()
     buf.write("inv_p1,inv_p2,region,alpha,variant\n")
     for i in range(resolution + 1):

@@ -18,7 +18,7 @@ from .calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
                        channel_sums, linear_first_layer_weighted_l2,
                        restriction_apply_l2, second_layer_channel_l2,
                        sobolev_norm_1d)
-from .dims import Dims
+from .dims import ConfigError, Dims, UnknownName
 from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
 from .geometry import Point, ball_volume, control_distance_batch
 from .grid import Grid, GridSpec, make_grid
@@ -64,7 +64,7 @@ def probe_grid(name: str, refine: int = 1) -> Grid:
 @lru_cache(maxsize=16)
 def _probe_grid(name: str, refine: int) -> Grid:
     if name not in _GRID_SPECS:
-        raise KeyError(f"unknown grid {name!r}; available {sorted(_GRID_SPECS)}")
+        raise UnknownName(f"unknown grid {name!r}; available {sorted(_GRID_SPECS)}")
     spec = _GRID_SPECS[name]
     if refine != 1:
         spec = replace(spec, x1_count=spec.x1_count * refine,
@@ -89,7 +89,9 @@ def family_fields(name: str, grid: Grid, seed: int,
       factor 4 apart, stressing both branches of the ball-volume formula.
     """
     if name not in FAMILIES:
-        raise KeyError(f"unknown family {name!r}; available {FAMILIES}")
+        raise UnknownName(f"unknown family {name!r}; available {FAMILIES}")
+    if max_degree < 0:
+        raise ConfigError(f"max_degree must be >= 0, got {max_degree}")
     name_tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4],
                               "little")
     rng = np.random.default_rng(np.random.SeedSequence([name_tag, seed]))
@@ -103,7 +105,7 @@ def family_fields(name: str, grid: Grid, seed: int,
         sel |= (grid.lambda_abs >= lo - 1e-12) & (grid.lambda_abs <= hi + 1e-12)
     idx = np.where(sel)[0]
     if idx.size == 0:
-        raise ValueError(f"family band {band} misses every grid node")
+        raise ConfigError(f"family band {band} misses every grid node")
     support = grid.lambda_points[idx]
     degs = multi_index_degrees(grid.dims.d1, max_degree)
     coeffs = (rng.normal(size=(idx.size, degs.size))
@@ -155,8 +157,8 @@ def _stratified_triples(seed: int) -> tuple:
 
 def _volume_factor(variant: str, *triple) -> float:
     if variant not in KERNEL_VARIANTS:
-        raise KeyError(f"unknown variant {variant!r}; "
-                       f"available {tuple(KERNEL_VARIANTS)}")
+        raise UnknownName(f"unknown variant {variant!r}; "
+                          f"available {tuple(KERNEL_VARIANTS)}")
     a, b = (Point(*triple[k]) for k in KERNEL_VARIANTS[variant])
     return ball_volume(a, 1.0) * ball_volume(b, 1.0)
 
@@ -184,7 +186,7 @@ def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
     slope stays at or below beta1 + beta2 + 1/2 + tolerance.
     """
     if beta1 < 0 or beta2 < 0:
-        raise ValueError("beta exponents must be >= 0")
+        raise ConfigError("beta exponents must be >= 0")
     grid = grid or probe_grid("decay")
     triples = _stratified_triples(seed)
     (x1, x2), (y1, y2), (z1, z2) = ([np.array(c) for c in zip(*p)]
@@ -281,17 +283,17 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
       RHS).
     """
     if kind not in PLANCHEREL_KINDS:
-        raise KeyError(f"unknown kind {kind!r}; available {PLANCHEREL_KINDS}")
+        raise UnknownName(f"unknown kind {kind!r}; available {PLANCHEREL_KINDS}")
     grid = probe_grid("weighted")
     dims = grid.dims
     half = dims.d2 / 2.0
     if kind in ("linear_first_layer",) and not 0 <= gamma1 < half:
-        raise ValueError(f"gamma1 must lie in [0, {half})")
+        raise ConfigError(f"gamma1 must lie in [0, {half})")
     if kind == "second_layer" and not (0 <= gamma1 < half
                                        and 0 <= gamma2 < half):
-        raise ValueError(f"gamma exponents must lie in [0, {half})")
+        raise ConfigError(f"gamma exponents must lie in [0, {half})")
     if kind == "truncated" and (n1 < 0 or n2 < 0):
-        raise ValueError("cutoff orders must be >= 0")
+        raise ConfigError("cutoff orders must be >= 0")
 
     prof = bump_symbol_1d(0.05, 0.45)
     if kind == "linear_first_layer":
@@ -380,7 +382,7 @@ def coefficient_decay_probe(alpha: float, beta: float,
     decay superalgebraically and the sharp rate is visible.
     """
     if beta < 0:
-        raise ValueError("beta must be >= 0 (strictly positive in the bound)")
+        raise ConfigError("beta must be >= 0 (strictly positive in the bound)")
     ls = np.arange(0, l_max + 1)
     weights = (1.0 + ls) ** (1.0 + beta)
 
@@ -515,7 +517,7 @@ def restriction_probe(gamma: float = 0.0) -> ProbeReport:
     grid = probe_grid("weighted")
     half = grid.dims.d2 / 2.0
     if not 0 <= gamma < half:
-        raise ValueError(f"gamma must lie in [0, {half})")
+        raise ConfigError(f"gamma must lie in [0, {half})")
     F = indicator_symbol_1d(0.0, 0.45)
     f2 = math.sqrt(0.45)
 

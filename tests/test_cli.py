@@ -159,15 +159,86 @@ def test_kernel_command_rejects_no_points_before_writing(tmp_path):
     assert not (tmp_path / "k.csv.manifest").exists()
 
 
-def test_kernel_command_keeps_a_key_error_of_the_bilinear_path(tmp_path,
-                                                                monkeypatch):
-    def fail(*args):
-        raise KeyError("inside the kernel batch")
+@pytest.mark.parametrize("argv, name, error", [
+    pytest.param(["kernel"] + RIESZ_GRID + ["--set", "symbol=dyadic"],
+                 "bilinear_kernel_batch", KeyError("inside the kernel batch"),
+                 id="kernel"),
+    pytest.param(["probe", "--probe", "decay"], "dyadic_decay_probe",
+                 ValueError("inside the decay probe"), id="probe-decay"),
+])
+def test_a_library_error_stays_a_traceback(tmp_path, monkeypatch, argv, name,
+                                           error):
+    """Only a ConfigError becomes a one-line message: a plain KeyError or
+    ValueError from inside the library propagates unchanged."""
+    def fail(*args, **kwargs):
+        raise error
 
-    monkeypatch.setattr(cli, "bilinear_kernel_batch", fail)
-    with pytest.raises(KeyError, match="inside the kernel batch"):
-        main(["kernel"] + RIESZ_GRID + ["--set", "symbol=dyadic",
-                                        "--out", str(tmp_path / "k.csv")])
+    monkeypatch.setattr(cli, name, fail)
+    with pytest.raises(type(error)) as err:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert err.value is error
+
+
+def _sets(*items):
+    return [a for item in items for a in ("--set", item)]
+
+
+# case -> (argv without --out, start of the message); "{config}" is a
+# config file whose second line has no "=", "{missing}" a path with no file
+BAD_CONFIGS = {
+    "field-degree": (["field"] + _sets("d1=1", "d2=1"),
+                     "bad field config: degree 4 unresolvable"),
+    "field-family": (["field"] + RIESZ_GRID + _sets("family=nope"),
+                     "bad field config: unknown family 'nope'"),
+    "field-seed": (["field"] + RIESZ_GRID + _sets("seed=abc"),
+                   "bad field config: seed must parse as int"),
+    "field-max-degree": (["field"] + RIESZ_GRID + _sets("max_degree=-1"),
+                         "bad field config: max_degree must be >= 0"),
+    "thresholds-variant": (["thresholds"] + _sets("variant=nope"),
+                           "bad thresholds config: variant must be one of"),
+    "thresholds-resolution": (["thresholds"] + _sets("resolution=abc"),
+                              "bad thresholds config: resolution must parse"),
+    "riesz-band": (["riesz"] + RIESZ_GRID + _sets("band_lo=5", "band_hi=6"),
+                   "bad riesz config: family band (5.0, 6.0) misses"),
+    "kernel-symbol-param": (["kernel"] + RIESZ_GRID
+                            + _sets("symbol=bump", "symbol.lo=abc"),
+                            "bad kernel config: lo must parse as float"),
+    "verify-workers": (["verify"] + _sets("workers=abc"),
+                       "bad probe config: workers must parse as int"),
+    "config-file-line": (["grid", "--config", "{config}"],
+                         "bad grid config: line 2: expected key=value"),
+    "replay-missing": (["replay", "{missing}"],
+                       "bad replay config: cannot read "),
+    "probe-decay-alpha": (["probe", "--probe", "decay"] + _sets("alpha=abc"),
+                          "bad probe config: alpha must parse as float"),
+    "probe-kernel-variant": (["probe", "--probe", "kernel"]
+                             + _sets("variant=zz"),
+                             "bad probe config: unknown variant 'zz'"),
+    "probe-dilation-t": (["probe", "--probe", "dilation"] + _sets("t=-1"),
+                         "bad probe config: dilation ratio must be positive"),
+    "probe-plancherel-gamma": (["probe", "--probe", "plancherel"]
+                               + _sets("gamma1=0.9"),
+                               "bad probe config: gamma exponents must lie"),
+    "probe-weight-layer": (["probe", "--probe", "weight-integral"]
+                           + _sets("layer=nope"),
+                           "bad probe config: unknown layer 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_a_bad_config_stops_with_one_line_and_writes_nothing(
+        tmp_path, tmp_path_factory, case):
+    argv, start = BAD_CONFIGS[case]
+    config = tmp_path_factory.mktemp("config") / "bad.cfg"
+    config.write_text("d1=1\nd2\n")
+    paths = {"config": str(config), "missing": str(tmp_path / "no.manifest")}
+    with pytest.raises(SystemExit) as err:
+        main([a.format(**paths) for a in argv]
+             + ["--out", str(tmp_path / "out")])
+    message = str(err.value)
+    assert message.startswith(start)
+    assert "\n" not in message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_thresholds_command_corners(tmp_path):
