@@ -126,25 +126,26 @@ def _base_point_bank(grid: Grid, eta_max: float, x1: tuple):
 
 
 def atom_projection_values(atoms: SpectralAtoms, x1_points: np.ndarray,
-                           y1_points: np.ndarray, y1_bank=None,
-                           x1_bank=None) -> np.ndarray:
+                           y1_points: np.ndarray) -> np.ndarray:
     """R[q, i] = projection kernel at level k_q, frequency lambda_q,
     evaluated at (x1, y1_points[i]).
 
     ``x1_points`` is one base point (d1,) or (1, d1), broadcast along
     the rows of ``y1_points`` (n, d1), or n points aligned with them.
-    ``y1_bank`` is the atoms' bank at ``y1_points`` and ``x1_bank`` the
-    pair (bank, row_atom) at ``x1_points`` if the caller holds them
-    (``_grid_bank``, ``_base_point_bank``); else they are built here.
-    Profiles are pointwise, so either way the values are bit-identical.
     """
-    if y1_bank is None:
-        y1_bank = _profile_bank(atoms, np.atleast_2d(y1_points))[0]
-    bank, row_atom = x1_bank or _profile_bank(atoms, np.atleast_2d(x1_points))
-    terms = bank * y1_bank
-    if row_atom.size == atoms.count:     # one row per atom (always at d1 = 1)
+    x1_bank, row_atom = _profile_bank(atoms, np.atleast_2d(x1_points))
+    y1_bank = _profile_bank(atoms, np.atleast_2d(y1_points))[0]
+    return _project(x1_bank, y1_bank, row_atom, atoms.count)
+
+
+def _project(x1_bank, y1_bank, row_atom, count: int) -> np.ndarray:
+    """The projections of ``count`` atoms from their banks at both points:
+    each atom's sum of its rows (row_atom) of ``x1_bank * y1_bank``.
+    Profiles are pointwise, so cached banks give bit-identical values."""
+    terms = x1_bank * y1_bank
+    if row_atom.size == count:           # one row per atom (always at d1 = 1)
         return terms
-    first = np.searchsorted(row_atom, np.arange(atoms.count))
+    first = np.searchsorted(row_atom, np.arange(count))
     return np.add.reduceat(terms, first, axis=0)
 
 
@@ -211,14 +212,15 @@ def bilinear_kernel_batch(G: Symbol2D, xs, ys, zs, grid: Grid) -> np.ndarray:
         return np.zeros(len(xs), dtype=complex)
     sub1, sub2 = _atom_subset(atoms1, rows), _atom_subset(atoms2, cols)
     a = _phase_rows(sub1, sub1.weight, xs, ys)
-    b = _phase_rows(sub2, sub2.weight, xs, zs)
+    ab = np.stack((a.real, a.imag), axis=1)     # (T, 2, R)
+    del a   # beside the gathered block only ab is held; b is built after it
     # gathered from table.real and table.imag, each GEMM operand is contiguous
     block = np.ix_(inv1[rows], inv2[cols])
-    ab = np.stack((a.real, a.imag), axis=1)     # (T, 2, R)
     u = ab @ table.real[block]                  # (Re a Gr, Im a Gr)
     if table.imag.any():                        # plus i a Gi
         v = ab @ table.imag[block]
         u = u + np.stack((-v[:, 1], v[:, 0]), axis=1)
+    b = _phase_rows(sub2, sub2.weight, xs, zs)
     q = u @ np.stack((b.real, b.imag), axis=2)  # (T, 2, 2)
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
     return scale * ((q[:, 0, 0] - q[:, 1, 1]) + 1j * (q[:, 0, 1] + q[:, 1, 0]))
@@ -295,9 +297,8 @@ def channel_sums(f: Symbol1D, grid: Grid, x1_point) -> tuple:
     z = np.empty((first.size, grid.n_x1), dtype=coeff.dtype)
     for nodes, block, starts in _segment_blocks(first, atoms.count):
         rows = slice(*np.searchsorted(row_atom, (block.start, block.stop)))
-        proj = atom_projection_values(
-            _atom_subset(atoms, block), x1_point, grid.x1_points, bank[rows],
-            (x1_bank[rows], row_atom[rows] - block.start))
+        proj = _project(x1_bank[rows], bank[rows], row_atom[rows] - block.start,
+                        block.stop - block.start)
         np.add.reduceat(coeff[block, None] * proj, starts, axis=0, out=z[nodes])
     z.flags.writeable = False
     return grid, z, atoms.lam_index[first]

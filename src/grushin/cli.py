@@ -42,10 +42,13 @@ from .verifier import (DecayProbeSpec, coefficient_decay_probe,
 def _read_config_file(path: str) -> dict:
     """The flat config in the file at ``path`` (a config or a manifest)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text "
+                          f"(byte {err.start})") from None
     return parse_flat_config(text)
 
 
@@ -96,9 +99,10 @@ def _write_manifest(path: str, command: str, cfg: dict, outputs: list[str],
         fh.write(format_flat_config({k: str(v) for k, v in record.items()}))
 
 
-def _report_csv(report: ProbeReport, path: str, cfg_hash: str):
+def _write_output(path: str, cfg: dict, text: str):
+    """Write ``text`` to ``path`` under the ``# config_hash=`` line of ``cfg``."""
     with open(path, "w") as fh:
-        fh.write(report.to_csv([f"config_hash={cfg_hash}"]))
+        fh.write(f"# config_hash={config_hash(cfg)}\n{text}")
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +113,8 @@ def cmd_grid(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     out = out or "grid.cfg"
     resolved = {k: getattr(grid.resolved, k) for k in GRID_KEYS}
-    with open(out, "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        fh.write(format_flat_config({k: str(v) for k, v in resolved.items()}))
+    _write_output(out, cfg,
+                  format_flat_config({k: str(v) for k, v in resolved.items()}))
     return (out + ".manifest", [out], {},
             f"grid written to {out} "
             f"({grid.n_x1} x {grid.resolved.x2_count} spatial nodes, "
@@ -182,13 +185,10 @@ def cmd_kernel(cfg: dict, out: str | None):
     layers = 3 if isinstance(sym, Symbol2D) else 2
     batch = bilinear_kernel_batch if layers == 3 else linear_kernel_batch
     vals = batch(sym, *([p[k] for p in pts] for k in range(layers)), grid)
-    with open(out, "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        fh.write(",".join(f"{v}{k}" for v in "xyz"[:layers] for k in (1, 2))
-                 + ",re,im\n")
-        for p, v in zip(pts, vals):
-            fh.write(csv_row(*(c[0] for point in p[:layers] for c in point),
-                             v.real, v.imag))
+    header = ",".join(f"{v}{k}" for v in "xyz"[:layers] for k in (1, 2))
+    _write_output(out, cfg, header + ",re,im\n" + "".join(
+        csv_row(*(c[0] for point in p[:layers] for c in point), v.real, v.imag)
+        for p, v in zip(pts, vals)))
     return out + ".manifest", [out], {}, f"kernel samples written to {out}", 0
 
 
@@ -198,9 +198,7 @@ def cmd_thresholds(cfg: dict, out: str | None):
     resolution = config_value(cfg, "resolution", 20)
     table = threshold_table(dims, variant, resolution)
     out = out or "thresholds.csv"
-    with open(out, "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)}\n")
-        fh.write(table)
+    _write_output(out, cfg, table)
     return (out + ".manifest", [out], {},
             f"threshold table ({variant}, resolution {resolution}) "
             f"written to {out}", 0)
@@ -314,22 +312,19 @@ def cmd_verify(cfg: dict, out: str | None):
             if _SUITE_ALPHA.get(name) in cfg:
                 keys = {**keys, "alpha": cfg[_SUITE_ALPHA[name]]}
             reports[name] = PROBES[probe](keys, seed, workers)
-    chash = config_hash(cfg)
     out = out or f"verify_{suite}"
     os.makedirs(out, exist_ok=True)
     verdicts = {}
     lines = []
     for name, rep in sorted(reports.items()):
         safe = name.replace("/", "_")
-        _report_csv(rep, os.path.join(out, safe + ".csv"), chash)
+        _write_output(os.path.join(out, safe + ".csv"), cfg, rep.to_csv())
         verdicts[safe] = rep.verdict
         lines.append(f"{name},{rep.verdict},{rep.slope!r},{rep.max_ratio!r}")
     agg = "PASS" if all(rep.passed for rep in reports.values()) else "FAIL"
-    with open(os.path.join(out, "verdicts.csv"), "w") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write("probe,verdict,slope,max_ratio\n")
-        fh.write("\n".join(lines) + "\n")
-        fh.write(f"aggregate,{agg},,\n")
+    _write_output(os.path.join(out, "verdicts.csv"), cfg,
+                  "probe,verdict,slope,max_ratio\n" + "\n".join(lines)
+                  + f"\naggregate,{agg},,\n")
     message = "".join(f"{name}: {rep.verdict}\n"
                       for name, rep in sorted(reports.items()))
     return (os.path.join(out, "manifest.txt"), [out], verdicts,
@@ -342,7 +337,7 @@ def cmd_probe(cfg: dict, out: str | None):
         raise ConfigError(f"unknown probe {name!r}; available: {tuple(PROBES)}")
     rep = PROBES[name](cfg, config_value(cfg, "seed", 0), _workers(cfg))
     out = out or f"probe_{name}.csv"
-    _report_csv(rep, out, config_hash(cfg))
+    _write_output(out, cfg, rep.to_csv())
     return (out + ".manifest", [out], {name: rep.verdict},
             f"{name}: {rep.verdict} (slope {rep.slope!r}, "
             f"max_ratio {rep.max_ratio!r})", 0 if rep.passed else 1)

@@ -126,13 +126,7 @@ def weight_integral_check(a: Point, r_values, gamma: float, layer: str,
                          for r in r_values])
 
     r_values = np.asarray(list(r_values), dtype=float)
-    ratios = run(n_per_axis)
-    refined = run(2 * n_per_axis)
-    growth = float(np.max(refined / np.maximum(ratios, 1e-300))) - 1.0
-    report = ProbeReport.from_samples(
-        np.log2(r_values), np.log2(np.maximum(ratios, 1e-300)),
-        max_ratio=float(np.max(refined)),
-        ratios=ratios.tolist(), refined_ratios=refined.tolist(),
-        refinement_growth=growth, gamma=gamma, layer=layer)
-    report.verdict = "PASS" if growth < 0.05 else "FAIL"
-    return report
+    ratios, refined = run(n_per_axis), run(2 * n_per_axis)
+    return ProbeReport.refinement(np.log2(r_values), ratios, refined,
+                                  float(np.max(refined)), gamma=gamma,
+                                  layer=layer, refined_ratios=refined.tolist())

@@ -129,20 +129,6 @@ class HermiteTable:
     values: np.ndarray  # shape (max_l+1, len(nodes))
     weights: np.ndarray
 
-    def gram(self) -> np.ndarray:
-        return (self.values * self.weights) @ self.values.T
-
-    def recurrence_residual(self) -> float:
-        """Largest relative defect of the three-term recurrence over the table."""
-        t = self.nodes
-        worst = 0.0
-        for l in range(1, self.max_l):
-            lhs = self.values[l + 1]
-            rhs = _step(l, t, self.values[l], self.values[l - 1])
-            scale = np.max(np.abs(lhs)) or 1.0
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
-        return worst
-
 
 def build_hermite_table(max_l: int) -> HermiteTable:
     """Table over a uniform grid wide/fine enough for discrete orthonormality.

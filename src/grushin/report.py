@@ -1,4 +1,5 @@
-"""Regression-style probe reports: per-abscissa values plus a fitted line."""
+"""Regression-style probe reports: per-abscissa values plus a fitted line,
+and each probe's pass rule, applied by the constructor of its report."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import numpy as np
 
 #: Verdicts that count as success for aggregate pass/fail purposes.
 PASSING_VERDICTS = ("PASS", "DEGENERATE-PASS", "NO-GUARANTEE")
+#: Largest growth of a probe's ratios under one refinement doubling.
+REFINEMENT_TOL = 0.05
 
 
 def fit_line(abscissa, ordinate) -> tuple[float, float]:
@@ -53,6 +56,30 @@ class ProbeReport:
                    details=dict(details))
 
     @classmethod
+    def slope_bound(cls, abscissa, measured, bound, **details):
+        """Fit of log2 ``measured`` (values >= 0) on ``abscissa``:
+        DEGENERATE-PASS when every value is 0, else NO-GUARANTEE when
+        ``bound`` is None, else PASS when the slope is at most ``bound``."""
+        measured = np.asarray(measured, dtype=float)
+        report = cls.from_samples(abscissa, log2_safe(measured), np.max(measured),
+                                  **details, slope_bound=bound)
+        report.verdict = ("DEGENERATE-PASS" if not measured.any() else
+                          "NO-GUARANTEE" if bound is None else
+                          "PASS" if report.slope <= bound else "FAIL")
+        return report
+
+    @classmethod
+    def refinement(cls, abscissa, ratios, refined, max_ratio, **details):
+        """Fit of log2 ``ratios`` on ``abscissa``: PASS when ``refined``, the
+        ratios after one refinement doubling, grow by below REFINEMENT_TOL."""
+        growth = float(np.max(refined / np.maximum(ratios, 1e-300))) - 1.0
+        report = cls.from_samples(abscissa, log2_safe(ratios), max_ratio,
+                                  **details, ratios=ratios.tolist(),
+                                  refinement_growth=growth)
+        report.verdict = "PASS" if growth < REFINEMENT_TOL else "FAIL"
+        return report
+
+    @classmethod
     def deviation(cls, dev: float, tol: float, **details):
         """Report of one measured deviation: PASS when ``dev <= tol``."""
         report = cls.from_samples([0.0], [np.log2(max(dev, 1e-300))],
@@ -70,11 +97,9 @@ class ProbeReport:
     def residual(self) -> np.ndarray:
         return self.ordinate - self.fitted()
 
-    def to_csv(self, header_comments: list[str] | None = None) -> str:
-        """Serialize as CSV: comment header, then abscissa/ordinate/fitted/residual rows."""
+    def to_csv(self) -> str:
+        """Serialize as CSV: verdict and fit comments, then the data rows."""
         buf = io.StringIO()
-        for line in header_comments or []:
-            buf.write(f"# {line}\n")
         buf.write(f"# verdict={self.verdict or 'NONE'}\n")
         buf.write(f"# slope={self.slope!r} intercept={self.intercept!r} "
                   f"max_ratio={self.max_ratio!r}\n")

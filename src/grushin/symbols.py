@@ -272,7 +272,11 @@ _BUILTIN = {
 
 def builtin_symbol(name: str, **params) -> Symbol1D | Symbol2D:
     """The built-in symbol ``name``; UnknownName naming every built-in if
-    there is none."""
+    there is none.  ``params`` are its ``symbol.*`` config keys without the
+    prefix, and a ConfigError names the parameter with it."""
     if name not in _BUILTIN:
         raise UnknownName(f"unknown symbol {name!r}; available: {list(_BUILTIN)}")
-    return _BUILTIN[name](params)
+    try:
+        return _BUILTIN[name](params)
+    except ConfigError as err:
+        raise ConfigError(f"symbol.{err.args[0]}") from None

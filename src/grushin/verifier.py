@@ -23,7 +23,7 @@ from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
 from .geometry import Point, ball_volume, control_distance_batch
 from .grid import Grid, GridSpec, make_grid
 from .hermite import multi_index_degrees
-from .report import ProbeReport, log2_safe
+from .report import ProbeReport
 from .reductions import parallel_map
 from .riesz import (bilinear_apply_separated, build_expansion,
                     fourier_coeff_batch)
@@ -32,7 +32,6 @@ from .symbols import (DyadicCutoff, DyadicPiece, Symbol1D, bump_symbol_1d,
 from .thresholds import reciprocal, threshold
 
 SLOPE_TOL = 0.15          # log2 slope tolerance at desk scale
-RATIO_GROWTH_TOL = 0.05   # allowed ratio growth per refinement doubling
 DECAY_SLOPE_TOL = 0.1     # decay probes must fit at or below -this
 
 
@@ -202,17 +201,9 @@ def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
 
     j_values = list(j_range)
     s = parallel_map(one_j, j_values, workers)
-    report = ProbeReport.from_samples(j_values, log2_safe(s),
-                                      max_ratio=max(s),
-                                      alpha=alpha, beta1=beta1, beta2=beta2,
-                                      variant=variant, values=list(s))
-    bound = beta1 + beta2 + 0.5 + SLOPE_TOL
-    if max(s) == 0.0:
-        report.verdict = "DEGENERATE-PASS"
-    else:
-        report.verdict = "PASS" if report.slope <= bound else "FAIL"
-    report.details["slope_bound"] = bound
-    return report
+    return ProbeReport.slope_bound(j_values, s, beta1 + beta2 + 0.5 + SLOPE_TOL,
+                                   alpha=alpha, beta1=beta1, beta2=beta2,
+                                   variant=variant, values=list(s))
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +241,11 @@ def _first_layer_rhs(F: Symbol1D, gamma: float, y1_norm: float,
 
 
 def _refinement_report(ratios, abscissa, **details) -> ProbeReport:
-    """Report of ``ratios(grid)`` on the ``weighted`` grid.
-
-    The verdict is the refinement check: the ratios on the grid refined
-    once may grow by less than RATIO_GROWTH_TOL.
-    """
+    """Refinement report of ``ratios(grid)`` on the ``weighted`` grid and
+    on that grid refined once."""
     base = ratios(probe_grid("weighted"))
-    report = ProbeReport.from_samples(
-        abscissa, log2_safe(base), max_ratio=float(np.max(base)),
-        **details, ratios=base.tolist())
-    fine = ratios(probe_grid("weighted", 2))
-    growth = float(np.max(fine / np.maximum(base, 1e-300))) - 1.0
-    report.details["refinement_growth"] = growth
-    report.verdict = "PASS" if growth < RATIO_GROWTH_TOL else "FAIL"
-    return report
+    return ProbeReport.refinement(abscissa, base, ratios(probe_grid("weighted", 2)),
+                                  float(np.max(base)), **details)
 
 
 def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
@@ -395,13 +377,9 @@ def coefficient_decay_probe(alpha: float, beta: float,
 
     j_values = list(j_range)
     d = parallel_map(one_j, j_values, workers)
-    report = ProbeReport.from_samples(j_values, log2_safe(d),
-                                      max_ratio=max(d), alpha=alpha, beta=beta,
-                                      l_max=l_max, values=list(d))
-    bound = -alpha + beta + SLOPE_TOL
-    report.verdict = "PASS" if report.slope <= bound else "FAIL"
-    report.details["slope_bound"] = bound
-    return report
+    return ProbeReport.slope_bound(j_values, d, -alpha + beta + SLOPE_TOL,
+                                   alpha=alpha, beta=beta, l_max=l_max,
+                                   values=list(d))
 
 
 # ---------------------------------------------------------------------------
@@ -439,18 +417,18 @@ def _decay_probe(alpha: float, j_range, seed: int, grid: Grid,
     the pieces whose series stopped at its cap, and ``truncations`` and
     ``tail_bounds`` give each piece's series cutoff and measured tail.
     ``alpha_threshold`` is a (details key, value) pair: at or below the
-    value the report is NO-GUARANTEE; above it (or when the value is
-    None) a slope at or below -DECAY_SLOPE_TOL passes.
+    value nothing is claimed (no slope bound); above it (or when the
+    value is None) the slope bound is -DECAY_SLOPE_TOL.
     """
     f_norm, g_norm, out_norm = norms
     f, g = _decay_fields("hermite-bump", seed, grid)
     denom = f_norm(synthesize(f, grid)) * g_norm(synthesize(g, grid))
     j_values = list(j_range)
+    key, value = alpha_threshold
+    bound = None if value is not None and alpha <= value else -DECAY_SLOPE_TOL
     if denom == 0.0:
-        report = ProbeReport.from_samples(j_values, [0.0] * len(j_values),
-                                          max_ratio=0.0, alpha=alpha)
-        report.verdict = "DEGENERATE-PASS"
-        return report
+        return ProbeReport.slope_bound(j_values, [0.0] * len(j_values), bound,
+                                       alpha=alpha)
 
     def one_j(j):
         exp = build_expansion(DyadicPiece(j, alpha),
@@ -458,23 +436,12 @@ def _decay_probe(alpha: float, j_range, seed: int, grid: Grid,
         return out_norm(bilinear_apply_separated(exp, f, g, grid)), exp
 
     n, exps = zip(*parallel_map(one_j, j_values, workers))
-    report = ProbeReport.from_samples(
-        j_values, log2_safe(np.array(n) / denom),
-        max_ratio=float(max(n) / denom), alpha=alpha, **details,
+    return ProbeReport.slope_bound(
+        j_values, np.array(n) / denom, bound, alpha=alpha, **details,
         values=list(n), denominator=denom,
         expansion_cap_hits=sum(not e.converged for e in exps),
         truncations=[e.truncation for e in exps],
-        tail_bounds=[e.tail_bound for e in exps])
-    key, value = alpha_threshold
-    report.details[key] = value
-    if max(n) == 0.0:
-        report.verdict = "DEGENERATE-PASS"
-    elif value is not None and alpha <= value:
-        report.verdict = "NO-GUARANTEE"
-    else:
-        report.verdict = ("PASS" if report.slope <= -DECAY_SLOPE_TOL
-                          else "FAIL")
-    return report
+        tail_bounds=[e.tail_bound for e in exps], **{key: value})
 
 
 def dyadic_decay_probe(spec: DecayProbeSpec, grid: Grid | None = None,

@@ -439,34 +439,34 @@ def test_u_weight_table_at_exponent_zero_is_the_exact_delta(riesz_grid):
 
 @pytest.mark.parametrize("d1", [1, 2])
 def test_grid_bank_projections_equal_the_direct_ones_bitwise(d1, riesz_grid):
-    # The cached bank at the grid's x' nodes times a base point's own
+    # The cached bank at the grid's x' nodes times a base point's cached
     # profiles gives the projections bit for bit, at a grid node and off
     # the nodes, and the bank is shared and read-only.
-    from grushin.calculus import _grid_bank
+    from grushin.calculus import _base_point_bank, _grid_bank, _project
     g = riesz_grid if d1 == 1 else make_grid(
         Dims(2, 1), GridSpec(d1=2, d2=1, x1_extent=8, x1_count=24,
                              x2_count=32, lambda_min=0.25, lambda_max=2.0,
                              lambda_count=8))
-    atoms, bank, _ = _grid_bank(g, 1.8 * d1)
+    atoms, bank, row_atom = _grid_bank(g, 1.8 * d1)
     assert _grid_bank(g, 1.8 * d1)[1] is bank
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
     for x1 in (g.x1_points[3], np.full(d1, 0.3071), np.full(d1, -2.5)):
         direct = atom_projection_values(atoms, x1, g.x1_points)
-        shared = atom_projection_values(atoms, x1, g.x1_points, bank)
+        x1_bank = _base_point_bank(g, 1.8 * d1, tuple(x1.tolist()))
+        shared = _project(x1_bank, bank, row_atom, atoms.count)
         assert direct.shape == (atoms.count, g.n_x1)
         assert np.array_equal(direct, shared)
 
 
 def whole_table_channel_sums(f, grid, x1_point):
-    """Z by one product over the whole (atoms x n1) table and one
-    ``reduceat`` over its node segments."""
-    from grushin.calculus import _grid_bank
-    atoms, bank, _ = _grid_bank(grid, f.support[1])
+    """Z by one product over the whole (atoms x n1) table of the direct
+    projections and one ``reduceat`` over its node segments."""
+    atoms = build_atoms(grid, f.support[1])
     coeff = np.asarray(f(atoms.eigen), dtype=complex) * atoms.weight
     if not coeff.imag.any():
         coeff = coeff.real
-    proj = atom_projection_values(atoms, x1_point, grid.x1_points, bank)
+    proj = atom_projection_values(atoms, x1_point, grid.x1_points)
     first = np.flatnonzero(np.diff(atoms.lam_index, prepend=-1))
     return np.add.reduceat(coeff[:, None] * proj, first, axis=0)
 

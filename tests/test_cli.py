@@ -184,7 +184,8 @@ def _sets(*items):
 
 
 # case -> (argv without --out, start of the message); "{config}" is a
-# config file whose second line has no "=", "{missing}" a path with no file
+# config file whose second line has no "=", "{binary}" one whose third line
+# is not UTF-8, "{missing}" a path with no file
 BAD_CONFIGS = {
     "field-degree": (["field"] + _sets("d1=1", "d2=1"),
                      "bad field config: degree 4 unresolvable"),
@@ -202,11 +203,13 @@ BAD_CONFIGS = {
                    "bad riesz config: family band (5.0, 6.0) misses"),
     "kernel-symbol-param": (["kernel"] + RIESZ_GRID
                             + _sets("symbol=bump", "symbol.lo=abc"),
-                            "bad kernel config: lo must parse as float"),
+                            "bad kernel config: symbol.lo must parse as float"),
     "verify-workers": (["verify"] + _sets("workers=abc"),
                        "bad probe config: workers must parse as int"),
     "config-file-line": (["grid", "--config", "{config}"],
                          "bad grid config: line 2: expected key=value"),
+    "config-file-not-utf8": (["grid", "--config", "{binary}"],
+                             "bad grid config: cannot read {binary}: not UTF-8"),
     "replay-missing": (["replay", "{missing}"],
                        "bad replay config: cannot read "),
     "probe-decay-alpha": (["probe", "--probe", "decay"] + _sets("alpha=abc"),
@@ -231,12 +234,15 @@ def test_a_bad_config_stops_with_one_line_and_writes_nothing(
     argv, start = BAD_CONFIGS[case]
     config = tmp_path_factory.mktemp("config") / "bad.cfg"
     config.write_text("d1=1\nd2\n")
-    paths = {"config": str(config), "missing": str(tmp_path / "no.manifest")}
+    binary = config.with_name("binary.cfg")
+    binary.write_bytes(b"d1=1\nd2=1\nx1_count=\xff\xfe\n")
+    paths = {"config": str(config), "binary": str(binary),
+             "missing": str(tmp_path / "no.manifest")}
     with pytest.raises(SystemExit) as err:
         main([a.format(**paths) for a in argv]
              + ["--out", str(tmp_path / "out")])
     message = str(err.value)
-    assert message.startswith(start)
+    assert message.startswith(start.format(**paths))
     assert "\n" not in message
     assert list(tmp_path.iterdir()) == []
 

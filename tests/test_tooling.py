@@ -1,6 +1,7 @@
 """Every name the benchmark traces and the package exports exists, so a
 change that deletes one fails here rather than in a traced benchmark run;
-and the CLI keeps one error boundary."""
+the CLI keeps one error boundary, and the probes' verdicts are set in one
+layer."""
 
 import ast
 import importlib
@@ -31,19 +32,40 @@ def test_exported_names_resolve():
         assert missing == [], module.__name__
 
 
-def _system_exit_raises(node, where):
-    """The dotted scope of each ``raise SystemExit`` under ``node``."""
+def _scopes(node, where, match):
+    """The dotted scope of each node under ``node`` that ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
         inner = where
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
             inner = f"{where}.{child.name}"
-        if isinstance(child, ast.Raise) and child.exc is not None:
-            exc = child.exc.func if isinstance(child.exc, ast.Call) \
-                else child.exc
-            if isinstance(exc, ast.Name) and exc.id == "SystemExit":
-                yield where
-        yield from _system_exit_raises(child, inner)
+        if match(child):
+            yield where
+        yield from _scopes(child, inner, match)
+
+
+def _raises_system_exit(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+
+
+def _system_exit_raises(node, where):
+    """The dotted scope of each ``raise SystemExit`` under ``node``."""
+    return _scopes(node, where, _raises_system_exit)
+
+
+def _assigns_verdict(node) -> bool:
+    """An assignment to some object's ``.verdict``."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Attribute) and t.attr == "verdict"
+               for t in targets)
 
 
 def test_only_cli_main_raises_system_exit():
@@ -53,3 +75,17 @@ def test_only_cli_main_raises_system_exit():
              for scope in _system_exit_raises(ast.parse(path.read_text()),
                                               path.stem)]
     assert found == ["cli.main"]
+
+
+def test_verdicts_are_set_by_the_report_constructors():
+    """Each probe's pass rule is one ``ProbeReport`` constructor in
+    report.py.  Two checks keep their own rule: the truncated Plancherel
+    kind's two-sided slope check, and the dilation check's DEGENERATE-PASS
+    when its reference field is zero."""
+    found = [scope for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _scopes(ast.parse(path.read_text()), path.stem,
+                                  _assigns_verdict)]
+    assert [s for s in found if not s.startswith("report.")] == [
+        "riesz.dilation_covariance_check",
+        "verifier.weighted_plancherel_probe"]
+    assert "report.ProbeReport.slope_bound" in found

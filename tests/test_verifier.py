@@ -24,9 +24,71 @@ def test_probe_report_fit_invariants():
     assert np.max(np.abs(rep.residual())) <= 1e-12
     with pytest.raises(ValueError):
         fit_line([1.0], [1.0, 2.0])
-    csv = rep.to_csv(["config_hash=f00"])
-    assert csv.splitlines()[0] == "# config_hash=f00"
+    csv = rep.to_csv()
+    assert csv.splitlines()[0] == "# verdict=NONE"
     assert "abscissa,ordinate,fitted,residual" in csv
+
+
+@pytest.mark.parametrize("measured, bound, verdict", [
+    ([0.0, 0.0, 0.0], None, "DEGENERATE-PASS"),   # before no guarantee
+    ([0.0, 0.0, 0.0], -5.0, "DEGENERATE-PASS"),   # before a failing slope
+    ([1.0, 4.0, 16.0], None, "NO-GUARANTEE"),     # before a failing slope
+    ([1.0, 4.0, 16.0], 1.5, "FAIL"),
+    ([1.0, 4.0, 16.0], 2.5, "PASS"),
+    ([16.0, 4.0, 1.0], -1.5, "PASS"),
+])
+def test_slope_bound_verdict_precedence(measured, bound, verdict):
+    rep = ProbeReport.slope_bound([1.0, 2.0, 3.0], measured, bound, tag="t")
+    assert rep.verdict == verdict
+    assert rep.max_ratio == max(measured)
+    assert rep.details == {"tag": "t", "slope_bound": bound}
+    assert np.all(np.isfinite(rep.ordinate))
+
+
+def test_a_slope_equal_to_its_bound_passes():
+    x, measured = [1.0, 2.0, 3.0, 4.0], [3.0, 1.0, 7.0, 20.0]
+    slope = ProbeReport.slope_bound(x, measured, None).slope
+    assert ProbeReport.slope_bound(x, measured, slope).verdict == "PASS"
+    below = np.nextafter(slope, -np.inf)
+    assert ProbeReport.slope_bound(x, measured, below).verdict == "FAIL"
+
+
+@pytest.mark.parametrize("factor, verdict", [(1.0 - 1e-9, "PASS"),
+                                             (1.0 + 1e-9, "FAIL")])
+def test_refinement_growth_against_the_tolerance(factor, verdict):
+    from grushin.report import REFINEMENT_TOL
+    ratios = np.array([0.5, 2.0, 1.0])
+    refined = ratios * np.array([1.0, 1.0 + factor * REFINEMENT_TOL, 0.9])
+    rep = ProbeReport.refinement([0.0, 1.0, 2.0], ratios, refined, 3.0,
+                                 kind="k")
+    assert rep.verdict == verdict
+    assert rep.details["refinement_growth"] == pytest.approx(
+        factor * REFINEMENT_TOL, rel=1e-12)
+    assert rep.details["ratios"] == ratios.tolist()
+    assert rep.details["kind"] == "k"
+    assert rep.max_ratio == 3.0
+
+
+def test_refinement_of_a_zero_base_ratio():
+    # a zero ratio is divided by the 1e-300 floor: staying zero is no
+    # growth, any refined value at all is unbounded growth
+    ratios = np.array([0.0, 1.0])
+    same = ProbeReport.refinement([0.0, 1.0], ratios, ratios.copy(), 1.0)
+    assert same.verdict == "PASS"
+    assert same.details["refinement_growth"] == 0.0
+    assert np.all(np.isfinite(same.ordinate))
+    grown = ProbeReport.refinement([0.0, 1.0], ratios, np.array([1e-12, 1.0]),
+                                   1.0)
+    assert grown.verdict == "FAIL"
+
+
+def test_coefficient_probe_of_zero_coefficients_is_degenerate(monkeypatch):
+    from grushin import verifier
+    monkeypatch.setattr(verifier, "fourier_coeff_batch",
+                        lambda piece, ls, eta1: np.zeros((ls.size, eta1.size)))
+    rep = coefficient_decay_probe(1.0, 0.05, j_range=range(2, 5), workers=1)
+    assert rep.verdict == "DEGENERATE-PASS"
+    assert rep.max_ratio == 0.0
 
 
 def test_family_fields_seeded_and_banded():
