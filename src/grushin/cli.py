@@ -298,7 +298,11 @@ _SUITE_ALPHA = {"decay/2-2-1": "alpha", "decay/mixed": "alpha_mixed"}
 
 
 def _workers(cfg: dict):
-    return config_value(cfg, "workers", 0) if "workers" in cfg else None
+    """The ``workers`` key (at least 1), or None, one worker, if absent."""
+    workers = config_value(cfg, "workers", 1) if "workers" in cfg else None
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def cmd_verify(cfg: dict, out: str | None):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dims import ConfigError, Dims
+from .dims import ConfigError, Dims, config_value
 
 
 class GridError(ConfigError):
@@ -46,17 +46,14 @@ class GridSpec:
 
     @classmethod
     def from_mapping(cls, mapping) -> "GridSpec":
-        """The keys of ``mapping`` that name a field, each parsed from its
-        text with the type of the field's default (so 4.5 is no count),
-        then ``check_spec``-ed; a value that does not parse is kept as
-        given, for the check to reject."""
-        values = {}
-        for f in fields(cls):
-            if f.name in mapping:
-                try:
-                    values[f.name] = type(f.default)(str(mapping[f.name]))
-                except ValueError:
-                    values[f.name] = mapping[f.name]
+        """The keys of ``mapping`` that name a field, each read by
+        ``config_value`` (so 4.5 is no count; GridError if a value does
+        not parse), then ``check_spec``-ed."""
+        try:
+            values = {f.name: config_value(mapping, f.name, f.default)
+                      for f in fields(cls)}
+        except ConfigError as err:
+            raise GridError(err.args[0]) from None
         return check_spec(cls(**values))
 
 
@@ -267,25 +264,18 @@ class Grid:
         """V[x', x''] = sum_i coeffs[x', i] e^{i lam_i x''}.
 
         ``coeffs`` has shape (n_x1, n), ``lam`` shape (n, d2); returns
-        shape (n_x1, n_x2).  Columns that share a bin (equal frequencies,
-        or frequencies equal up to aliasing) are summed, then ``_x2_ifft``
-        takes the inverse FFT.  The binning is one flat ``bincount`` over
-        all entries, read frequency-major (a view for the x'-fastest
-        arrays every caller passes, one copy otherwise), so each bin sums
-        its columns in column order: the result is the same, bit for bit,
-        as one bincount per row.
+        shape (n_x1, n_x2).  Each x'-row adds its columns into their DFT
+        bins in column order (one ``np.add.at`` per row), so columns that
+        share a bin (equal frequencies, or frequencies equal up to
+        aliasing) sum in the order the bilinear contraction sums them;
+        then ``_x2_ifft`` takes the inverse FFT.
         """
-        bins, _ = self._x2_bins(lam)
-        n = self.n_x2
-        rows = coeffs.shape[0]
-        flat = (rows * bins[:, None] + np.arange(rows)).ravel()
-        vals = coeffs.T.ravel()
-        spec = (np.bincount(flat, vals.real, rows * n)
-                + 1j * np.bincount(flat, vals.imag, rows * n))
-        # the inputs, and the frequency-major bins by the rebinding, are
-        # freed before the FFT, where a gridded multiplier peaks
-        del flat, vals, coeffs
-        spec = np.ascontiguousarray(spec.reshape(n, rows).T)
+        bins = self._x2_bins(lam)[0]
+        spec = np.zeros((coeffs.shape[0], self.n_x2), dtype=complex)
+        for r in range(coeffs.shape[0]):
+            np.add.at(spec[r], bins, coeffs[r])
+        # the inputs are freed before the FFT, where a gridded multiplier peaks
+        del coeffs
         return self._x2_ifft(spec)
 
     def _x2_ifft(self, spec: np.ndarray) -> np.ndarray:

@@ -188,10 +188,6 @@ def riesz_symbol(params: RieszParams) -> Symbol2D:
                     ((0.0, R), (0.0, R)))
 
 
-def riesz_symbol_1d(alpha: float, R: float = 1.0) -> Symbol1D:
-    return Symbol1D(lambda e: truncated_power(1.0 - e / R, alpha), (0.0, R))
-
-
 def dyadic_piece_profile(piece: DyadicPiece):
     """The 1-variable profile u_j(s) = s_+^alpha * phi(2^j s) of the piece,
     as a function of s = 1 - eta1 - eta2."""

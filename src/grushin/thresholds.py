@@ -2,7 +2,7 @@
 
 Each sufficiency item of the boundedness results is encoded as a
 region plus a threshold formula in the inverse exponents (each region's
-predicate is written once, and both item sets share it); a query
+predicate is written once, and both variants share it); a query
 returns the minimum threshold over all applicable items.  The
 (infinity, infinity) corner is not literally covered by any item and its
 value is sourced from the endpoint analysis instead; that sourcing is
@@ -23,8 +23,8 @@ VARIANTS = ("general", "restricted")
 _EPS = 1e-12
 
 
-def _le(a, b):
-    return a <= b + _EPS
+def _in(lo, x, hi):
+    return lo <= x + _EPS and x <= hi + _EPS
 
 
 def reciprocal(t: float) -> float:
@@ -48,48 +48,33 @@ class RegionVerdict:
 
 
 # u = 1/p1, v = 1/p2, w = 1/p = u + v
-_IN_REGION = {
-    "I": lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
-    and _le(0.5, w) and _le(w, 1.0),
-    "II": lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
-    and 0 < w <= 0.5 + _EPS,
-    "III_a": lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-    and _le(0.0, v) and _le(v, 0.5) and _le(0.5, w) and _le(w, 1.0),
-    "III_b": lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
-    and _le(0.0, u) and _le(u, 0.5) and _le(0.5, w) and _le(w, 1.0),
-    "IV_a": lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-    and _le(0.0, v) and _le(v, 0.5) and _le(1.0, w),
-    "IV_b": lambda u, v, w: _le(0.5, v) and _le(v, 1.0)
-    and _le(0.0, u) and _le(u, 0.5) and _le(1.0, w),
-    "V": lambda u, v, w: _le(0.5, u) and _le(u, 1.0)
-    and _le(0.5, v) and _le(v, 1.0),
-}
-
-
-def _general_items(dims: Dims):
-    d = dims.total_dim
-    q = dims.homogeneous_dim
-    dk = dims.threshold_dim
-    return [
-        ("I", lambda u, v, w: (d - 1) * (1.0 - w)),
-        ("II", lambda u, v, w: (d - 1) / 2.0 + d * (0.5 - w)),
-        ("III_a", lambda u, v, w: q * (u - 0.5) + (d - 1) * (1.0 - w)),
-        ("III_b", lambda u, v, w: q * (v - 0.5) + (d - 1) * (1.0 - w)),
-        ("IV_a", lambda u, v, w: dk * (w - 1.0) + q * (0.5 - v)),
-        ("IV_b", lambda u, v, w: dk * (w - 1.0) + q * (0.5 - u)),
-        ("V", lambda u, v, w: dk * (w - 1.0)),
-    ]
-
-
-def _restricted_items(dims: Dims):
-    d = dims.total_dim
-    return [
-        ("III_a", lambda u, v, w: d * (0.5 - v) - (1.0 - w)),
-        ("III_b", lambda u, v, w: d * (0.5 - u) - (1.0 - w)),
-        ("IV_a", lambda u, v, w: d * (u - 0.5)),
-        ("IV_b", lambda u, v, w: d * (v - 0.5)),
-        ("V", lambda u, v, w: d * (w - 1.0)),
-    ]
+def _items(dims: Dims) -> dict:
+    """Region -> (predicate, general threshold, restricted threshold or
+    None), each a function of (u, v, w).  The means are symmetric in
+    (f, g), so each _b region is its _a region at (v, u)."""
+    d, q, dk = dims.total_dim, dims.homogeneous_dim, dims.threshold_dim
+    items = {
+        "I": (lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
+              and _in(0.5, w, 1.0),
+              lambda u, v, w: (d - 1) * (1.0 - w), None),
+        "II": (lambda u, v, w: 0 < u <= 0.5 + _EPS and 0 < v <= 0.5 + _EPS
+               and 0 < w <= 0.5 + _EPS,
+               lambda u, v, w: (d - 1) / 2.0 + d * (0.5 - w), None),
+        "III_a": (lambda u, v, w: _in(0.5, u, 1.0) and _in(0.0, v, 0.5)
+                  and _in(0.5, w, 1.0),
+                  lambda u, v, w: q * (u - 0.5) + (d - 1) * (1.0 - w),
+                  lambda u, v, w: d * (0.5 - v) - (1.0 - w)),
+        "IV_a": (lambda u, v, w: _in(0.5, u, 1.0) and _in(0.0, v, 0.5)
+                 and _in(1.0, w, math.inf),
+                 lambda u, v, w: dk * (w - 1.0) + q * (0.5 - v),
+                 lambda u, v, w: d * (u - 0.5)),
+        "V": (lambda u, v, w: _in(0.5, u, 1.0) and _in(0.5, v, 1.0),
+              lambda u, v, w: dk * (w - 1.0), lambda u, v, w: d * (w - 1.0)),
+    }
+    for name in ("III_a", "IV_a"):
+        items[name[:-1] + "b"] = tuple(
+            f and (lambda u, v, w, f=f: f(v, u, w)) for f in items[name])
+    return items
 
 
 def threshold(p1: float, p2: float, dims: Dims,
@@ -108,13 +93,12 @@ def threshold(p1: float, p2: float, dims: Dims,
     u, v = reciprocal(p1), reciprocal(p2)
     w = u + v
 
-    items = list(_general_items(dims))
-    if variant == "restricted":
-        items += _restricted_items(dims)
-    hits = [(fml(u, v, w), name) for name, fml in items
-            if _IN_REGION[name](u, v, w)]
+    formulas = 2 if variant == "restricted" else 1
+    hits = [(fml(u, v, w), name)
+            for name, (inside, *fmls) in _items(dims).items()
+            if inside(u, v, w) for fml in fmls[:formulas] if fml]
     if hits:
-        best, region = min(hits, key=lambda t: (t[0], t[1]))
+        best, region = min(hits)
         return RegionVerdict(region=region, threshold=float(best))
     if u < _EPS and v < _EPS:
         # The joint-sup corner: the endpoint estimate gives d - 1/2

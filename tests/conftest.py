@@ -5,6 +5,7 @@ from grushin.dims import Dims
 from grushin.fields import SpectralField
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import multi_indices_upto
+from grushin.symbols import Symbol1D, truncated_power
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,8 @@ def random_field(grid, band, max_degree, seed, stride=1):
     coeffs = rng.normal(size=(idx.size, n_mu)) \
         + 1j * rng.normal(size=(idx.size, n_mu))
     return SpectralField(grid.dims, support, max_degree, coeffs)
+
+
+def riesz_symbol_1d(alpha, R=1.0):
+    """The 1-D Riesz symbol (1 - eta/R)_+^alpha on [0, R]."""
+    return Symbol1D(lambda e: truncated_power(1.0 - e / R, alpha), (0.0, R))

@@ -9,7 +9,7 @@ import pytest
 import grushin.calculus as C
 import grushin.hermite as H
 import grushin.verifier as V
-from conftest import random_field
+from conftest import random_field, riesz_symbol_1d
 from grushin.calculus import (apply_linear_multiplier_gridded,
                               atom_projection_values, bilinear_kernel,
                               bilinear_kernel_batch, build_atoms,
@@ -20,7 +20,7 @@ from grushin.grid import GridSpec, make_grid
 from grushin.hermite import hermite_all, hermite_ragged, projection_kernel
 from grushin.riesz import bilinear_apply_direct, build_expansion
 from grushin.symbols import (DyadicPiece, Symbol2D, bump_symbol_1d,
-                             dyadic_piece_symbol, riesz_symbol_1d)
+                             dyadic_piece_symbol)
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,9 @@ from grushin.fields import synthesize
 from grushin.grid import GridError, GridSpec, make_grid
 from grushin.symbols import (DyadicCutoff, DyadicPiece, Symbol1D, Symbol2D,
                              bump_symbol_1d, dyadic_piece_symbol,
-                             indicator_symbol_1d, riesz_symbol_1d,
-                             tensor_symbol)
+                             indicator_symbol_1d, tensor_symbol)
 
-from conftest import random_field
+from conftest import random_field, riesz_symbol_1d
 
 WIDE = (0.0, 100.0)
 

@@ -206,6 +206,10 @@ BAD_CONFIGS = {
                             "bad kernel config: symbol.lo must parse as float"),
     "verify-workers": (["verify"] + _sets("workers=abc"),
                        "bad probe config: workers must parse as int"),
+    "verify-workers-zero": (["verify"] + _sets("workers=0"),
+                            "bad probe config: workers must be >= 1"),
+    "probe-workers-negative": (["probe"] + _sets("workers=-2"),
+                               "bad probe config: workers must be >= 1"),
     "config-file-line": (["grid", "--config", "{config}"],
                          "bad grid config: line 2: expected key=value"),
     "config-file-not-utf8": (["grid", "--config", "{binary}"],
@@ -301,12 +305,20 @@ def test_verify_core_suite(tmp_path):
         _assert_plain_float_rows(outdir / name, 4)
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    from grushin.reductions import default_workers
+def test_the_environment_sets_no_worker_count(monkeypatch):
+    """Only the ``workers`` config key sets the thread count: with no
+    count given, ``parallel_map`` starts no thread whatever the
+    environment."""
+    import threading
+
+    from grushin.reductions import parallel_map
+
+    def no_thread(self):
+        raise AssertionError("parallel_map started a thread")
+
     monkeypatch.setenv("GRUSHIN_WORKERS", "3")
-    assert default_workers() == 3
-    monkeypatch.setenv("GRUSHIN_WORKERS", "junk")
-    assert default_workers() == 1
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert parallel_map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
 
 
 # The probe functions the table in grushin.cli calls, by module-global name.

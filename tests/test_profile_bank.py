@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_field
+from conftest import random_field, riesz_symbol_1d
 from grushin.calculus import apply_linear_multiplier_gridded, build_atoms
 from grushin.dims import Dims
 from grushin.fields import SpectralField, analyze, profile_tensor, synthesize
@@ -15,7 +15,6 @@ from grushin.hermite import (_profile_rows, multi_index_degrees,
                              multi_indices_upto, scaled_hermite_eval,
                              scaled_profile_bank, scaled_profile_matrix)
 from grushin.riesz import _weighted_profiles
-from grushin.symbols import riesz_symbol_1d
 
 DIMS = [(1, 1), (2, 1), (1, 2), (2, 2)]
 

@@ -10,9 +10,9 @@ from grushin.riesz import (bilinear_apply_direct, bilinear_apply_separated,
                            truncated_series_symbol)
 from grushin.symbols import (DyadicPiece, RieszParams, Symbol2D,
                              bump_symbol_1d, dyadic_piece_symbol,
-                             riesz_symbol, riesz_symbol_1d, tensor_symbol)
+                             riesz_symbol, tensor_symbol)
 
-from conftest import random_field
+from conftest import random_field, riesz_symbol_1d
 
 SAFE_BAND = (0.34, 0.495)   # live eigenvalues clear of the shell windows
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from grushin.symbols import (DyadicCutoff, DyadicPiece, RieszParams,
-                             builtin_symbol, distinct, riesz_symbol_1d,
+                             builtin_symbol, distinct,
                              Symbol2D, bump_symbol_1d, dyadic_bump,
                              dyadic_piece_profile, dyadic_piece_symbol,
                              plateau, riesz_symbol,
                              SeparableSymbol2D, tensor_symbol, truncated_power)
+
+from conftest import riesz_symbol_1d
 
 
 @pytest.fixture(scope="module")

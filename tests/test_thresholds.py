@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grushin.dims import Dims
-from grushin.thresholds import (RegionVerdict, figure_corners, threshold,
-                                threshold_table)
+from grushin.thresholds import (RegionVerdict, figure_corners, reciprocal,
+                                threshold, threshold_table)
 
 D11 = Dims(1, 1)
 INV = st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0])
@@ -85,6 +85,26 @@ def test_symmetry(u, v):
     assert (a.threshold is None) == (b.threshold is None)
     if a.threshold is not None:
         assert a.threshold == pytest.approx(b.threshold, abs=1e-12)
+
+
+# B(f, g) = B(g, f), so swapping (p1, p2) swaps each _a region with its _b
+MIRROR = {"III_a": "III_b", "III_b": "III_a", "IV_a": "IV_b", "IV_b": "IV_a"}
+
+
+@pytest.mark.parametrize("variant", ["general", "restricted"])
+@pytest.mark.parametrize("d1, d2", [(d1, d2) for d1 in (1, 2, 3)
+                                    for d2 in (1, 2, 3)])
+def test_mirror_is_exact_on_the_lattice(d1, d2, variant):
+    dims, n = Dims(d1, d2), 20
+    for i in range(n + 1):
+        for j in range(n + 1):
+            p1, p2 = reciprocal(i / n), reciprocal(j / n)
+            a = threshold(p1, p2, dims, variant)
+            b = threshold(p2, p1, dims, variant)
+            # repr tells 0.0 from -0.0, so the thresholds agree bit for bit
+            assert repr(b.threshold) == repr(a.threshold), (i, j)
+            assert b.region == MIRROR.get(a.region, a.region), (i, j)
+            assert b.source == a.source
 
 
 def test_nonnegative_and_dims_identity():

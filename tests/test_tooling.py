@@ -1,7 +1,7 @@
 """Every name the benchmark traces and the package exports exists, so a
 change that deletes one fails here rather than in a traced benchmark run;
-the CLI keeps one error boundary, and the probes' verdicts are set in one
-layer."""
+the CLI keeps one error boundary, the probes' verdicts are set in one
+layer, and no setting comes from the environment."""
 
 import ast
 import importlib
@@ -89,3 +89,21 @@ def test_verdicts_are_set_by_the_report_constructors():
         "riesz.dilation_covariance_check",
         "verifier.weighted_plancherel_probe"]
     assert "report.ProbeReport.slope_bound" in found
+
+
+def _reads_environment(node) -> bool:
+    """``os.environ`` or ``os.getenv``, as an attribute or an import."""
+    names = ("environ", "getenv")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in names for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_settings_come_only_from_the_config():
+    """A run is replayed from its manifest, so no setting may come from the
+    environment, which the manifest does not record."""
+    found = [scope for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _scopes(ast.parse(path.read_text()), path.stem,
+                                  _reads_environment)]
+    assert found == []
