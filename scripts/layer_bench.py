@@ -31,7 +31,10 @@ The configurations are those of ``grushin verify --suite decay`` on the
 * ``truncated_series_symbol``: truncation 2048 at the distinct
   eigenvalues of both decay fields, j = 1, 3, 6, computed afresh, and
   (``carried``) from that expansion, which reads the coefficient table
-  the expansion carries where the library keeps one;
+  the expansion carries where the library keeps one; and (``shared``,
+  j = 1) with the series trig tables made once beforehand
+  (``riesz.series_trig``), as the decay probes share them among their
+  pieces, where the library has them;
 * ``_bilinear_contract``: that symbol on the distinct eigenvalue pairs,
   contracted against the atoms of the two decay fields (as
   ``bilinear_apply_separated`` does), j = 1, 3, 6;
@@ -97,7 +100,7 @@ REPEATS = 5
 def _layers():
     """(name, zero-argument callable) for every timed configuration."""
     import numpy as np
-    from grushin import calculus
+    from grushin import calculus, riesz
     from grushin.calculus import (apply_linear_multiplier_gridded,
                                   bilinear_kernel_batch, bilinear_weighted_l2,
                                   build_atoms, linear_first_layer_weighted_l2,
@@ -126,6 +129,9 @@ def _layers():
     inv_g = inv_g.reshape(g.eigenvalues.shape)
     ls = np.arange(0, 2049)
 
+    shared = ({"trig": riesz.series_trig(2048, uniq_g)}
+              if hasattr(riesz, "series_trig") else {})
+
     out = []
     for j in (1, 3, 6):
         piece = DyadicPiece(j, 1.0)
@@ -137,6 +143,10 @@ def _layers():
                                                     l_cap=2048).tail_bound))
         out.append((f"truncated_series_symbol[j={j}]",
                     lambda e=exp: truncated_series_symbol(e, uniq_f, uniq_g)))
+        if j == 1:
+            out.append(("truncated_series_symbol[j=1,shared]",
+                        lambda e=exp: truncated_series_symbol(
+                            e, uniq_f, uniq_g, **shared)))
         built = build_expansion(piece, eta1_samples=live, l_cap=2048)
         out.append((f"truncated_series_symbol[j={j},carried]",
                     lambda e=built: truncated_series_symbol(e, uniq_f,

@@ -41,8 +41,8 @@ def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
     return _bilinear_contract(table, inv_f, inv_g, f, g, grid)
 
 
-# Node rows per block of the contraction: 8 rows keep each (g-nodes, rows,
-# x') temporary near 1.7 MB on the ``decay`` grid.
+# Node rows per block of the contraction: 8 rows keep each of its two
+# (g-nodes, rows, x') buffers near 1.7 MB on the ``decay`` grid.
 _CONTRACT_ROWS = 8
 # Samples per chunk of the series coefficient table: 2^17 keeps it near
 # 1 MB; 2^18 peaked 1.7 MB higher in the README ``riesz`` runs.
@@ -84,19 +84,23 @@ def _contract_blocks(table, inv_f, inv_g, pf, pg):
     block, the levels a of f where the symbol lives (the rest is exactly
     zero).  Per block and level, one batched matmul over the g-nodes j
     contracts the symbol (j, i, b) with g's profiles (j, b, x') over b,
-    times f's profiles at level a."""
+    times f's profiles at level a.  Each block refills one D buffer."""
     live = table != 0
     f_live = np.any(live, axis=1)[inv_f]                  # (nodes, levels)
     g0, g1 = _span(np.any(np.any(live, axis=0)[inv_g], axis=1))
     # a real table multiplies g's profiles as float pairs: one real GEMM
     rhs = pg[g0:g1] if np.iscomplexobj(table) else pg[g0:g1].view(float)
     stop = _span(np.any(f_live, axis=1))[1]
+    shape = (g1 - g0, min(_CONTRACT_ROWS, stop), pf.shape[2])
+    d_buf, p_buf = np.empty(shape, complex), np.empty(shape, complex)
     for c0 in range(0, stop, _CONTRACT_ROWS):
         c1 = min(c0 + _CONTRACT_ROWS, stop)
-        D = np.zeros((g1 - g0, c1 - c0, pf.shape[2]), dtype=complex)
+        D, prod = d_buf[:, :c1 - c0], p_buf[:, :c1 - c0]
+        D.fill(0.0)
         for a in np.flatnonzero(np.any(f_live[c0:c1], axis=0)):
             m = table[inv_f[c0:c1, a]].T[inv_g[g0:g1]]        # (j, b, i)
-            prod = np.matmul(m.transpose(0, 2, 1), rhs).view(complex)
+            np.matmul(m.transpose(0, 2, 1), rhs,
+                      out=prod if np.iscomplexobj(rhs) else prod.view(float))
             prod *= pf[c0:c1, a]
             D += prod
         yield c0, g0, D.transpose(1, 0, 2)
@@ -147,8 +151,9 @@ class FourierSeriesExpansion:
 def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     """Series coefficients by Gauss-Legendre over the eta2 shell window.
 
-    The direct quadrature of the defining integral; used as the oracle
-    for the FFT path and for small |l| sets.  Shape (len(ls), len(eta1)).
+    The direct quadrature of the defining integral, summed node by node;
+    used as the oracle for the FFT path and for small |l| sets.  Shape
+    (len(ls), len(eta1)).
     """
     ls = np.asarray(ls, dtype=int)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
@@ -166,14 +171,11 @@ def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     profile = dyadic_piece_profile(piece)
     vals = profile(1.0 - eta1[None, :] - pts) * (pts >= 0) * (pts <= 1)
     weighted = (weights[:, None] * vals) * rad[None, :]
-    out = np.empty((ls.size, eta1.size), dtype=complex)
-    chunk = max(1, int(2e7 // max(pts.size, 1)))
-    for start in range(0, ls.size, chunk):
-        sub = ls[start:start + chunk]
-        phases = np.exp(-1j * np.pi * sub[:, None, None] * pts[None, :, :])
-        out[start:start + chunk] = 0.5 * np.einsum(
-            "lqn,qn->ln", phases, weighted, optimize=True)
-    return out
+    out = np.zeros((ls.size, eta1.size), dtype=complex)
+    angle = -1j * np.pi * ls[:, None]
+    for at, w in zip(pts, weighted):
+        out += np.exp(angle * at) * w
+    return 0.5 * out
 
 
 def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
@@ -182,12 +184,13 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     The piece is smooth on the period-2 circle in eta2 (its window stays
     interior to [0, 1)), so a uniform-grid FFT is spectrally accurate and
     yields every l at once.  The sample table is band-only
-    (``_shell_table``): each eta1 column is sampled only where
+    (``_shell_band``): each eta1 column is sampled only where
     1 - eta1 - eta2 can lie in the shell, only columns with support are
-    transformed, and the others are zero.  The table is real, so one real
-    FFT gives every l >= 0 and c_{-l} = conj(c_l); n >= 4 max|l| keeps
-    every |l| below n/2.  Chunks of ``_COEFF_SAMPLES // n`` columns keep
-    only the requested |l|.  Small batches (``_quadrature_path``) take
+    transformed (bands cut from one ``_lattice_profile`` if it exists),
+    and the others are zero.  The table is real, so one real FFT gives
+    every l >= 0 and c_{-l} = conj(c_l); n >= 4 max|l| keeps every |l|
+    below n/2.  Chunks of ``_COEFF_SAMPLES // n`` live columns keep only
+    the requested |l|.  Small batches (``_quadrature_path``) take
     Gauss-Legendre, not as a duplicate path: where 1 - eta1 lies in the
     shell the zero extension jumps at eta2 = 0, where the trapezoid rule
     pays O(1/n); at j = 2, eta1 = 0.75, l = 5 the FFT at n = 512 is 5.1 %
@@ -204,11 +207,21 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     # e^{i pi l} / n; n is a power of two, so the scale is exact
     scale = np.where(ls % 2 == 0, 1.0, -1.0) / n
     out = np.zeros((eta1.size, ls.size), dtype=complex)
-    chunk = max(1, _COEFF_SAMPLES // n)
-    for c0 in range(0, eta1.size, chunk):
-        live, table = _shell_table(piece, eta1[c0:c0 + chunk], n)
-        spec = np.fft.rfft(table, axis=1)               # entry l: l >= 0
-        out[c0 + live] = spec[:, np.abs(ls)] * scale
+    live, first, stop = _shell_band(piece, eta1, n)
+    lattice = _lattice_profile(piece, eta1[live], first, stop, n)
+    chunk = max(1, min(_COEFF_SAMPLES // n, live.size))
+    table = None if lattice is None else np.zeros((chunk, n))
+    for c0 in range(0, live.size, chunk):
+        part = slice(c0, c0 + chunk)
+        if table is None:
+            rows = _shell_table(piece, eta1[live[part]], n)[1]
+        else:
+            rows = table[:live[part].size]
+            for row, (a, z, k) in zip(rows, lattice[1][part]):
+                row[a:z] = lattice[0][k:k + z - a]
+        out[live[part]] = np.fft.rfft(rows, axis=1)[:, np.abs(ls)] * scale
+        if table is not None:                           # zeros again
+            table[:, first[part].min():stop[part].max()] = 0.0
     out.imag[:, ls < 0] *= -1.0                         # c_{-l} = conj(c_l)
     return out.T
 
@@ -218,33 +231,45 @@ def _quadrature_path(n_ls: int, l_top: int) -> bool:
     return n_ls * max(l_top, 1) < 4096
 
 
-def _shell_table(piece: DyadicPiece, eta1: np.ndarray, n: int):
-    """The piece sampled at s = 1 - eta1 - eta2 on the eta2 nodes
-    eta2_k = -1 + 2k/n, zero for eta2 < 0, for the eta1 columns that
-    meet its shell.
-
-    Returns (live, table): the indices of those columns, and their
-    samples as rows of a (len(live), n) table.  Each column is evaluated
-    only on the contiguous band of nodes where s can lie in the shell,
-    widened by two nodes on each side so that rounding at the band's
-    edges cannot drop a node where the piece is nonzero; every entry is
-    the same float as in a full (n, len(eta1)) evaluation.
-    """
+def _shell_band(piece: DyadicPiece, eta1: np.ndarray, n: int):
+    """(live, first, stop): the eta1 columns that meet the piece's shell,
+    each with its band [first, stop) of nodes eta2_k = -1 + 2k/n >= 0, two
+    nodes wider each side, so that rounding drops no node in the shell."""
     half = n // 2
     lo_s, hi_s = piece.shell
     rest = 1.0 - eta1
     first = np.clip(np.floor((rest - hi_s + 1.0) * half) - 2, half, n)
     stop = np.clip(np.ceil((rest - lo_s + 1.0) * half) + 3, half, n)
     live = np.flatnonzero(stop > first)
-    first = first[live].astype(int)
-    width = stop[live].astype(int) - first
+    return live, first[live].astype(int), stop[live].astype(int)
+
+
+def _shell_table(piece: DyadicPiece, eta1: np.ndarray, n: int):
+    """(live, table): the piece at s = 1 - eta1 - eta2 on each live band
+    (``_shell_band``), zero elsewhere, as rows of a (len(live), n) table;
+    the same floats as a full (n, len(eta1)) evaluation."""
+    live, first, stop = _shell_band(piece, eta1, n)
+    width = stop - first
     cols = np.repeat(np.arange(live.size), width)
     rows = first[cols] + np.arange(cols.size) - (np.cumsum(width) - width)[cols]
     eta2 = -1.0 + 2.0 * np.arange(n) / n
     table = np.zeros((live.size, n))
-    table[cols, rows] = dyadic_piece_profile(piece)(rest[live][cols]
+    table[cols, rows] = dyadic_piece_profile(piece)((1.0 - eta1[live])[cols]
                                                     - eta2[rows])
     return live, table
+
+
+def _lattice_profile(piece: DyadicPiece, eta1, first, stop, n: int):
+    """The piece at s = 2i/n, i decreasing, over the bands, and each band
+    as (first, stop, its first index in that array); None unless each
+    1 - eta1 is a multiple of 2/n, where the bands are ``_shell_table``'s."""
+    m = (1.0 - eta1) * (n // 2)               # exact: n is a power of two
+    if not np.all(m == np.floor(m)):
+        return None
+    top = m.astype(int) + n // 2 - first      # i at each band's first node
+    hi = int(np.max(top, initial=0))
+    s = np.arange(hi, np.min(top - (stop - first), initial=hi), -1) * (2.0 / n)
+    return dyadic_piece_profile(piece)(s), np.c_[first, stop, hi - top].tolist()
 
 
 def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
@@ -286,33 +311,50 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
 
 
 def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
-                            truncation: int | None = None) -> np.ndarray:
+                            truncation: int | None = None,
+                            trig=None) -> np.ndarray:
     """m_L(eta1, eta2) = sum_{|l| <= L} coeff_l(eta1) e^{i pi l eta2}
     times the plateau in eta2; the truncated separated symbol.
 
     The piece is real, so coeff_{-l} = conj(coeff_l) and the sum is
     Re c_0 + 2 sum_{l >= 1} (Re c_l cos(pi l eta2) - Im c_l sin(pi l eta2)):
-    one pair of real matrix products, taken only over the eta1 whose
-    coefficients are not all zero (those meeting the shell) and the eta2
-    inside the plateau's support.  Every other entry is exactly zero.
+    one pair of real matrix products with ``series_trig(L' >= L, eta2)``
+    (``trig``, if given), taken only over the eta1 whose coefficients are
+    not all zero (those meeting the shell; a run of the carried table's
+    columns is read in place) and the eta2 inside the plateau's support.
+    Every other entry is exactly zero.
     Returns float64, shape (len(eta1), len(eta2)).
     """
     L = exp.truncation if truncation is None else int(truncation)
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
     eta2 = np.atleast_1d(np.asarray(eta2, dtype=float))
-    ls = np.arange(0, L + 1)
     table, at = _coeff_table(exp, L, eta1)
     rows = np.flatnonzero(np.append(np.any(table, axis=0), False)[at])
-    c = table[:, at[rows]]
+    k = at[rows]
+    run = table is exp.coeffs and k.size and np.all(np.diff(k) == 1)
+    c = table[:, k[0]:k[-1] + 1] if run else table[:, k]
     del table        # a computed table is freed before the trig ones
-    c[1:] *= 2.0
     plat = plateau(eta2)
     cols = np.flatnonzero(plat)
-    angle = np.pi * np.multiply.outer(ls, eta2[cols])     # (L+1, n2 live)
+    cos, sin = (series_trig(L, eta2) if trig is None else trig)[:, :L + 1]
     out = np.zeros((eta1.size, eta2.size))
-    out[np.ix_(rows, cols)] = (c.real.T @ np.cos(angle)
-                               - c.imag.T @ np.sin(angle)) * plat[cols]
+    out[np.ix_(rows, cols)] = (c.real.T @ cos - c.imag.T @ sin) * plat[cols]
     return out
+
+
+def series_trig(L: int, eta2) -> np.ndarray:
+    """(cos, sin)(pi l eta2), l = 0..L, at the float eta2 inside the
+    plateau's support, as one read-only (2, L+1, n) block made in place;
+    rows l >= 1 doubled, the same products as doubled coefficients."""
+    eta2 = eta2[np.flatnonzero(plateau(eta2))]
+    trig = np.empty((2, L + 1, eta2.size))
+    np.multiply.outer(np.arange(0, L + 1), eta2, out=trig[1])
+    trig[1] *= np.pi
+    np.cos(trig[1], out=trig[0])
+    np.sin(trig[1], out=trig[1])
+    trig[:, 1:] *= 2.0
+    trig.flags.writeable = False
+    return trig
 
 
 def _coeff_table(exp: FourierSeriesExpansion, L: int, eta1: np.ndarray):
@@ -331,7 +373,8 @@ def _coeff_table(exp: FourierSeriesExpansion, L: int, eta1: np.ndarray):
 
 def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
                              g: SpectralField, grid: Grid,
-                             truncation: int | None = None) -> GriddedField:
+                             truncation: int | None = None,
+                             trig=None) -> GriddedField:
     """Separated evaluation: the truncated series sum over l of
     (coefficient multiplier applied to f) times (companion multiplier
     applied to g).
@@ -346,7 +389,7 @@ def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
     part of the reported truncation tail.
     """
     (uf, inv_f), (ug, inv_g) = map(distinct, (f.eigenvalues, g.eigenvalues))
-    table = truncated_series_symbol(exp, uf, ug, truncation)
+    table = truncated_series_symbol(exp, uf, ug, truncation, trig)
     exp.coeffs = None          # read once: not held through the contraction
     return _bilinear_contract(table, inv_f, inv_g, f, g, grid)
 

@@ -26,7 +26,7 @@ from .hermite import multi_index_degrees
 from .report import ProbeReport
 from .reductions import parallel_map
 from .riesz import (bilinear_apply_separated, build_expansion,
-                    fourier_coeff_batch)
+                    fourier_coeff_batch, series_trig)
 from .symbols import (DyadicCutoff, DyadicPiece, Symbol1D, bump_symbol_1d,
                       dyadic_piece_symbol, indicator_symbol_1d, tensor_symbol)
 from .thresholds import reciprocal, threshold
@@ -430,10 +430,14 @@ def _decay_probe(alpha: float, j_range, seed: int, grid: Grid,
         return ProbeReport.slope_bound(j_values, [0.0] * len(j_values), bound,
                                        alpha=alpha)
 
+    cap = 2048   # one trig table for every piece, made at the first symbol
+    trig = lru_cache(None)(lambda: series_trig(cap, np.unique(g.eigenvalues)))
+
     def one_j(j):
         exp = build_expansion(DyadicPiece(j, alpha),
-                              eta1_samples=live_eigenvalues(f), l_cap=2048)
-        return out_norm(bilinear_apply_separated(exp, f, g, grid)), exp
+                              eta1_samples=live_eigenvalues(f), l_cap=cap)
+        return out_norm(bilinear_apply_separated(exp, f, g, grid,
+                                                  trig=trig())), exp
 
     n, exps = zip(*parallel_map(one_j, j_values, workers))
     return ProbeReport.slope_bound(

@@ -1,8 +1,11 @@
-"""Band-only series tables (whole or in chunks), the real-form series
-symbol, the coefficient table an expansion carries, the flat x''-binning
-and the real-FFT Sobolev norm, each against the dense or fresh form it
-replaces, kept here as the oracle."""
+"""Band-only series tables (whole or in chunks, from the lattice profile
+or band by band), the node-by-node quadrature, the real-form series
+symbol and its shared trig tables, the coefficient table an expansion
+carries, the flat x''-binning and the real-FFT Sobolev norm, each against
+the dense or fresh form it replaces, kept here as the oracle; and the
+traced memory of a decay expansion and contraction."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,12 +15,14 @@ from grushin import riesz
 from grushin.calculus import PaddingError, sobolev_product_norm
 from grushin.dims import Dims
 from grushin.grid import GridSpec, make_grid
-from grushin.riesz import (FourierSeriesExpansion, _shell_table,
-                           build_expansion, fourier_coeff_batch,
-                           fourier_coeff_quadrature,
+from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
+                           _shell_table, build_expansion, fourier_coeff_batch,
+                           fourier_coeff_quadrature, series_trig,
                            truncated_series_symbol)
-from grushin.symbols import DyadicPiece, Symbol2D, dyadic_piece_profile, plateau
-from grushin.verifier import _decay_fields, live_eigenvalues, probe_grid
+from grushin.symbols import (DyadicPiece, Symbol2D, distinct,
+                             dyadic_piece_profile, plateau)
+from grushin.verifier import (_decay_fields, family_fields, live_eigenvalues,
+                              probe_grid)
 
 
 def _table_size(piece, ls):
@@ -119,6 +124,186 @@ def test_coefficient_chunks_do_not_change_a_bit(j, monkeypatch):
     # the tolerance of the FFT path against quadrature on the shell window
     ref = fourier_coeff_quadrature(piece, ls[::4], eta1[::32])
     assert np.max(np.abs(whole[::4, ::32] - ref)) <= 1e-4
+
+
+def _band_oracle(piece, ls, eta1):
+    """Every band evaluated by ``_shell_table`` in one table and one real
+    FFT: the coefficients as the band-by-band path computes them."""
+    n = _table_size(piece, ls)
+    live, table = _shell_table(piece, eta1, n)
+    out = np.zeros((eta1.size, ls.size), dtype=complex)
+    out[live] = np.fft.rfft(table, axis=1)[:, np.abs(ls)] \
+        * (np.where(ls % 2 == 0, 1.0, -1.0) / n)
+    out.imag[:, ls < 0] *= -1.0
+    return out.T
+
+
+def _expansion_batches(piece, eta1, l_cap, monkeypatch):
+    """The l-ranges of the FFT-path batches ``build_expansion`` asks for."""
+    asked = []
+
+    def recorded(p, ls, e):
+        asked.append(np.asarray(ls))
+        return fourier_coeff_batch(p, ls, e)
+
+    monkeypatch.setattr(riesz, "fourier_coeff_batch", recorded)
+    build_expansion(piece, eta1_samples=eta1, l_cap=l_cap)
+    monkeypatch.undo()
+    return [ls for ls in asked
+            if not riesz._quadrature_path(ls.size, int(ls.max()))]
+
+
+def _shell_table_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _shell_table(*args)
+
+    monkeypatch.setattr(riesz, "_shell_table", counted)
+    return calls
+
+
+# (grid, the first field of the decay probes or of the README riesz run,
+# the expansion's cap there)
+EIGEN_GRIDS = {
+    "decay": (lambda g: _decay_fields("hermite-bump", 0, g)[0], 2048),
+    "riesz": (lambda g: family_fields("hermite-bump", g, 0,
+                                      band=(0.34, 0.495)), 8192),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIGEN_GRIDS))
+@pytest.mark.parametrize("j", range(1, 7))
+def test_lattice_tables_are_the_band_tables_bit_for_bit(name, j, monkeypatch):
+    fields, l_cap = EIGEN_GRIDS[name]
+    eta1 = live_eigenvalues(fields(probe_grid(name)))
+    piece = DyadicPiece(j, 1.0)
+    batches = _expansion_batches(piece, eta1, l_cap, monkeypatch)
+    assert batches
+    calls = _shell_table_calls(monkeypatch)
+    for ls in batches:
+        got = fourier_coeff_batch(piece, ls, eta1)
+        assert np.any(got) and np.array_equal(got, _band_oracle(piece, ls,
+                                                                eta1))
+    assert not calls          # every eigenvalue is on the lattice
+
+
+def test_off_lattice_eta1_takes_the_band_path(monkeypatch):
+    piece = DyadicPiece(2, 1.0)
+    ls = np.arange(-64, 1025)
+    lattice = np.linspace(0.0, 1.0, 65)            # multiples of 2^-6
+    off = 0.8 + 1e-3                               # 1 - off lies in the shell
+    calls = _shell_table_calls(monkeypatch)
+    for eta1, band_path in ((lattice, False), (np.array([off]), True),
+                            (np.insert(lattice, 20, off), True),
+                            (np.append(lattice, 3.0 + 1e-3), False)):
+        calls.clear()
+        got = fourier_coeff_batch(piece, ls, eta1)
+        assert bool(calls) == band_path
+        assert np.any(got) and np.array_equal(got, _band_oracle(piece, ls,
+                                                                eta1))
+
+
+def _einsum_quadrature(piece, ls, eta1):
+    """Gauss-Legendre with every phase held: one (l, node, eta1) table and
+    one einsum over the nodes."""
+    ls = np.asarray(ls)
+    width = 1.5 * 2.0 ** (-piece.j)
+    phase = np.pi * int(np.max(np.abs(ls))) * width
+    n_quad = int(max(48, np.ceil(0.75 * phase) + 24))
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    lo_s, hi_s = piece.shell
+    lo = np.maximum(1.0 - eta1 - hi_s, 0.0)
+    hi = np.maximum(np.minimum(1.0 - eta1 - lo_s, 1.0), lo)
+    rad = 0.5 * (hi - lo)
+    pts = 0.5 * (hi + lo)[None, :] + rad[None, :] * nodes[:, None]
+    vals = dyadic_piece_profile(piece)(1.0 - eta1[None, :] - pts) \
+        * (pts >= 0) * (pts <= 1)
+    phases = np.exp(-1j * np.pi * ls[:, None, None] * pts[None, :, :])
+    return 0.5 * np.einsum("lqn,qn->ln", phases,
+                           (weights[:, None] * vals) * rad[None, :],
+                           optimize=True)
+
+
+def test_node_by_node_quadrature_is_the_einsum_bit_for_bit():
+    # The j = 1 expansion's octave l = 33..64 at the decay eigenvalues
+    # (7.7 MB of phases as one table), and other small batches.
+    f, _ = _decay_fields("hermite-bump", 0, probe_grid("decay"))
+    live = live_eigenvalues(f)
+    assert riesz._quadrature_path(32, 64)
+    for j, ls, eta1 in ((1, np.arange(33, 65), live),
+                        (1, np.arange(0, 9), live),
+                        (2, np.array([-3, 0, 5]), np.linspace(0.0, 1.0, 9)),
+                        (4, np.arange(-20, 30), np.linspace(0.0, 1.0, 200))):
+        piece = DyadicPiece(j, 1.0)
+        got = fourier_coeff_quadrature(piece, ls, eta1)
+        assert np.any(got)
+        assert np.array_equal(got, _einsum_quadrature(piece, ls, eta1))
+
+
+def _doubled_coeff_symbol(exp, eta1, eta2):
+    """The real-form series as first written: 2 c_l (l >= 1), gathered
+    live columns, against cos and sin tables made afresh."""
+    ls = np.arange(0, exp.truncation + 1)
+    c = fourier_coeff_batch(exp.piece, ls, eta1)
+    rows = np.flatnonzero(np.any(c, axis=0))
+    c = c[:, rows]
+    c[1:] *= 2.0
+    cols = np.flatnonzero(plateau(eta2))
+    angle = np.pi * np.multiply.outer(ls, eta2[cols])
+    out = np.zeros((eta1.size, eta2.size))
+    out[np.ix_(rows, cols)] = (c.real.T @ np.cos(angle)
+                               - c.imag.T @ np.sin(angle)) * plateau(eta2)[cols]
+    return out
+
+
+def test_shared_series_trig_tables_change_no_bit():
+    # The decay probes' call: one table at the cap, read by every piece.
+    # (A carried table's run of live columns, read in place, is checked
+    # against the gathered fresh table below.)
+    f, g = _decay_fields("hermite-bump", 0, probe_grid("decay"))
+    uf, ug = distinct(f.eigenvalues)[0], distinct(g.eigenvalues)[0]
+    trig = series_trig(2048, ug)
+    assert trig.shape == (2, 2049, np.count_nonzero(plateau(ug)))
+    with pytest.raises(ValueError):
+        trig[0, 0, 0] = 1.0
+    for L in (2048, 512):               # the cap and below it
+        exp = FourierSeriesExpansion(DyadicPiece(3, 1.0), truncation=L)
+        alone = truncated_series_symbol(exp, uf, ug)
+        assert np.any(alone)
+        assert np.array_equal(alone, _doubled_coeff_symbol(exp, uf, ug))
+        assert np.array_equal(truncated_series_symbol(exp, uf, ug, trig=trig),
+                              alone)
+    with pytest.raises(ValueError):     # a table shorter than the series
+        truncated_series_symbol(replace(exp, truncation=4096), uf, ug,
+                                trig=trig)
+
+
+def _traced_transient_mb(call) -> float:
+    """The peak traced allocation of ``call`` above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - held) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_decay_expansion_and_contraction_stay_in_their_memory():
+    # About 16.7 and 10.7 MB with per-chunk tables, 2e7-entry quadrature
+    # phases and a fresh D and product per contraction block.
+    grid = probe_grid("decay")
+    f, g = _decay_fields("hermite-bump", 0, grid)
+    piece = DyadicPiece(1, 1.0)
+    assert _traced_transient_mb(lambda: build_expansion(
+        piece, eta1_samples=live_eigenvalues(f), l_cap=2048)) <= 12.0
+    (uf, inv_f), (ug, inv_g) = distinct(f.eigenvalues), distinct(g.eigenvalues)
+    table = truncated_series_symbol(
+        FourierSeriesExpansion(piece, truncation=2048), uf, ug)
+    assert _traced_transient_mb(lambda: _bilinear_contract(
+        table, inv_f, inv_g, f, g, grid)) <= 8.0
 
 
 def test_expansions_on_the_decay_eigenvalues_keep_their_cutoffs():
