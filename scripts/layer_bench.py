@@ -71,6 +71,13 @@ that caches the grid's profile bank (``calculus._grid_bank``) reads it
 from the cache after the warm-up call, as a probe does after its first
 call on a grid;
 
+and the field CSV of the README ``grushin riesz`` example (its grid,
+alpha = 1, library seed 3):
+
+* ``write_field_csv``: the bilinear mean of the piece j = 3, and of the
+  piece j = 6, which is zero on that grid, each written to a temporary
+  file; the checksum is the sum of the file's bytes;
+
 and those of ``grushin verify --suite kernel`` on the ``decay`` grid,
 alpha = 1:
 
@@ -90,6 +97,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -107,10 +115,12 @@ def _layers():
                                   restriction_apply_l2,
                                   second_layer_channel_l2,
                                   sobolev_product_norm)
-    from grushin.fields import GriddedField
+    from grushin.dims import Dims
+    from grushin.fields import GriddedField, write_field_csv
+    from grushin.grid import GridSpec, make_grid
     from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
-                               build_expansion, fourier_coeff_batch,
-                               truncated_series_symbol)
+                               bilinear_apply_direct, build_expansion,
+                               fourier_coeff_batch, truncated_series_symbol)
     from grushin.symbols import (DyadicCutoff, DyadicPiece, bump_symbol_1d,
                                  dyadic_piece_symbol, indicator_symbol_1d,
                                  tensor_symbol)
@@ -224,6 +234,25 @@ def _layers():
         sym = dyadic_piece_symbol(DyadicPiece(j, 1.0))
         out.append((f"dyadic_piece_symbol[j={j}]",
                     lambda s=sym: s(eigen[:, None], eigen[None, :])))
+
+    readme = GridSpec(x1_extent=28.0, x1_count=56, x2_count=128,
+                      lambda_min=0.015625, lambda_max=0.5, lambda_count=32)
+    rgrid = make_grid(Dims(1, 1), readme)
+    rf, rg = (family_fields("hermite-bump", rgrid, s, band=(0.34, 0.495))
+              for s in (3, 4))
+    tmp = tempfile.TemporaryDirectory()     # removed when the child exits
+
+    def written(h):
+        path = os.path.join(tmp.name, "field.csv")
+        write_field_csv(h, path, ["config_hash=0"])
+        with open(path, "rb") as fh:
+            return np.frombuffer(fh.read(), np.uint8)
+
+    for j in (3, 6):
+        h = bilinear_apply_direct(dyadic_piece_symbol(DyadicPiece(j, 1.0)),
+                                  rf, rg, rgrid)
+        out.append((f"write_field_csv[readme,j={j}]",
+                    lambda h=h: written(h)))
     return out
 
 

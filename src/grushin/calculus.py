@@ -18,7 +18,7 @@ from .dims import ConfigError
 from .fields import GriddedField, SpectralField
 from .grid import Grid, GridError
 from .hermite import _profile_rows, multi_index_degrees, multi_indices_upto
-from .reductions import pairwise_sum
+from .reductions import gauss_legendre, pairwise_sum
 from .symbols import SeparableSymbol2D, Symbol1D, Symbol2D
 
 
@@ -363,7 +363,7 @@ def _power_cos_moments(p: float, k_max: int) -> np.ndarray:
     read-only: every Gram of a probe asks for one of a few (p, k_max).
     """
     panels = max(2 * k_max, 64)
-    nodes, wts = np.polynomial.legendre.leggauss(8)
+    nodes, wts = gauss_legendre(8)
     h = 1.0 / panels
     t = 0.5 * (1.0 + nodes)
     s = (np.arange(panels)[:, None] + t) * h               # (P, 8)

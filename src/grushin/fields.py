@@ -20,7 +20,6 @@ from .dims import ConfigError, Dims
 from .grid import Grid, GridError, nearest_node, trapezoid_weights
 from .hermite import multi_index_degrees, scaled_profile_bank
 from .reductions import pairwise_sum
-from .report import csv_row
 
 FIELD_MAGIC = b"GRSH1"
 
@@ -287,15 +286,17 @@ def read_field_binary(path: str, grid: Grid) -> GriddedField:
 
 
 def write_field_csv(h: GriddedField, path: str, comments: list[str] | None = None):
-    """One node per row: x' coordinates, x'' coordinates, re, im."""
+    """One node per row: x' coordinates, x'' coordinates, re, im, each the
+    ``repr`` of a float (``report.csv_row``'s text); one write per x'-row."""
     grid = h.grid
+    x1, x2 = (["".join(f"{c!r}," for c in node) for node in points.tolist()]
+              for points in (grid.x1_points, grid.x2_points))
     with open(path, "w") as fh:
         for line in comments or []:
             fh.write(f"# {line}\n")
         d1, d2 = grid.dims.d1, grid.dims.d2
         cols = [f"x1_{j}" for j in range(d1)] + [f"x2_{j}" for j in range(d2)]
         fh.write(",".join(cols + ["re", "im"]) + "\n")
-        x2 = grid.x2_points.tolist()
-        for x1, row in zip(grid.x1_points.tolist(), h.values):
-            for x2_j, v in zip(x2, row.tolist()):
-                fh.write(csv_row(*x1, *x2_j, v.real, v.imag))
+        for x1_i, row in zip(x1, h.values):
+            fh.write("".join([f"{x1_i}{x2_j}{v.real!r},{v.imag!r}\n"
+                              for x2_j, v in zip(x2, row.tolist())]))

@@ -1,4 +1,4 @@
-"""Deterministic reductions and worker-count-independent parallel mapping.
+"""Deterministic reductions, Gauss-Legendre rules and parallel mapping.
 
 Every summation that defines a library result goes through
 ``pairwise_sum`` so the floating-point tree shape is fixed by the data
@@ -8,6 +8,8 @@ bit-identical for any worker count.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +30,15 @@ def pairwise_sum(values, axis: int = 0):
         else:
             a = a[0::2] + a[1::2]
     return a[0]
+
+
+@lru_cache(maxsize=16)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point rule on [-1, 1].
+    numpy.polynomial loads on first use: importing it slows start-up."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def parallel_map(fn, items, workers: int | None = None) -> list:

@@ -20,6 +20,7 @@ import numpy as np
 from .fields import GriddedField, SpectralField, dilate_gridded, dilate_spectral
 from .grid import Grid, GridError, nearest_node
 from .hermite import scaled_profile_bank
+from .reductions import gauss_legendre
 from .report import ProbeReport
 from .symbols import (DyadicPiece, RieszParams, Symbol2D, distinct,
                       dyadic_piece_profile, plateau, riesz_symbol)
@@ -44,9 +45,9 @@ def bilinear_apply_direct(m: Symbol2D, f: SpectralField, g: SpectralField,
 # Node rows per block of the contraction: 8 rows keep each of its two
 # (g-nodes, rows, x') buffers near 1.7 MB on the ``decay`` grid.
 _CONTRACT_ROWS = 8
-# Samples per chunk of the series coefficient table: 2^17 keeps it near
-# 1 MB; 2^18 peaked 1.7 MB higher in the README ``riesz`` runs.
-_COEFF_SAMPLES = 2 ** 17
+# Samples per chunk of the series coefficient table, which changes no bit:
+# 2^16 (0.5 MB) peaks 2.3 MB lower than 2^17 in the README ``riesz`` runs.
+_COEFF_SAMPLES = 2 ** 16
 
 
 def _bilinear_contract(table: np.ndarray, inv_f: np.ndarray,
@@ -161,7 +162,7 @@ def fourier_coeff_quadrature(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     width = 1.5 * 2.0 ** (-piece.j)
     phase = np.pi * int(np.max(np.abs(ls), initial=1)) * width
     n_quad = int(max(48, np.ceil(0.75 * phase) + 24))
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = gauss_legendre(n_quad)
     lo_s, hi_s = piece.shell                # the eta2 window of the shell
     lo = np.maximum(1.0 - eta1 - hi_s, 0.0)
     hi = np.maximum(np.minimum(1.0 - eta1 - lo_s, 1.0), lo)

@@ -224,10 +224,7 @@ def bump_symbol_1d(lo: float, hi: float) -> Symbol1D:
 
     def ev(e):
         u = (np.asarray(e, dtype=float) - mid) / rad
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out * np.e  # normalized to 1 at the center
+        return _exp_inv(1.0 - u * u) * np.e  # normalized to 1 at the center
 
     return Symbol1D(ev, (lo, hi))
 

@@ -24,7 +24,7 @@ from .geometry import Point, ball_volume, control_distance_batch
 from .grid import Grid, GridSpec, make_grid
 from .hermite import multi_index_degrees
 from .report import ProbeReport
-from .reductions import parallel_map
+from .reductions import gauss_legendre, parallel_map
 from .riesz import (bilinear_apply_separated, build_expansion,
                     fourier_coeff_batch, series_trig)
 from .symbols import (DyadicCutoff, DyadicPiece, Symbol1D, bump_symbol_1d,
@@ -213,9 +213,6 @@ PLANCHEREL_KINDS = ("linear_first_layer", "bilinear", "second_layer",
                     "truncated")
 
 _BASE_POINTS = (0.5, 2.0, 5.0, 12.0, 30.0)
-# Looked up on first use: importing numpy.polynomial slows every start-up.
-_gauss_legendre = lru_cache(maxsize=1)(
-    lambda n: np.polynomial.legendre.leggauss(n))
 
 
 def _first_layer_rhs(F: Symbol1D, gamma: float, y1_norm: float,
@@ -229,7 +226,7 @@ def _first_layer_rhs(F: Symbol1D, gamma: float, y1_norm: float,
     def piece(a, b, small_eta):
         if b <= a:
             return 0.0
-        nodes, w = _gauss_legendre(200)
+        nodes, w = gauss_legendre(200)
         eta = 0.5 * (b + a) + 0.5 * (b - a) * nodes
         vals = np.abs(np.asarray(F(eta))) ** 2 * eta ** (d / 2.0 - 1.0)
         vals = vals * (eta ** (d2 / 2.0 - gamma) if small_eta

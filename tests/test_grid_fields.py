@@ -12,6 +12,7 @@ from grushin.fields import (DegreeError, GriddedField, SpectralField, analyze,
                             mixed_norm, read_field_binary, synthesize,
                             write_field_binary, write_field_csv)
 from grushin.grid import GRID_KEYS, GridError, GridSpec, make_grid
+from grushin.report import csv_row
 
 from conftest import random_field
 
@@ -301,6 +302,58 @@ def test_field_serialization_roundtrip(tmp_path, d1, d2):
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
     assert np.array_equal(rows[:, :d1], np.repeat(g.x1_points, g.n_x2, axis=0))
     assert np.array_equal(rows[:, d1:d1 + d2], np.tile(g.x2_points, (g.n_x1, 1)))
+
+
+def _csv_by_rows(h, path, comments):
+    """The row-by-row field writer, kept as the byte oracle: one
+    ``csv_row`` per node, every coordinate formatted again on every row."""
+    grid = h.grid
+    with open(path, "w") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        d1, d2 = grid.dims.d1, grid.dims.d2
+        cols = [f"x1_{j}" for j in range(d1)] + [f"x2_{j}" for j in range(d2)]
+        fh.write(",".join(cols + ["re", "im"]) + "\n")
+        x2 = grid.x2_points.tolist()
+        for x1, row in zip(grid.x1_points.tolist(), h.values):
+            for x2_j, v in zip(x2, row.tolist()):
+                fh.write(csv_row(*x1, *x2_j, v.real, v.imag))
+
+
+# repr switches to exponent form at 1e16 and below 1e-4
+_SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, -1e16,
+            9999999999999998.0, 1e-5, 1.0000000000000001e-4, 1e-4, 0.1,
+            1.7976931348623157e308, -201.06192982974676]
+
+
+@pytest.mark.parametrize("kind", ["random", "special", "complex64", "zero"])
+@pytest.mark.parametrize("d1,d2", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_field_csv_matches_the_row_by_row_writer(tmp_path, d1, d2, kind):
+    g = make_grid(Dims(d1, d2), GridSpec(
+        x1_extent=8.0, x1_count=16, x2_count=8,
+        lambda_min=0.25, lambda_max=1.0, lambda_count=4))
+    h = synthesize(random_field(g, (0.75, 1.0), 1, seed=9), g)
+    if kind == "special":
+        # every (re, im) pair of special values, then the field's own
+        special = np.array(_SPECIAL)
+        pairs = np.arange(len(special) ** 2)
+        flat = h.values.reshape(-1)
+        assert flat.size >= pairs.size and np.shares_memory(flat, h.values)
+        flat.real[pairs] = special[pairs % len(special)]
+        flat.imag[pairs] = special[pairs // len(special)]
+    elif kind == "complex64":
+        h.values = h.values.astype(np.complex64)    # as handed in, unconverted
+    elif kind == "zero":
+        h = GriddedField(g, np.zeros((g.n_x1, g.n_x2)))
+    comments = ["config_hash=deadbeef", "second line"]
+    write_field_csv(h, str(tmp_path / "new.csv"), comments)
+    _csv_by_rows(h, str(tmp_path / "old.csv"), comments)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    if kind == "special":
+        for text in ("-0.0", "inf", "-inf", "nan", "5e-324", "1e+16",
+                     "9999999999999998.0", "1e-05", "0.0001"):
+            assert f",{text},".encode() in new or f",{text}\n".encode() in new
 
 
 def test_field_serialization_rejects_mismatch(tmp_path, default_grid,

@@ -2,8 +2,9 @@
 or band by band), the node-by-node quadrature, the real-form series
 symbol and its shared trig tables, the coefficient table an expansion
 carries, the flat x''-binning and the real-FFT Sobolev norm, each against
-the dense or fresh form it replaces, kept here as the oracle; and the
-traced memory of a decay expansion and contraction."""
+the dense or fresh form it replaces, kept here as the oracle; the cached
+Gauss-Legendre rule; and the traced memory of a decay expansion and
+contraction."""
 
 import tracemalloc
 from dataclasses import replace
@@ -15,6 +16,7 @@ from grushin import riesz
 from grushin.calculus import PaddingError, sobolev_product_norm
 from grushin.dims import Dims
 from grushin.grid import GridSpec, make_grid
+from grushin.reductions import gauss_legendre
 from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
                            _shell_table, build_expansion, fourier_coeff_batch,
                            fourier_coeff_quadrature, series_trig,
@@ -203,6 +205,16 @@ def test_off_lattice_eta1_takes_the_band_path(monkeypatch):
         assert bool(calls) == band_path
         assert np.any(got) and np.array_equal(got, _band_oracle(piece, ls,
                                                                 eta1))
+
+
+def test_gauss_legendre_is_the_numpy_rule_cached_and_read_only():
+    for n in (8, 48, 53, 200):
+        nodes, weights = gauss_legendre(n)
+        want = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, want[0])
+        assert np.array_equal(weights, want[1])
+        assert gauss_legendre(n)[0] is nodes
+        assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 def _einsum_quadrature(piece, ls, eta1):

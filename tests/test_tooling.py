@@ -1,7 +1,8 @@
 """Every name the benchmark traces and the package exports exists, so a
 change that deletes one fails here rather than in a traced benchmark run;
 the CLI keeps one error boundary, the probes' verdicts are set in one
-layer, and no setting comes from the environment."""
+layer, no setting comes from the environment, and one site builds the
+Gauss-Legendre rule."""
 
 import ast
 import importlib
@@ -107,3 +108,20 @@ def test_settings_come_only_from_the_config():
              for scope in _scopes(ast.parse(path.read_text()), path.stem,
                                   _reads_environment)]
     assert found == []
+
+
+def _calls_leggauss(node) -> bool:
+    """A call of ``leggauss``, however it is reached."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (isinstance(f, ast.Attribute) and f.attr == "leggauss"
+            or isinstance(f, ast.Name) and f.id == "leggauss")
+
+
+def test_one_site_builds_the_gauss_legendre_rule():
+    """Every quadrature reads the cached ``reductions.gauss_legendre``."""
+    found = [scope for path in sorted(PACKAGE.glob("*.py"))
+             for scope in _scopes(ast.parse(path.read_text()), path.stem,
+                                  _calls_leggauss)]
+    assert found == ["reductions.gauss_legendre"]
