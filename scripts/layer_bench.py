@@ -60,6 +60,12 @@ with the probes' bump profile on (0.05, 0.45):
 * ``apply_linear_multiplier_gridded`` of that indicator to the
   restriction probe's bump at x' = 4, width 1, and ``restriction_apply_l2``
   of the same pair at gamma = 0 (the restriction probe's weighted norm);
+* ``lp_norm`` of that (448 x 2,048) bump field at p = 1 (the restriction
+  probe's input norm) and ``mixed_norm`` of it at (p, q) = (2/3, 1) (the
+  mixed decay probe's output norm);
+* the whole restriction probe, ``restriction_probe(0)``, on the
+  ``weighted`` grid and its refinement, with the grids' profile banks
+  warm from the warm-up call;
 * ``_power_cos_moments`` at p = 0.5 and k_max = 460, the u-weight moment
   table of the second-layer forms on that grid, computed afresh through
   its ``__wrapped__`` (the cache would answer every timed call);
@@ -116,7 +122,8 @@ def _layers():
                                   second_layer_channel_l2,
                                   sobolev_product_norm)
     from grushin.dims import Dims
-    from grushin.fields import GriddedField, write_field_csv
+    from grushin.fields import (GriddedField, lp_norm, mixed_norm,
+                                write_field_csv)
     from grushin.grid import GridSpec, make_grid
     from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
                                bilinear_apply_direct, build_expansion,
@@ -126,6 +133,7 @@ def _layers():
                                  tensor_symbol)
     from grushin.verifier import (_stratified_triples, family_fields,
                                   live_eigenvalues, probe_grid,
+                                  restriction_probe,
                                   weighted_plancherel_probe)
 
     grid = probe_grid("decay")
@@ -218,6 +226,11 @@ def _layers():
                 lambda: apply_linear_multiplier_gridded(ind, bump).values))
     out.append(("restriction_apply_l2[indicator,bump x=4,0]",
                 lambda: restriction_apply_l2(ind, bump, 0.0)))
+    out.append(("lp_norm[bump x=4,1]", lambda: lp_norm(bump, 1.0)))
+    out.append(("mixed_norm[bump x=4,2/3,1]",
+                lambda: mixed_norm(bump, 2.0 / 3.0, 1.0)))
+    out.append(("restriction_probe[0,warm]",
+                lambda: np.array(restriction_probe(0.0).details["ratios"])))
     out.append(("_power_cos_moments[p=0.5,460]",
                 lambda: calculus._power_cos_moments.__wrapped__(0.5, 460)))
     out.append(("weighted_plancherel_probe[truncated]",

@@ -239,8 +239,8 @@ def _atom_subset(atoms: SpectralAtoms, keep) -> SpectralAtoms:
 # x'-rows per block of the streamed forward x''-transform: a 1 MB block
 # of the refined ``weighted`` grid's 2,048 x''-nodes
 _FORWARD_ROWS = 32
-# frequency nodes (or x''-bins) per block of the node and bin sums
-_NODE_BLOCK = 32
+# atoms (or sorted rows) per block of the node and bin sums
+_BLOCK_ITEMS = 64
 
 
 def _gridded_coefficients(F: Symbol1D, h: GriddedField):
@@ -284,9 +284,9 @@ def channel_sums(f: Symbol1D, grid: Grid, x1_point) -> tuple:
     """(grid, Z, nodes), read-only: Z[n, i] = sum over the atoms q of
     frequency node nodes[n] of f(eigen_q) w_q Proj_q(x1, y1_i), y1 the
     grid's x' nodes, over every atom of ``_grid_bank(grid, sup supp f)``
-    (where f vanishes they add exact zeros).  Blocks of ``_NODE_BLOCK``
-    whole nodes keep each node's sequential sum and hold no (rows x n1)
-    product."""
+    (where f vanishes they add exact zeros).  Blocks of whole nodes
+    (``_segment_blocks``) keep each node's sequential sum and hold no
+    (rows x n1) product."""
     eta_max = f.support[1]
     atoms, bank, row_atom = _grid_bank(grid, eta_max)
     x1_bank = _base_point_bank(grid, eta_max, tuple(np.ravel(x1_point).tolist()))
@@ -305,11 +305,12 @@ def channel_sums(f: Symbol1D, grid: Grid, x1_point) -> tuple:
 
 
 def _segment_blocks(first: np.ndarray, total: int):
-    """(segments, items, reduceat starts) per block of ``_NODE_BLOCK`` whole
-    segments, segment s being items first[s] .. first[s + 1] - 1 of total."""
+    """(segments, items, reduceat starts) per block of whole segments,
+    segment s being items first[s] .. first[s + 1] - 1 of total: a block
+    takes the segments that start in one run of ``_BLOCK_ITEMS`` items."""
     edge = np.append(first, total)
-    for s0 in range(0, first.size, _NODE_BLOCK):
-        s1 = min(s0 + _NODE_BLOCK, first.size)
+    cuts = np.flatnonzero(np.diff(first // _BLOCK_ITEMS, prepend=-1))
+    for s0, s1 in zip(cuts, np.append(cuts[1:], first.size)):
         yield slice(s0, s1), slice(edge[s0], edge[s1]), first[s0:s1] - edge[s0]
 
 

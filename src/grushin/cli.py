@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .calculus import bilinear_kernel_batch, linear_kernel_batch
 from .dims import ConfigError, Dims, config_value
-from .fields import (analyze, lp_norm, synthesize, write_field_binary,
-                     write_field_csv)
+from .fields import (analyze, lp_norm, support_degree, synthesize,
+                     write_field_binary, write_field_csv)
 from .geometry import Point, weight_integral_check
 from .grid import GRID_KEYS, GridSpec, format_flat_config, make_grid, \
     parse_flat_config
@@ -125,8 +125,10 @@ def cmd_field(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     family = cfg.get("family", "hermite-bump")
     seed = config_value(cfg, "seed", 0)
-    f = family_fields(family, grid, seed,
-                      max_degree=config_value(cfg, "max_degree", 4))
+    # by default degree 4, or the most the grid resolves on the family's band
+    band = family_fields(family, grid, seed, max_degree=0).lambda_abs
+    f = family_fields(family, grid, seed, max_degree=config_value(
+        cfg, "max_degree", max(0, min(4, support_degree(band, grid)))))
     h = synthesize(f, grid)
     out = out or "field"
     write_field_binary(h, out + ".grsh")

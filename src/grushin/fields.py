@@ -19,7 +19,7 @@ import numpy as np
 from .dims import ConfigError, Dims
 from .grid import Grid, GridError, nearest_node, trapezoid_weights
 from .hermite import multi_index_degrees, scaled_profile_bank
-from .reductions import pairwise_sum
+from .reductions import pairwise_levels, pairwise_sum
 
 FIELD_MAGIC = b"GRSH1"
 
@@ -92,15 +92,19 @@ def _support_indices(lambda_support: np.ndarray, grid: Grid) -> np.ndarray:
         raise GridError(f"field support not contained in grid nodes: {e}") from e
 
 
+def support_degree(lam: np.ndarray, grid: Grid) -> int:
+    """Largest degree the grid resolves on all of ``lam`` (its tighter end)."""
+    return min(map(grid.resolvable_degree, (lam.min(), lam.max())))
+
+
 def _check_degree(max_degree: int, lambda_abs: np.ndarray, grid: Grid):
-    """Raise DegreeError unless the grid resolves ``max_degree`` at every
-    |lambda| of the support (the tighter of its two ends)."""
-    lo, hi = float(lambda_abs.min()), float(lambda_abs.max())
-    cap = min(grid.resolvable_degree(lo), grid.resolvable_degree(hi))
+    """Raise DegreeError unless the grid resolves ``max_degree`` there."""
+    cap = support_degree(lambda_abs, grid)
     if max_degree > cap:
         raise DegreeError(
             f"degree {max_degree} unresolvable on support |lambda| in "
-            f"[{lo:.4g}, {hi:.4g}] (grid supports degree <= {cap})")
+            f"[{lambda_abs.min():.4g}, {lambda_abs.max():.4g}] "
+            f"(grid supports degree <= {cap})")
 
 
 def profile_tensor(f: SpectralField, grid: Grid) -> np.ndarray:
@@ -157,33 +161,41 @@ def analyze(h: GriddedField, max_degree: int,
 # ---------------------------------------------------------------------------
 # norms
 
+# x'-rows per block of the norms, 2**6: 6 tree levels reduce a block exactly
+_NORM_ROWS, _NORM_LEVELS = 64, 6
+
+
+def _row_blocks(h: GriddedField):
+    """(x'-weights, |h|) per block of ``_NORM_ROWS`` x'-rows."""
+    for r0 in range(0, h.grid.n_x1, _NORM_ROWS):
+        rows = slice(r0, r0 + _NORM_ROWS)
+        yield h.grid.x1_weights[rows], np.abs(h.values[rows])
+
+
 def lp_norm(h: GriddedField, p: float) -> float:
     """(sum w(x) |h(x)|^p)^(1/p); max for p = inf.  Quasi-norms (p < 1) use
     the same formula."""
     if not (p > 0):
         raise ConfigError(f"p must be positive or inf, got {p}")
-    a = np.abs(h.values)
     if np.isinf(p):
-        return float(a.max(initial=0.0))
-    w = np.multiply.outer(h.grid.x1_weights, h.grid.x2_weights)
-    total = pairwise_sum((w * a ** p).reshape(-1))
-    return float(total ** (1.0 / p))
+        return float(np.max([a.max(initial=0.0) for _, a in _row_blocks(h)]))
+    level = np.concatenate([pairwise_levels(
+        (np.multiply.outer(w1, h.grid.x2_weights) * a ** p).reshape(-1),
+        _NORM_LEVELS) for w1, a in _row_blocks(h)])
+    return float(pairwise_sum(level) ** (1.0 / p))
 
 
 def mixed_norm(h: GriddedField, p: float, q: float) -> float:
     """Inner p-norm over x'' then outer q-norm over x'."""
     if not (p > 0) or not (q > 0):
         raise ConfigError(f"p, q must be positive or inf, got ({p}, {q})")
-    a = np.abs(h.values)  # (n_x1, n_x2)
-    if np.isinf(p):
-        inner = a.max(axis=1, initial=0.0)
-    else:
-        inner = pairwise_sum((a ** p) * h.grid.x2_weights[None, :], axis=1) \
-            ** (1.0 / p)
+    inner = np.concatenate([
+        a.max(axis=1, initial=0.0) if np.isinf(p) else
+        pairwise_sum((a ** p) * h.grid.x2_weights, axis=1) ** (1.0 / p)
+        for _, a in _row_blocks(h)])
     if np.isinf(q):
         return float(inner.max(initial=0.0))
-    outer = pairwise_sum(h.grid.x1_weights * inner ** q)
-    return float(outer ** (1.0 / q))
+    return float(pairwise_sum(h.grid.x1_weights * inner ** q) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------

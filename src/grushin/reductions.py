@@ -20,16 +20,20 @@ def pairwise_sum(values, axis: int = 0):
     The tree is a function of the axis length only, never of execution
     order, so results are reproducible to the last bit.
     """
-    a = np.asarray(values)
-    a = np.moveaxis(a, axis, 0)
+    a = np.moveaxis(np.asarray(values), axis, 0)
     if a.shape[0] == 0:
         return np.zeros(a.shape[1:], dtype=a.dtype)
-    while a.shape[0] > 1:
-        if a.shape[0] % 2:
-            a = np.concatenate([a[:-1:2] + a[1::2], a[-1:]], axis=0)
-        else:
-            a = a[0::2] + a[1::2]
-    return a[0]
+    return pairwise_levels(a, (a.shape[0] - 1).bit_length())[0]
+
+
+def pairwise_levels(a: np.ndarray, levels: int) -> np.ndarray:
+    """``levels`` levels of ``pairwise_sum``'s tree along axis 0.  A block
+    whose start and length are multiples of 2**levels, or that ends the
+    array, reduces to exactly its slice of the whole array's level array."""
+    for _ in range(levels):
+        a = (np.concatenate([a[:-1:2] + a[1::2], a[-1:]], axis=0)
+             if a.shape[0] % 2 else a[0::2] + a[1::2])
+    return a
 
 
 @lru_cache(maxsize=16)

@@ -85,7 +85,9 @@ def _contract_blocks(table, inv_f, inv_g, pf, pg):
     block, the levels a of f where the symbol lives (the rest is exactly
     zero).  Per block and level, one batched matmul over the g-nodes j
     contracts the symbol (j, i, b) with g's profiles (j, b, x') over b,
-    times f's profiles at level a.  Each block refills one D buffer."""
+    times f's profiles at level a: the first live level fills one D buffer,
+    the rest add to it (a -0.0 adds nothing to a spectrum started at +0.0),
+    and a block with none is zero, so it is skipped."""
     live = table != 0
     f_live = np.any(live, axis=1)[inv_f]                  # (nodes, levels)
     g0, g1 = _span(np.any(np.any(live, axis=0)[inv_g], axis=1))
@@ -97,14 +99,17 @@ def _contract_blocks(table, inv_f, inv_g, pf, pg):
     for c0 in range(0, stop, _CONTRACT_ROWS):
         c1 = min(c0 + _CONTRACT_ROWS, stop)
         D, prod = d_buf[:, :c1 - c0], p_buf[:, :c1 - c0]
-        D.fill(0.0)
-        for a in np.flatnonzero(np.any(f_live[c0:c1], axis=0)):
+        levels = np.flatnonzero(np.any(f_live[c0:c1], axis=0))
+        for a in levels:
             m = table[inv_f[c0:c1, a]].T[inv_g[g0:g1]]        # (j, b, i)
+            out = D if a == levels[0] else prod
             np.matmul(m.transpose(0, 2, 1), rhs,
-                      out=prod if np.iscomplexobj(rhs) else prod.view(float))
-            prod *= pf[c0:c1, a]
-            D += prod
-        yield c0, g0, D.transpose(1, 0, 2)
+                      out=out if np.iscomplexobj(rhs) else out.view(float))
+            out *= pf[c0:c1, a]
+            if out is prod:
+                D += prod
+        if levels.size:
+            yield c0, g0, D.transpose(1, 0, 2)
 
 
 def _span(mask: np.ndarray) -> tuple[int, int]:

@@ -489,17 +489,13 @@ def restriction_probe(gamma: float = 0.0) -> ProbeReport:
     F = indicator_symbol_1d(0.0, 0.45)
     f2 = math.sqrt(0.45)
 
-    def make_bump(gr, x0, s):
-        xx = gr.x1_points[:, 0]
-        uu = gr.x2_points[:, 0]
-        vals = (np.exp(-0.5 * ((xx - x0) / s) ** 2)[:, None]
-                * np.exp(-0.5 * (uu / (4 * s)) ** 2)[None, :])
-        return GriddedField(grid=gr, values=vals.astype(complex))
+    def ratio(gr, x0, s):   # the bump field lives only in this call
+        h = GriddedField(grid=gr, values=np.zeros((gr.n_x1, gr.n_x2), complex))
+        np.multiply.outer(np.exp(-0.5 * ((gr.x1_points[:, 0] - x0) / s) ** 2),
+                          np.exp(-0.5 * (gr.x2_points[:, 0] / (4 * s)) ** 2),
+                          out=h.values.real)
+        return restriction_apply_l2(F, h, gamma) / (f2 * lp_norm(h, 1.0))
 
-    bumps = ((0.0, 0.7), (4.0, 1.0), (12.0, 1.5))
-
-    def ratios(gr):         # one bump field at a time
-        return np.array([restriction_apply_l2(F, h, gamma) / (f2 * lp_norm(h, 1.0))
-                         for h in (make_bump(gr, x0, s) for x0, s in bumps)])
-
-    return _refinement_report(ratios, np.arange(len(bumps)), gamma=gamma)
+    return _refinement_report(lambda gr: np.array(
+        [ratio(gr, *bump) for bump in ((0.0, 0.7), (4.0, 1.0), (12.0, 1.5))]),
+        np.arange(3), gamma=gamma)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ def random_field(grid, band, max_degree, seed, stride=1):
     coeffs = rng.normal(size=(idx.size, n_mu)) \
         + 1j * rng.normal(size=(idx.size, n_mu))
     return SpectralField(grid.dims, support, max_degree, coeffs)
+
+
+def traced_transient_mb(call) -> float:
+    """The peak traced allocation of ``call`` above what was held before."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - held) / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def riesz_symbol_1d(alpha, R=1.0):

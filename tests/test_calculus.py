@@ -483,12 +483,12 @@ def test_channel_sums_in_node_blocks_are_the_whole_table_sums(d1, riesz_grid,
     # at d1 = 2 the low nodes carry levels up to 6, several rows each
     prof = bump_symbol_1d(0.05, 0.45) if d1 == 1 else bump_symbol_1d(0.1, 3.6)
     twisted = Symbol1D(lambda e: prof(e) * np.exp(1j * e), prof.support)
-    n_nodes = np.unique(build_atoms(g, prof.support[1]).lam_index).size
+    n_atoms = build_atoms(g, prof.support[1]).count
     for x1 in (g.x1_points[3], np.full(d1, 0.3071)):
         for f in (prof, twisted):
             ref = whole_table_channel_sums(f, g, x1)
-            for block in (1, 7, n_nodes):
-                monkeypatch.setattr(calculus, "_NODE_BLOCK", block)
+            for block in (1, 7, n_atoms):
+                monkeypatch.setattr(calculus, "_BLOCK_ITEMS", block)
                 got = channel_sums(f, g, x1)[1]
                 assert got.dtype == ref.dtype
                 assert np.array_equal(got, ref)
@@ -596,8 +596,8 @@ def test_parseval_norm_in_bin_blocks_is_the_whole_table_norm(grid_name,
     h = _restriction_bump(g, 4.0, 1.0)
     for gamma in (0.0, 0.25):
         ref = whole_table_parseval_norm(F, h, gamma)
-        for block in (1, 7, 32, g.n_x2):
-            monkeypatch.setattr(calculus, "_NODE_BLOCK", block)
+        for block in (1, 7, 32, 1 << 30):      # the last: one block
+            monkeypatch.setattr(calculus, "_BLOCK_ITEMS", block)
             assert restriction_apply_l2(F, h, gamma) == ref
 
 

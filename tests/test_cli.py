@@ -108,6 +108,24 @@ def test_field_and_riesz_commands(tmp_path):
     _assert_plain_float_rows(tmp_path / "r.csv", 4)
 
 
+def test_field_at_its_defaults_writes_the_most_resolved_degree(tmp_path):
+    # The default grid resolves degree <= 2 on the default band, so the
+    # default degree is 2 there; where degree 4 resolves it stays 4.
+    def field(grid, *sets):
+        out = tmp_path / f"f{len(list(tmp_path.iterdir()))}"
+        assert main(["field", *grid, *_sets(*sets), "--out", str(out)]) == 0
+        csv = out.with_suffix(".csv")
+        _assert_plain_float_rows(csv, 4)
+        # the field's bytes, without the config hash line
+        return (csv.read_bytes().split(b"\n", 1)[1],
+                out.with_suffix(".grsh").read_bytes())
+
+    default = _sets("d1=1", "d2=1")
+    assert field(default) == field(default, "max_degree=2")
+    assert field(default) != field(default, "max_degree=1")
+    assert field(RIESZ_GRID) == field(RIESZ_GRID, "max_degree=4")
+
+
 def test_kernel_command(tmp_path):
     out = tmp_path / "k.csv"
     rc = main(["kernel"] + RIESZ_GRID
@@ -187,7 +205,7 @@ def _sets(*items):
 # config file whose second line has no "=", "{binary}" one whose third line
 # is not UTF-8, "{missing}" a path with no file
 BAD_CONFIGS = {
-    "field-degree": (["field"] + _sets("d1=1", "d2=1"),
+    "field-degree": (["field"] + _sets("d1=1", "d2=1", "max_degree=4"),
                      "bad field config: degree 4 unresolvable"),
     "field-family": (["field"] + RIESZ_GRID + _sets("family=nope"),
                      "bad field config: unknown family 'nope'"),

@@ -2,7 +2,8 @@
 over small grids in every (d1, d2) in {1, 2}^2: bilinearity and symmetry
 of the direct path, the atom-pair contraction against the dense einsum
 (also where pair sums alias and where a support node repeats) and, bit
-for bit, against the contraction into one whole array, dilation
+for bit, against the contraction into one whole array, its blocks
+against blocks summed from a zeroed buffer, dilation
 covariance of the Riesz means, the synthesize/analyze round trip,
 results that do not depend on the worker count, the Plancherel identity
 between the two weighted kernel norms at weight exponent 0 (d2 = 1), and
@@ -247,6 +248,55 @@ def test_binned_contraction_is_the_whole_d_contraction_bit_for_bit(j):
     assert np.max(np.abs(got)) > 0.0
     assert np.array_equal(got,
                           _whole_d_contract(table, inv_f, inv_g, f, g, grid))
+
+
+def _blocks_summed_from_zero(table, inv_f, inv_g, pf, pg, rows=8):
+    """``_contract_blocks`` with each block summed into a zeroed D, every
+    live level's product added, and every block yielded (copied)."""
+    live = table != 0
+    f_live = np.any(live, axis=1)[inv_f]
+    g_nodes = np.flatnonzero(np.any(np.any(live, axis=0)[inv_g], axis=1))
+    g0, g1 = g_nodes[0], g_nodes[-1] + 1
+    stop = np.flatnonzero(np.any(f_live, axis=1))[-1] + 1
+    real = not np.iscomplexobj(table)     # one real GEMM on float pairs
+    rhs = pg[g0:g1].view(float) if real else pg[g0:g1]
+    for c0 in range(0, stop, rows):
+        c1 = min(c0 + rows, stop)
+        D = np.zeros((g1 - g0, c1 - c0, pf.shape[2]), complex)
+        for a in np.flatnonzero(np.any(f_live[c0:c1], axis=0)):
+            m = table[inv_f[c0:c1, a]].T[inv_g[g0:g1]]
+            prod = np.matmul(m.transpose(0, 2, 1), rhs)
+            D += (prod.view(complex) if real else prod) * pf[c0:c1, a]
+        yield c0, g0, D.transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("j", [1, 3, 6])
+def test_contraction_blocks_are_the_blocks_summed_from_zero(j):
+    # The first live level written into D (a -0.0 may stand for +0.0) and
+    # a block with no live level skipped: at j = 1 the first three are,
+    # and with f's nodes 8..15 made dead the block from node 8 is.
+    grid = probe_grid("decay")
+    f, g = _decay_fields("hermite-bump", 0, grid)
+    uniq_f, inv_f = distinct(f.eigenvalues)
+    uniq_g, inv_g = distinct(g.eigenvalues)
+    pf, pg = _weighted_profiles(f, grid), _weighted_profiles(g, grid)
+    table = truncated_series_symbol(
+        FourierSeriesExpansion(DyadicPiece(j, 1.0), truncation=2048),
+        uniq_f, uniq_g)
+    dead = table.copy()
+    dead[np.unique(inv_f[8:16])] = 0.0
+    for t in (table, dead):
+        got = {c0: (g0, D.copy())
+               for c0, g0, D in _contract_blocks(t, inv_f, inv_g, pf, pg)}
+        want = list(_blocks_summed_from_zero(t, inv_f, inv_g, pf, pg))
+        skipped = {c0 for c0, _, _ in want} - set(got)
+        assert skipped >= ({0, 8, 16} if j == 1 else set()) | (
+            {8} if t is dead else set())
+        for c0, g0, D in want:
+            if c0 in got:
+                assert got[c0][0] == g0 and np.array_equal(got[c0][1], D)
+            else:
+                assert not D.any()
 
 
 # Nodes k/16 up to 1: a support on |lambda_i| = 1/4 stays on the node set

@@ -6,7 +6,6 @@ the dense or fresh form it replaces, kept here as the oracle; the cached
 Gauss-Legendre rule; and the traced memory of a decay expansion and
 contraction."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +24,8 @@ from grushin.symbols import (DyadicPiece, Symbol2D, distinct,
                              dyadic_piece_profile, plateau)
 from grushin.verifier import (_decay_fields, family_fields, live_eigenvalues,
                               probe_grid)
+
+from conftest import traced_transient_mb
 
 
 def _table_size(piece, ls):
@@ -292,29 +293,18 @@ def test_shared_series_trig_tables_change_no_bit():
                                 trig=trig)
 
 
-def _traced_transient_mb(call) -> float:
-    """The peak traced allocation of ``call`` above what was held before."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        call()
-        return (tracemalloc.get_traced_memory()[1] - held) / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 def test_decay_expansion_and_contraction_stay_in_their_memory():
     # About 16.7 and 10.7 MB with per-chunk tables, 2e7-entry quadrature
     # phases and a fresh D and product per contraction block.
     grid = probe_grid("decay")
     f, g = _decay_fields("hermite-bump", 0, grid)
     piece = DyadicPiece(1, 1.0)
-    assert _traced_transient_mb(lambda: build_expansion(
+    assert traced_transient_mb(lambda: build_expansion(
         piece, eta1_samples=live_eigenvalues(f), l_cap=2048)) <= 12.0
     (uf, inv_f), (ug, inv_g) = distinct(f.eigenvalues), distinct(g.eigenvalues)
     table = truncated_series_symbol(
         FourierSeriesExpansion(piece, truncation=2048), uf, ug)
-    assert _traced_transient_mb(lambda: _bilinear_contract(
+    assert traced_transient_mb(lambda: _bilinear_contract(
         table, inv_f, inv_g, f, g, grid)) <= 8.0
 
 
