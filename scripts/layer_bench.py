@@ -10,13 +10,15 @@ Each ``--run LABEL=SRC`` names the ``src`` directory of a checkout to
 measure.  The labels are measured in ``REPEATS`` rounds, their order
 alternating from round to round, so drift of the machine's speed shows
 on every label alike.  Each round runs each label in a fresh interpreter
-with one BLAS thread: every layer is called once to warm up, then timed
-once, then called once more, untimed, under ``tracemalloc`` for its
-peak traced allocation.  The median, the minimum and every sample of
-each layer, with the first round's peak (``peak_mb``) and a checksum of
-its output (the sum of its absolute values), are merged into the JSON
-file under its label, next to the sha256 of the measured ``grushin``
-sources and the numpy version.  Labels already in the file are kept.
+with one BLAS thread, and each layer of ``ALONE`` in a fresh interpreter
+of its own, so that no layer timed before it sets its page faults: every
+layer is called once to warm up, then timed once, then called once more,
+untimed, under ``tracemalloc`` for its peak traced allocation.  The
+median, the minimum and every sample of each layer, with the first
+round's peak (``peak_mb``) and a checksum of its output (the sum of its
+absolute values), are merged into the JSON file under its label, next
+to the sha256 of the measured ``grushin`` sources and the numpy version.
+Labels already in the file are kept.
 
 The configurations are those of ``grushin verify --suite decay`` on the
 ``decay`` probe grid (library seed 0):
@@ -42,7 +44,7 @@ The configurations are those of ``grushin verify --suite decay`` on the
   pair frequencies of the two fields, the shape of the bilinear
   contraction's output;
 * ``sobolev_product_norm``: the piece j = 4 at s = (0.4, 0), 2048
-  samples, pad 2.
+  samples, pad 2 (in ``ALONE``).
 
 and those of ``grushin verify --suite plancherel`` on the refined
 ``weighted`` grid (``probe_grid("weighted", 2)``), base point x' = 5,
@@ -119,8 +121,7 @@ def _layers():
                                   bilinear_kernel_batch, bilinear_weighted_l2,
                                   build_atoms, linear_first_layer_weighted_l2,
                                   restriction_apply_l2,
-                                  second_layer_channel_l2,
-                                  sobolev_product_norm)
+                                  second_layer_channel_l2)
     from grushin.dims import Dims
     from grushin.fields import (GriddedField, lp_norm, mixed_norm,
                                 write_field_csv)
@@ -186,11 +187,6 @@ def _layers():
               + 1j * rng.standard_normal((nu.shape[0], grid.n_x1))).T
     out.append((f"x2_inverse[{grid.n_x1}x{nu.shape[0]},F]",
                 lambda: grid.x2_inverse(coeffs, nu)))
-
-    piece4 = dyadic_piece_symbol(DyadicPiece(4, 1.0))
-    out.append(("sobolev_product_norm[j=4,2048,pad2]",
-                lambda: sobolev_product_norm(piece4, 0.4, 0.0,
-                                             samples=2048, pad=2)))
 
     wgrid = probe_grid("weighted", 2)
     prof = bump_symbol_1d(0.05, 0.45)
@@ -269,6 +265,19 @@ def _layers():
     return out
 
 
+def _sobolev_j4():
+    from grushin.calculus import sobolev_product_norm
+    from grushin.symbols import DyadicPiece, dyadic_piece_symbol
+    piece = dyadic_piece_symbol(DyadicPiece(4, 1.0))
+    return lambda: sobolev_product_norm(piece, 0.4, 0.0, samples=2048, pad=2)
+
+
+# name -> a function that makes its call, for each layer timed in a
+# child of its own: a transient of hundreds of MB takes the page faults
+# that the layers timed before it in one interpreter would set.
+ALONE = {"sobolev_product_norm[j=4,2048,pad2]": _sobolev_j4}
+
+
 def _source_digest(src: Path) -> str:
     h = hashlib.sha256()
     for path in sorted((src / "grushin").glob("*.py")):
@@ -277,14 +286,16 @@ def _source_digest(src: Path) -> str:
     return h.hexdigest()
 
 
-def _child(src: Path) -> dict:
-    """One round of one checkout: every layer warmed up, timed once, then
-    called once more under ``tracemalloc`` for its traced peak."""
+def _child(src: Path, alone: str | None) -> dict:
+    """One round of one checkout: every layer, or the one ``alone`` layer,
+    warmed up, timed once, then called once more under ``tracemalloc`` for
+    its traced peak."""
     sys.path.insert(0, str(src))
     import numpy as np
 
+    calls = _layers() if alone is None else [(alone, ALONE[alone]())]
     layers = {}
-    for name, call in _layers():
+    for name, call in calls:
         call()
         t0 = time.perf_counter()
         value = call()
@@ -304,9 +315,10 @@ def main(argv=None) -> int:
     parser.add_argument("--run", action="append", metavar="LABEL=SRC",
                         help="a checkout's src directory, under a label")
     parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--alone", choices=ALONE, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(_child(Path(args.child))))
+        print(json.dumps(_child(Path(args.child), args.alone)))
         return 0
     if not args.out or not args.run:
         parser.error("--out and at least one --run are required")
@@ -319,10 +331,16 @@ def main(argv=None) -> int:
     rounds = {label: [] for label, _ in runs}
     for r in range(REPEATS):
         for label, src in (runs if r % 2 == 0 else runs[::-1]):
-            done = subprocess.run(
-                [sys.executable, __file__, "--child", str(src)], env=env,
-                check=True, capture_output=True, text=True)
-            rounds[label].append(json.loads(done.stdout.splitlines()[-1]))
+            children = []
+            for alone in (None, *ALONE):
+                done = subprocess.run(
+                    [sys.executable, __file__, "--child", str(src)]
+                    + (["--alone", alone] if alone else []), env=env,
+                    check=True, capture_output=True, text=True)
+                children.append(json.loads(done.stdout.splitlines()[-1]))
+            for child in children[1:]:
+                children[0]["layers"].update(child["layers"])
+            rounds[label].append(children[0])
             print(f"round {r + 1}/{REPEATS}: {label}", flush=True)
 
     path = Path(args.out)

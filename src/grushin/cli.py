@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import bilinear_kernel_batch, linear_kernel_batch
-from .dims import ConfigError, Dims, config_value
+from .dims import ConfigError, Dims, config_value, known_name
 from .fields import (analyze, lp_norm, support_degree, synthesize,
                      write_field_binary, write_field_csv)
 from .geometry import Point, weight_integral_check
@@ -230,9 +230,9 @@ def roundtrip_probe() -> ProbeReport:
     grid = probe_grid("default")
     f = family_fields("hermite-bump", grid, 0, band=(1.25, 2.0), max_degree=16)
     back = analyze(synthesize(f, grid), 16, lambda_support=f.lambda_support)
-    err = float(np.max(np.abs(back.coeffs - f.coeffs))
-                / np.max(np.abs(f.coeffs)))
-    return ProbeReport.deviation(err, 1e-6)
+    return ProbeReport.deviation(
+        float(np.max(np.abs(back.coeffs - f.coeffs))), 1e-6,
+        reference=float(np.max(np.abs(f.coeffs))))
 
 
 def _dilation_probe_run(cfg: dict, seed: int, workers):
@@ -308,9 +308,7 @@ def _workers(cfg: dict):
 
 
 def cmd_verify(cfg: dict, out: str | None):
-    suite = cfg.setdefault("suite", "core")
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; available: {SUITES}")
+    suite = known_name("suite", cfg.setdefault("suite", "core"), SUITES)
     seed, workers = config_value(cfg, "seed", 0), _workers(cfg)
     reports = {}
     for name, probe, keys in SUITE:
@@ -338,9 +336,7 @@ def cmd_verify(cfg: dict, out: str | None):
 
 
 def cmd_probe(cfg: dict, out: str | None):
-    name = cfg.setdefault("probe", "decay")
-    if name not in PROBES:
-        raise ConfigError(f"unknown probe {name!r}; available: {tuple(PROBES)}")
+    name = known_name("probe", cfg.setdefault("probe", "decay"), PROBES)
     rep = PROBES[name](cfg, config_value(cfg, "seed", 0), _workers(cfg))
     out = out or f"probe_{name}.csv"
     _write_output(out, cfg, rep.to_csv())

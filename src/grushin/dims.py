@@ -10,7 +10,15 @@ class ConfigError(ValueError):
 
 
 class UnknownName(ConfigError, KeyError):
-    """An unknown grid, family, variant, kind or symbol name in a config."""
+    """A name in a config that names nothing; raised by ``known_name``."""
+
+
+def known_name(what: str, name, names):
+    """``name`` if it is one of ``names``, else UnknownName listing them."""
+    if name not in names:
+        raise UnknownName(f"unknown {what} {name!r}; "
+                          f"available: {tuple(names)}")
+    return name
 
 
 def config_value(cfg: dict, key: str, default):

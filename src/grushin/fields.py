@@ -85,13 +85,6 @@ class GriddedField:
             raise ValueError(f"values shape {self.values.shape} != {want}")
 
 
-def _support_indices(lambda_support: np.ndarray, grid: Grid) -> np.ndarray:
-    try:
-        return grid.lambda_index(lambda_support)
-    except GridError as e:
-        raise GridError(f"field support not contained in grid nodes: {e}") from e
-
-
 def support_degree(lam: np.ndarray, grid: Grid) -> int:
     """Largest degree the grid resolves on all of ``lam`` (its tighter end)."""
     return min(map(grid.resolvable_degree, (lam.min(), lam.max())))
@@ -120,7 +113,7 @@ def synthesize(f: SpectralField, grid: Grid) -> GriddedField:
     sum_mu C(lambda, mu) Phi_mu^lambda(x').  The frequency sum is finite,
     so the only discretization is the declared node set itself.
     """
-    idx = _support_indices(f.lambda_support, grid)
+    idx = grid.lambda_index(f.lambda_support)
     _check_degree(f.max_degree, f.lambda_abs, grid)
     w = grid.lambda_weights[idx]
     profiles = profile_tensor(f, grid)                      # (n_supp, n_x1)
@@ -130,19 +123,16 @@ def synthesize(f: SpectralField, grid: Grid) -> GriddedField:
 
 
 def analyze(h: GriddedField, max_degree: int,
-            lambda_support: np.ndarray | None = None) -> SpectralField:
+            lambda_support: np.ndarray) -> SpectralField:
     """Extract coefficients C(lambda, mu) = <h^lambda, Phi_mu^lambda>.
 
     ``h^lambda`` is the discrete x''-Fourier transform of the samples at
-    the requested frequency nodes (default: every grid node).  Raises
-    DegreeError when the grid cannot resolve ``max_degree`` on the
-    requested support.
+    the requested frequency nodes.  Raises DegreeError when the grid
+    cannot resolve ``max_degree`` on the requested support.
     """
     grid = h.grid
-    if lambda_support is None:
-        lambda_support = grid.lambda_points
     lambda_support = np.atleast_2d(np.asarray(lambda_support, dtype=float))
-    idx = _support_indices(lambda_support, grid)
+    idx = grid.lambda_index(lambda_support)
     _check_degree(max_degree, grid.lambda_abs[idx], grid)
 
     # h^lambda(x') = sum_{x''} w2 h e^{-i lambda x''}; the synthesize

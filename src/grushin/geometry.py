@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import ConfigError, Dims
+from .dims import ConfigError, Dims, known_name
 from .report import ProbeReport
 
 
@@ -104,9 +104,7 @@ def weight_integral_check(a: Point, r_values, gamma: float, layer: str,
     """
     dims = a.dims
     top = {"first": dims.d1, "second": dims.d2}
-    if layer not in top:
-        raise ConfigError(f"unknown layer {layer!r}")
-    if not 0 <= gamma < top[layer]:
+    if not 0 <= gamma < top[known_name("layer", layer, top)]:
         raise ConfigError(f"{layer}-layer gamma must lie in [0, {top[layer]})")
     first = layer == "first"
     a_norm = float(np.linalg.norm(a.x1))

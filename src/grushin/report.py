@@ -12,6 +12,8 @@ import numpy as np
 PASSING_VERDICTS = ("PASS", "DEGENERATE-PASS", "NO-GUARANTEE")
 #: Largest growth of a probe's ratios under one refinement doubling.
 REFINEMENT_TOL = 0.05
+SLOPE_TOL = 0.15          # log2 slope tolerance at desk scale
+DECAY_SLOPE_TOL = 0.1     # decay probes must fit at or below -this
 
 
 def fit_line(abscissa, ordinate) -> tuple[float, float]:
@@ -80,11 +82,27 @@ class ProbeReport:
         return report
 
     @classmethod
-    def deviation(cls, dev: float, tol: float, **details):
-        """Report of one measured deviation: PASS when ``dev <= tol``."""
+    def slope_target(cls, abscissa, ordinate, target, max_ratio, **details):
+        """Fit of ``ordinate`` on ``abscissa``: PASS when the slope lies
+        within SLOPE_TOL of ``target`` on either side."""
+        report = cls.from_samples(abscissa, ordinate, max_ratio, **details,
+                                  slope_target=target)
+        report.verdict = ("PASS" if abs(report.slope - target) <= SLOPE_TOL
+                          else "FAIL")
+        return report
+
+    @classmethod
+    def deviation(cls, dev: float, tol: float, reference=None, **details):
+        """Report of one measured deviation, divided by ``reference`` if one
+        is given: DEGENERATE-PASS when that is 0 (the deviation reads 0),
+        else PASS when the deviation is at most ``tol``."""
+        if reference is not None:
+            details["reference"] = reference
+            dev = dev / reference if reference else 0.0
         report = cls.from_samples([0.0], [np.log2(max(dev, 1e-300))],
                                   max_ratio=dev, **details)
-        report.verdict = "PASS" if dev <= tol else "FAIL"
+        report.verdict = ("DEGENERATE-PASS" if reference == 0.0 else
+                          "PASS" if dev <= tol else "FAIL")
         return report
 
     @property

@@ -134,10 +134,11 @@ class FourierSeriesExpansion:
 
     The coefficients come from ``fourier_coeff_batch``; the companion
     second-channel symbol is exp(i pi l eta2) times the pinned plateau
-    (1 on [-1, 1], 0 outside [-2, 2]).  ``truncation`` is the default |l|
-    cutoff; ``tail_bound`` the measured sup-norm tail sum beyond it.
-    ``converged`` is False when ``build_expansion`` stopped at its cap
-    before the tail met the tolerance.
+    (1 on [-1, 1], 0 outside [-2, 2]).  ``truncation`` is the |l| cutoff
+    (``replace`` gives an expansion another); ``tail_bound`` the measured
+    sup-norm tail sum beyond it.  ``converged`` is False when
+    ``build_expansion`` stopped at its cap before the tail met the
+    tolerance.
 
     ``coeffs`` (None if not built) is ``fourier_coeff_batch(piece,
     0..truncation, samples)`` as ``build_expansion`` computed it on the
@@ -317,7 +318,6 @@ def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,
 
 
 def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
-                            truncation: int | None = None,
                             trig=None) -> np.ndarray:
     """m_L(eta1, eta2) = sum_{|l| <= L} coeff_l(eta1) e^{i pi l eta2}
     times the plateau in eta2; the truncated separated symbol.
@@ -331,10 +331,10 @@ def truncated_series_symbol(exp: FourierSeriesExpansion, eta1, eta2,
     Every other entry is exactly zero.
     Returns float64, shape (len(eta1), len(eta2)).
     """
-    L = exp.truncation if truncation is None else int(truncation)
+    L = exp.truncation
     eta1 = np.atleast_1d(np.asarray(eta1, dtype=float))
     eta2 = np.atleast_1d(np.asarray(eta2, dtype=float))
-    table, at = _coeff_table(exp, L, eta1)
+    table, at = _coeff_table(exp, eta1)
     rows = np.flatnonzero(np.append(np.any(table, axis=0), False)[at])
     k = at[rows]
     run = table is exp.coeffs and k.size and np.all(np.diff(k) == 1)
@@ -363,12 +363,13 @@ def series_trig(L: int, eta2) -> np.ndarray:
     return trig
 
 
-def _coeff_table(exp: FourierSeriesExpansion, L: int, eta1: np.ndarray):
-    """Coefficients up to |l| = L, and each eta1's column in them (-1: all
-    zero, past the last): the expansion's own table when L is its
-    truncation and each eta1 is a sample or past the shell, where every
+def _coeff_table(exp: FourierSeriesExpansion, eta1: np.ndarray):
+    """Coefficients up to |l| = L, the truncation, and each eta1's column in
+    them (-1: all zero, past the last): the expansion's own table when it
+    has L + 1 rows and each eta1 is a sample or past the shell, where every
     coefficient is zero; else ``fourier_coeff_batch``, with the same bits."""
-    if exp.coeffs is not None and L == exp.truncation:
+    L = exp.truncation
+    if exp.coeffs is not None and len(exp.coeffs) == L + 1:
         col = {x: k for k, x in enumerate(exp.samples.tolist())}
         at = np.array([col.get(x, -1) for x in eta1.tolist()], dtype=int)
         if np.all((at >= 0) | (eta1 >= 1.0 - exp.piece.shell[0])):
@@ -379,7 +380,6 @@ def _coeff_table(exp: FourierSeriesExpansion, L: int, eta1: np.ndarray):
 
 def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
                              g: SpectralField, grid: Grid,
-                             truncation: int | None = None,
                              trig=None) -> GriddedField:
     """Separated evaluation: the truncated series sum over l of
     (coefficient multiplier applied to f) times (companion multiplier
@@ -395,7 +395,7 @@ def bilinear_apply_separated(exp: FourierSeriesExpansion, f: SpectralField,
     part of the reported truncation tail.
     """
     (uf, inv_f), (ug, inv_g) = map(distinct, (f.eigenvalues, g.eigenvalues))
-    table = truncated_series_symbol(exp, uf, ug, truncation, trig)
+    table = truncated_series_symbol(exp, uf, ug, trig)
     exp.coeffs = None          # read once: not held through the contraction
     return _bilinear_contract(table, inv_f, inv_g, f, g, grid)
 
@@ -418,13 +418,9 @@ def dilation_covariance_check(params: RieszParams, f: SpectralField,
     i1 = _shared_nodes(grid.x1_axis, rhs.grid.x1_axis, grid.dims.d1)
     i2 = _shared_nodes(grid.x2_axis, rhs.grid.x2_axis, grid.dims.d2)
     lhs_sub = lhs.values[np.ix_(i1, i2)]
-    ref = float(np.max(np.abs(rhs.values)))
-    dev = float(np.max(np.abs(lhs_sub - rhs.values)) / ref) if ref > 0 else 0.0
-    report = ProbeReport.deviation(dev, 1e-4, t=t, R=params.R,
-                                   alpha=params.alpha, reference=ref)
-    if ref == 0.0:
-        report.verdict = "DEGENERATE-PASS"
-    return report
+    return ProbeReport.deviation(
+        float(np.max(np.abs(lhs_sub - rhs.values))), 1e-4, t=t, R=params.R,
+        alpha=params.alpha, reference=float(np.max(np.abs(rhs.values))))
 
 
 def _shared_nodes(axis: np.ndarray, sub_axis: np.ndarray, d: int) -> np.ndarray:

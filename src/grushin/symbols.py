@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import ConfigError, UnknownName, config_value
+from .dims import ConfigError, config_value, known_name
 
 
 def _exp_inv(u):
@@ -267,9 +267,8 @@ def builtin_symbol(name: str, **params) -> Symbol1D | Symbol2D:
     """The built-in symbol ``name``; UnknownName naming every built-in if
     there is none.  ``params`` are its ``symbol.*`` config keys without the
     prefix, and a ConfigError names the parameter with it."""
-    if name not in _BUILTIN:
-        raise UnknownName(f"unknown symbol {name!r}; available: {list(_BUILTIN)}")
+    build = _BUILTIN[known_name("symbol", name, _BUILTIN)]
     try:
-        return _BUILTIN[name](params)
+        return build(params)
     except ConfigError as err:
         raise ConfigError(f"symbol.{err.args[0]}") from None

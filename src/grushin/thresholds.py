@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .dims import ConfigError, Dims
+from .dims import ConfigError, Dims, known_name
 
 REGIONS = ("I", "II", "III_a", "III_b", "IV_a", "IV_b", "V", "NotCovered")
 VARIANTS = ("general", "restricted")
@@ -85,8 +85,7 @@ def threshold(p1: float, p2: float, dims: Dims,
     frequency-support restriction on the inputs and draws on both item
     sets (the support hypothesis only helps).
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}")
+    known_name("variant", variant, VARIANTS)
     for p in (p1, p2):
         if not (p >= 1.0):
             raise ConfigError(f"exponents must lie in [1, inf], got {p}")

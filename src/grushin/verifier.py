@@ -18,21 +18,18 @@ from .calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
                        channel_sums, linear_first_layer_weighted_l2,
                        restriction_apply_l2, second_layer_channel_l2,
                        sobolev_norm_1d)
-from .dims import ConfigError, Dims, UnknownName
+from .dims import ConfigError, Dims, known_name
 from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
 from .geometry import Point, ball_volume, control_distance_batch
 from .grid import Grid, GridSpec, make_grid
 from .hermite import multi_index_degrees
-from .report import ProbeReport
+from .report import DECAY_SLOPE_TOL, SLOPE_TOL, ProbeReport
 from .reductions import gauss_legendre, parallel_map
 from .riesz import (bilinear_apply_separated, build_expansion,
                     fourier_coeff_batch, series_trig)
 from .symbols import (DyadicCutoff, DyadicPiece, Symbol1D, bump_symbol_1d,
                       dyadic_piece_symbol, indicator_symbol_1d, tensor_symbol)
 from .thresholds import reciprocal, threshold
-
-SLOPE_TOL = 0.15          # log2 slope tolerance at desk scale
-DECAY_SLOPE_TOL = 0.1     # decay probes must fit at or below -this
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +42,6 @@ _GRID_SPECS = {
     "weighted": GridSpec(x1_extent=144.0, x1_count=224, x2_count=1024,
                          lambda_min=1.0 / 512.0, lambda_max=0.5,
                          lambda_count=256),
-    "riesz": GridSpec(x1_extent=28.0, x1_count=56, x2_count=128,
-                      lambda_min=1.0 / 64.0, lambda_max=0.5, lambda_count=32),
     "dilation": GridSpec(x1_extent=16.0, x1_count=64, x2_count=256,
                          lambda_min=1.0 / 16.0, lambda_max=4.0,
                          lambda_count=64),
@@ -62,9 +57,7 @@ def probe_grid(name: str, refine: int = 1) -> Grid:
 # it builds 4 probe grids and 6 kernel sample sets.
 @lru_cache(maxsize=16)
 def _probe_grid(name: str, refine: int) -> Grid:
-    if name not in _GRID_SPECS:
-        raise UnknownName(f"unknown grid {name!r}; available {sorted(_GRID_SPECS)}")
-    spec = _GRID_SPECS[name]
+    spec = _GRID_SPECS[known_name("grid", name, _GRID_SPECS)]
     if refine != 1:
         spec = replace(spec, x1_count=spec.x1_count * refine,
                        x2_count=spec.x2_count * refine)
@@ -87,8 +80,7 @@ def family_fields(name: str, grid: Grid, seed: int,
     * ``two-scale``: the same construction split across two bands a
       factor 4 apart, stressing both branches of the ball-volume formula.
     """
-    if name not in FAMILIES:
-        raise UnknownName(f"unknown family {name!r}; available {FAMILIES}")
+    known_name("family", name, FAMILIES)
     if max_degree < 0:
         raise ConfigError(f"max_degree must be >= 0, got {max_degree}")
     name_tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4],
@@ -155,10 +147,8 @@ def _stratified_triples(seed: int) -> tuple:
 
 
 def _volume_factor(variant: str, *triple) -> float:
-    if variant not in KERNEL_VARIANTS:
-        raise UnknownName(f"unknown variant {variant!r}; "
-                          f"available {tuple(KERNEL_VARIANTS)}")
-    a, b = (Point(*triple[k]) for k in KERNEL_VARIANTS[variant])
+    pair = KERNEL_VARIANTS[known_name("variant", variant, KERNEL_VARIANTS)]
+    a, b = (Point(*triple[k]) for k in pair)
     return ball_volume(a, 1.0) * ball_volume(b, 1.0)
 
 
@@ -261,8 +251,7 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
       M slope compared with 2*n1 - d2 (and the ratio against the closed
       RHS).
     """
-    if kind not in PLANCHEREL_KINDS:
-        raise UnknownName(f"unknown kind {kind!r}; available {PLANCHEREL_KINDS}")
+    known_name("kind", kind, PLANCHEREL_KINDS)
     grid = probe_grid("weighted")
     dims = grid.dims
     half = dims.d2 / 2.0
@@ -331,14 +320,10 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
     target = 2.0 * n1 - dims.d2
     rhs1 = np.array([2.0 ** (m * target) * s1 for m in m_values])
     rhs2 = 2.0 ** (m2_fixed * (2.0 * n2 - dims.d2)) * s2
-    report = ProbeReport.from_samples(
-        m_values, np.log2(chan1),
-        max_ratio=float(np.max(chan1 / rhs1) * chan2 / rhs2),
+    return ProbeReport.slope_target(
+        m_values, np.log2(chan1), target,
+        float(np.max(chan1 / rhs1) * chan2 / rhs2),
         kind=kind, n1=n1, n2=n2, channel_values=chan1.tolist())
-    report.details["slope_target"] = target
-    report.verdict = ("PASS" if abs(report.slope - target) <= SLOPE_TOL
-                      else "FAIL")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from grushin.fields import SpectralField
 from grushin.grid import GridSpec, make_grid
 from grushin.hermite import multi_indices_upto
 from grushin.symbols import Symbol1D, truncated_power
+from grushin.verifier import probe_grid
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,12 @@ def riesz_grid():
     return make_grid(Dims(1, 1), GridSpec(
         x1_extent=28.0, x1_count=56, x2_count=128,
         lambda_min=1.0 / 64.0, lambda_max=0.5, lambda_count=32))
+
+
+@pytest.fixture(scope="session")
+def named_grid(riesz_grid):
+    """Grid by name: "riesz" is ``riesz_grid``, any other a probe grid."""
+    return lambda name: riesz_grid if name == "riesz" else probe_grid(name)
 
 
 @pytest.fixture(scope="session")

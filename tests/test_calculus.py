@@ -228,10 +228,9 @@ def test_dyadic_piece_sobolev_growth_slope():
     assert slope == pytest.approx(s - 0.5 - alpha, abs=0.2)
 
 
-def test_first_layer_weighted_l2_refinement(default_grid):
+def test_first_layer_weighted_l2_refinement(riesz_grid):
     # consistency against a brute-force position-space evaluation
-    from grushin.verifier import probe_grid
-    g = probe_grid("riesz")
+    g = riesz_grid
     F = indicator_symbol_1d(0.0, 0.45)
     y = (np.array([2.0]), np.array([0.0]))
     lhs = linear_first_layer_weighted_l2(F, y, g, 0.25)
@@ -334,12 +333,11 @@ EXPONENTS = (0.0, 0.25, 0.4, 1.0)
 
 
 @pytest.mark.parametrize("grid_name", ["riesz", "weighted"])
-def test_channel_forms_match_the_literal_gram(grid_name):
+def test_channel_forms_match_the_literal_gram(grid_name, named_grid):
     # The node-sum forms against conj(c) M c with the Q x Q Gram built,
     # and the tensor bilinear norm against the GEMM contraction.
     from grushin.calculus import _weighted_gram
-    from grushin.verifier import probe_grid
-    g = probe_grid(grid_name)
+    g = named_grid(grid_name)
     prof = bump_symbol_1d(0.05, 0.45)
     x1 = np.array([5.0])
     atoms = build_atoms(g, 0.45)

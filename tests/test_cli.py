@@ -214,7 +214,8 @@ BAD_CONFIGS = {
     "field-max-degree": (["field"] + RIESZ_GRID + _sets("max_degree=-1"),
                          "bad field config: max_degree must be >= 0"),
     "thresholds-variant": (["thresholds"] + _sets("variant=nope"),
-                           "bad thresholds config: variant must be one of"),
+                           "bad thresholds config: unknown variant 'nope'; "
+                           "available: ('general', 'restricted')"),
     "thresholds-resolution": (["thresholds"] + _sets("resolution=abc"),
                               "bad thresholds config: resolution must parse"),
     "riesz-band": (["riesz"] + RIESZ_GRID + _sets("band_lo=5", "band_hi=6"),
@@ -246,7 +247,14 @@ BAD_CONFIGS = {
                                "bad probe config: gamma exponents must lie"),
     "probe-weight-layer": (["probe", "--probe", "weight-integral"]
                            + _sets("layer=nope"),
-                           "bad probe config: unknown layer 'nope'"),
+                           "bad probe config: unknown layer 'nope'; "
+                           "available: ('first', 'second')"),
+    "probe-name": (["probe"] + _sets("probe=bogus"),
+                   "bad probe config: unknown probe 'bogus'; "
+                   "available: ('partition', 'roundtrip', "),
+    "set-without-value": (["grid", "--set", "d1"],
+                          "bad grid config: --set expects key=value, "
+                          "got 'd1'"),
 }
 
 
@@ -267,6 +275,16 @@ def test_a_bad_config_stops_with_one_line_and_writes_nothing(
     assert message.startswith(start.format(**paths))
     assert "\n" not in message
     assert list(tmp_path.iterdir()) == []
+
+
+def test_replay_of_a_manifest_with_no_command_stops(tmp_path):
+    manifest = tmp_path / "bare.manifest"
+    manifest.write_text("d1=1\nd2=1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["replay", str(manifest), "--out", str(tmp_path / "out")])
+    assert str(err.value) == ("bad replay config: manifest has no "
+                              "replayable command: None")
+    assert list(tmp_path.iterdir()) == [manifest]
 
 
 def test_thresholds_command_corners(tmp_path):

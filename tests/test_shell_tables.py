@@ -178,9 +178,10 @@ EIGEN_GRIDS = {
 
 @pytest.mark.parametrize("name", sorted(EIGEN_GRIDS))
 @pytest.mark.parametrize("j", range(1, 7))
-def test_lattice_tables_are_the_band_tables_bit_for_bit(name, j, monkeypatch):
+def test_lattice_tables_are_the_band_tables_bit_for_bit(name, j, monkeypatch,
+                                                        named_grid):
     fields, l_cap = EIGEN_GRIDS[name]
-    eta1 = live_eigenvalues(fields(probe_grid(name)))
+    eta1 = live_eigenvalues(fields(named_grid(name)))
     piece = DyadicPiece(j, 1.0)
     batches = _expansion_batches(piece, eta1, l_cap, monkeypatch)
     assert batches
@@ -399,7 +400,8 @@ def test_series_symbol_off_the_samples_computes_afresh(monkeypatch):
     assert np.array_equal(got, truncated_series_symbol(
         replace(capped, coeffs=None), eta1, eta2))
     # another truncation than the expansion's own computes afresh too
-    truncated_series_symbol(capped, capped.samples, eta2, truncation=64)
+    truncated_series_symbol(replace(capped, truncation=64), capped.samples,
+                            eta2)
     assert len(calls) == 3
 
 

@@ -1,8 +1,8 @@
 """Every name the benchmark traces and the package exports exists, so a
 change that deletes one fails here rather than in a traced benchmark run;
 the CLI keeps one error boundary, the probes' verdicts are set in one
-layer, no setting comes from the environment, and one site builds the
-Gauss-Legendre rule."""
+layer, one site reports an unknown name, no setting comes from the
+environment, and one site builds the Gauss-Legendre rule."""
 
 import ast
 import importlib
@@ -45,16 +45,21 @@ def _scopes(node, where, match):
         yield from _scopes(child, inner, match)
 
 
-def _raises_system_exit(node) -> bool:
-    if not isinstance(node, ast.Raise) or node.exc is None:
-        return False
-    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+def _raises(name: str):
+    """A matcher of ``raise <name>`` and ``raise <name>(...)``."""
+    def match(node) -> bool:
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == name
+    return match
 
 
-def _system_exit_raises(node, where):
-    """The dotted scope of each ``raise SystemExit`` under ``node``."""
-    return _scopes(node, where, _raises_system_exit)
+def _package_scopes(match):
+    """The dotted scope of each node in the package that ``match`` accepts."""
+    return [scope for path in sorted(PACKAGE.glob("*.py"))
+            for scope in _scopes(ast.parse(path.read_text()), path.stem,
+                                 match)]
 
 
 def _assigns_verdict(node) -> bool:
@@ -72,24 +77,21 @@ def _assigns_verdict(node) -> bool:
 def test_only_cli_main_raises_system_exit():
     """A bad config reaches the user through cli.main's one
     ``except ConfigError``; a second SystemExit would be a second path."""
-    found = [scope for path in sorted(PACKAGE.glob("*.py"))
-             for scope in _system_exit_raises(ast.parse(path.read_text()),
-                                              path.stem)]
-    assert found == ["cli.main"]
+    assert _package_scopes(_raises("SystemExit")) == ["cli.main"]
 
 
 def test_verdicts_are_set_by_the_report_constructors():
     """Each probe's pass rule is one ``ProbeReport`` constructor in
-    report.py.  Two checks keep their own rule: the truncated Plancherel
-    kind's two-sided slope check, and the dilation check's DEGENERATE-PASS
-    when its reference field is zero."""
-    found = [scope for path in sorted(PACKAGE.glob("*.py"))
-             for scope in _scopes(ast.parse(path.read_text()), path.stem,
-                                  _assigns_verdict)]
-    assert [s for s in found if not s.startswith("report.")] == [
-        "riesz.dilation_covariance_check",
-        "verifier.weighted_plancherel_probe"]
+    report.py."""
+    found = _package_scopes(_assigns_verdict)
+    assert [s for s in found if not s.startswith("report.")] == []
     assert "report.ProbeReport.slope_bound" in found
+
+
+def test_one_site_reports_an_unknown_name():
+    """Every unknown grid, family, variant, kind, symbol, suite, probe or
+    layer name is reported by ``dims.known_name``, in one format."""
+    assert _package_scopes(_raises("UnknownName")) == ["dims.known_name"]
 
 
 def _reads_environment(node) -> bool:
@@ -104,9 +106,7 @@ def _reads_environment(node) -> bool:
 def test_settings_come_only_from_the_config():
     """A run is replayed from its manifest, so no setting may come from the
     environment, which the manifest does not record."""
-    found = [scope for path in sorted(PACKAGE.glob("*.py"))
-             for scope in _scopes(ast.parse(path.read_text()), path.stem,
-                                  _reads_environment)]
+    found = _package_scopes(_reads_environment)
     assert found == []
 
 
@@ -121,7 +121,5 @@ def _calls_leggauss(node) -> bool:
 
 def test_one_site_builds_the_gauss_legendre_rule():
     """Every quadrature reads the cached ``reductions.gauss_legendre``."""
-    found = [scope for path in sorted(PACKAGE.glob("*.py"))
-             for scope in _scopes(ast.parse(path.read_text()), path.stem,
-                                  _calls_leggauss)]
+    found = _package_scopes(_calls_leggauss)
     assert found == ["reductions.gauss_legendre"]

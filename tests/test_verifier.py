@@ -11,7 +11,7 @@ from grushin.verifier import (DecayProbeSpec, _decay_fields,
                               coefficient_decay_probe,
                               dyadic_decay_probe, family_fields,
                               live_eigenvalues, mixed_norm_decay_probe,
-                              pointwise_kernel_probe, probe_grid,
+                              pointwise_kernel_probe,
                               weighted_plancherel_probe)
 
 
@@ -82,6 +82,39 @@ def test_refinement_of_a_zero_base_ratio():
     assert grown.verdict == "FAIL"
 
 
+@pytest.mark.parametrize("offset, verdict", [(0.0, "PASS"), (0.1, "PASS"),
+                                             (-0.1, "PASS"), (0.2, "FAIL"),
+                                             (-0.2, "FAIL")])
+def test_slope_target_is_two_sided(offset, verdict):
+    from grushin.report import SLOPE_TOL
+    assert 0.1 < SLOPE_TOL < 0.2
+    x = [2.0, 3.0, 4.0, 5.0]
+    rep = ProbeReport.slope_target(x, [(1.5 + offset) * v for v in x], 1.5,
+                                   7.0, kind="k")
+    assert rep.verdict == verdict
+    assert rep.details == {"kind": "k", "slope_target": 1.5}
+    assert rep.max_ratio == 7.0
+
+
+@pytest.mark.parametrize("dev, reference, verdict, shown", [
+    (0.5, None, "PASS", 0.5),
+    (1.0, None, "PASS", 1.0),
+    (1.5, None, "FAIL", 1.5),
+    (2.0, 4.0, "PASS", 0.5),
+    (6.0, 4.0, "FAIL", 1.5),
+    (0.0, 0.0, "DEGENERATE-PASS", 0.0),    # a zero reference, a zero field
+    (3.0, 0.0, "DEGENERATE-PASS", 0.0),
+    (1.0, math.nan, "FAIL", math.nan),
+])
+def test_deviation_verdicts(dev, reference, verdict, shown):
+    rep = ProbeReport.deviation(dev, 1.0, reference=reference, t=2.0)
+    assert rep.verdict == verdict
+    np.testing.assert_equal(rep.max_ratio, shown)
+    assert rep.details == ({"t": 2.0} if reference is None else
+                           {"t": 2.0, "reference": reference})
+    assert np.all(np.isfinite(rep.ordinate)) or math.isnan(shown)
+
+
 def test_coefficient_probe_of_zero_coefficients_is_degenerate(monkeypatch):
     from grushin import verifier
     monkeypatch.setattr(verifier, "fourier_coeff_batch",
@@ -91,8 +124,8 @@ def test_coefficient_probe_of_zero_coefficients_is_degenerate(monkeypatch):
     assert rep.max_ratio == 0.0
 
 
-def test_family_fields_seeded_and_banded():
-    g = probe_grid("riesz")
+def test_family_fields_seeded_and_banded(riesz_grid):
+    g = riesz_grid
     f1 = family_fields("hermite-bump", g, 3, band=(1 / 8, 0.49))
     f2 = family_fields("hermite-bump", g, 3, band=(1 / 8, 0.49))
     f3 = family_fields("hermite-bump", g, 4, band=(1 / 8, 0.49))
@@ -168,10 +201,10 @@ def test_decay_probe_no_guarantee_labeling():
     assert rep.verdict == "NO-GUARANTEE"
 
 
-def test_decay_probe_degenerate_zero_field():
+def test_decay_probe_degenerate_zero_field(riesz_grid):
     # zero-coefficient family member: all norms vanish, degenerate pass
     spec = DecayProbeSpec(alpha=1.0, p1=2, p2=2, j_range=(1, 2))
-    grid = probe_grid("riesz")
+    grid = riesz_grid
     from grushin import verifier as V
 
     def zero_fields(name, seed, g):
@@ -188,8 +221,8 @@ def test_decay_probe_degenerate_zero_field():
     assert rep.verdict == "DEGENERATE-PASS"
 
 
-def test_mixed_probe_no_guarantee_below_threshold():
-    grid = probe_grid("riesz")
+def test_mixed_probe_no_guarantee_below_threshold(riesz_grid):
+    grid = riesz_grid
     rep = mixed_norm_decay_probe(1.0, j_range=range(1, 4), grid=grid)
     assert rep.verdict == "NO-GUARANTEE"
     # each piece's series cutoff and tail, as build_expansion reports them
@@ -203,10 +236,10 @@ def test_mixed_probe_no_guarantee_below_threshold():
                                                     for e in exps)
 
 
-def test_decay_probe_runs_bit_identical_across_workers():
+def test_decay_probe_runs_bit_identical_across_workers(riesz_grid):
     spec = DecayProbeSpec(alpha=0.7, p1=2, p2=math.inf,
                           j_range=(1, 2, 3), seed=2)
-    grid = probe_grid("riesz")
+    grid = riesz_grid
     a = dyadic_decay_probe(spec, grid=grid, workers=1)
     b = dyadic_decay_probe(spec, grid=grid, workers=8)
     c = dyadic_decay_probe(spec, grid=grid, workers=1)
@@ -231,8 +264,8 @@ def test_no_guarantee_counts_as_success():
     assert "NO-GUARANTEE" in PASSING_VERDICTS
 
 
-def test_mixed_probe_slope_monotone_in_alpha():
-    g = probe_grid("riesz")
+def test_mixed_probe_slope_monotone_in_alpha(riesz_grid):
+    g = riesz_grid
     fast = mixed_norm_decay_probe(1.6, j_range=range(1, 5), grid=g)
     faster = mixed_norm_decay_probe(3.0, j_range=range(1, 5), grid=g)
     assert faster.slope <= fast.slope
