@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dims import ConfigError
+from .dims import ConfigError, in_range
 from .fields import GriddedField, SpectralField
 from .grid import Grid, GridError
 from .hermite import _profile_rows, multi_index_degrees, multi_indices_upto
@@ -175,7 +175,10 @@ def _phase_rows(atoms: SpectralAtoms, coeff: np.ndarray, xs, ys) -> np.ndarray:
     The phase argument is summed axis by axis in elementwise products,
     so each row is the same whichever other points share the batch.
     """
-    d = _stack(xs, 1) - _stack(ys, 1)
+    x2, y2, d2 = _stack(xs, 1), _stack(ys, 1), atoms.lam.shape[1]
+    if not x2.shape[1] == y2.shape[1] == d2:
+        raise ValueError(f"x'' points need d2 = {d2} coordinates")
+    d = x2 - y2
     arg = d[:, :1] * atoms.lam[:, 0]
     for k in range(1, d.shape[1]):
         arg = arg + d[:, k:k + 1] * atoms.lam[:, k]
@@ -390,6 +393,11 @@ def u_weight_table(grid: Grid, exponent: float, k_max: int) -> np.ndarray:
         * _power_cos_moments(p, k_max)
 
 
+def _require_d2_one(grid: Grid):
+    if grid.dims.d2 != 1:
+        raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
+
+
 def _weighted_gram(atoms: SpectralAtoms, x1_point: np.ndarray,
                    exponent: float) -> np.ndarray:
     """M[q, r] = V(k_q - k_r) sum_{y1} w1 Proj_q(x1, y1) Proj_r(x1, y1).
@@ -401,8 +409,7 @@ def _weighted_gram(atoms: SpectralAtoms, x1_point: np.ndarray,
     unless d2 = 1, before any projection work.
     """
     grid = atoms.grid
-    if grid.dims.d2 != 1:
-        raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
+    _require_d2_one(grid)
     proj = atom_projection_values(atoms, x1_point, grid.x1_points)  # (Q, n1)
     S = (proj * grid.x1_weights) @ proj.T
     steps = np.round(atoms.lam[:, 0] / grid.lambda_step).astype(int)
@@ -426,8 +433,7 @@ def second_layer_channel_l2(sums: tuple, u_exponent: float,
     At exponent 0, T = L I.  d2 = 1 only (NotImplementedError).
     """
     grid, z, nodes = sums
-    if grid.dims.d2 != 1:
-        raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
+    _require_d2_one(grid)
     if cutoff is not None:
         z = np.asarray(cutoff(grid.lambda_abs[nodes]))[:, None] * z
     live = np.any(z != 0, axis=1)
@@ -463,8 +469,7 @@ def bilinear_weighted_l2(G: Symbol2D, x, grid: Grid, exp1: float, exp2: float,
     code for the general-G estimate, and its `_weighted_gram` is the
     tests' oracle.  d2 = 1 only (NotImplementedError otherwise).
     """
-    if grid.dims.d2 != 1:
-        raise NotImplementedError("weighted Gram contractions are d2 = 1 only")
+    _require_d2_one(grid)
     x1 = np.atleast_1d(x[0])
     if isinstance(G, SeparableSymbol2D):
         sums1 = channel_sums(G.factor1, grid, x1)
@@ -510,8 +515,8 @@ def sobolev_product_norm(G: Symbol2D, s1: float, s2: float,
     Raises PaddingError when the symbol carries mass on the outer frame
     of the padded box (i.e. the padding cannot isolate one period).
     """
-    if s1 < 0 or s2 < 0:
-        raise ValueError("Sobolev orders must be >= 0")
+    in_range("s1", s1, 0)
+    in_range("s2", s2, 0)
     (a1, b1), (a2, b2) = G.support
     n = samples
     big = pad * n

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import bilinear_kernel_batch, linear_kernel_batch
-from .dims import ConfigError, Dims, config_value, known_name
+from .dims import ConfigError, Dims, config_value, in_range, known_name
 from .fields import (analyze, lp_norm, support_degree, synthesize,
                      write_field_binary, write_field_csv)
 from .geometry import Point, weight_integral_check
@@ -99,6 +99,13 @@ def _write_manifest(path: str, command: str, cfg: dict, outputs: list[str],
         fh.write(format_flat_config({k: str(v) for k, v in record.items()}))
 
 
+def _write_field_pair(h, out: str, cfg: dict) -> list[str]:
+    """Write ``h`` to ``out``.grsh and ``out``.csv; the two paths."""
+    write_field_binary(h, out + ".grsh")
+    write_field_csv(h, out + ".csv", [f"config_hash={config_hash(cfg)}"])
+    return [out + ".grsh", out + ".csv"]
+
+
 def _write_output(path: str, cfg: dict, text: str):
     """Write ``text`` to ``path`` under the ``# config_hash=`` line of ``cfg``."""
     with open(path, "w") as fh:
@@ -112,9 +119,8 @@ def _write_output(path: str, cfg: dict, text: str):
 def cmd_grid(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
     out = out or "grid.cfg"
-    resolved = {k: getattr(grid.resolved, k) for k in GRID_KEYS}
-    _write_output(out, cfg,
-                  format_flat_config({k: str(v) for k, v in resolved.items()}))
+    _write_output(out, cfg, format_flat_config(
+        {k: str(getattr(grid.resolved, k)) for k in GRID_KEYS}))
     return (out + ".manifest", [out], {},
             f"grid written to {out} "
             f"({grid.n_x1} x {grid.resolved.x2_count} spatial nodes, "
@@ -123,19 +129,15 @@ def cmd_grid(cfg: dict, out: str | None):
 
 def cmd_field(cfg: dict, out: str | None):
     grid = _grid_from_config(cfg)
-    family = cfg.get("family", "hermite-bump")
-    seed = config_value(cfg, "seed", 0)
+    family, seed = cfg.get("family", "hermite-bump"), _seed(cfg)
     # by default degree 4, or the most the grid resolves on the family's band
     band = family_fields(family, grid, seed, max_degree=0).lambda_abs
     f = family_fields(family, grid, seed, max_degree=config_value(
         cfg, "max_degree", max(0, min(4, support_degree(band, grid)))))
-    h = synthesize(f, grid)
     out = out or "field"
-    write_field_binary(h, out + ".grsh")
-    write_field_csv(h, out + ".csv", [f"config_hash={config_hash(cfg)}"])
-    return (out + ".manifest", [out + ".grsh", out + ".csv"], {},
-            f"field ({family}, seed {seed}) written to {out}.grsh / {out}.csv",
-            0)
+    return (out + ".manifest", _write_field_pair(synthesize(f, grid), out, cfg),
+            {}, f"field ({family}, seed {seed}) written to "
+            f"{out}.grsh / {out}.csv", 0)
 
 
 def cmd_riesz(cfg: dict, out: str | None):
@@ -144,8 +146,7 @@ def cmd_riesz(cfg: dict, out: str | None):
     piece = DyadicPiece(config_value(cfg, "j", 0), alpha) if "j" in cfg else None
     sym = (dyadic_piece_symbol(piece) if piece else
            riesz_symbol(RieszParams(alpha, config_value(cfg, "R", 1.0))))
-    family = cfg.get("family", "hermite-bump")
-    seed = config_value(cfg, "seed", 0)
+    family, seed = cfg.get("family", "hermite-bump"), _seed(cfg)
     band = (config_value(cfg, "band_lo", 1.0 / 8.0),
             config_value(cfg, "band_hi", 0.45))
     f = family_fields(family, grid, seed, band=band)
@@ -162,9 +163,7 @@ def cmd_riesz(cfg: dict, out: str | None):
         verdicts["separation_truncation"] = str(exp.truncation)
         verdicts["separation_tail"] = repr(exp.tail_bound)
         verdicts["separation_converged"] = str(exp.converged)
-    write_field_binary(result, out + ".grsh")
-    write_field_csv(result, out + ".csv", [f"config_hash={config_hash(cfg)}"])
-    return (out + ".manifest", [out + ".grsh", out + ".csv"], verdicts,
+    return (out + ".manifest", _write_field_pair(result, out, cfg), verdicts,
             f"bilinear mean written to {out}.grsh; "
             + (f"separated-path deviation {verdicts['separation_rel_l2']}"
                if verdicts else f"norm {lp_norm(result, 2.0):.6e}"), 0)
@@ -175,11 +174,9 @@ def cmd_kernel(cfg: dict, out: str | None):
     params = {k.split(".", 1)[1]: v for k, v in cfg.items()
               if k.startswith("symbol.")}
     sym = builtin_symbol(cfg.get("symbol", "riesz"), **params)
-    n = config_value(cfg, "n_points", 16)
-    if n < 1:
-        raise ConfigError(f"n_points must be >= 1, got {n}")
+    n = in_range("n_points", config_value(cfg, "n_points", 16), 1)
     out = out or "kernel.csv"
-    rng = np.random.default_rng(config_value(cfg, "seed", 0))
+    rng = np.random.default_rng(_seed(cfg))
     pts = [tuple((rng.uniform(-2, 2, grid.dims.d1),
                   rng.uniform(-4, 4, grid.dims.d2)) for _ in "xyz")
            for _ in range(n)]
@@ -198,9 +195,8 @@ def cmd_thresholds(cfg: dict, out: str | None):
     dims = Dims(config_value(cfg, "d1", 1), config_value(cfg, "d2", 1))
     variant = cfg.get("variant", "general")
     resolution = config_value(cfg, "resolution", 20)
-    table = threshold_table(dims, variant, resolution)
     out = out or "thresholds.csv"
-    _write_output(out, cfg, table)
+    _write_output(out, cfg, threshold_table(dims, variant, resolution))
     return (out + ".manifest", [out], {},
             f"threshold table ({variant}, resolution {resolution}) "
             f"written to {out}", 0)
@@ -236,10 +232,10 @@ def roundtrip_probe() -> ProbeReport:
 
 
 def _dilation_probe_run(cfg: dict, seed: int, workers):
+    t = in_range("t", config_value(cfg, "t", 2.0), 0, lo_open=True)
     grid = probe_grid("dilation")
     f, g = (family_fields("hermite-bump", grid, s, band=(0.25, 0.75),
                           max_degree=2) for s in (seed, seed + 1))
-    t = config_value(cfg, "t", 2.0)
     return dilation_covariance_check(
         RieszParams(config_value(cfg, "alpha", 1.0), t * t), f, g, t, grid)
 
@@ -301,15 +297,18 @@ _SUITE_ALPHA = {"decay/2-2-1": "alpha", "decay/mixed": "alpha_mixed"}
 
 def _workers(cfg: dict):
     """The ``workers`` key (at least 1), or None, one worker, if absent."""
-    workers = config_value(cfg, "workers", 1) if "workers" in cfg else None
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
+    return (in_range("workers", config_value(cfg, "workers", 1), 1)
+            if "workers" in cfg else None)
+
+
+def _seed(cfg: dict) -> int:
+    """The ``seed`` key (at least 0, as numpy asks), or 0 if absent."""
+    return in_range("seed", config_value(cfg, "seed", 0), 0)
 
 
 def cmd_verify(cfg: dict, out: str | None):
     suite = known_name("suite", cfg.setdefault("suite", "core"), SUITES)
-    seed, workers = config_value(cfg, "seed", 0), _workers(cfg)
+    seed, workers = _seed(cfg), _workers(cfg)
     reports = {}
     for name, probe, keys in SUITE:
         if suite == "all" or name.startswith(suite + "/"):
@@ -337,7 +336,7 @@ def cmd_verify(cfg: dict, out: str | None):
 
 def cmd_probe(cfg: dict, out: str | None):
     name = known_name("probe", cfg.setdefault("probe", "decay"), PROBES)
-    rep = PROBES[name](cfg, config_value(cfg, "seed", 0), _workers(cfg))
+    rep = PROBES[name](cfg, _seed(cfg), _workers(cfg))
     out = out or f"probe_{name}.csv"
     _write_output(out, cfg, rep.to_csv())
     return (out + ".manifest", [out], {name: rep.verdict},

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -31,6 +32,18 @@ def config_value(cfg: dict, key: str, default):
                           f"got {cfg[key]!r}") from None
 
 
+def in_range(what: str, value, lo, hi=math.inf, *, lo_open=False,
+             hi_closed=False):
+    """``value`` if it lies in the interval from ``lo`` to ``hi``, closed
+    below and open above unless flagged, else ConfigError naming ``what``
+    and the interval; NaN lies in no interval."""
+    if (lo < value if lo_open else lo <= value) and (
+            value <= hi if hi_closed else value < hi):
+        return value
+    raise ConfigError(f"{what} must lie in {'(' if lo_open else '['}{lo:g}, "
+                      f"{hi:g}{']' if hi_closed else ')'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dims:
     """The layer dimensions (d1, d2) and the derived dimensional constants.
@@ -46,10 +59,9 @@ class Dims:
     d2: int
 
     def __post_init__(self):
-        if int(self.d1) != self.d1 or int(self.d2) != self.d2:
+        d1, d2 = in_range("d1", self.d1, 1), in_range("d2", self.d2, 1)
+        if int(d1) != d1 or int(d2) != d2:
             raise ConfigError("d1, d2 must be integers")
-        if self.d1 < 1 or self.d2 < 1:
-            raise ConfigError(f"d1, d2 must be >= 1, got ({self.d1}, {self.d2})")
 
     @property
     def total_dim(self) -> int:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dims import ConfigError, Dims
+from .dims import ConfigError, Dims, in_range
 from .grid import Grid, GridError, nearest_node, trapezoid_weights
 from .hermite import multi_index_degrees, scaled_profile_bank
 from .reductions import pairwise_levels, pairwise_sum
@@ -165,9 +165,7 @@ def _row_blocks(h: GriddedField):
 def lp_norm(h: GriddedField, p: float) -> float:
     """(sum w(x) |h(x)|^p)^(1/p); max for p = inf.  Quasi-norms (p < 1) use
     the same formula."""
-    if not (p > 0):
-        raise ConfigError(f"p must be positive or inf, got {p}")
-    if np.isinf(p):
+    if np.isinf(in_range("p", p, 0, lo_open=True, hi_closed=True)):
         return float(np.max([a.max(initial=0.0) for _, a in _row_blocks(h)]))
     level = np.concatenate([pairwise_levels(
         (np.multiply.outer(w1, h.grid.x2_weights) * a ** p).reshape(-1),
@@ -177,8 +175,8 @@ def lp_norm(h: GriddedField, p: float) -> float:
 
 def mixed_norm(h: GriddedField, p: float, q: float) -> float:
     """Inner p-norm over x'' then outer q-norm over x'."""
-    if not (p > 0) or not (q > 0):
-        raise ConfigError(f"p, q must be positive or inf, got ({p}, {q})")
+    in_range("p", p, 0, lo_open=True, hi_closed=True)
+    in_range("q", q, 0, lo_open=True, hi_closed=True)
     inner = np.concatenate([
         a.max(axis=1, initial=0.0) if np.isinf(p) else
         pairwise_sum((a ** p) * h.grid.x2_weights, axis=1) ** (1.0 / p)
@@ -200,8 +198,7 @@ def dilate_spectral(f: SpectralField, t: float,
     (t x', t^2 x'') exactly on uniform-weight frequency lattices.  With a
     grid argument the mapped support is validated against the node set.
     """
-    if t <= 0:
-        raise ConfigError("dilation ratio must be positive")
+    in_range("t", t, 0, lo_open=True)
     new_support = (t * t) * f.lambda_support
     if grid is not None:
         try:
@@ -215,8 +212,7 @@ def dilate_spectral(f: SpectralField, t: float,
 def dilate_gridded(h: GriddedField, t: float) -> GriddedField:
     """Pointwise dilation (x', x'') -> values at (t x', t^2 x''), restricted
     to the sub-grid of nodes whose image is again a node."""
-    if t <= 0:
-        raise ConfigError("dilation ratio must be positive")
+    in_range("t", t, 0, lo_open=True)
     grid, res = h.grid, h.grid.resolved
     layers = []
     for axis, factor, extent, count, periodic in (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import ConfigError, Dims, known_name
+from .dims import Dims, in_range, known_name
 from .report import ProbeReport
 
 
@@ -58,8 +58,7 @@ def control_distance_batch(x1a, x2a, x1b, x2b) -> np.ndarray:
 
 def ball_volume(x: Point, r: float) -> float:
     """Canonical ball volume r^{d1+d2} * max(r, |x'|)^{d2} (constant 1)."""
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    in_range("r", r, 0, lo_open=True)
     dims = x.dims
     radial = float(np.linalg.norm(x.x1))
     return r ** dims.total_dim * max(r, radial) ** dims.d2
@@ -104,8 +103,7 @@ def weight_integral_check(a: Point, r_values, gamma: float, layer: str,
     """
     dims = a.dims
     top = {"first": dims.d1, "second": dims.d2}
-    if not 0 <= gamma < top[known_name("layer", layer, top)]:
-        raise ConfigError(f"{layer}-layer gamma must lie in [0, {top[layer]})")
+    in_range("gamma", gamma, 0, top[known_name("layer", layer, top)])
     first = layer == "first"
     a_norm = float(np.linalg.norm(a.x1))
 

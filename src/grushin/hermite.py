@@ -230,6 +230,8 @@ def _profile_rows(lam: np.ndarray, node: np.ndarray, mu: np.ndarray,
     of ``scaled_profile_matrix`` at each node.
     """
     d1 = points.shape[1]
+    if d1 != mu.shape[1]:
+        raise ValueError(f"x' points need d1 = {mu.shape[1]} coordinates")
     norm = np.sqrt(np.sum(lam * lam, axis=1))
     if np.any(norm == 0.0):
         raise ValueError("lambda must be nonzero")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dims import ConfigError, config_value, known_name
+from .dims import ConfigError, config_value, in_range, known_name
 
 
 def _exp_inv(u):
@@ -156,11 +156,8 @@ class RieszParams:
     R: float = 1.0
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0 <= self.alpha < np.inf:
-            raise ConfigError("alpha must be finite and >= 0")
-        if not 0 < self.R < np.inf:
-            raise ConfigError("R must be finite and > 0")
+        in_range("alpha", self.alpha, 0)
+        in_range("R", self.R, 0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,8 @@ class DyadicPiece:
     alpha: float
 
     def __post_init__(self):
-        if not self.j >= 0:
-            raise ConfigError("j must be >= 0")
-        if not 0 <= self.alpha < np.inf:
-            raise ConfigError("alpha must be finite and >= 0")
+        in_range("j", self.j, 0)
+        in_range("alpha", self.alpha, 0)
 
     @property
     def shell(self) -> tuple[float, float]:

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .dims import ConfigError, Dims, known_name
+from .dims import Dims, in_range, known_name
 
 REGIONS = ("I", "II", "III_a", "III_b", "IV_a", "IV_b", "V", "NotCovered")
 VARIANTS = ("general", "restricted")
@@ -86,10 +86,8 @@ def threshold(p1: float, p2: float, dims: Dims,
     sets (the support hypothesis only helps).
     """
     known_name("variant", variant, VARIANTS)
-    for p in (p1, p2):
-        if not (p >= 1.0):
-            raise ConfigError(f"exponents must lie in [1, inf], got {p}")
-    u, v = reciprocal(p1), reciprocal(p2)
+    u = reciprocal(in_range("p1", p1, 1, hi_closed=True))
+    v = reciprocal(in_range("p2", p2, 1, hi_closed=True))
     w = u + v
 
     formulas = 2 if variant == "restricted" else 1
@@ -114,8 +112,7 @@ def threshold_table(dims: Dims, variant: str = "general",
 
     Header: inv_p1,inv_p2,region,alpha,variant.
     """
-    if resolution < 2:
-        raise ConfigError("resolution must be >= 2")
+    in_range("resolution", resolution, 2)
     buf = io.StringIO()
     buf.write("inv_p1,inv_p2,region,alpha,variant\n")
     for i in range(resolution + 1):

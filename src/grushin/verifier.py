@@ -18,7 +18,7 @@ from .calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
                        channel_sums, linear_first_layer_weighted_l2,
                        restriction_apply_l2, second_layer_channel_l2,
                        sobolev_norm_1d)
-from .dims import ConfigError, Dims, known_name
+from .dims import ConfigError, Dims, in_range, known_name
 from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
 from .geometry import Point, ball_volume, control_distance_batch
 from .grid import Grid, GridSpec, make_grid
@@ -81,8 +81,7 @@ def family_fields(name: str, grid: Grid, seed: int,
       factor 4 apart, stressing both branches of the ball-volume formula.
     """
     known_name("family", name, FAMILIES)
-    if max_degree < 0:
-        raise ConfigError(f"max_degree must be >= 0, got {max_degree}")
+    in_range("max_degree", max_degree, 0)
     name_tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4],
                               "little")
     rng = np.random.default_rng(np.random.SeedSequence([name_tag, seed]))
@@ -174,8 +173,8 @@ def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
     the selected volume-weight combination; passes when the fitted log2
     slope stays at or below beta1 + beta2 + 1/2 + tolerance.
     """
-    if beta1 < 0 or beta2 < 0:
-        raise ConfigError("beta exponents must be >= 0")
+    in_range("beta1", beta1, 0)
+    in_range("beta2", beta2, 0)
     grid = grid or probe_grid("decay")
     triples = _stratified_triples(seed)
     (x1, x2), (y1, y2), (z1, z2) = ([np.array(c) for c in zip(*p)]
@@ -254,17 +253,9 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
     known_name("kind", kind, PLANCHEREL_KINDS)
     grid = probe_grid("weighted")
     dims = grid.dims
-    half = dims.d2 / 2.0
-    if kind in ("linear_first_layer",) and not 0 <= gamma1 < half:
-        raise ConfigError(f"gamma1 must lie in [0, {half})")
-    if kind == "second_layer" and not (0 <= gamma1 < half
-                                       and 0 <= gamma2 < half):
-        raise ConfigError(f"gamma exponents must lie in [0, {half})")
-    if kind == "truncated" and (n1 < 0 or n2 < 0):
-        raise ConfigError("cutoff orders must be >= 0")
-
     prof = bump_symbol_1d(0.05, 0.45)
     if kind == "linear_first_layer":
+        in_range("gamma1", gamma1, 0, dims.d2 / 2)
         symbols = [indicator_symbol_1d(0.0, 0.45), prof]
         ys = [5.0, 10.0, 20.0, 40.0]
 
@@ -290,6 +281,8 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
                                   kind=kind)
 
     if kind == "second_layer":
+        in_range("gamma1", gamma1, 0, dims.d2 / 2)
+        in_range("gamma2", gamma2, 0, dims.d2 / 2)
         rhs = (sobolev_norm_1d(prof, gamma1) * sobolev_norm_1d(prof, gamma2)) ** 2
 
         def ratios(gr):      # one base point's channel sums at a time
@@ -305,8 +298,8 @@ def weighted_plancherel_probe(kind: str, gamma1: float = 0.0,
     # left side factors over channels for a tensor symbol, so the slope
     # and ratio live in channel one while channel two is held fixed.  One
     # read-only table of channel sums per base point serves every cutoff.
-    s1 = sobolev_norm_1d(prof, n1) ** 2
-    s2 = sobolev_norm_1d(prof, n2) ** 2
+    s1 = sobolev_norm_1d(prof, in_range("N1", n1, 0)) ** 2
+    s2 = sobolev_norm_1d(prof, in_range("N2", n2, 0)) ** 2
     m_values = [2, 3, 4, 5]
     tables = [channel_sums(prof, grid, np.array([x1])) for x1 in _BASE_POINTS]
 
@@ -345,10 +338,8 @@ def coefficient_decay_probe(alpha: float, beta: float,
     the sup over eta1 below the shell window instead, where coefficients
     decay superalgebraically and the sharp rate is visible.
     """
-    if beta < 0:
-        raise ConfigError("beta must be >= 0 (strictly positive in the bound)")
     ls = np.arange(0, l_max + 1)
-    weights = (1.0 + ls) ** (1.0 + beta)
+    weights = (1.0 + ls) ** (1.0 + in_range("beta", beta, 0))
 
     def one_j(j):
         hi = 1.0 - 2.0 ** (-j + 1) - 0.02 if shell_clear else 1.0
@@ -468,9 +459,7 @@ def restriction_probe(gamma: float = 0.0) -> ProbeReport:
     Bump inputs at several positions; ratio bounded and refinement-stable.
     """
     grid = probe_grid("weighted")
-    half = grid.dims.d2 / 2.0
-    if not 0 <= gamma < half:
-        raise ConfigError(f"gamma must lie in [0, {half})")
+    in_range("gamma", gamma, 0, grid.dims.d2 / 2)
     F = indicator_symbol_1d(0.0, 0.45)
     f2 = math.sqrt(0.45)
 

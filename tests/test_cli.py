@@ -57,25 +57,30 @@ def test_bad_grid_values_stop_before_anything_is_written(tmp_path, bad):
 def test_non_finite_riesz_parameters_stop_before_anything_is_written(
         tmp_path, bad):
     sets = [a for item in bad for a in ("--set", item)]
-    name = bad[-1].split("=")[0]
-    with pytest.raises(SystemExit, match=f"{name} must be finite"):
+    name, value = bad[-1].split("=")
+    interval = {"alpha": "[0, inf)", "R": "(0, inf)"}[name]
+    with pytest.raises(SystemExit) as err:
         main(["riesz"] + RIESZ_GRID + sets + ["--out", str(tmp_path / "r")])
+    assert str(err.value) == (f"bad riesz config: {name} must lie in "
+                              f"{interval}, got {value}")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_decay_probe_rejects_a_nan_alpha_before_writing(tmp_path):
-    with pytest.raises(SystemExit,
-                       match="^bad probe config: alpha must be finite"):
+    with pytest.raises(SystemExit) as err:
         main(["probe", "--probe", "decay", "--set", "alpha=nan",
               "--out", str(tmp_path / "p.csv")])
+    assert str(err.value) == ("bad probe config: alpha must lie in [0, inf), "
+                              "got nan")
     assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rejects_a_nan_alpha_before_writing(tmp_path):
-    with pytest.raises(SystemExit,
-                       match="^bad probe config: alpha must be finite"):
+    with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "decay", "--set", "alpha=nan",
               "--out", str(tmp_path / "v")])
+    assert str(err.value) == ("bad probe config: alpha must lie in [0, inf), "
+                              "got nan")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -212,7 +217,23 @@ BAD_CONFIGS = {
     "field-seed": (["field"] + RIESZ_GRID + _sets("seed=abc"),
                    "bad field config: seed must parse as int"),
     "field-max-degree": (["field"] + RIESZ_GRID + _sets("max_degree=-1"),
-                         "bad field config: max_degree must be >= 0"),
+                         "bad field config: max_degree must lie in [0, inf), "
+                         "got -1"),
+    "field-seed-negative": (["field"] + RIESZ_GRID + _sets("seed=-1"),
+                            "bad field config: seed must lie in [0, inf), "
+                            "got -1"),
+    "riesz-seed-negative": (["riesz"] + RIESZ_GRID + _sets("seed=-1"),
+                            "bad riesz config: seed must lie in [0, inf), "
+                            "got -1"),
+    "kernel-seed-negative": (["kernel"] + RIESZ_GRID + _sets("seed=-1"),
+                             "bad kernel config: seed must lie in [0, inf), "
+                             "got -1"),
+    "kernel-n-points": (["kernel"] + RIESZ_GRID + _sets("n_points=0"),
+                        "bad kernel config: n_points must lie in [1, inf), "
+                        "got 0"),
+    "thresholds-resolution-one": (["thresholds"] + _sets("resolution=1"),
+                                  "bad thresholds config: resolution must lie "
+                                  "in [2, inf), got 1"),
     "thresholds-variant": (["thresholds"] + _sets("variant=nope"),
                            "bad thresholds config: unknown variant 'nope'; "
                            "available: ('general', 'restricted')"),
@@ -226,9 +247,14 @@ BAD_CONFIGS = {
     "verify-workers": (["verify"] + _sets("workers=abc"),
                        "bad probe config: workers must parse as int"),
     "verify-workers-zero": (["verify"] + _sets("workers=0"),
-                            "bad probe config: workers must be >= 1"),
+                            "bad probe config: workers must lie in [1, inf), "
+                            "got 0"),
     "probe-workers-negative": (["probe"] + _sets("workers=-2"),
-                               "bad probe config: workers must be >= 1"),
+                               "bad probe config: workers must lie in "
+                               "[1, inf), got -2"),
+    "probe-seed-negative": (["probe"] + _sets("seed=-1"),
+                            "bad probe config: seed must lie in [0, inf), "
+                            "got -1"),
     "config-file-line": (["grid", "--config", "{config}"],
                          "bad grid config: line 2: expected key=value"),
     "config-file-not-utf8": (["grid", "--config", "{binary}"],
@@ -241,10 +267,33 @@ BAD_CONFIGS = {
                              + _sets("variant=zz"),
                              "bad probe config: unknown variant 'zz'"),
     "probe-dilation-t": (["probe", "--probe", "dilation"] + _sets("t=-1"),
-                         "bad probe config: dilation ratio must be positive"),
+                         "bad probe config: t must lie in (0, inf), got -1.0"),
+    "probe-dilation-t-inf": (["probe", "--probe", "dilation"] + _sets("t=inf"),
+                             "bad probe config: t must lie in (0, inf), "
+                             "got inf"),
+    "probe-dilation-t-nan": (["probe", "--probe", "dilation"] + _sets("t=nan"),
+                             "bad probe config: t must lie in (0, inf), "
+                             "got nan"),
     "probe-plancherel-gamma": (["probe", "--probe", "plancherel"]
                                + _sets("gamma1=0.9"),
-                               "bad probe config: gamma exponents must lie"),
+                               "bad probe config: gamma1 must lie in [0, 0.5), "
+                               "got 0.9"),
+    "probe-truncated-n1-nan": (["probe", "--probe", "plancherel"]
+                               + _sets("kind=truncated", "N1=nan"),
+                               "bad probe config: N1 must lie in [0, inf), "
+                               "got nan"),
+    "probe-truncated-n1-inf": (["probe", "--probe", "plancherel"]
+                               + _sets("kind=truncated", "N1=inf"),
+                               "bad probe config: N1 must lie in [0, inf), "
+                               "got inf"),
+    "probe-kernel-beta1-nan": (["probe", "--probe", "kernel"]
+                               + _sets("beta1=nan"),
+                               "bad probe config: beta1 must lie in [0, inf), "
+                               "got nan"),
+    "probe-coefficient-beta-nan": (["probe", "--probe", "coefficient"]
+                                   + _sets("beta=nan"),
+                                   "bad probe config: beta must lie in "
+                                   "[0, inf), got nan"),
     "probe-weight-layer": (["probe", "--probe", "weight-integral"]
                            + _sets("layer=nope"),
                            "bad probe config: unknown layer 'nope'; "

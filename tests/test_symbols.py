@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grushin.dims import ConfigError
 from grushin.symbols import (DyadicCutoff, DyadicPiece, RieszParams,
                              builtin_symbol, distinct,
                              Symbol2D, bump_symbol_1d, dyadic_bump,
@@ -169,7 +170,8 @@ def test_on_pairs_is_the_broadcast_call_bit_for_bit(decay_eigen, name,
     lambda: RieszParams(1.0, float("nan")), lambda: RieszParams(1.0, np.inf),
     lambda: DyadicPiece(2, float("nan")), lambda: DyadicPiece(2, np.inf)])
 def test_non_finite_symbol_parameters_are_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ConfigError, match=r"^(alpha must lie in \[0|R must "
+                                          r"lie in \(0), inf\), got (nan|inf)$"):
         bad()
 
 

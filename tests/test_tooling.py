@@ -1,7 +1,8 @@
 """Every name the benchmark traces and the package exports exists, so a
 change that deletes one fails here rather than in a traced benchmark run;
 the CLI keeps one error boundary, the probes' verdicts are set in one
-layer, one site reports an unknown name, no setting comes from the
+layer, one site reports an unknown name and one an out-of-range value,
+one site limits the weighted Grams to d2 = 1, no setting comes from the
 environment, and one site builds the Gauss-Legendre rule."""
 
 import ast
@@ -92,6 +93,24 @@ def test_one_site_reports_an_unknown_name():
     """Every unknown grid, family, variant, kind, symbol, suite, probe or
     layer name is reported by ``dims.known_name``, in one format."""
     assert _package_scopes(_raises("UnknownName")) == ["dims.known_name"]
+
+
+def test_one_site_reports_an_out_of_range_value():
+    """Every bound on a value a config or a caller supplies is checked by
+    ``dims.in_range``, in one format; ConfigError is raised elsewhere only
+    to report a config that cannot be read or parsed, a dimension that is
+    no integer, a symbol parameter's name, or a family band that misses
+    the grid."""
+    assert sorted(set(_package_scopes(_raises("ConfigError")))) == [
+        "cli._grid_from_config", "cli._read_config_file",
+        "cli._resolve_config", "dims.Dims.__post_init__",
+        "dims.config_value", "dims.in_range", "grid.parse_flat_config",
+        "symbols.builtin_symbol", "verifier.family_fields"]
+
+
+def test_one_site_limits_the_weighted_grams_to_d2_one():
+    assert _package_scopes(_raises("NotImplementedError")) == [
+        "calculus._require_d2_one"]
 
 
 def _reads_environment(node) -> bool:
