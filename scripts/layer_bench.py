@@ -90,7 +90,12 @@ and those of ``grushin verify --suite kernel`` on the ``decay`` grid,
 alpha = 1:
 
 * ``bilinear_kernel_batch``: the piece j at the 40 stratified triples of
-  library seed 0, j = 1..6;
+  library seed 0, j = 1..6, warm (after the warm-up call, as the pieces
+  after the first of a pass find them) and ``cold``: a library that
+  caches the triples' projection tables (``calculus._pair_projections``)
+  has that cache cleared first;
+* ``kernel suite[j=1..6,cold]``: the six pieces in turn from a cleared
+  cache, the kernel batches of one ``grushin verify --suite kernel`` pass;
 * ``dyadic_piece_symbol``: the piece j at every pair of atom eigenvalues
   up to 1 (730 x 730 pairs, the cost of evaluating a symbol on every
   atom pair rather than once per distinct eigenvalue pair), j = 1, 3, 6.
@@ -234,10 +239,21 @@ def _layers():
                     "truncated", workers=1).details["channel_values"])))
 
     triples = tuple(zip(*_stratified_triples(0)))
-    for j in range(1, 7):
-        sym = dyadic_piece_symbol(DyadicPiece(j, 1.0))
+    pieces = [dyadic_piece_symbol(DyadicPiece(j, 1.0)) for j in range(1, 7)]
+
+    def cold_batches(syms):
+        cached = getattr(calculus, "_pair_projections", None)
+        if cached is not None:
+            cached.cache_clear()
+        return np.concatenate([bilinear_kernel_batch(s, *triples, grid)
+                               for s in syms])
+
+    for j, sym in enumerate(pieces, 1):
         out.append((f"bilinear_kernel_batch[j={j}]",
                     lambda s=sym: bilinear_kernel_batch(s, *triples, grid)))
+        out.append((f"bilinear_kernel_batch[j={j},cold]",
+                    lambda s=sym: cold_batches([s])))
+    out.append(("kernel suite[j=1..6,cold]", lambda: cold_batches(pieces)))
     eigen = build_atoms(grid, 1.0).eigen
     for j in (1, 3, 6):
         sym = dyadic_piece_symbol(DyadicPiece(j, 1.0))

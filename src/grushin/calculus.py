@@ -9,7 +9,7 @@ the declared frequency lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -164,25 +164,25 @@ def linear_kernel(F: Symbol1D, x, y, grid: Grid) -> complex:
 def linear_kernel_batch(F: Symbol1D, xs, ys, grid: Grid) -> np.ndarray:
     atoms = build_atoms(grid, F.support[1])
     coeff = atoms.weight * np.asarray(F(atoms.eigen))
-    rows = _phase_rows(atoms, coeff, xs, ys)
+    proj = atom_projection_values(atoms, _stack(xs, 0), _stack(ys, 0))
+    rows = _phase_rows(atoms.lam, coeff, proj, xs, ys)
     return (2.0 * np.pi) ** (-grid.dims.d2) * pairwise_sum(rows, axis=1)
 
 
-def _phase_rows(atoms: SpectralAtoms, coeff: np.ndarray, xs, ys) -> np.ndarray:
-    """rows[t, q] = coeff_q exp(i lambda_q . (x''_t - y''_t)) Proj_q(x', y')
-    at the t-th point pair (x_t, y_t) of the batch.
+def _phase_rows(lam, coeff, proj, xs, ys) -> np.ndarray:
+    """rows[t, q] = coeff_q exp(i lam_q . (x''_t - y''_t)) proj[q, t], proj
+    the atoms' projections at the t-th point pair (x_t, y_t) of the batch.
 
     The phase argument is summed axis by axis in elementwise products,
     so each row is the same whichever other points share the batch.
     """
-    x2, y2, d2 = _stack(xs, 1), _stack(ys, 1), atoms.lam.shape[1]
+    x2, y2, d2 = _stack(xs, 1), _stack(ys, 1), lam.shape[1]
     if not x2.shape[1] == y2.shape[1] == d2:
         raise ValueError(f"x'' points need d2 = {d2} coordinates")
     d = x2 - y2
-    arg = d[:, :1] * atoms.lam[:, 0]
+    arg = d[:, :1] * lam[:, 0]
     for k in range(1, d.shape[1]):
-        arg = arg + d[:, k:k + 1] * atoms.lam[:, k]
-    proj = atom_projection_values(atoms, _stack(xs, 0), _stack(ys, 0))
+        arg = arg + d[:, k:k + 1] * lam[:, k]
     return coeff * np.exp(1j * arg) * proj.T
 
 
@@ -213,27 +213,33 @@ def bilinear_kernel_batch(G: Symbol2D, xs, ys, zs, grid: Grid) -> np.ndarray:
     cols = np.flatnonzero(live.any(axis=0)[inv2])
     if rows.size == 0:
         return np.zeros(len(xs), dtype=complex)
-    sub1, sub2 = _atom_subset(atoms1, rows), _atom_subset(atoms2, cols)
-    a = _phase_rows(sub1, sub1.weight, xs, ys)
+    x1, y1, z1 = (tuple(map(tuple, _stack(p, 0).tolist())) for p in (xs, ys, zs))
+    a = _phase_rows(atoms1.lam[rows], atoms1.weight[rows],
+                    _pair_projections(grid, b1, x1, y1)[rows], xs, ys)
     ab = np.stack((a.real, a.imag), axis=1)     # (T, 2, R)
     del a   # beside the gathered block only ab is held; b is built after it
-    # gathered from table.real and table.imag, each GEMM operand is contiguous
-    block = np.ix_(inv1[rows], inv2[cols])
-    u = ab @ table.real[block]                  # (Re a Gr, Im a Gr)
+    # C-ordered takes, not np.ix_: the same contiguous GEMM operand, faster
+    r, c = inv1[rows], inv2[cols]
+    u = ab @ np.take(table.real[r], c, axis=1)  # (Re a Gr, Im a Gr)
     if table.imag.any():                        # plus i a Gi
-        v = ab @ table.imag[block]
+        v = ab @ np.take(table.imag[r], c, axis=1)
         u = u + np.stack((-v[:, 1], v[:, 0]), axis=1)
-    b = _phase_rows(sub2, sub2.weight, xs, zs)
+    b = _phase_rows(atoms2.lam[cols], atoms2.weight[cols],
+                    _pair_projections(grid, b2, x1, z1)[cols], xs, zs)
     q = u @ np.stack((b.real, b.imag), axis=2)  # (T, 2, 2)
     scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
     return scale * ((q[:, 0, 0] - q[:, 1, 1]) + 1j * (q[:, 0, 1] + q[:, 1, 0]))
 
 
-def _atom_subset(atoms: SpectralAtoms, keep) -> SpectralAtoms:
-    """The atoms selected by ``keep`` (a mask or an index array), in order."""
-    return replace(atoms, **{k: getattr(atoms, k)[keep] for k in
-                             ("lam", "lam_abs", "weight", "level", "eigen",
-                              "lam_index")})
+@lru_cache(maxsize=2)
+def _pair_projections(grid: Grid, eta_max: float, x1s: tuple, y1s: tuple):
+    """``atom_projection_values(build_atoms(grid, eta_max), x1s, y1s)``,
+    read-only, for pairs' x' points as d1-tuples: a kernel pass's pieces
+    share them (a key compares by value, so x' = -0.0 reads 0.0's table)."""
+    proj = atom_projection_values(build_atoms(grid, eta_max), np.array(x1s),
+                                  np.array(y1s))
+    proj.flags.writeable = False
+    return proj
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def cmd_riesz(cfg: dict, out: str | None):
     sym = (dyadic_piece_symbol(piece) if piece else
            riesz_symbol(RieszParams(alpha, config_value(cfg, "R", 1.0))))
     family, seed = cfg.get("family", "hermite-bump"), _seed(cfg)
-    band = (config_value(cfg, "band_lo", 1.0 / 8.0),
-            config_value(cfg, "band_hi", 0.45))
+    band = (in_range("band_lo", config_value(cfg, "band_lo", 1.0 / 8.0), 0),
+            in_range("band_hi", config_value(cfg, "band_hi", 0.45), 0))
     f = family_fields(family, grid, seed, band=band)
     g = family_fields(family, grid, seed + 1, band=band)
     out = out or "riesz_out"
@@ -267,7 +267,8 @@ PROBES = {
         config_value(cfg, "alpha", 1.6), seed=seed, workers=workers),
     "dilation": _dilation_probe_run,
     "weight-integral": lambda cfg, seed, workers: weight_integral_check(
-        Point([config_value(cfg, "a1", 0.0)], [config_value(cfg, "a2", 0.0)]),
+        Point(*([in_range(a, config_value(cfg, a, 0.0), -math.inf,
+                          lo_open=True)] for a in ("a1", "a2"))),
         [0.25, 0.5, 1.0, 2.0, 4.0], config_value(cfg, "gamma", 0.5),
         cfg.get("layer", "first")),
 }
@@ -312,8 +313,10 @@ def cmd_verify(cfg: dict, out: str | None):
     reports = {}
     for name, probe, keys in SUITE:
         if suite == "all" or name.startswith(suite + "/"):
-            if _SUITE_ALPHA.get(name) in cfg:
-                keys = {**keys, "alpha": cfg[_SUITE_ALPHA[name]]}
+            key = _SUITE_ALPHA.get(name)
+            if key in cfg:   # read here, so that an error names the key typed
+                keys = {**keys, "alpha": in_range(
+                    key, config_value(cfg, key, 1.0), 0)}
             reports[name] = PROBES[probe](keys, seed, workers)
     out = out or f"verify_{suite}"
     os.makedirs(out, exist_ok=True)

@@ -238,9 +238,13 @@ def tensor_symbol(f1: Symbol1D, f2: Symbol1D) -> SeparableSymbol2D:
         support=(f1.support, f2.support), factor1=f1, factor2=f2)
 
 
+def _finite(p, key: str, default: float, lo: float = -np.inf) -> float:
+    """Symbol parameter ``key``: finite, and above ``lo``."""
+    return in_range(key, config_value(p, key, default), lo, lo_open=True)
+
+
 def _bump(p):
-    return bump_symbol_1d(config_value(p, "lo", 0.25),
-                          config_value(p, "hi", 0.75))
+    return bump_symbol_1d(_finite(p, "lo", 0.25), _finite(p, "hi", 0.75))
 
 
 # 2-D symbols first: the order an unknown name's error lists them in.
@@ -250,10 +254,10 @@ _BUILTIN = {
     "dyadic": lambda p: dyadic_piece_symbol(
         DyadicPiece(config_value(p, "j", 2), config_value(p, "alpha", 1.0))),
     "tensor-bump": lambda p: tensor_symbol(_bump(p), _bump(p)),
-    "indicator": lambda p: indicator_symbol_1d(config_value(p, "lo", 0.0),
-                                               config_value(p, "hi", 1.0)),
-    "gaussian": lambda p: gaussian_symbol_1d(config_value(p, "center", 0.5),
-                                             config_value(p, "width", 0.15)),
+    "indicator": lambda p: indicator_symbol_1d(_finite(p, "lo", 0.0),
+                                               _finite(p, "hi", 1.0)),
+    "gaussian": lambda p: gaussian_symbol_1d(_finite(p, "center", 0.5),
+                                             _finite(p, "width", 0.15, 0)),
     "bump": _bump,
 }
 

@@ -145,10 +145,13 @@ def _stratified_triples(seed: int) -> tuple:
     return tuple(triples)
 
 
-def _volume_factor(variant: str, *triple) -> float:
+@lru_cache(maxsize=16)
+def _volume_factors(variant: str, seed: int) -> tuple:
+    """Per triple of the seed, the product of the unit-ball volumes at
+    the two points ``variant`` names; the kernel probes share them."""
     pair = KERNEL_VARIANTS[known_name("variant", variant, KERNEL_VARIANTS)]
-    a, b = (Point(*triple[k]) for k in pair)
-    return ball_volume(a, 1.0) * ball_volume(b, 1.0)
+    return tuple(math.prod(ball_volume(Point(*t[k]), 1.0) for k in pair)
+                 for t in _stratified_triples(seed))
 
 
 @lru_cache(maxsize=64)
@@ -181,9 +184,8 @@ def pointwise_kernel_probe(alpha: float, beta1: float, beta2: float,
                                     for p in zip(*triples))
     dy = control_distance_batch(x1, x2, y1, y2).tolist()
     dz = control_distance_batch(x1, x2, z1, z2).tolist()
-    wts = np.array([(1.0 + a) ** beta1 * (1.0 + b) ** beta2
-                    * _volume_factor(variant, *t)
-                    for a, b, t in zip(dy, dz, triples)])
+    wts = np.array([(1.0 + a) ** beta1 * (1.0 + b) ** beta2 * v
+                    for a, b, v in zip(dy, dz, _volume_factors(variant, seed))])
 
     def one_j(j):
         return float(np.max(_kernel_samples(grid, alpha, j, seed) * wts))

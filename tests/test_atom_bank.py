@@ -2,6 +2,7 @@
 kernel batches, the expansion cap flag and the bounded verifier caches."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,98 @@ def test_kernel_batches_equal_per_triple_calls(riesz_grid):
     batch = linear_kernel_batch(F, xs, ys, riesz_grid)
     single = [linear_kernel(F, x, y, riesz_grid) for x, y in zip(xs, ys)]
     np.testing.assert_array_equal(batch, np.array(single))
+
+
+def _parent_kernel_batch(G, xs, ys, zs, grid):
+    """The kernel batch as each call once computed it: the live atoms
+    projected afresh at every call, and the live symbol block gathered
+    with np.ix_."""
+    (_, b1), (_, b2) = G.support
+    atoms1, atoms2 = build_atoms(grid, b1), build_atoms(grid, b2)
+    table, inv1, inv2 = G.on_pairs(atoms1.eigen, atoms2.eigen)
+    live = table != 0
+    rows = np.flatnonzero(live.any(axis=1)[inv1])
+    cols = np.flatnonzero(live.any(axis=0)[inv2])
+    if rows.size == 0:
+        return np.zeros(len(xs), dtype=complex)
+
+    def phase_rows(atoms, keep, ps, qs):
+        sub = replace(atoms, **{k: getattr(atoms, k)[keep] for k in (
+            "lam", "lam_abs", "weight", "level", "eigen", "lam_index")})
+        layer = [np.array([np.atleast_1d(p[k]) for p in pts], dtype=float)
+                 for pts in (ps, qs) for k in (0, 1)]
+        d = layer[1] - layer[3]
+        arg = d[:, :1] * sub.lam[:, 0]
+        for k in range(1, d.shape[1]):
+            arg = arg + d[:, k:k + 1] * sub.lam[:, k]
+        proj = atom_projection_values(sub, layer[0], layer[2])
+        return sub.weight * np.exp(1j * arg) * proj.T
+
+    a = phase_rows(atoms1, rows, xs, ys)
+    ab = np.stack((a.real, a.imag), axis=1)
+    block = np.ix_(inv1[rows], inv2[cols])
+    u = ab @ table.real[block]
+    if table.imag.any():
+        v = ab @ table.imag[block]
+        u = u + np.stack((-v[:, 1], v[:, 0]), axis=1)
+    b = phase_rows(atoms2, cols, xs, zs)
+    q = u @ np.stack((b.real, b.imag), axis=2)
+    scale = (2.0 * np.pi) ** (-2 * grid.dims.d2)
+    return scale * ((q[:, 0, 0] - q[:, 1, 1]) + 1j * (q[:, 0, 1] + q[:, 1, 0]))
+
+
+def _assert_batch_is_the_parent_formula_cold_and_warm(G, triples, grid):
+    ref = _parent_kernel_batch(G, *zip(*triples), grid)
+    C._pair_projections.cache_clear()
+    np.testing.assert_array_equal(
+        bilinear_kernel_batch(G, *zip(*triples), grid), ref)
+    hits = C._pair_projections.cache_info().hits
+    np.testing.assert_array_equal(
+        bilinear_kernel_batch(G, *zip(*triples), grid), ref)
+    assert C._pair_projections.cache_info().hits == hits + 2
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_kernel_batch_is_the_per_call_formula_bit_for_bit(j):
+    _assert_batch_is_the_parent_formula_cold_and_warm(
+        dyadic_piece_symbol(DyadicPiece(j, 1.0)), V._stratified_triples(0),
+        V.probe_grid("decay"))
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 1), (1, 2), (2, 2)])
+def test_kernel_batch_of_a_complex_symbol_is_the_per_call_formula(d1, d2):
+    # the imaginary part of the table takes the second GEMM; the two
+    # supports differ, so the two channels have atom sets of their own
+    grid = make_grid(Dims(d1, d2), GridSpec(
+        d1=d1, d2=d2, x1_extent=8, x1_count=24, x2_count=16,
+        lambda_min=0.25, lambda_max=1.5, lambda_count=4))
+    G = Symbol2D(lambda e1, e2: (1.0 + e1 * e2) * np.exp(1j * (3.0 * e1 - e2)),
+                 ((0.0, 2.5), (0.0, 3.5)))
+    assert G.on_pairs(*(build_atoms(grid, b).eigen for b in (2.5, 3.5)))[0] \
+        .imag.any()
+    rng = np.random.default_rng(d1 + 2 * d2)
+    triples = [tuple((rng.uniform(-3, 3, d1), rng.uniform(-4, 4, d2))
+                     for _ in range(3)) for _ in range(6)]
+    _assert_batch_is_the_parent_formula_cold_and_warm(G, triples, grid)
+
+
+def test_kernel_pass_projects_each_triple_set_once(tmp_path, monkeypatch):
+    # six pieces, one (x, y) and one (x, z) projection table between them
+    from grushin.cli import main
+    counts = {"atom_projection_values": 0, "_profile_bank": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(C, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(C, name, counted)
+    V._kernel_samples.cache_clear()
+    C._pair_projections.cache_clear()
+    try:
+        main(["verify", "--suite", "kernel", "--out", str(tmp_path)])
+    finally:
+        V._kernel_samples.cache_clear()
+        C._pair_projections.cache_clear()
+    assert counts == {"atom_projection_values": 2, "_profile_bank": 4}
 
 
 def test_kernel_batch_reads_its_symbol_once_per_distinct_eigenvalue_pair():

@@ -11,7 +11,7 @@ import pytest
 
 from grushin.calculus import (atom_projection_values, build_atoms,
                               linear_kernel, sobolev_product_norm)
-from grushin.cli import cmd_probe, cmd_verify
+from grushin.cli import cmd_probe, cmd_verify, main
 from grushin.dims import ConfigError, Dims, UnknownName
 from grushin.fields import (GriddedField, SpectralField, dilate_gridded,
                             dilate_spectral, read_field_binary, synthesize,
@@ -109,6 +109,61 @@ def test_an_input_check_raises_its_type_and_message(case):
     call, kind, message = CHECKS[case]
     with pytest.raises(kind, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _cli(*words):
+    """argv of a command with ``--set`` before each key=value word."""
+    command, *sets = words
+    return [command] + [a for item in sets for a in ("--set", item)]
+
+
+README_GRID = ("d1=1", "d2=1", "x1_extent=28", "x1_count=56", "x2_count=128",
+               "lambda_min=0.015625", "lambda_max=0.5", "lambda_count=32")
+
+# case -> (argv, the one line it stops with): numbers that parse but lie
+# in no range, each named as the key was typed
+BAD_NUMBERS = {
+    "gaussian-width-nan": (
+        _cli("kernel", *README_GRID, "symbol=gaussian", "symbol.width=nan"),
+        "bad kernel config: symbol.width must lie in (0, inf), got nan"),
+    "gaussian-center-inf": (
+        _cli("kernel", *README_GRID, "symbol=gaussian", "symbol.center=inf"),
+        "bad kernel config: symbol.center must lie in (-inf, inf), got inf"),
+    "bump-lo-nan": (
+        _cli("kernel", *README_GRID, "symbol=bump", "symbol.lo=nan"),
+        "bad kernel config: symbol.lo must lie in (-inf, inf), got nan"),
+    "indicator-hi-inf": (
+        _cli("kernel", *README_GRID, "symbol=indicator", "symbol.hi=inf"),
+        "bad kernel config: symbol.hi must lie in (-inf, inf), got inf"),
+    "weight-integral-a1-nan": (
+        _cli("probe", "probe=weight-integral", "a1=nan"),
+        "bad probe config: a1 must lie in (-inf, inf), got nan"),
+    "weight-integral-a2-inf": (
+        _cli("probe", "probe=weight-integral", "a2=-inf"),
+        "bad probe config: a2 must lie in (-inf, inf), got -inf"),
+    "riesz-band-hi-inf": (
+        _cli("riesz", *README_GRID, "band_hi=inf"),
+        "bad riesz config: band_hi must lie in [0, inf), got inf"),
+    "riesz-band-lo-nan": (
+        _cli("riesz", *README_GRID, "band_lo=nan"),
+        "bad riesz config: band_lo must lie in [0, inf), got nan"),
+    # verify passes alpha_mixed to the mixed probe as its alpha
+    "verify-alpha-mixed-nan": (
+        _cli("verify", "suite=decay", "alpha_mixed=nan"),
+        "bad probe config: alpha_mixed must lie in [0, inf), got nan"),
+    "verify-alpha-mixed-text": (
+        _cli("verify", "suite=decay", "alpha_mixed=abc"),
+        "bad probe config: alpha_mixed must parse as float, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_a_number_out_of_range_stops_naming_its_key(tmp_path, case):
+    argv, message = BAD_NUMBERS[case]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
 
 
 # a small d1 = 2 grid
