@@ -68,6 +68,9 @@ with the probes' bump profile on (0.05, 0.45):
 * the whole restriction probe, ``restriction_probe(0)``, on the
   ``weighted`` grid and its refinement, with the grids' profile banks
   warm from the warm-up call;
+* ``_profile_bank`` of the refined grid's atoms up to 0.45 at its x'
+  nodes: the bank that the first probe on that grid builds and the warm
+  calls above read from the cache;
 * ``_power_cos_moments`` at p = 0.5 and k_max = 460, the u-weight moment
   table of the second-layer forms on that grid, computed afresh through
   its ``__wrapped__`` (the cache would answer every timed call);
@@ -232,6 +235,9 @@ def _layers():
                 lambda: mixed_norm(bump, 2.0 / 3.0, 1.0)))
     out.append(("restriction_probe[0,warm]",
                 lambda: np.array(restriction_probe(0.0).details["ratios"])))
+    atoms = build_atoms(wgrid, 0.45)
+    out.append(("_profile_bank[weighted,refined]",
+                lambda: calculus._profile_bank(atoms, wgrid.x1_points)[0]))
     out.append(("_power_cos_moments[p=0.5,460]",
                 lambda: calculus._power_cos_moments.__wrapped__(0.5, 460)))
     out.append(("weighted_plancherel_probe[truncated]",

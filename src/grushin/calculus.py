@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dims import ConfigError, in_range
-from .fields import GriddedField, SpectralField
+from .fields import GriddedField, SeparableField, SpectralField
 from .grid import Grid, GridError
 from .hermite import _profile_rows, multi_index_degrees, multi_indices_upto
 from .reductions import gauss_legendre, pairwise_sum
@@ -252,7 +252,7 @@ _FORWARD_ROWS = 32
 _BLOCK_ITEMS = 64
 
 
-def _gridded_coefficients(F: Symbol1D, h: GriddedField):
+def _gridded_coefficients(F: Symbol1D, h: GriddedField | SeparableField):
     """(lam, bank, c) over the rows r of the grid's atom bank: row r's
     frequency, its profile at the x' nodes, and F(eigen) <h, profile
     e^{i lam x''}> / L^{d2}.  The forward x''-transform is streamed over
@@ -265,7 +265,7 @@ def _gridded_coefficients(F: Symbol1D, h: GriddedField):
     coeff = np.zeros(row_atom.size, dtype=complex)
     for r0 in range(0, grid.n_x1, _FORWARD_ROWS):
         rows = slice(r0, r0 + _FORWARD_ROWS)
-        sections = grid.x2_forward(h.values[rows], atoms.lam)[row_atom]
+        sections = grid.x2_forward(h.rows(rows), atoms.lam)[row_atom]
         coeff += np.sum(bank[:, rows] * grid.x1_weights[rows] * sections,
                         axis=1)
     box = grid.x2_box_length ** grid.dims.d2
@@ -336,7 +336,8 @@ def linear_first_layer_weighted_l2(F: Symbol1D, y, grid: Grid,
     return scale * sum(np.sum(wx * np.abs(z) ** 2, axis=1).tolist())
 
 
-def restriction_apply_l2(F: Symbol1D, h: GriddedField, gamma: float) -> float:
+def restriction_apply_l2(F: Symbol1D, h: GriddedField | SeparableField,
+                         gamma: float) -> float:
     """Weighted output norm || |x'|^gamma F(calculus) h ||_2 on the grid.
 
     By Parseval over the x''-lattice, with no output field: the output

@@ -256,7 +256,8 @@ PROBES = {
         gamma2=config_value(cfg, "gamma2", 0.25),
         n1=config_value(cfg, "N1", 1.0), n2=config_value(cfg, "N2", 0.0),
         workers=workers),
-    "restriction": lambda cfg, seed, workers: restriction_probe(0.0),
+    "restriction": lambda cfg, seed, workers: restriction_probe(
+        config_value(cfg, "gamma", 0.0)),
     "coefficient": lambda cfg, seed, workers: coefficient_decay_probe(
         config_value(cfg, "alpha", 1.0), config_value(cfg, "beta", 0.05),
         workers=workers),

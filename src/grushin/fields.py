@@ -3,9 +3,10 @@
 A ``SpectralField`` is the computable dense-class object: finitely many
 Hermite modes per frequency node, compactly supported on the frequency
 grid.  A ``GriddedField`` holds complex samples on the spatial tensor
-grid.  ``synthesize`` and ``analyze`` convert between the two; on the
-lattice grids built by :mod:`grushin.grid` the round trip is exact up to
-x'-quadrature error.
+grid; a ``SeparableField`` makes samples a(x') b(x'') by x'-row blocks,
+and the norms and gridded operators read both by ``rows``.  ``synthesize``
+and ``analyze`` convert between spectral and gridded; on the lattice grids
+of :mod:`grushin.grid` the round trip is exact up to x'-quadrature error.
 """
 
 from __future__ import annotations
@@ -84,6 +85,26 @@ class GriddedField:
         if self.values.shape != want:
             raise ValueError(f"values shape {self.values.shape} != {want}")
 
+    def rows(self, rows: slice) -> np.ndarray:
+        """The samples of the x'-rows ``rows``."""
+        return self.values[rows]
+
+
+@dataclass(frozen=True)
+class SeparableField:
+    """Real samples a(x') b(x'') on the grid, never held whole: ``rows``
+    makes a block of x'-rows, zeros with the outer product as real part."""
+
+    grid: Grid
+    x1_factor: np.ndarray
+    x2_factor: np.ndarray
+
+    def rows(self, rows: slice) -> np.ndarray:
+        a = self.x1_factor[rows]
+        block = np.zeros((a.size, self.x2_factor.size), dtype=complex)
+        np.multiply.outer(a, self.x2_factor, out=block.real)
+        return block
+
 
 def support_degree(lam: np.ndarray, grid: Grid) -> int:
     """Largest degree the grid resolves on all of ``lam`` (its tighter end)."""
@@ -155,14 +176,14 @@ def analyze(h: GriddedField, max_degree: int,
 _NORM_ROWS, _NORM_LEVELS = 64, 6
 
 
-def _row_blocks(h: GriddedField):
+def _row_blocks(h: GriddedField | SeparableField):
     """(x'-weights, |h|) per block of ``_NORM_ROWS`` x'-rows."""
     for r0 in range(0, h.grid.n_x1, _NORM_ROWS):
         rows = slice(r0, r0 + _NORM_ROWS)
-        yield h.grid.x1_weights[rows], np.abs(h.values[rows])
+        yield h.grid.x1_weights[rows], np.abs(h.rows(rows))
 
 
-def lp_norm(h: GriddedField, p: float) -> float:
+def lp_norm(h: GriddedField | SeparableField, p: float) -> float:
     """(sum w(x) |h(x)|^p)^(1/p); max for p = inf.  Quasi-norms (p < 1) use
     the same formula."""
     if np.isinf(in_range("p", p, 0, lo_open=True, hi_closed=True)):
@@ -173,7 +194,7 @@ def lp_norm(h: GriddedField, p: float) -> float:
     return float(pairwise_sum(level) ** (1.0 / p))
 
 
-def mixed_norm(h: GriddedField, p: float, q: float) -> float:
+def mixed_norm(h: GriddedField | SeparableField, p: float, q: float) -> float:
     """Inner p-norm over x'' then outer q-norm over x'."""
     in_range("p", p, 0, lo_open=True, hi_closed=True)
     in_range("q", q, 0, lo_open=True, hi_closed=True)

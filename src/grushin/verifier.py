@@ -19,7 +19,7 @@ from .calculus import (bilinear_kernel_batch, bilinear_weighted_l2,
                        restriction_apply_l2, second_layer_channel_l2,
                        sobolev_norm_1d)
 from .dims import ConfigError, Dims, in_range, known_name
-from .fields import GriddedField, SpectralField, lp_norm, mixed_norm, synthesize
+from .fields import SeparableField, SpectralField, lp_norm, mixed_norm, synthesize
 from .geometry import Point, ball_volume, control_distance_batch
 from .grid import Grid, GridSpec, make_grid
 from .hermite import multi_index_degrees
@@ -465,11 +465,9 @@ def restriction_probe(gamma: float = 0.0) -> ProbeReport:
     F = indicator_symbol_1d(0.0, 0.45)
     f2 = math.sqrt(0.45)
 
-    def ratio(gr, x0, s):   # the bump field lives only in this call
-        h = GriddedField(grid=gr, values=np.zeros((gr.n_x1, gr.n_x2), complex))
-        np.multiply.outer(np.exp(-0.5 * ((gr.x1_points[:, 0] - x0) / s) ** 2),
-                          np.exp(-0.5 * (gr.x2_points[:, 0] / (4 * s)) ** 2),
-                          out=h.values.real)
+    def ratio(gr, x0, s):   # the bump field is made one row block at a time
+        h = SeparableField(gr, np.exp(-0.5 * ((gr.x1_points[:, 0] - x0) / s) ** 2),
+                           np.exp(-0.5 * (gr.x2_points[:, 0] / (4 * s)) ** 2))
         return restriction_apply_l2(F, h, gamma) / (f2 * lp_norm(h, 1.0))
 
     return _refinement_report(lambda gr: np.array(

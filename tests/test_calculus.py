@@ -532,14 +532,41 @@ def test_power_cos_moments_against_closed_forms():
         assert np.ptp(shift) <= 1e-3 * abs(shift.mean())
 
 
+def _bump_factors(grid, x0, s):
+    """The x'- and x''-factors of the restriction probe's bump field, a
+    Gaussian in x' and in each x''-coordinate."""
+    return (np.exp(-0.5 * ((grid.x1_points[:, 0] - x0) / s) ** 2),
+            np.exp(-0.5 * np.sum(grid.x2_points ** 2, axis=1) / (4 * s) ** 2))
+
+
 def _restriction_bump(grid, x0, s):
-    """The restriction probe's bump field, a Gaussian in x' and in each
-    x''-coordinate."""
+    """The restriction probe's bump field, every sample held."""
     from grushin.fields import GriddedField
-    vals = (np.exp(-0.5 * ((grid.x1_points[:, 0] - x0) / s) ** 2)[:, None]
-            * np.exp(-0.5 * np.sum(grid.x2_points ** 2, axis=1)
-                     / (4 * s) ** 2)[None, :])
-    return GriddedField(grid=grid, values=vals.astype(complex))
+    a, b = _bump_factors(grid, x0, s)
+    return GriddedField(grid=grid, values=(a[:, None] * b[None, :]).astype(complex))
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_separable_field_reads_as_its_held_samples_bit_for_bit(refine):
+    # The separable field makes each row block the norms and the forward
+    # transform read; every result equals the held field's, bit for bit,
+    # for the three bumps of the restriction probe.
+    from grushin.calculus import restriction_apply_l2
+    from grushin.fields import SeparableField, lp_norm, mixed_norm
+    from grushin.verifier import probe_grid
+    g = probe_grid("weighted", refine)
+    F = indicator_symbol_1d(0.0, 0.45)
+    for x0, s in ((0.0, 0.7), (4.0, 1.0), (12.0, 1.5)):
+        held, streamed = _restriction_bump(g, x0, s), SeparableField(
+            g, *_bump_factors(g, x0, s))
+        assert streamed.rows(slice(None)).tobytes() == held.values.tobytes()
+        for gamma in (0.0, 0.25):
+            assert (restriction_apply_l2(F, streamed, gamma)
+                    == restriction_apply_l2(F, held, gamma))
+        for p in (1.0, 2.0, np.inf):
+            assert lp_norm(streamed, p) == lp_norm(held, p)
+        for p, q in ((2.0, np.inf), (2.0 / 3.0, 1.0)):
+            assert mixed_norm(streamed, p, q) == mixed_norm(held, p, q)
 
 
 # each node of |lambda| < 0.15 carries two or more levels below 0.45

@@ -278,6 +278,10 @@ BAD_CONFIGS = {
                                + _sets("gamma1=0.9"),
                                "bad probe config: gamma1 must lie in [0, 0.5), "
                                "got 0.9"),
+    "probe-restriction-gamma": (["probe", "--probe", "restriction"]
+                                + _sets("gamma=0.5"),
+                                "bad probe config: gamma must lie in [0, 0.5), "
+                                "got 0.5"),
     "probe-truncated-n1-nan": (["probe", "--probe", "plancherel"]
                                + _sets("kind=truncated", "N1=nan"),
                                "bad probe config: N1 must lie in [0, inf), "
@@ -513,6 +517,12 @@ def test_probe_defaults_match_the_table(tmp_path, probe_calls):
         assert main(["probe", "--probe", name,
                      "--out", str(tmp_path / f"{name}.csv")]) == 0
         assert probe_calls == [call]
+
+
+def test_probe_restriction_reads_gamma(tmp_path, probe_calls):
+    assert main(["probe", "--probe", "restriction", "--set", "gamma=0.3",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert probe_calls == [("restriction_probe", (0.3,), {})]
 
 
 def test_probe_partition_and_replay(tmp_path):

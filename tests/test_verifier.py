@@ -14,6 +14,8 @@ from grushin.verifier import (DecayProbeSpec, _decay_fields,
                               pointwise_kernel_probe,
                               weighted_plancherel_probe)
 
+from conftest import traced_transient_mb
+
 
 def test_probe_report_fit_invariants():
     x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -254,6 +256,9 @@ def test_restriction_probe_bounded_and_stable():
     assert rep.details["refinement_growth"] < 0.05
     with pytest.raises(ValueError):
         restriction_probe(0.5)
+    # With its grids' banks warm, the probe holds no bump field whole:
+    # each refined field alone is 14.7 MB.
+    assert traced_transient_mb(lambda: restriction_probe(0.0)) <= 6.0
 
 
 def test_no_guarantee_counts_as_success():
