@@ -26,17 +26,18 @@ The configurations are those of ``grushin verify --suite decay`` on the
 * ``fourier_coeff_batch``: the piece (j, alpha = 1) at l = 0..2048 and at
   the live eigenvalues of the first decay field, j = 1, 3, 6; and the
   coefficient probe's largest call, j = 8 at l = 0..512 and 257 eta1
-  samples on [0, 1];
+  samples on [0, 1]; and (``off-lattice``, a path no probe takes: the
+  piece evaluated band by band) j = 1, 6 at l = 0..2048 and 200 sorted
+  uniform eta1 on [0, 1] from seed 1;
 * ``build_expansion``: the decay probes' expansion of the piece, at the
   live eigenvalues of the first decay field with ``l_cap = 2048``,
   j = 1, 3, 6;
 * ``truncated_series_symbol``: truncation 2048 at the distinct
   eigenvalues of both decay fields, j = 1, 3, 6, computed afresh, and
   (``carried``) from that expansion, which reads the coefficient table
-  the expansion carries where the library keeps one; and (``shared``,
-  j = 1) with the series trig tables made once beforehand
-  (``riesz.series_trig``), as the decay probes share them among their
-  pieces, where the library has them;
+  the expansion carries; and (``shared``, j = 1) with the series trig
+  tables made once beforehand (``riesz.series_trig``), as the decay
+  probes share them among their pieces;
 * ``_bilinear_contract``: that symbol on the distinct eigenvalue pairs,
   contracted against the atoms of the two decay fields (as
   ``bilinear_apply_separated`` does), j = 1, 3, 6;
@@ -54,8 +55,8 @@ with the probes' bump profile on (0.05, 0.45):
   frequency cutoff ``DyadicCutoff(3)``, each with its own channel sums
   (``channel_sums``);
 * ``channel_sums`` of that profile alone, with the base point's atom
-  profiles built in every call: a library that caches them
-  (``calculus._base_point_bank``) has that cache cleared first;
+  profiles built in every call: their cache
+  (``calculus._base_point_bank``) is cleared first;
 * ``bilinear_weighted_l2`` of the tensor symbol at exponents (0, 0);
 * ``linear_first_layer_weighted_l2`` of the first-layer probe's
   indicator symbol on [0, 0.45] at y' = 5, gamma = 0.25;
@@ -94,9 +95,9 @@ alpha = 1:
 
 * ``bilinear_kernel_batch``: the piece j at the 40 stratified triples of
   library seed 0, j = 1..6, warm (after the warm-up call, as the pieces
-  after the first of a pass find them) and ``cold``: a library that
-  caches the triples' projection tables (``calculus._pair_projections``)
-  has that cache cleared first;
+  after the first of a pass find them) and ``cold``: the cache of the
+  triples' projection tables (``calculus._pair_projections``) cleared
+  first;
 * ``kernel suite[j=1..6,cold]``: the six pieces in turn from a cleared
   cache, the kernel batches of one ``grushin verify --suite kernel`` pass;
 * ``dyadic_piece_symbol``: the piece j at every pair of atom eigenvalues
@@ -156,8 +157,7 @@ def _layers():
     inv_g = inv_g.reshape(g.eigenvalues.shape)
     ls = np.arange(0, 2049)
 
-    shared = ({"trig": riesz.series_trig(2048, uniq_g)}
-              if hasattr(riesz, "series_trig") else {})
+    trig = riesz.series_trig(2048, uniq_g)
 
     out = []
     for j in (1, 3, 6):
@@ -173,7 +173,7 @@ def _layers():
         if j == 1:
             out.append(("truncated_series_symbol[j=1,shared]",
                         lambda e=exp: truncated_series_symbol(
-                            e, uniq_f, uniq_g, **shared)))
+                            e, uniq_f, uniq_g, trig)))
         built = build_expansion(piece, eta1_samples=live, l_cap=2048)
         out.append((f"truncated_series_symbol[j={j},carried]",
                     lambda e=built: truncated_series_symbol(e, uniq_f,
@@ -187,6 +187,11 @@ def _layers():
     eta1 = np.linspace(0.0, 1.0, 257)
     out.append(("fourier_coeff_batch[j=8,coefficient]",
                 lambda: fourier_coeff_batch(piece8, np.arange(0, 513), eta1)))
+    off = np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 200))
+    for j in (1, 6):
+        out.append((f"fourier_coeff_batch[j={j},off-lattice]",
+                    lambda p=DyadicPiece(j, 1.0): fourier_coeff_batch(p, ls,
+                                                                      off)))
 
     nu = (f.lambda_support[:, None, :]
           + g.lambda_support[None, :, :]).reshape(-1, grid.dims.d2)
@@ -205,9 +210,7 @@ def _layers():
         return second_layer_channel_l2(sums, exponent, cutoff)
 
     def fresh_channel_sums():
-        cached = getattr(calculus, "_base_point_bank", None)
-        if cached is not None:
-            cached.cache_clear()
+        calculus._base_point_bank.cache_clear()
         return calculus.channel_sums(prof, wgrid, x1)[1]
 
     out.append(("channel_sums[prof,x1=5]", fresh_channel_sums))
@@ -248,9 +251,7 @@ def _layers():
     pieces = [dyadic_piece_symbol(DyadicPiece(j, 1.0)) for j in range(1, 7)]
 
     def cold_batches(syms):
-        cached = getattr(calculus, "_pair_projections", None)
-        if cached is not None:
-            cached.cache_clear()
+        calculus._pair_projections.cache_clear()
         return np.concatenate([bilinear_kernel_batch(s, *triples, grid)
                                for s in syms])
 

@@ -53,18 +53,21 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve_config(args) -> tuple[str, dict]:
-    """The command and its config: a manifest's, or --config then --set's."""
-    if args.command == "replay":
+    """The command and its config: a manifest's, or --config then --set's;
+    an --out in a missing directory stops it here (verify makes its own)."""
+    command, cfg = args.command, {}
+    if command == "replay":
         record = _read_config_file(args.manifest)
         command = record.get("command")
         if command not in _COMMANDS:
             raise ConfigError(f"manifest has no replayable command: {command!r}")
         drop = {"command", "config_hash", "library_version", "wall_clock_s",
                 "outputs"}
-        return command, {k: v for k, v in record.items()
-                         if k not in drop and not k.startswith("verdict_")}
-    cfg = _read_config_file(args.config) if args.config else {}
-    for item in args.set or []:
+        cfg = {k: v for k, v in record.items() if k not in drop
+               and not k.startswith(("verdict_", "detail_"))}
+    elif args.config:
+        cfg = _read_config_file(args.config)
+    for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
@@ -72,7 +75,10 @@ def _resolve_config(args) -> tuple[str, dict]:
     for key in ("suite", "probe"):
         if getattr(args, key, None):
             cfg.setdefault(key, getattr(args, key))
-    return args.command, cfg
+    folder = os.path.dirname(args.out or "") or "."
+    if command != "verify" and not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {args.out}: no directory {folder}")
+    return command, cfg
 
 
 def config_hash(cfg: dict) -> str:
@@ -90,11 +96,17 @@ def _grid_from_config(cfg: dict):
 
 def _write_manifest(path: str, command: str, cfg: dict, outputs: list[str],
                     verdicts: dict, started: float):
+    """A verdict may be a probe report: its details are written too."""
     record = {**cfg, "command": command, "config_hash": config_hash(cfg),
               "library_version": __version__,
               "wall_clock_s": f"{time.time() - started:.3f}",
-              "outputs": ";".join(outputs),
-              **{f"verdict_{name}": v for name, v in verdicts.items()}}
+              "outputs": ";".join(outputs)}
+    for name, v in verdicts.items():
+        if isinstance(v, ProbeReport):
+            record.update({f"detail_{name}.{key}": repr(d)
+                           for key, d in v.details.items()})
+            v = v.verdict
+        record[f"verdict_{name}"] = v
     with open(path, "w") as fh:
         fh.write(format_flat_config({k: str(v) for k, v in record.items()}))
 
@@ -326,7 +338,7 @@ def cmd_verify(cfg: dict, out: str | None):
     for name, rep in sorted(reports.items()):
         safe = name.replace("/", "_")
         _write_output(os.path.join(out, safe + ".csv"), cfg, rep.to_csv())
-        verdicts[safe] = rep.verdict
+        verdicts[safe] = rep
         lines.append(f"{name},{rep.verdict},{rep.slope!r},{rep.max_ratio!r}")
     agg = "PASS" if all(rep.passed for rep in reports.values()) else "FAIL"
     _write_output(os.path.join(out, "verdicts.csv"), cfg,
@@ -343,7 +355,7 @@ def cmd_probe(cfg: dict, out: str | None):
     rep = PROBES[name](cfg, _seed(cfg), _workers(cfg))
     out = out or f"probe_{name}.csv"
     _write_output(out, cfg, rep.to_csv())
-    return (out + ".manifest", [out], {name: rep.verdict},
+    return (out + ".manifest", [out], {name: rep},
             f"{name}: {rep.verdict} (slope {rep.slope!r}, "
             f"max_ratio {rep.max_ratio!r})", 0 if rep.passed else 1)
 

@@ -144,7 +144,6 @@ def build_hermite_table(max_l: int) -> HermiteTable:
                                                   periodic=False))
 
 
-@lru_cache(maxsize=32)
 def multi_indices(d1: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All mu in N^{d1} with |mu| = k, colexicographic (last component first)."""
     if d1 < 1 or k < 0:

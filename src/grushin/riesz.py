@@ -193,11 +193,12 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     yields every l at once.  The sample table is band-only
     (``_shell_band``): each eta1 column is sampled only where
     1 - eta1 - eta2 can lie in the shell, only columns with support are
-    transformed (bands cut from one ``_lattice_profile`` if it exists),
-    and the others are zero.  The table is real, so one real FFT gives
-    every l >= 0 and c_{-l} = conj(c_l); n >= 4 max|l| keeps every |l|
-    below n/2.  Chunks of ``_COEFF_SAMPLES // n`` live columns keep only
-    the requested |l|.  Small batches (``_quadrature_path``) take
+    transformed, and the others are zero.  Chunks of ``_COEFF_SAMPLES // n``
+    live columns fill one reused table band by band (``_band_profile``:
+    slices of one lattice evaluation, or the piece on each band alone, the
+    same floats) and keep only the requested |l|.  The table is real, so
+    one real FFT gives every l >= 0 and c_{-l} = conj(c_l); n >= 4 max|l|
+    keeps every |l| below n/2.  Small batches (``_quadrature_path``) take
     Gauss-Legendre, not as a duplicate path: where 1 - eta1 lies in the
     shell the zero extension jumps at eta2 = 0, where the trapezoid rule
     pays O(1/n); at j = 2, eta1 = 0.75, l = 5 the FFT at n = 512 is 5.1 %
@@ -214,21 +215,18 @@ def fourier_coeff_batch(piece: DyadicPiece, ls, eta1) -> np.ndarray:
     # e^{i pi l} / n; n is a power of two, so the scale is exact
     scale = np.where(ls % 2 == 0, 1.0, -1.0) / n
     out = np.zeros((eta1.size, ls.size), dtype=complex)
-    live, first, stop = _shell_band(piece, eta1, n)
-    lattice = _lattice_profile(piece, eta1[live], first, stop, n)
+    live, bands, lattice = _band_profile(piece, eta1, n)
+    profile = dyadic_piece_profile(piece)
     chunk = max(1, min(_COEFF_SAMPLES // n, live.size))
-    table = None if lattice is None else np.zeros((chunk, n))
+    table = np.zeros((chunk, n))
     for c0 in range(0, live.size, chunk):
-        part = slice(c0, c0 + chunk)
-        if table is None:
-            rows = _shell_table(piece, eta1[live[part]], n)[1]
-        else:
-            rows = table[:live[part].size]
-            for row, (a, z, k) in zip(rows, lattice[1][part]):
-                row[a:z] = lattice[0][k:k + z - a]
-        out[live[part]] = np.fft.rfft(rows, axis=1)[:, np.abs(ls)] * scale
-        if table is not None:                           # zeros again
-            table[:, first[part].min():stop[part].max()] = 0.0
+        part = bands[c0:c0 + chunk]
+        rows = table[:len(part)]
+        for row, (a, z, k) in zip(rows, part):    # s = (1 - eta1) - eta2
+            row[a:z] = (lattice[k:k + z - a] if lattice is not None else
+                        profile(k - (-1.0 + 2.0 * np.arange(a, z) / n)))
+        out[live[c0:c0 + chunk]] = np.fft.rfft(rows)[:, np.abs(ls)] * scale
+        rows[:, min(p[0] for p in part):max(p[1] for p in part)] = 0.0
     out.imag[:, ls < 0] *= -1.0                         # c_{-l} = conj(c_l)
     return out.T
 
@@ -251,32 +249,21 @@ def _shell_band(piece: DyadicPiece, eta1: np.ndarray, n: int):
     return live, first[live].astype(int), stop[live].astype(int)
 
 
-def _shell_table(piece: DyadicPiece, eta1: np.ndarray, n: int):
-    """(live, table): the piece at s = 1 - eta1 - eta2 on each live band
-    (``_shell_band``), zero elsewhere, as rows of a (len(live), n) table;
-    the same floats as a full (n, len(eta1)) evaluation."""
+def _band_profile(piece: DyadicPiece, eta1: np.ndarray, n: int):
+    """(live, bands, lattice): ``_shell_band``'s live columns and their bands
+    as (first, stop, k).  When each 1 - eta1 is a multiple of 2/n,
+    ``lattice`` is the piece at s = 2i/n, i decreasing, over the bands and k
+    each band's first index in it; else None and k is 1 - eta1."""
     live, first, stop = _shell_band(piece, eta1, n)
-    width = stop - first
-    cols = np.repeat(np.arange(live.size), width)
-    rows = first[cols] + np.arange(cols.size) - (np.cumsum(width) - width)[cols]
-    eta2 = -1.0 + 2.0 * np.arange(n) / n
-    table = np.zeros((live.size, n))
-    table[cols, rows] = dyadic_piece_profile(piece)((1.0 - eta1[live])[cols]
-                                                    - eta2[rows])
-    return live, table
-
-
-def _lattice_profile(piece: DyadicPiece, eta1, first, stop, n: int):
-    """The piece at s = 2i/n, i decreasing, over the bands, and each band
-    as (first, stop, its first index in that array); None unless each
-    1 - eta1 is a multiple of 2/n, where the bands are ``_shell_table``'s."""
-    m = (1.0 - eta1) * (n // 2)               # exact: n is a power of two
+    rest = 1.0 - eta1[live]
+    m = rest * (n // 2)                       # exact: n is a power of two
     if not np.all(m == np.floor(m)):
-        return None
+        return live, [*zip(first.tolist(), stop.tolist(), rest.tolist())], None
     top = m.astype(int) + n // 2 - first      # i at each band's first node
     hi = int(np.max(top, initial=0))
     s = np.arange(hi, np.min(top - (stop - first), initial=hi), -1) * (2.0 / n)
-    return dyadic_piece_profile(piece)(s), np.c_[first, stop, hi - top].tolist()
+    return (live, np.c_[first, stop, hi - top].tolist(),
+            dyadic_piece_profile(piece)(s))
 
 
 def build_expansion(piece: DyadicPiece, eta1_samples=None, tol: float = 1e-7,

@@ -6,7 +6,7 @@ from grushin import cli
 from grushin.cli import main
 from grushin.fields import SpectralField
 from grushin.geometry import Point
-from grushin.grid import Grid
+from grushin.grid import Grid, parse_flat_config
 from grushin.report import ProbeReport
 from grushin.symbols import RieszParams
 from grushin.verifier import DecayProbeSpec
@@ -330,6 +330,39 @@ def test_a_bad_config_stops_with_one_line_and_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+# command -> the rest of its argv: every command but verify, which makes
+# its directory, stops on an --out in a missing directory before any work
+OUT_COMMANDS = {
+    "grid": RIESZ_GRID,
+    "field": RIESZ_GRID,
+    "riesz": RIESZ_GRID + _sets("j=3"),
+    "kernel": RIESZ_GRID,
+    "thresholds": [],
+    "probe": ["--probe", "partition"],
+    "replay": ["{manifest}"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_in_a_missing_directory_stops_before_any_work(
+        tmp_path, tmp_path_factory, monkeypatch, command):
+    manifest = tmp_path_factory.mktemp("manifest") / "grid.manifest"
+    manifest.write_text("command=grid\nd1=1\nd2=1\n")
+    monkeypatch.setattr(cli, "_run", _no_run)
+    out = tmp_path / "missing" / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command] + [a.format(manifest=manifest)
+                          for a in OUT_COMMANDS[command]]
+             + ["--out", str(out)])
+    assert str(err.value) == (f"bad {command} config: cannot write {out}: "
+                              f"no directory {out.parent}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _no_run(*args):
+    raise AssertionError("a command ran")
+
+
 def test_replay_of_a_manifest_with_no_command_stops(tmp_path):
     manifest = tmp_path / "bare.manifest"
     manifest.write_text("d1=1\nd2=1\n")
@@ -381,6 +414,28 @@ def test_probe_dilation_and_replay(tmp_path):
     assert rc == 0
     second = replay_out.read_bytes()
     assert first == second
+
+
+def test_replay_of_a_manifest_with_details_is_byte_identical(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["verify", "--suite", "all", "--set", "seed=3",
+                 "--out", str(first)]) == 0
+    record = parse_flat_config((first / "manifest.txt").read_text())
+    details = {k: v for k, v in record.items() if k.startswith("detail_")}
+    assert details["detail_decay_2-2-1.truncations"] == repr([2048] * 6)
+    assert details["detail_kernel_b0-0-xx.variant"] == "'xx'"
+    assert not any("np." in v for v in details.values())
+    assert main(["replay", str(first / "manifest.txt"),
+                 "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name != "manifest.txt":
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+    replayed = parse_flat_config((second / "manifest.txt").read_text())
+    for rec in (record, replayed):
+        del rec["wall_clock_s"], rec["outputs"]
+    assert replayed == record
 
 
 def test_verify_core_suite(tmp_path):

@@ -17,7 +17,7 @@ from grushin.dims import Dims
 from grushin.grid import GridSpec, make_grid
 from grushin.reductions import gauss_legendre
 from grushin.riesz import (FourierSeriesExpansion, _bilinear_contract,
-                           _shell_table, build_expansion, fourier_coeff_batch,
+                           build_expansion, fourier_coeff_batch,
                            fourier_coeff_quadrature, series_trig,
                            truncated_series_symbol)
 from grushin.symbols import (DyadicPiece, Symbol2D, distinct,
@@ -73,8 +73,9 @@ def test_band_table_is_the_dense_table(j):
         ls = np.arange(-300, 1025)
         n = _table_size(piece, ls)
         dense = _dense_table(piece, eta1, n)
-        live, table = _shell_table(piece, eta1, n)
-        assert np.array_equal(table, dense[:, live].T)
+        live, first, stop = riesz._shell_band(piece, eta1, n)
+        for column, a, z in zip(dense[:, live].T, first, stop):
+            assert not np.any(column[:a]) and not np.any(column[z:])
         dead = np.setdiff1d(np.arange(eta1.size), live)
         assert dead.size > 0 and not np.any(dense[:, dead])
         assert np.all(np.any(dense[:, cut], axis=0))
@@ -84,6 +85,7 @@ def test_band_table_is_the_dense_table(j):
         ref = _dense_coeffs(piece, ls, eta1)
         assert got.shape == ref.shape and got.dtype == complex
         assert _column_rel_err(got, ref) <= 1e-14
+        assert np.array_equal(got, _band_oracle(piece, ls, eta1))
         assert not np.any(got[:, dead])
         # negative l is the conjugate of positive l
         neg = ls < 0
@@ -95,8 +97,8 @@ def test_band_table_with_no_live_column():
     piece = DyadicPiece(3, 1.0)
     eta1 = np.array([0.9, 1.2, 3.0, -1.0])       # 1 - lo_s = 0.9375
     ls = np.arange(-2048, 2049)
-    live, table = _shell_table(piece, eta1[1:], _table_size(piece, ls))
-    assert live.size == 0 and table.shape[0] == 0
+    live = riesz._shell_band(piece, eta1[1:], _table_size(piece, ls))[0]
+    assert live.size == 0
     got = fourier_coeff_batch(piece, ls, eta1[1:])
     assert got.shape == (ls.size, 3) and not np.any(got)
     # one live column next to dead ones
@@ -115,25 +117,32 @@ def test_small_batches_take_the_quadrature_path():
 
 @pytest.mark.parametrize("j", [2, 5, 8])
 def test_coefficient_chunks_do_not_change_a_bit(j, monkeypatch):
-    # The coefficient probe's call: l = 0..512 at 257 eta1 samples.
+    # The coefficient probe's call: l = 0..512 at 257 eta1 samples, and
+    # off the lattice, band by band, at 257 sorted uniform samples.
     piece = DyadicPiece(j, 1.0)
-    eta1 = np.linspace(0.0, 1.0, 257)
     ls = np.arange(-512, 513)
-    monkeypatch.setattr(riesz, "_COEFF_SAMPLES", 1)          # one row
-    one = fourier_coeff_batch(piece, ls, eta1)
-    monkeypatch.setattr(riesz, "_COEFF_SAMPLES", 2 ** 40)    # whole table
-    whole = fourier_coeff_batch(piece, ls, eta1)
-    assert np.any(whole) and np.array_equal(one, whole)
+    calls = _band_by_band_calls(monkeypatch)
+    off = np.sort(np.random.default_rng(j).uniform(0.0, 1.0, 257))
+    for eta1 in (off, np.linspace(0.0, 1.0, 257)):
+        calls.clear()
+        monkeypatch.setattr(riesz, "_COEFF_SAMPLES", 1)      # one row
+        one = fourier_coeff_batch(piece, ls, eta1)
+        monkeypatch.setattr(riesz, "_COEFF_SAMPLES", 2 ** 40)  # whole table
+        whole = fourier_coeff_batch(piece, ls, eta1)
+        assert np.any(whole) and np.array_equal(one, whole)
+        assert np.array_equal(whole, _band_oracle(piece, ls, eta1))
+        assert len(calls) == (2 if eta1 is off else 0)
     # the tolerance of the FFT path against quadrature on the shell window
     ref = fourier_coeff_quadrature(piece, ls[::4], eta1[::32])
     assert np.max(np.abs(whole[::4, ::32] - ref)) <= 1e-4
 
 
 def _band_oracle(piece, ls, eta1):
-    """Every band evaluated by ``_shell_table`` in one table and one real
-    FFT: the coefficients as the band-by-band path computes them."""
+    """The dense table's live columns (``_shell_band``) in one table and one
+    real FFT: the coefficients as the chunked band table computes them."""
     n = _table_size(piece, ls)
-    live, table = _shell_table(piece, eta1, n)
+    live = riesz._shell_band(piece, eta1, n)[0]
+    table = np.ascontiguousarray(_dense_table(piece, eta1, n)[:, live].T)
     out = np.zeros((eta1.size, ls.size), dtype=complex)
     out[live] = np.fft.rfft(table, axis=1)[:, np.abs(ls)] \
         * (np.where(ls % 2 == 0, 1.0, -1.0) / n)
@@ -156,14 +165,18 @@ def _expansion_batches(piece, eta1, l_cap, monkeypatch):
             if not riesz._quadrature_path(ls.size, int(ls.max()))]
 
 
-def _shell_table_calls(monkeypatch):
-    calls = []
+def _band_by_band_calls(monkeypatch):
+    """The ``_band_profile`` calls that find no lattice, after which
+    ``fourier_coeff_batch`` evaluates the piece band by band."""
+    calls, band_profile = [], riesz._band_profile
 
-    def counted(*args):
-        calls.append(args)
-        return _shell_table(*args)
+    def recorded(*args):
+        found = band_profile(*args)
+        if found[2] is None:
+            calls.append(args)
+        return found
 
-    monkeypatch.setattr(riesz, "_shell_table", counted)
+    monkeypatch.setattr(riesz, "_band_profile", recorded)
     return calls
 
 
@@ -185,7 +198,7 @@ def test_lattice_tables_are_the_band_tables_bit_for_bit(name, j, monkeypatch,
     piece = DyadicPiece(j, 1.0)
     batches = _expansion_batches(piece, eta1, l_cap, monkeypatch)
     assert batches
-    calls = _shell_table_calls(monkeypatch)
+    calls = _band_by_band_calls(monkeypatch)
     for ls in batches:
         got = fourier_coeff_batch(piece, ls, eta1)
         assert np.any(got) and np.array_equal(got, _band_oracle(piece, ls,
@@ -198,7 +211,7 @@ def test_off_lattice_eta1_takes_the_band_path(monkeypatch):
     ls = np.arange(-64, 1025)
     lattice = np.linspace(0.0, 1.0, 65)            # multiples of 2^-6
     off = 0.8 + 1e-3                               # 1 - off lies in the shell
-    calls = _shell_table_calls(monkeypatch)
+    calls = _band_by_band_calls(monkeypatch)
     for eta1, band_path in ((lattice, False), (np.array([off]), True),
                             (np.insert(lattice, 20, off), True),
                             (np.append(lattice, 3.0 + 1e-3), False)):
